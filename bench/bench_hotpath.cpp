@@ -18,21 +18,24 @@
 //     off, asserting bit-identical SimResults;
 //  5. dse_greedy_incremental — the whole greedy customization with full
 //     per-candidate re-screening vs the incremental ScreeningContext reuse
-//     (delta-BFS + routing context at their defaults), asserting
-//     bit-identical winners, metrics and history and running the
+//     (product-form hop totals + routing context at their defaults),
+//     asserting bit-identical winners, metrics and history and running the
 //     incremental-vs-full screening oracle. Acceptance bar: >= 1.5x;
 //  6. route_table_dedup — bytes of the deduplicated route-table CSR vs the
 //     one-range-per-row layout it replaced (sim equivalence is covered by
 //     the sim_cycle gate, which runs with the deduplicated table);
 //  7. dse_greedy_routing_incremental — the greedy customization with
-//     delta-BFS reuse but per-candidate from-scratch channel routing (the
-//     screening stack of the PR before incremental routing) vs the full
-//     reuse stack (phys::RoutingContext suffix replay + topology-free
-//     child pricing). Runs the channel-router differential oracle
+//     routing reuse off (each candidate materialized and routed from
+//     scratch) vs on (phys::RoutingContext suffix replay + topology-free
+//     child pricing). Both sides share the product-form hop totals, so
+//     the two absolute timings are a reported trend of routing reuse
+//     alone, not a gate. Gates, all deterministic: the product-form hop
+//     totals equal all_pairs_totals on the materialized graph over seeded
+//     random shapes and skip sets; the channel-router differential oracle
 //     (repaired loads bit-identical to global_route_loads over random
-//     skip-insertion trajectories), the screening equivalence oracle with
-//     routing reuse on, and asserts bit-identical search winners/history
-//     between the two configurations. Acceptance bar: >= 2x.
+//     skip-insertion trajectories); the screening equivalence oracle with
+//     routing reuse on; bit-identical search winners/history between the
+//     two configurations.
 //  8. dse_session_warm — the full greedy customization against a fresh
 //     persistent session (cold: every candidate is a cache miss and gets
 //     screened + stored) vs re-invoking it against the now-populated
@@ -54,6 +57,7 @@
 #include <fstream>
 #include <limits>
 #include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -393,7 +397,7 @@ bool same_search_result(const customize::SearchResult& a,
   return true;
 }
 
-// 5. Greedy DSE end to end: full re-screening vs incremental delta-BFS
+// 5. Greedy DSE end to end: full re-screening vs incremental context
 // reuse, plus the screening equivalence oracle on a mixed batch.
 BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   const tech::ArchParams arch = fabric_10x10();
@@ -459,20 +463,56 @@ BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   return result;
 }
 
-// 7. Greedy DSE with the previous incremental screening stack (delta-BFS
-// reuse, from-scratch channel routing per candidate) vs the full reuse
-// stack (routing context suffix replay + topology-free child pricing).
-BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
+/// Product-form gate: topo::shg_hop_totals must equal the bit-parallel
+/// all-pairs sweep over the materialized make_sparse_hamming graph, over
+/// seeded random grid shapes and skip sets.
+bool shg_hop_totals_match_sweep() {
+  Prng rng(0x5b0d7u);
+  graph::BitSweepWorkspace ws;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int rows = 1 + static_cast<int>(rng() % 16);
+    const int cols = 1 + static_cast<int>(rng() % 16);
+    std::set<int> row_skips, col_skips;
+    for (int x = 2; x < cols; ++x) {
+      if (rng() % 3 == 0) row_skips.insert(x);
+    }
+    for (int x = 2; x < rows; ++x) {
+      if (rng() % 3 == 0) col_skips.insert(x);
+    }
+    const graph::AllPairsTotals product =
+        topo::shg_hop_totals(rows, cols, row_skips, col_skips);
+    const graph::AllPairsTotals swept = graph::all_pairs_totals(
+        topo::make_sparse_hamming(rows, cols, row_skips, col_skips).graph(),
+        nullptr, ws);
+    if (product.sum != swept.sum ||
+        product.reachable_pairs != swept.reachable_pairs ||
+        product.diameter != swept.diameter) {
+      std::fprintf(stderr,
+                   "shg_hop_totals: %dx%d trial %d diverged from the "
+                   "all-pairs sweep\n",
+                   rows, cols, trial);
+      return false;
+    }
+  }
+  return true;
+}
+
+// 7. Greedy DSE with routing reuse off (every candidate materialized and
+// routed from scratch) vs on (routing context suffix replay +
+// topology-free child pricing). Timings are reported, not gated.
+BenchResult bench_dse_greedy_routing_incremental(bool* equivalent,
+                                                 bool* hop_totals_match) {
   const tech::ArchParams arch = fabric_10x10();
   const customize::Goal goal{0.40};
-  // Min-of-5: this section gates CI at 2x with a measured ~2.5-3x, and
-  // both sides are short (milliseconds) — extra reps cost nothing and
-  // reject co-tenant noise spikes a min-of-3 occasionally lets through.
+  // Min-of-5: both sides are short (milliseconds), so extra reps cost
+  // nothing and keep the reported trend steady.
   const int reps = 5;
+
+  *hop_totals_match = shg_hop_totals_match_sweep();
 
   // Channel-router differential oracle: over random SHG skip-insertion
   // trajectories, the context's repaired loads must be bit-identical to
-  // global_route_loads on the materialized child (default exact mode).
+  // global_route_loads on the materialized child.
   bool oracle_ok = true;
   Prng rng(0x70410u);
   for (int trial = 0; trial < 8 && oracle_ok; ++trial) {
@@ -532,11 +572,11 @@ BenchResult bench_dse_greedy_routing_incremental(bool* equivalent) {
   BenchResult result;
   result.name = "dse_greedy_routing_incremental";
   result.ops = 1;  // seconds are min-of-reps for ONE full search
-  result.note = "greedy 10x10, delta-BFS baseline vs +routing ctx, min of " +
+  result.note = "greedy 10x10, routing reuse off vs on, min of " +
                 std::to_string(reps) + "; oracle " +
                 std::string(oracle_ok ? "ok" : "MISMATCH");
 
-  customize::SearchOptions baseline_opts;  // the pre-routing-context stack
+  customize::SearchOptions baseline_opts;  // from-scratch routing per child
   baseline_opts.incremental = true;
   baseline_opts.incremental_routing = false;
   customize::SearchOptions routing_opts;
@@ -693,6 +733,7 @@ int main(int argc, char** argv) {
   bool results_identical = false;
   bool incremental_identical = false;
   bool routing_incremental_identical = false;
+  bool hop_totals_match = false;
   bool session_identical = false;
   std::vector<BenchResult> results;
   results.push_back(bench_route_lookup(smoke));
@@ -705,8 +746,8 @@ int main(int argc, char** argv) {
   print_result(results.back());
   results.push_back(bench_dse_greedy_incremental(&incremental_identical));
   print_result(results.back());
-  results.push_back(
-      bench_dse_greedy_routing_incremental(&routing_incremental_identical));
+  results.push_back(bench_dse_greedy_routing_incremental(
+      &routing_incremental_identical, &hop_totals_match));
   print_result(results.back());
   results.push_back(bench_dse_session_warm(&session_identical));
   print_result(results.back());
@@ -720,6 +761,8 @@ int main(int argc, char** argv) {
   std::printf(
       "incremental routing identical (loads + search + oracle): %s\n",
       routing_incremental_identical ? "yes" : "NO — BUG");
+  std::printf("shg_hop_totals equals the all-pairs sweep: %s\n",
+              hop_totals_match ? "yes" : "NO — BUG");
   std::printf(
       "session warm re-invocation identical (history + final report): %s\n",
       session_identical ? "yes" : "NO — BUG");
@@ -731,7 +774,8 @@ int main(int argc, char** argv) {
 
   double dse_speedup = 0.0;
   double greedy_speedup = 0.0;
-  double routing_speedup = 0.0;
+  double routing_off_s = 0.0;
+  double routing_on_s = 0.0;
   double session_speedup = 0.0;
   std::string entries;
   for (const BenchResult& r : results) {
@@ -739,12 +783,13 @@ int main(int argc, char** argv) {
     if (r.name == "dse_screen") dse_speedup = r.speedup();
     if (r.name == "dse_greedy_incremental") greedy_speedup = r.speedup();
     if (r.name == "dse_greedy_routing_incremental") {
-      routing_speedup = r.speedup();
+      routing_off_s = r.old_seconds;
+      routing_on_s = r.new_seconds;
     }
     if (r.name == "dse_session_warm") session_speedup = r.speedup();
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_hotpath.v4\",\n"
+  out << "{\n  \"schema\": \"shg.bench_hotpath.v5\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"fabric\": \"knc-like-10x10\",\n"
       << "  \"sim_results_identical\": "
@@ -753,10 +798,12 @@ int main(int argc, char** argv) {
       << "  \"dse_greedy_incremental_speedup\": " << greedy_speedup << ",\n"
       << "  \"incremental_identical\": "
       << (incremental_identical ? "true" : "false") << ",\n"
-      << "  \"dse_greedy_routing_incremental_speedup\": " << routing_speedup
-      << ",\n"
+      << "  \"dse_greedy_routing_off_s\": " << routing_off_s << ",\n"
+      << "  \"dse_greedy_routing_on_s\": " << routing_on_s << ",\n"
       << "  \"routing_incremental_identical\": "
       << (routing_incremental_identical ? "true" : "false") << ",\n"
+      << "  \"shg_hop_totals_identical\": "
+      << (hop_totals_match ? "true" : "false") << ",\n"
       << "  \"dse_session_warm_speedup\": " << session_speedup << ",\n"
       << "  \"session_identical\": "
       << (session_identical ? "true" : "false") << ",\n"
@@ -795,11 +842,10 @@ int main(int argc, char** argv) {
                  "search history)\n");
     return 1;
   }
-  if (routing_speedup < 2.0) {
+  if (!hop_totals_match) {
     std::fprintf(stderr,
-                 "FAIL: dse_greedy_routing_incremental speedup %.2fx below "
-                 "the 2x acceptance bar\n",
-                 routing_speedup);
+                 "FAIL: shg_hop_totals diverged from all_pairs_totals on the "
+                 "materialized graph\n");
     return 1;
   }
   if (!session_identical) {

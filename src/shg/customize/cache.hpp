@@ -50,8 +50,8 @@
 //  * Screening-mode domain separation: every key mixes a version/mode tag.
 //    All current screening paths are exact (bit-identical to a fresh
 //    `screen_candidate` / `screen_topology` run) and share one tag; a
-//    future non-exact mode (e.g. relaxed routing) must use a new tag so its
-//    values can never be served to an exact caller.
+//    future non-exact mode (e.g. an approximate channel router) must use a
+//    new tag so its values can never be served to an exact caller.
 //
 // `FingerprintLruCache<Value>` is the store itself: an LRU-bounded hash map
 // from fingerprint to a fixed-size value. `CandidateCache` (screening

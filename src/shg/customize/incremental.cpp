@@ -14,64 +14,31 @@ namespace shg::customize {
 
 namespace {
 
-/// Running all-pairs statistics, one update per source row. Sum, diameter
-/// and reachable count are exact integers, so accumulating them from
-/// per-row aggregates yields the same values as graph::distance_summary's
-/// per-pair fold — and therefore a bit-identical avg-hops division.
-struct SummaryAccum {
-  int diameter = 0;
-  long long total = 0;
-  long long reachable_pairs = 0;
-
-  void add_row(const graph::DistRowStats& row) {
-    total += row.sum;
-    reachable_pairs += row.reachable;
-    if (row.max > diameter) diameter = row.max;
-  }
-};
-
-/// Scans one freshly swept row into its histogram + aggregate form (the
-/// one-time cost at context construction; repairs keep both exact after
-/// that without re-scanning).
-void build_row_stats(const int* dist, int n, int* hist,
-                     graph::DistRowStats& row) {
-  std::fill(hist, hist + n, 0);
-  row = graph::DistRowStats{};
-  for (int v = 0; v < n; ++v) {
-    const int d = dist[v];
-    if (d == graph::kUnreachable) continue;
-    row.sum += d;
-    ++row.reachable;
-    if (d > row.max) row.max = d;
-    ++hist[d];
-  }
-}
-
-/// Assembles CandidateMetrics with the same expressions screen_candidate
-/// evaluates (same operands, same order — bit-identical doubles).
+/// Assembles CandidateMetrics from exact integer hop totals with the same
+/// expressions screen_topology evaluates over distance_summary (same
+/// operands, same order — bit-identical doubles).
 CandidateMetrics make_metrics(const model::ScreeningCost& cost,
-                              const SummaryAccum& acc,
-                              const topo::Topology& topo) {
-  const long long n = topo.graph().num_nodes();
-  SHG_REQUIRE(acc.reachable_pairs == n * n,
+                              const graph::AllPairsTotals& totals,
+                              int num_tiles, long long num_edges) {
+  const long long n = num_tiles;
+  SHG_REQUIRE(totals.reachable_pairs == n * n,
               "screening requires a connected topology");
   CandidateMetrics metrics;
   metrics.area_overhead = cost.area_overhead;
-  const long long pairs = acc.reachable_pairs - n;  // exclude (u, u)
+  const long long pairs = totals.reachable_pairs - n;  // exclude (u, u)
   if (pairs > 0) {
     metrics.avg_hops =
-        static_cast<double>(acc.total) / static_cast<double>(pairs);
+        static_cast<double>(totals.sum) / static_cast<double>(pairs);
   }
-  metrics.diameter = static_cast<double>(acc.diameter);
-  const double directed_links = 2.0 * topo.graph().num_edges();
+  metrics.diameter = static_cast<double>(totals.diameter);
+  const double directed_links = 2.0 * static_cast<double>(num_edges);
   metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(topo.num_tiles()) * metrics.avg_hops);
+      directed_links / (static_cast<double>(num_tiles) * metrics.avg_hops);
   return metrics;
 }
 
 /// Skip distances present in `child` but not `parent`; throws unless the
-/// child is a superset (edge deletions are not repairable by relaxation).
+/// child is a superset (the routing replay only handles added links).
 std::vector<int> skip_delta(const std::set<int>& parent,
                             const std::set<int>& child, const char* dim) {
   std::vector<int> delta;
@@ -89,10 +56,6 @@ std::vector<int> skip_delta(const std::set<int>& parent,
 struct ScreeningContext::ChildScreen {
   topo::Topology topo;
   CandidateMetrics metrics;
-  /// Captured per-source state; empty unless requested.
-  std::vector<int> dist;
-  std::vector<int> hist;
-  std::vector<graph::DistRowStats> row_stats;
 };
 
 ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
@@ -104,24 +67,6 @@ ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
       topo_(topo::make_sparse_hamming(arch.rows, arch.cols, params.row_skips,
                                       params.col_skips)) {
   refresh_reuse_state();
-  const graph::Graph& g = topo_.graph();
-  const int n = g.num_nodes();
-  const std::size_t cells =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  dist_.resize(cells);
-  hist_.resize(cells);
-  row_stats_.resize(static_cast<std::size_t>(n));
-  SummaryAccum acc;
-  graph::BfsWorkspace ws;
-  for (graph::NodeId s = 0; s < n; ++s) {
-    graph::bfs_distances(g, s, ws);
-    std::copy(ws.dist.begin(), ws.dist.begin() + n,
-              dist_.begin() + static_cast<std::size_t>(s) * n);
-    build_row_stats(ws.dist.data(), n,
-                    hist_.data() + static_cast<std::size_t>(s) * n,
-                    row_stats_[static_cast<std::size_t>(s)]);
-    acc.add_row(row_stats_[static_cast<std::size_t>(s)]);
-  }
   // With the routing context built, its parent loads feed the cost model
   // directly (same arithmetic, bit-identical areas) instead of a second
   // from-scratch route of the same topology.
@@ -130,7 +75,11 @@ ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
           ? model::evaluate_screening_cost(arch, topo_.radix(),
                                            routing_->loads())
           : model::evaluate_screening_cost(arch, topo_);
-  metrics_ = make_metrics(cost, acc, topo_);
+  metrics_ = make_metrics(
+      cost,
+      topo::shg_hop_totals(arch.rows, arch.cols, params.row_skips,
+                           params.col_skips),
+      topo_.num_tiles(), topo_.graph().num_edges());
 }
 
 void ScreeningContext::refresh_reuse_state() {
@@ -148,8 +97,7 @@ void ScreeningContext::refresh_reuse_state() {
 
 ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
-    bool capture_rows, const CandidateMetrics* known_metrics,
-    bool need_metrics) const {
+    const CandidateMetrics* known_metrics, bool need_metrics) const {
   const std::vector<int> new_row_skips =
       skip_delta(params_.row_skips, child.row_skips, "row");
   const std::vector<int> new_col_skips =
@@ -157,60 +105,10 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
 
   ChildScreen out{topo::make_sparse_hamming(arch_->rows, arch_->cols,
                                             child.row_skips, child.col_skips),
-                  CandidateMetrics{},
-                  {},
-                  {},
-                  {}};
+                  CandidateMetrics{}};
   if (new_row_skips.empty() && new_col_skips.empty()) {
     out.metrics = metrics_;
-    if (capture_rows) {
-      out.dist = dist_;
-      out.hist = hist_;
-      out.row_stats = row_stats_;
-    }
-    return out;
-  }
-
-  // The links the new skip distances contribute, from the generator's own
-  // enumeration — the repair's new-edge list and the child graph's edge
-  // set come from one definition and cannot diverge.
-  std::vector<graph::Edge> new_edges;
-  topo::for_each_skip_link(
-      arch_->rows, arch_->cols, new_row_skips, new_col_skips,
-      [&](topo::TileCoord a, topo::TileCoord b) {
-        new_edges.push_back(graph::Edge{out.topo.node(a.row, a.col),
-                                        out.topo.node(b.row, b.col)});
-      });
-
-  const graph::Graph& g = out.topo.graph();
-  const int n = g.num_nodes();
-  const std::size_t cells =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  SummaryAccum acc;
-  graph::BfsWorkspace ws;
-  ws.resize(n);
-  std::vector<int> hist_row(static_cast<std::size_t>(n));
-  if (capture_rows) {
-    out.dist.resize(cells);
-    out.hist.resize(cells);
-    out.row_stats.resize(static_cast<std::size_t>(n));
-  }
-  for (graph::NodeId s = 0; s < n; ++s) {
-    const std::size_t base = static_cast<std::size_t>(s) * n;
-    std::copy(dist_.begin() + base, dist_.begin() + base + n,
-              ws.dist.begin());
-    std::copy(hist_.begin() + base, hist_.begin() + base + n,
-              hist_row.begin());
-    graph::DistRowStats row = row_stats_[static_cast<std::size_t>(s)];
-    graph::update_distances_add_edges(g, new_edges, ws, hist_row.data(), row);
-    acc.add_row(row);
-    if (capture_rows) {
-      std::copy(ws.dist.begin(), ws.dist.begin() + n, out.dist.begin() + base);
-      std::copy(hist_row.begin(), hist_row.end(), out.hist.begin() + base);
-      out.row_stats[static_cast<std::size_t>(s)] = row;
-    }
-  }
-  if (known_metrics != nullptr) {
+  } else if (known_metrics != nullptr) {
     // The caller screened this exact child already (screen_child during
     // candidate ranking); re-running the cost model — the dominant
     // screening cost — would only reproduce the same bits.
@@ -229,7 +127,11 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     } else {
       cost = model::evaluate_screening_cost(*arch_, out.topo, tile_cache);
     }
-    out.metrics = make_metrics(cost, acc, out.topo);
+    out.metrics = make_metrics(
+        cost,
+        topo::shg_hop_totals(arch_->rows, arch_->cols, child.row_skips,
+                             child.col_skips),
+        out.topo.num_tiles(), out.topo.graph().num_edges());
   }
   return out;
 }
@@ -240,7 +142,7 @@ CandidateMetrics ScreeningContext::screen_child(
   if (routing_.has_value()) {
     return screen_child_fast(child, tile_cache, ws);
   }
-  return screen_impl(child, tile_cache, /*capture_rows=*/false).metrics;
+  return screen_impl(child, tile_cache).metrics;
 }
 
 CandidateMetrics ScreeningContext::screen_child_fast(
@@ -254,8 +156,11 @@ CandidateMetrics ScreeningContext::screen_child_fast(
 
   Workspace local;
   if (ws == nullptr) ws = &local;
-  const graph::Graph& g = topo_.graph();
-  const int n = g.num_nodes();
+
+  // Hop metrics in product form from the child's two lines (this also
+  // validates the child's skip sets).
+  const graph::AllPairsTotals totals = topo::shg_hop_totals(
+      arch_->rows, arch_->cols, child.row_skips, child.col_skips);
 
   // The links the new skip distances contribute, from the generator's own
   // enumeration, with node ids on the parent grid (the child grid is the
@@ -266,16 +171,6 @@ CandidateMetrics ScreeningContext::screen_child_fast(
       [&](topo::TileCoord a, topo::TileCoord b) {
         ws->new_edges.push_back(graph::Edge{topo_.node(a), topo_.node(b)});
       });
-
-  // Distance metrics: bit-parallel all-pairs sweep over parent + overlay.
-  // Exact integer totals, so the assembled metrics match make_metrics /
-  // screen_candidate bit for bit.
-  ws->overlay.assign(n, ws->new_edges);
-  const graph::AllPairsTotals totals =
-      graph::all_pairs_totals(g, &ws->overlay, ws->bitsweep);
-  SHG_REQUIRE(totals.reachable_pairs ==
-                  static_cast<long long>(n) * static_cast<long long>(n),
-              "screening requires a connected topology");
 
   // Child radix: the parent degrees bumped at the new links' endpoints.
   ws->degrees.assign(degrees_.begin(), degrees_.end());
@@ -291,34 +186,17 @@ CandidateMetrics ScreeningContext::screen_child_fast(
   routing_->route_child_loads(new_row_skips, new_col_skips, &ws->loads);
   const model::ScreeningCost cost =
       model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
-
-  // Same expressions as make_metrics over the same integers.
-  CandidateMetrics metrics;
-  metrics.area_overhead = cost.area_overhead;
-  const long long pairs = totals.reachable_pairs - n;  // exclude (u, u)
-  if (pairs > 0) {
-    metrics.avg_hops =
-        static_cast<double>(totals.sum) / static_cast<double>(pairs);
-  }
-  metrics.diameter = static_cast<double>(totals.diameter);
-  const long long child_edges =
-      g.num_edges() + static_cast<long long>(ws->new_edges.size());
-  const double directed_links = 2.0 * static_cast<double>(child_edges);
-  metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(topo_.num_tiles()) * metrics.avg_hops);
-  return metrics;
+  return make_metrics(
+      cost, totals, topo_.num_tiles(),
+      topo_.graph().num_edges() +
+          static_cast<long long>(ws->new_edges.size()));
 }
 
 void ScreeningContext::rebase(const topo::ShgParams& child,
                               const CandidateMetrics* known_metrics) {
-  ChildScreen screened =
-      screen_impl(child, nullptr, /*capture_rows=*/true, known_metrics);
+  ChildScreen screened = screen_impl(child, nullptr, known_metrics);
   params_ = child;
   topo_ = std::move(screened.topo);
-  dist_ = std::move(screened.dist);
-  hist_ = std::move(screened.hist);
-  row_stats_ = std::move(screened.row_stats);
   metrics_ = screened.metrics;
   refresh_reuse_state();
 }
@@ -326,11 +204,10 @@ void ScreeningContext::rebase(const topo::ShgParams& child,
 ScreeningContext ScreeningContext::derive(const topo::ShgParams& child,
                                           model::TileGeometryCache* tile_cache,
                                           bool need_metrics) const {
-  ChildScreen screened = screen_impl(child, tile_cache, /*capture_rows=*/true,
-                                     nullptr, need_metrics);
+  ChildScreen screened =
+      screen_impl(child, tile_cache, nullptr, need_metrics);
   return ScreeningContext(arch_, options_, child, std::move(screened.topo),
-                          std::move(screened.dist), std::move(screened.hist),
-                          std::move(screened.row_stats), screened.metrics);
+                          screened.metrics);
 }
 
 TopologyScreeningContext::TopologyScreeningContext(
@@ -378,27 +255,24 @@ CandidateMetrics TopologyScreeningContext::screen_child(
   // a duplicate would silently double-route the link and double-bump its
   // endpoint degrees, producing metrics for a child that cannot exist.
   ws->links.clear();
-  std::vector<long long> seen;
-  seen.reserve(new_edges.size());
+  ws->seen.clear();
   for (const graph::Edge& e : new_edges) {
     SHG_REQUIRE(!g.has_edge(e.u, e.v),
                 "child delta edges must be absent from the parent");
     const auto [lo, hi] = std::minmax(e.u, e.v);
-    seen.push_back(static_cast<long long>(lo) * g.num_nodes() + hi);
+    ws->seen.push_back(static_cast<long long>(lo) * g.num_nodes() + hi);
     ws->links.push_back(phys::GridLink{parent_.coord(e.u), parent_.coord(e.v)});
   }
-  std::sort(seen.begin(), seen.end());
-  SHG_REQUIRE(std::adjacent_find(seen.begin(), seen.end()) == seen.end(),
-              "child delta edges must be distinct");
+  std::sort(ws->seen.begin(), ws->seen.end());
+  SHG_REQUIRE(
+      std::adjacent_find(ws->seen.begin(), ws->seen.end()) == ws->seen.end(),
+      "child delta edges must be distinct");
 
   // Hop metrics: bit-parallel all-pairs sweep over parent + overlay (exact
   // integer totals — same division operands as screen_topology).
   ws->overlay.assign(n, new_edges);
   const graph::AllPairsTotals totals =
       graph::all_pairs_totals(g, &ws->overlay, ws->bitsweep);
-  SHG_REQUIRE(totals.reachable_pairs ==
-                  static_cast<long long>(n) * static_cast<long long>(n),
-              "screening requires a connected topology");
 
   // Child radix from bumped parent degrees.
   ws->degrees.assign(degrees_.begin(), degrees_.end());
@@ -416,23 +290,9 @@ CandidateMetrics TopologyScreeningContext::screen_child(
   const model::ScreeningCost cost =
       model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
 
-  // Same expressions as make_metrics / screen_topology over the same
-  // integers.
-  CandidateMetrics metrics;
-  metrics.area_overhead = cost.area_overhead;
-  const long long pairs = totals.reachable_pairs - n;  // exclude (u, u)
-  if (pairs > 0) {
-    metrics.avg_hops =
-        static_cast<double>(totals.sum) / static_cast<double>(pairs);
-  }
-  metrics.diameter = static_cast<double>(totals.diameter);
-  const long long child_edges =
-      g.num_edges() + static_cast<long long>(new_edges.size());
-  const double directed_links = 2.0 * static_cast<double>(child_edges);
-  metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(parent_.num_tiles()) * metrics.avg_hops);
-  return metrics;
+  return make_metrics(
+      cost, totals, parent_.num_tiles(),
+      g.num_edges() + static_cast<long long>(new_edges.size()));
 }
 
 namespace {
@@ -440,7 +300,7 @@ namespace {
 /// Prefix forest over a candidate batch: every node's parameterization is
 /// its parent's plus exactly one skip distance (canonical element order:
 /// row skips ascending, then column skips ascending), so a child context
-/// is always derivable from its parent by edge-addition repair.
+/// is always derivable from its parent by an added-links routing replay.
 struct TrieNode {
   topo::ShgParams params;
   std::vector<std::size_t> batch_indices;  ///< batch entries equal to params
@@ -503,7 +363,7 @@ std::vector<CandidateMetrics> screen_batch_incremental(
   };
 
   // Recursive subtree walk: derive a context per interior node, screen
-  // leaves from the parent context without capturing rows.
+  // leaves from the parent context.
   auto dfs = [&](auto&& self, const ScreeningContext& parent_ctx,
                  std::size_t node_id, Scratch& scratch) -> void {
     const TrieNode& node = nodes[node_id];
@@ -512,8 +372,8 @@ std::vector<CandidateMetrics> screen_batch_incremental(
                                            &scratch.ws));
       return;
     }
-    // Stepping-stone prefixes absent from the batch only exist to repair
-    // rows for their descendants — skip their cost model entirely.
+    // Stepping-stone prefixes absent from the batch only exist to carry a
+    // routing context for their descendants — skip their cost model.
     const bool in_batch = !node.batch_indices.empty();
     const ScreeningContext ctx =
         parent_ctx.derive(node.params, &scratch.tile_cache, in_batch);
@@ -523,14 +383,14 @@ std::vector<CandidateMetrics> screen_batch_incremental(
     }
   };
 
-  // One full sweep at the root; everything below is repair-only. The
-  // interior depth-1 contexts fan out via one parallel_for (each derive
-  // touches disjoint state and disjoint batch indices — a serial loop
-  // here would be an Amdahl bottleneck, one cost-model run per interior
-  // node before any subtree starts), then the depth-1 leaves and depth-2
-  // subtrees fan out via a second one. Output slots are disjoint
-  // throughout, so the result is deterministic per the parallel_for
-  // contract.
+  // The root context is screened from scratch; every other candidate is
+  // screened from an ancestor context. The interior depth-1 contexts fan
+  // out via one parallel_for (each derive touches disjoint state and
+  // disjoint batch indices — a serial loop here would be an Amdahl
+  // bottleneck, one cost-model run per interior node before any subtree
+  // starts), then the depth-1 leaves and depth-2 subtrees fan out via a
+  // second one. Output slots are disjoint throughout, so the result is
+  // deterministic per the parallel_for contract.
   const ScreeningContext root_ctx(arch, nodes[0].params, options);
   record(nodes[0], root_ctx.metrics());
 

@@ -1,4 +1,4 @@
-// Incremental DSE screening with delta-BFS reuse.
+// Incremental DSE screening.
 //
 // The customization flow (Section IV / V-a) screens neighborhoods of SHG
 // parameterizations that differ from a parent by exactly one skip distance,
@@ -6,14 +6,15 @@
 // steps 1-4 for every neighbor. This module exploits the structure of that
 // neighborhood:
 //
-//  * Distance reuse. A `ScreeningContext` caches the parent candidate's
-//    per-source BFS distance rows. Adding a skip distance only ever ADDS
-//    edges, and added edges can only SHRINK hop distances, so each cached
-//    row is repaired by a bounded multi-source relaxation seeded at the new
-//    links' endpoints (`graph::update_distances_add_edges`) instead of a
-//    fresh sweep. Hop distances are unique, so the repaired rows — and the
-//    avg-hops / diameter / throughput-bound metrics folded over them in the
-//    same accumulation order — are bit-identical to `distance_summary`.
+//  * Hop metrics in product form. An SHG is the Cartesian product of a row
+//    line (C tiles, links at {1} u SR) and a column line (R tiles, links at
+//    {1} u SC), so every hop distance splits into a row part plus a column
+//    part. `topo::shg_hop_totals` sweeps the two lines and combines their
+//    exact integer totals (sum, diameter, reachable pairs) in closed form;
+//    no context caches distance rows and no child graph is swept. The
+//    integers equal `distance_summary`'s fold over the materialized graph,
+//    so the avg-hops / diameter / throughput-bound metrics are
+//    bit-identical.
 //
 //  * Tile-geometry reuse. The cost model assumes identical tiles sized for
 //    the worst-case radix, so step 1 is a pure function of the radix;
@@ -28,8 +29,7 @@
 //    replays the divergent length-class suffix of the greedy order from a
 //    recorded boundary snapshot, which IS bit-identical (see
 //    phys/incremental_route.hpp), and unlocks a topology-free child
-//    evaluation: hop metrics come from a bit-parallel all-pairs sweep over
-//    the parent graph plus an edge overlay, the radix from bumped parent
+//    evaluation: hop metrics in product form, the radix from bumped parent
 //    degrees, and the area from the repaired loads — no child Topology is
 //    ever materialized on the screening hot path.
 //
@@ -37,16 +37,16 @@
 //    candidate batch (greedy neighborhoods, exhaustive mask enumerations,
 //    explore_* subset sweeps) into a prefix forest ordered by canonical
 //    skip-element order, derives one context per interior node, and screens
-//    each candidate from its longest cached ancestor — 2^k candidates cost
-//    one full sweep plus 2^k bounded repairs.
+//    each candidate from its longest cached ancestor — with routing reuse
+//    on, every candidate's channel loads come from a suffix replay against
+//    its nearest interior prefix rather than a from-scratch route.
 //
 // Cache invalidation is by construction: a context is keyed to one parent
 // parameterization and one ArchParams; `screen_child` only accepts children
 // whose skip sets are supersets of the parent's (checked), and `rebase`
-// re-keys the context by repairing its rows in place. Removing a skip
-// distance (edge deletion) can only INCREASE distances and is not
-// repairable by relaxation — such children are rejected rather than
-// screened wrongly.
+// re-keys the context onto an accepted child. Removing a skip distance
+// (edge deletion) is not an added-links replay — such children are
+// rejected rather than screened wrongly.
 //
 // Equivalence oracle: `verify_incremental_equivalence` screens a batch both
 // ways and throws on the first metric that is not bit-identical; the bench
@@ -58,8 +58,7 @@
 //    bit-identical to `screen_candidate` / `screen_topology` on the
 //    materialized child, for any combination of options (the oracle and
 //    the randomized trajectory tests enforce it). Nothing here has a
-//    bounded-error mode; the only bounded-error path in the codebase is
-//    `phys::RoutingOptions::relaxed`, which no screening flow uses.
+//    bounded-error mode.
 //  * Concurrency. `ScreeningContext::screen_child` and
 //    `TopologyScreeningContext::screen_child` are const and safe to call
 //    concurrently on ONE shared context, provided each caller passes its
@@ -83,20 +82,19 @@ namespace shg::customize {
 /// Knobs of the incremental screening engine.
 struct ScreeningOptions {
   /// Channel-router reuse (phys::RoutingContext) plus the topology-free
-  /// child evaluation it unlocks: children are priced from the parent graph
-  /// with an edge overlay (bit-parallel all-pairs sweep) and repaired
-  /// channel loads, never materializing a child Topology. Metrics are
-  /// bit-identical either way (oracle-tested); off preserves the previous
-  /// per-child path — fresh `global_route_loads` and a per-row delta-BFS
-  /// repair — for equivalence tests and as the benchmark baseline.
+  /// child evaluation it unlocks: children are priced from product-form
+  /// hop totals and repaired channel loads, never materializing a child
+  /// Topology. Metrics are bit-identical either way (oracle-tested); off
+  /// materializes each child and routes it from scratch, for equivalence
+  /// tests and as the benchmark baseline.
   bool incremental_routing = true;
 };
 
 /// Cached screening state of one parent parameterization.
 class ScreeningContext {
  public:
-  /// Full screen of `params`: one all-pairs sweep plus cost steps 1-4. The
-  /// context keeps a pointer to `arch`, which must outlive it.
+  /// Full screen of `params`: product-form hop totals plus cost steps 1-4.
+  /// The context keeps a pointer to `arch`, which must outlive it.
   ScreeningContext(const tech::ArchParams& arch,
                    const topo::ShgParams& params,
                    const ScreeningOptions& options = {});
@@ -109,8 +107,6 @@ class ScreeningContext {
   /// screening concurrently (see parallel_for_with_worker).
   struct Workspace {
     std::vector<graph::Edge> new_edges;
-    graph::EdgeOverlay overlay;
-    graph::BitSweepWorkspace bitsweep;
     std::vector<int> degrees;
     phys::GlobalRoutingResult loads;
   };
@@ -121,8 +117,8 @@ class ScreeningContext {
 
   /// Screens `child`, whose skip sets must be supersets of `params()`.
   /// With incremental routing on this runs the topology-free fast path
-  /// (edge-overlay bit sweep + channel-load repair); otherwise it repairs a
-  /// copy of the cached distance rows and routes from scratch. Either way
+  /// (product-form hop totals + channel-load repair); otherwise it
+  /// materializes the child and routes it from scratch. Either way
   /// the result is bit-identical to `screen_candidate(arch, child)`. Safe
   /// to call concurrently on one context; `tile_cache` and `ws` (both
   /// optional) must then be per-caller.
@@ -131,21 +127,20 @@ class ScreeningContext {
                                     nullptr,
                                 Workspace* ws = nullptr) const;
 
-  /// Re-keys the context onto `child` (a superset of `params()`) by
-  /// repairing the cached rows in place — the greedy search uses this when
-  /// it accepts a step. `known_metrics`, when given, must be the result of
-  /// screening `child` (e.g. the screen_child return the caller just
-  /// ranked); the re-keyed context then adopts it instead of re-running
-  /// the cost model for a candidate whose metrics are already known.
+  /// Re-keys the context onto `child` (a superset of `params()`) — the
+  /// greedy search uses this when it accepts a step. `known_metrics`, when
+  /// given, must be the result of screening `child` (e.g. the screen_child
+  /// return the caller just ranked); the re-keyed context then adopts it
+  /// instead of re-running the cost model for a candidate whose metrics
+  /// are already known.
   void rebase(const topo::ShgParams& child,
               const CandidateMetrics* known_metrics = nullptr);
 
-  /// Derives an independent context for `child` without re-sweeping; the
-  /// shared-prefix forest walk uses this for interior nodes. With
-  /// `need_metrics` false the cost model is skipped and the derived
-  /// context's metrics() are unspecified — for stepping-stone prefixes
-  /// that only exist to repair rows for their descendants, the cost model
-  /// (the dominant screening cost) would be wasted work.
+  /// Derives an independent context for `child`; the shared-prefix forest
+  /// walk uses this for interior nodes. With `need_metrics` false the cost
+  /// model is skipped and the derived context's metrics() are unspecified —
+  /// for stepping-stone prefixes that only exist to carry a routing context
+  /// for their descendants, the cost model would be wasted work.
   ScreeningContext derive(const topo::ShgParams& child,
                           model::TileGeometryCache* tile_cache = nullptr,
                           bool need_metrics = true) const;
@@ -154,7 +149,6 @@ class ScreeningContext {
   struct ChildScreen;
   ChildScreen screen_impl(const topo::ShgParams& child,
                           model::TileGeometryCache* tile_cache,
-                          bool capture_rows,
                           const CandidateMetrics* known_metrics = nullptr,
                           bool need_metrics = true) const;
   CandidateMetrics screen_child_fast(const topo::ShgParams& child,
@@ -167,17 +161,11 @@ class ScreeningContext {
 
   ScreeningContext(const tech::ArchParams* arch,
                    const ScreeningOptions& options, topo::ShgParams params,
-                   topo::Topology topo, std::vector<int> dist,
-                   std::vector<int> hist,
-                   std::vector<graph::DistRowStats> row_stats,
-                   const CandidateMetrics& metrics)
+                   topo::Topology topo, const CandidateMetrics& metrics)
       : arch_(arch),
         options_(options),
         params_(std::move(params)),
         topo_(std::move(topo)),
-        dist_(std::move(dist)),
-        hist_(std::move(hist)),
-        row_stats_(std::move(row_stats)),
         metrics_(metrics) {
     refresh_reuse_state();
   }
@@ -190,27 +178,19 @@ class ScreeningContext {
   /// router (absent when incremental routing is off) and per-node degrees.
   std::optional<phys::RoutingContext> routing_;
   std::vector<int> degrees_;
-  /// Per-source cached state, all row-major n x n (plus one stats entry per
-  /// source): the distance rows the repair starts from, the per-row
-  /// distance histograms, and the per-row aggregates. The histograms let
-  /// the statistics-fused repair keep sum/max/reachable exact at label
-  /// changes instead of re-folding O(n) per repaired row — that re-fold
-  /// costs as much as the repair itself.
-  std::vector<int> dist_;  ///< dist_[src * n + node]
-  std::vector<int> hist_;  ///< hist_[src * n + d] = nodes at distance d
-  std::vector<graph::DistRowStats> row_stats_;
   CandidateMetrics metrics_;
 };
 
 /// Incremental screening for non-SHG families: a parent topology of ANY
 /// family (SlimNoC, torus, mesh, custom) plus added-edge children. Before
 /// this existed, screening such children meant a fresh sweep and a
-/// from-scratch channel route per child; now they flow through the same
-/// incremental stack as SHG candidates — `graph::EdgeOverlay` plus the
-/// bit-parallel all-pairs sweep for the hop metrics, bumped parent degrees
-/// for the radix, and the `phys::RoutingContext` added-links suffix replay
-/// (which handles diagonal links with a joint-orientation replay) for the
-/// channel loads. No child Topology is ever materialized.
+/// from-scratch channel route per child; now they flow through an
+/// incremental stack like SHG candidates. They have no product form, so
+/// the hop metrics come from `graph::EdgeOverlay` plus the bit-parallel
+/// all-pairs sweep, the radix from bumped parent degrees, and the channel
+/// loads from the `phys::RoutingContext` added-links suffix replay (which
+/// handles diagonal links with a joint-orientation replay). No child
+/// Topology is ever materialized.
 ///
 /// Exactness: `screen_child` is bit-identical to `screen_topology` on the
 /// parent-copy-plus-add_link child (randomized trajectory oracle in
@@ -236,6 +216,7 @@ class TopologyScreeningContext {
     graph::BitSweepWorkspace bitsweep;
     std::vector<int> degrees;
     std::vector<phys::GridLink> links;
+    std::vector<long long> seen;  ///< delta-edge keys, duplicate check
     phys::GlobalRoutingResult loads;
   };
 

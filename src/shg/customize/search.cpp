@@ -178,8 +178,8 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
     }
   }
   if (!have_metrics) {
-    // The context's construction sweep doubles as the mesh screening, so
-    // the incremental path pays no extra full sweep up front.
+    // The context's construction doubles as the mesh screening, so the
+    // incremental path pays no extra screen up front.
     if (ScreeningContext* c = ensure_ctx()) {
       result.metrics = c->metrics();
     } else {
@@ -248,10 +248,9 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
       ScreeningContext* const c = ensure_ctx();
       if (c != nullptr && options.incremental_routing) {
         // Every neighbor is the parent plus one skip distance — the exact
-        // shape both the routing suffix replay and the overlay sweep are
-        // built for. Worker-pinned scratch keeps the fast path's buffers
-        // and the tile-geometry memo warm across candidates and
-        // iterations.
+        // shape the routing suffix replay is built for. Worker-pinned
+        // scratch keeps the fast path's buffers and the tile-geometry memo
+        // warm across candidates and iterations.
         const std::size_t workers = parallel_worker_count(miss.size());
         if (scratch.size() < workers) scratch.resize(workers);
         parallel_for_with_worker(miss.size(), [&](std::size_t k,
@@ -261,9 +260,9 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
                               &scratch[w].ws);
         });
       } else if (c != nullptr) {
-        // Delta-BFS reuse without the routing context — the screening path
-        // of the PR before incremental routing, preserved as the benchmark
-        // baseline and for the on/off equivalence tests.
+        // Context reuse without the routing context: each child is
+        // materialized and routed from scratch — the benchmark baseline
+        // and the on/off equivalence tests' off side.
         parallel_for(miss.size(), [&](std::size_t k) {
           screened[miss[k]] = c->screen_child(batch[miss[k]]);
         });
@@ -325,7 +324,7 @@ SearchResult customize_exhaustive(const tech::ArchParams& arch,
   }
   // The subset lattice is a prefix forest: every mask is some other mask
   // plus one element, so the incremental path reuses the shared-prefix
-  // distance rows across the whole enumeration; an attached session
+  // routing contexts across the whole enumeration; an attached session
   // additionally serves repeated invocations from its cache and screens
   // only the misses. Either way the serial reduction below sees
   // bit-identical metrics in the same order.

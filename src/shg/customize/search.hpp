@@ -62,7 +62,7 @@ struct SearchResult {
   std::vector<SearchStep> history;
 };
 
-/// Knobs of the search engines. `incremental` turns on the delta-BFS
+/// Knobs of the search engines. `incremental` turns on the context
 /// screening reuse (customize/incremental.hpp); `incremental_routing`
 /// additionally reuses the parent's channel routing and prices children
 /// without materializing their topologies (phys/incremental_route.hpp) —

@@ -29,129 +29,6 @@ void bfs_distances(const Graph& g, NodeId src, BfsWorkspace& ws) {
   }
 }
 
-namespace {
-
-/// No-op label-change observer for the plain repair overload.
-struct NoRepairStats {
-  void on_assign(int /*old_dist*/, int /*new_dist*/) {}
-  void finish(int /*max_assigned*/) {}
-};
-
-/// Keeps a distance histogram and DistRowStats exact under label changes.
-/// The histogram is exact after every assignment (stale queue entries do
-/// not matter — each assignment moves exactly one node between buckets),
-/// the sum telescopes over assignments, and the maximum is re-derived from
-/// the histogram at the end by walking down from the largest candidate.
-struct HistRepairStats {
-  int* hist;
-  DistRowStats* stats;
-
-  void on_assign(int old_dist, int new_dist) {
-    if (old_dist == kUnreachable) {
-      // First finite label for this node: a new reachable pair.
-      ++stats->reachable;
-      stats->sum += new_dist;
-    } else {
-      stats->sum += new_dist - old_dist;
-      --hist[old_dist];
-    }
-    ++hist[new_dist];
-  }
-
-  void finish(int max_assigned) {
-    // Distances only shrink under edge additions, but newly reached nodes
-    // may enter above the old maximum — start from the larger candidate.
-    int hi = std::max(stats->max, max_assigned);
-    while (hi > 0 && hist[hi] == 0) --hi;
-    stats->max = hi;
-  }
-};
-
-template <typename Stats>
-void repair_distances(const Graph& g, const std::vector<Edge>& new_edges,
-                      BfsWorkspace& ws, Stats stats) {
-  const int n = g.num_nodes();
-  ws.resize(n);
-  int* dist = ws.dist.data();
-
-  // Seed: endpoints whose label shrinks through a new edge, bucketed by
-  // their tentative label. The unreachable guard keeps kUnreachable + 1
-  // from overflowing and lets the repair grow a region the new edges just
-  // connected. Edge membership in `g` is a documented precondition, not
-  // re-validated here: screening repairs one row per source, and an
-  // adjacency scan per edge per source would cost a third of the sweep the
-  // repair exists to avoid. Endpoint ids are still range-checked.
-  int lo = n;   // first non-empty level
-  int hi = -1;  // last non-empty level; labels stay < n (see below)
-  auto improve = [&](NodeId v, int label) {
-    SHG_ASSERT(label < n, "repair label out of range: ws.dist does not hold "
-                          "BFS distances of a subgraph");
-    stats.on_assign(dist[v], label);
-    dist[v] = label;
-    ws.levels[static_cast<std::size_t>(label)].push_back(v);
-    if (label < lo) lo = label;
-    if (label > hi) hi = label;
-  };
-  for (const Edge& e : new_edges) {
-    SHG_REQUIRE(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n,
-                "new edge endpoint out of range");
-    if (dist[e.u] != kUnreachable && dist[e.u] + 1 < dist[e.v]) {
-      improve(e.v, dist[e.u] + 1);
-    }
-    if (dist[e.v] != kUnreachable && dist[e.v] + 1 < dist[e.u]) {
-      improve(e.u, dist[e.v] + 1);
-    }
-  }
-  if (hi < 0) return;  // no label shrinks: the row is already correct
-
-  // Dial-style propagation in ascending label order: when level L is
-  // processed every smaller label is final, so a node is expanded exactly
-  // once — at its final label — and entries whose label dropped after they
-  // were bucketed are skipped as stale. Only nodes whose distance actually
-  // changed (plus their adjacency) are touched, and the level walk stops at
-  // the deepest bucketed label rather than n. Labels never reach n: a
-  // final label of n-1 means a shortest path covering every node, whose
-  // successors are all labeled already.
-  for (int level = lo; level <= hi; ++level) {
-    std::vector<NodeId>& frontier = ws.levels[static_cast<std::size_t>(level)];
-    // Relaxations from level L push to level L+1 only, never into this
-    // frontier, so plain index iteration is safe.
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const NodeId u = frontier[i];
-      if (dist[u] != level) continue;  // improved after bucketing: stale
-      const int next = level + 1;
-      for (const Neighbor& nb : g.neighbors(u)) {
-        if (next < dist[nb.node]) {
-          SHG_ASSERT(next < n,
-                     "repair label out of range: ws.dist does not hold BFS "
-                     "distances of a subgraph");
-          stats.on_assign(dist[nb.node], next);
-          dist[nb.node] = next;
-          ws.levels[static_cast<std::size_t>(next)].push_back(nb.node);
-          if (next > hi) hi = next;
-        }
-      }
-    }
-    frontier.clear();  // restore the all-empty workspace invariant
-  }
-  stats.finish(hi);
-}
-
-}  // namespace
-
-void update_distances_add_edges(const Graph& g,
-                                const std::vector<Edge>& new_edges,
-                                BfsWorkspace& ws) {
-  repair_distances(g, new_edges, ws, NoRepairStats{});
-}
-
-void update_distances_add_edges(const Graph& g,
-                                const std::vector<Edge>& new_edges,
-                                BfsWorkspace& ws, int* hist,
-                                DistRowStats& stats) {
-  repair_distances(g, new_edges, ws, HistRepairStats{hist, &stats});
-}
-
 std::vector<int> bfs_distances(const Graph& g, NodeId src) {
   BfsWorkspace ws;
   bfs_distances(g, src, ws);

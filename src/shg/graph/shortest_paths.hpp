@@ -18,23 +18,17 @@ inline constexpr int kUnreachable = std::numeric_limits<int>::max();
 
 /// Reusable scratch space for BFS sweeps. Constructing a workspace once and
 /// passing it to the `bfs_distances` / `distance_summary` overloads below
-/// removes the per-call heap allocation that dominates all-pairs sweeps
-/// (the DSE screening hot path runs thousands of them per candidate batch).
+/// removes the per-call heap allocation that dominates all-pairs sweeps.
 /// After a sweep, `dist` holds the hop distances of the last source.
 struct BfsWorkspace {
   std::vector<int> dist;      ///< per-node hop distance (kUnreachable = not seen)
   std::vector<NodeId> queue;  ///< flat FIFO; reused ring storage
-  /// Per-label frontiers for the delta-BFS repair (all empty between calls;
-  /// the inner vectors keep their capacity, so repeated repairs on one
-  /// workspace stop allocating after the first).
-  std::vector<std::vector<NodeId>> levels;
 
   /// Grows the buffers to `num_nodes` (no-op when already large enough).
   void resize(int num_nodes) {
     const auto n = static_cast<std::size_t>(num_nodes);
     if (dist.size() < n) dist.resize(n);
     if (queue.size() < n) queue.resize(n);
-    if (levels.size() < n) levels.resize(n);
   }
 };
 
@@ -44,43 +38,6 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src);
 /// Allocation-free BFS: fills `ws.dist[0..num_nodes)` in place, reusing the
 /// workspace buffers. Equivalent to the allocating overload.
 void bfs_distances(const Graph& g, NodeId src, BfsWorkspace& ws);
-
-/// Delta-BFS repair after edge additions. `ws.dist[0..num_nodes)` must hold
-/// BFS hop distances from some source over a subgraph of `g`, and
-/// `new_edges` must list exactly the edges of `g` missing from that
-/// subgraph. On return `ws.dist` equals `bfs_distances(g, src, ws)` run
-/// from scratch — hop distances are unique, so the repaired row is
-/// bit-identical to a fresh sweep.
-///
-/// Soundness: adding edges can only shrink distances, so the repair is a
-/// bounded multi-source relaxation seeded at the new edges' endpoints; only
-/// nodes whose distance actually decreases (plus their adjacency) are
-/// touched, which is what makes incremental DSE screening cheaper than a
-/// full sweep. A node may re-enter the queue when its label drops again,
-/// but labels are integers bounded below, so the relaxation terminates.
-void update_distances_add_edges(const Graph& g,
-                                const std::vector<Edge>& new_edges,
-                                BfsWorkspace& ws);
-
-/// Aggregate statistics of one distance row, maintainable under repair.
-struct DistRowStats {
-  long long sum = 0;  ///< sum of finite distances (self-distance 0 included)
-  int reachable = 0;  ///< nodes with finite distance (self included)
-  int max = 0;        ///< largest finite distance
-};
-
-/// Statistics-fused repair: like the overload above, and additionally keeps
-/// `hist` (hist[d] = number of nodes at distance d; at least num_nodes
-/// entries) and `stats` consistent with the repaired row by touching them
-/// only at label changes. Callers that fold a summary over many repaired
-/// rows use this to skip the O(n) per-row re-scan — for screening sweeps
-/// that re-scan is as expensive as the repair itself. `hist` and `stats`
-/// must be consistent with `ws.dist` on entry (build them with a full scan
-/// once, then carry them alongside the row).
-void update_distances_add_edges(const Graph& g,
-                                const std::vector<Edge>& new_edges,
-                                BfsWorkspace& ws, int* hist,
-                                DistRowStats& stats);
 
 /// Fused single-pass all-pairs summary: average hops, diameter and
 /// connectivity computed in ONE sweep of n BFS runs. Replaces the
@@ -100,14 +57,14 @@ DistanceSummary distance_summary(const Graph& g, BfsWorkspace& ws);
 /// Extra adjacency overlaid on a base graph: per node, the neighbor
 /// endpoints a set of new edges contributes. Lets distance computations run
 /// against "base graph plus these edges" without materializing the child
-/// graph — the DSE screening fast path prices hundreds of children of one
+/// graph — the generic-family screening path prices many children of one
 /// parent topology and the child graph construction would dominate it.
 /// `assign` is reusable (buffers keep their capacity across children).
 class EdgeOverlay {
  public:
   /// Rebuilds the overlay for `edges` over a `num_nodes`-node base graph.
-  /// Endpoint ids are range-checked; edges are assumed absent from the base
-  /// (same contract as update_distances_add_edges).
+  /// Endpoint ids are range-checked; edges are assumed absent from the
+  /// base.
   void assign(int num_nodes, const std::vector<Edge>& edges);
 
   int num_nodes() const { return static_cast<int>(offsets_.size()) - 1; }
@@ -126,13 +83,12 @@ class EdgeOverlay {
 };
 
 /// Exact integer aggregates of the all-pairs hop-distance matrix. The
-/// conventions match what screening folds over cached distance rows: pairs
-/// are ordered, self pairs (distance 0) are included in `sum` and
-/// `reachable_pairs`, and `diameter` is the largest finite distance.
-/// Integer arithmetic is exact, so any two algorithms computing these agree
-/// bit for bit — which is what lets the screening fast path swap the
-/// per-row delta-BFS repair for the bit-parallel sweep below without
-/// perturbing a single metric.
+/// conventions match distance_summary's fold: pairs are ordered, self pairs
+/// (distance 0) are included in `sum` and `reachable_pairs`, and `diameter`
+/// is the largest finite distance. Integer arithmetic is exact, so any two
+/// algorithms computing these agree bit for bit — which is what lets
+/// screening swap one for another (this bit-parallel sweep,
+/// topo::shg_hop_totals' product form) without perturbing a single metric.
 struct AllPairsTotals {
   long long sum = 0;
   long long reachable_pairs = 0;
@@ -151,9 +107,8 @@ struct BitSweepWorkspace {
 /// extra edges: sources are processed 64 at a time as single-word node
 /// masks, one synchronous BFS round per distance value, so the whole
 /// all-pairs sweep costs O(ceil(n/64) * diameter * E) word operations
-/// instead of n separate BFS traversals. For screening-sized fabrics this
-/// is an order of magnitude cheaper than even an incremental per-row
-/// repair, and it needs no cached parent state at all.
+/// instead of n separate BFS traversals, and it needs no cached parent
+/// state at all.
 AllPairsTotals all_pairs_totals(const Graph& g, const EdgeOverlay* overlay,
                                 BitSweepWorkspace& ws);
 

@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <tuple>
 
 #include "shg/phys/route_core.hpp"
 
 namespace shg::phys {
 
-RoutingContext::RoutingContext(const topo::Topology& parent,
-                               RoutingOptions options)
+RoutingContext::RoutingContext(const topo::Topology& parent)
     : rows_(parent.rows()),
       cols_(parent.cols()),
-      options_(options),
       min_diag_len_(std::numeric_limits<int>::max()) {
   // Bucket the parent's non-unit links by grid length. Iterating edges in
   // ascending id order and appending keeps each bucket in the greedy
@@ -132,21 +128,7 @@ void RoutingContext::route_child_loads(const std::vector<int>& new_row_skips,
   }
 
   out->routes.clear();
-  if (options_.relaxed) {
-    // Frozen parent placements: only the new links are routed, on top of
-    // the parent's final loads (bounded error; see header).
-    out->h_loads = final_.h_loads;
-    out->v_loads = final_.v_loads;
-    for (auto it = new_row_skips.rbegin(); it != new_row_skips.rend(); ++it) {
-      replay_new_row_skip(*it, *out);
-    }
-    for (auto it = new_col_skips.rbegin(); it != new_col_skips.rend(); ++it) {
-      replay_new_col_skip(*it, *out);
-    }
-    return;
-  }
-
-  // Exact mode, orientation-split repair: with no diagonal links anywhere
+  // Orientation-split repair: with no diagonal links anywhere
   // (REQUIREd above for the parent; skip links are axis-aligned by
   // construction), horizontal and vertical channels are independent
   // decision streams — adding row skips leaves the vertical profile
@@ -242,21 +224,6 @@ void RoutingContext::route_child_loads(const std::vector<GridLink>& new_links,
   if (divergence == 0) {
     out->h_loads = final_.h_loads;
     out->v_loads = final_.v_loads;
-    return;
-  }
-
-  if (options_.relaxed) {
-    // Frozen parent placements: only the new links are routed, on the
-    // parent's final loads, in descending class order (bounded error).
-    out->h_loads = final_.h_loads;
-    out->v_loads = final_.v_loads;
-    for (int len = divergence; len >= 2; --len) {
-      if (const std::vector<LinkRec>* links = new_class(len)) {
-        for (const LinkRec& rec : *links) {
-          detail::route_and_commit(rec.a, rec.b, out->h_loads, out->v_loads);
-        }
-      }
-    }
     return;
   }
 
@@ -417,32 +384,6 @@ GlobalRoutingResult RoutingContext::route_child_loads(
   if (divergence == 0) {
     result.h_loads = final_.h_loads;
     result.v_loads = final_.v_loads;
-    return result;
-  }
-
-  if (options_.relaxed) {
-    // Frozen parent placements: route only the links the child adds (the
-    // per-class multiset difference, in child order). Links the child
-    // *removed* keep contributing the parent's load — both effects stay
-    // within the documented per-channel bound.
-    result.h_loads = final_.h_loads;
-    result.v_loads = final_.v_loads;
-    for (int len = divergence; len >= 2; --len) {
-      std::map<std::tuple<int, int, int, int>, int> parent_count;
-      for (const LinkRec& rec : parent_class(len)) {
-        ++parent_count[{rec.a.row, rec.a.col, rec.b.row, rec.b.col}];
-      }
-      for (const LinkRec& rec : child_class(len)) {
-        auto it =
-            parent_count.find({rec.a.row, rec.a.col, rec.b.row, rec.b.col});
-        if (it != parent_count.end() && it->second > 0) {
-          --it->second;
-          continue;
-        }
-        detail::route_and_commit(rec.a, rec.b, result.h_loads,
-                                 result.v_loads);
-      }
-    }
     return result;
   }
 

@@ -36,32 +36,14 @@
 // (their channel choice reads both profiles), so any diagonal at or below
 // the divergence class forces a joint replay of both.
 //
-// Relaxed mode (`RoutingOptions::relaxed`): instead of re-routing the
-// suffix, the parent's placements are frozen and only the child's new links
-// are routed greedily on top of the parent's final loads. The result is
-// NOT bit-identical; its error is bounded: relaxed and exact runs differ
-// only in the placement of suffix links, each of which shifts at most one
-// unit of load between candidate channels, so for every channel
-//
-//   |peak_relaxed - peak_exact| <= D,
-//
-// where D is the number of child links with grid length in [2, L] and L is
-// the largest divergent class. The oracle checks this bound. Relaxed mode
-// exists for throwaway screening sweeps where a constant-time repair
-// matters more than exactness; the DSE flow always uses the exact mode
-// (search winners must be bit-identical with the reuse on or off).
-//
 // == Exactness & concurrency ==============================================
 //
-//  * Exactness. With `RoutingOptions::relaxed == false` (the default),
-//    every `route_child_loads` overload returns load profiles BIT-IDENTICAL
-//    to `global_route_loads` on the materialized child — guaranteed by
-//    executing the shared decision core (phys/route_core.hpp) over a state
-//    the from-scratch run provably reaches, and asserted by the randomized
-//    differential oracle in tests/phys_incremental_test.cpp. With
-//    `relaxed == true` the result is bounded-error only (per-channel peak
-//    within D of exact, total load mass exact); never feed relaxed loads
-//    into a flow that promises bit-identical outcomes.
+//  * Exactness. Every `route_child_loads` overload returns load profiles
+//    BIT-IDENTICAL to `global_route_loads` on the materialized child —
+//    guaranteed by executing the shared decision core
+//    (phys/route_core.hpp) over a state the from-scratch run provably
+//    reaches, and asserted by the randomized differential oracle in
+//    tests/phys_incremental_test.cpp. There is no bounded-error mode.
 //  * Concurrency. A constructed RoutingContext is immutable; every
 //    `route_child_loads` overload is const and touches only caller-owned
 //    output state, so ANY number of threads may repair children against
@@ -87,15 +69,6 @@ struct GridLink {
   friend bool operator==(const GridLink&, const GridLink&) = default;
 };
 
-/// Knobs of the incremental router.
-struct RoutingOptions {
-  /// Relaxed-equivalence mode: place only new links on top of the parent's
-  /// frozen placements. Bounded per-channel peak error (see file comment);
-  /// never bit-identical unless the suffix replay would not have moved any
-  /// link. Default off = exact suffix replay.
-  bool relaxed = false;
-};
-
 /// Cached global-routing state of one parent topology.
 class RoutingContext {
  public:
@@ -104,10 +77,8 @@ class RoutingContext {
   /// retained; re-keying a context onto a new parent is a fresh
   /// construction (one loads-only route — the same cost the cache saves per
   /// screened child, paid once per accepted DSE step).
-  explicit RoutingContext(const topo::Topology& parent,
-                          RoutingOptions options = {});
+  explicit RoutingContext(const topo::Topology& parent);
 
-  const RoutingOptions& options() const { return options_; }
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
@@ -118,9 +89,8 @@ class RoutingContext {
   /// Repairs the cached profiles for an arbitrary `child` over the same
   /// grid. Divergence is detected per length class by comparing link
   /// geometry, so any child works — a child sharing no long-link prefix
-  /// with the parent simply degenerates to a full re-route. Exact mode is
-  /// bit-identical to `global_route_loads(child)`; relaxed mode obeys the
-  /// documented bound. `routes` is left empty.
+  /// with the parent simply degenerates to a full re-route. Bit-identical
+  /// to `global_route_loads(child)`. `routes` is left empty.
   GlobalRoutingResult route_child_loads(const topo::Topology& child) const;
 
   /// SHG fast path: the child is the parent plus the skip links of the
@@ -149,9 +119,8 @@ class RoutingContext {
   /// are allowed anywhere: a diagonal at or below the divergence class
   /// (largest new non-unit class) couples the channel orientations and
   /// forces a joint replay of both; otherwise each orientation replays
-  /// from its own divergence. Exact mode is bit-identical to
-  /// `global_route_loads` on the materialized child; relaxed mode obeys
-  /// the documented bound. This is what lets non-SHG families (SlimNoC,
+  /// from its own divergence. Bit-identical to `global_route_loads` on the
+  /// materialized child. This is what lets non-SHG families (SlimNoC,
   /// torus, arbitrary overlay children) flow through the same incremental
   /// screening stack as SHG candidates.
   ///
@@ -188,7 +157,6 @@ class RoutingContext {
 
   int rows_ = 0;
   int cols_ = 0;
-  RoutingOptions options_;
   std::vector<ClassEntry> classes_;  ///< descending by len; len >= 2 only
   GlobalRoutingResult final_;        ///< parent loads; routes empty
   int min_diag_len_ = 0;  ///< smallest diagonal class; INT_MAX if none

@@ -24,6 +24,38 @@ int log2_exact(int x) {
 /// Binary-reflected Gray code.
 unsigned gray(unsigned i) { return i ^ (i >> 1); }
 
+void require_valid_skips(int rows, int cols, const std::set<int>& row_skips,
+                         const std::set<int>& col_skips) {
+  for (int x : row_skips) {
+    SHG_REQUIRE(x >= 2 && x < cols,
+                "row skip distances must lie in {2..C-1} (Section III-b)");
+  }
+  for (int x : col_skips) {
+    SHG_REQUIRE(x >= 2 && x < rows,
+                "column skip distances must lie in {2..R-1} (Section III-b)");
+  }
+}
+
+/// All-pairs hop totals of one SHG line: `len` tiles linked at distance 1
+/// and at every skip distance, enumerated as the single row of a 1 x len
+/// grid. The links ride as an overlay on an edgeless graph of the tiles,
+/// so the bit-parallel sweep reads a flat adjacency and building the line
+/// costs a handful of allocations.
+graph::AllPairsTotals line_hop_totals(int len, const std::set<int>& skips) {
+  std::vector<int> distances{1};
+  distances.insert(distances.end(), skips.begin(), skips.end());
+  std::vector<graph::Edge> links;
+  links.reserve(static_cast<std::size_t>(len) * distances.size());
+  for_each_skip_link(1, len, distances, std::vector<int>{},
+                     [&](TileCoord a, TileCoord b) {
+                       links.push_back(graph::Edge{a.col, b.col});
+                     });
+  graph::EdgeOverlay overlay;
+  overlay.assign(len, links);
+  graph::BitSweepWorkspace ws;
+  return graph::all_pairs_totals(graph::Graph(len), &overlay, ws);
+}
+
 }  // namespace
 
 Topology make_ring(int rows, int cols) {
@@ -191,14 +223,7 @@ Topology make_flattened_butterfly(int rows, int cols) {
 Topology make_sparse_hamming(int rows, int cols,
                              const std::set<int>& row_skips,
                              const std::set<int>& col_skips) {
-  for (int x : row_skips) {
-    SHG_REQUIRE(x >= 2 && x < cols,
-                "row skip distances must lie in {2..C-1} (Section III-b)");
-  }
-  for (int x : col_skips) {
-    SHG_REQUIRE(x >= 2 && x < rows,
-                "column skip distances must lie in {2..R-1} (Section III-b)");
-  }
+  require_valid_skips(rows, cols, row_skips, col_skips);
   std::ostringstream name;
   name << "sparse_hamming SR=" << fmt_int_set(row_skips)
        << " SC=" << fmt_int_set(col_skips);
@@ -217,6 +242,22 @@ Topology make_sparse_hamming(int rows, int cols,
   for_each_skip_link(rows, cols, row_skips, col_skips,
                      [&](TileCoord a, TileCoord b) { topo.add_link(a, b); });
   return topo;
+}
+
+graph::AllPairsTotals shg_hop_totals(int rows, int cols,
+                                     const std::set<int>& row_skips,
+                                     const std::set<int>& col_skips) {
+  SHG_REQUIRE(rows >= 1 && cols >= 1, "grid must have positive dimensions");
+  require_valid_skips(rows, cols, row_skips, col_skips);
+  const graph::AllPairsTotals row = line_hop_totals(cols, row_skips);
+  const graph::AllPairsTotals col = line_hop_totals(rows, col_skips);
+  const long long r = rows;
+  const long long c = cols;
+  graph::AllPairsTotals totals;
+  totals.sum = r * r * row.sum + c * c * col.sum;
+  totals.reachable_pairs = row.reachable_pairs * col.reachable_pairs;
+  totals.diameter = row.diameter + col.diameter;
+  return totals;
 }
 
 Topology make_ruche(int rows, int cols, int row_skip, int col_skip) {

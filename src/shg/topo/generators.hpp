@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "shg/graph/shortest_paths.hpp"
 #include "shg/topo/topology.hpp"
 
 namespace shg::topo {
@@ -16,10 +17,11 @@ namespace shg::topo {
 /// R x C grid (Section III-b): for each row r, each x in SR, each start i
 /// with i + x < C, a link T(r,i) <-> T(r,i+x); columns analogously, rows
 /// first. This is THE definition of skip connectivity — make_sparse_hamming
-/// adds links in exactly this order, and the incremental screening repair
-/// derives its new-edge lists from the same enumeration, so the two can
-/// never diverge. Skip containers need only be iterable in ascending order
-/// (std::set, sorted vector).
+/// adds links in exactly this order, the incremental screening derives its
+/// new-edge lists from the same enumeration, and shg_hop_totals builds its
+/// row and column lines from it, so none of them can diverge. Skip
+/// containers need only be iterable in ascending order (std::set, sorted
+/// vector).
 template <typename RowSkips, typename ColSkips, typename Fn>
 void for_each_skip_link(int rows, int cols, const RowSkips& row_skips,
                         const ColSkips& col_skips, Fn&& fn) {
@@ -38,6 +40,21 @@ void for_each_skip_link(int rows, int cols, const RowSkips& row_skips,
     }
   }
 }
+
+/// Exact all-pairs hop totals of `make_sparse_hamming(rows, cols,
+/// row_skips, col_skips)` without building it. An SHG is the Cartesian
+/// product of a row line (C tiles, links at distances {1} u SR) and a
+/// column line (R tiles, links at {1} u SC), so every hop distance splits
+/// as d((r1,c1),(r2,c2)) = d_row(c1,c2) + d_col(r1,r2). Summed over all
+/// ordered pairs that gives sum = R^2 * sum_row + C^2 * sum_col, diameter =
+/// diam_row + diam_col and reachable_pairs = reach_row * reach_col, with
+/// the line totals from one sweep over each line (whose links come from
+/// for_each_skip_link on a one-line grid). Same conventions as
+/// graph::all_pairs_totals, and equal to it on the materialized graph.
+/// Skip sets are validated like make_sparse_hamming's.
+graph::AllPairsTotals shg_hop_totals(int rows, int cols,
+                                     const std::set<int>& row_skips,
+                                     const std::set<int>& col_skips);
 
 /// Ring (Fig. 1a): links form a single cycle through all tiles. When R*C is
 /// even the cycle is a Hamiltonian cycle of the grid graph (all links of

@@ -132,98 +132,6 @@ TEST(ShortestPaths, DistanceSummaryTrivialGraphs) {
   EXPECT_EQ(distance_summary(Graph(0)).diameter, 0);
 }
 
-TEST(ShortestPaths, UpdateDistancesAddEdgesShortcut) {
-  // Path 0-1-2-3-4-5 plus a shortcut 0-4: repaired distances from every
-  // source must equal fresh sweeps over the new graph.
-  const Graph before = path_graph(6);
-  Graph after = path_graph(6);
-  const std::vector<Edge> added = {Edge{0, 4}};
-  after.add_edge(0, 4);
-  for (NodeId s = 0; s < after.num_nodes(); ++s) {
-    BfsWorkspace ws;
-    bfs_distances(before, s, ws);
-    update_distances_add_edges(after, added, ws);
-    const auto expected = bfs_distances(after, s);
-    for (NodeId v = 0; v < after.num_nodes(); ++v) {
-      EXPECT_EQ(ws.dist[static_cast<std::size_t>(v)],
-                expected[static_cast<std::size_t>(v)])
-          << "src " << s << " node " << v;
-    }
-  }
-}
-
-TEST(ShortestPaths, UpdateDistancesAddEdgesConnectsComponents) {
-  // Two components 0-1 and 2-3; the new edge 1-2 joins them, so formerly
-  // unreachable nodes must pick up finite distances.
-  Graph before(4);
-  before.add_edge(0, 1);
-  before.add_edge(2, 3);
-  Graph after(4);
-  after.add_edge(0, 1);
-  after.add_edge(2, 3);
-  after.add_edge(1, 2);
-  BfsWorkspace ws;
-  bfs_distances(before, 0, ws);
-  EXPECT_EQ(ws.dist[2], kUnreachable);
-  update_distances_add_edges(after, {Edge{1, 2}}, ws);
-  EXPECT_EQ(ws.dist[0], 0);
-  EXPECT_EQ(ws.dist[1], 1);
-  EXPECT_EQ(ws.dist[2], 2);
-  EXPECT_EQ(ws.dist[3], 3);
-}
-
-TEST(ShortestPaths, UpdateDistancesNoImprovementIsNoOp) {
-  // A redundant edge between nodes equidistant from the source cannot
-  // shrink anything; the row must be untouched.
-  Graph after = cycle_graph(6);
-  after.add_edge(2, 4);
-  BfsWorkspace ws;
-  bfs_distances(cycle_graph(6), 3, ws);
-  const std::vector<int> snapshot(ws.dist.begin(), ws.dist.begin() + 6);
-  update_distances_add_edges(after, {Edge{2, 4}}, ws);
-  for (NodeId v = 0; v < 6; ++v) {
-    EXPECT_EQ(ws.dist[static_cast<std::size_t>(v)],
-              snapshot[static_cast<std::size_t>(v)]);
-  }
-}
-
-TEST(ShortestPaths, UpdateDistancesFusedStatsStayExact) {
-  // The statistics-fused overload must keep histogram, sum, max and
-  // reachable-count identical to a from-scratch fold after the repair.
-  const Graph before = path_graph(8);
-  Graph after = path_graph(8);
-  after.add_edge(0, 5);
-  after.add_edge(2, 7);
-  const std::vector<Edge> added = {Edge{0, 5}, Edge{2, 7}};
-  for (NodeId s = 0; s < 8; ++s) {
-    BfsWorkspace ws;
-    bfs_distances(before, s, ws);
-    std::vector<int> hist(8, 0);
-    DistRowStats stats;
-    for (NodeId v = 0; v < 8; ++v) {
-      const int d = ws.dist[static_cast<std::size_t>(v)];
-      stats.sum += d;
-      ++stats.reachable;
-      stats.max = std::max(stats.max, d);
-      ++hist[static_cast<std::size_t>(d)];
-    }
-    update_distances_add_edges(after, added, ws, hist.data(), stats);
-    long long sum = 0;
-    int max = 0;
-    std::vector<int> expected_hist(8, 0);
-    for (NodeId v = 0; v < 8; ++v) {
-      const int d = ws.dist[static_cast<std::size_t>(v)];
-      sum += d;
-      max = std::max(max, d);
-      ++expected_hist[static_cast<std::size_t>(d)];
-    }
-    EXPECT_EQ(stats.sum, sum) << "src " << s;
-    EXPECT_EQ(stats.max, max) << "src " << s;
-    EXPECT_EQ(stats.reachable, 8) << "src " << s;
-    EXPECT_EQ(hist, expected_hist) << "src " << s;
-  }
-}
-
 TEST(ShortestPaths, DijkstraPrefersLightPath) {
   // Triangle where the direct edge is heavier than the two-hop detour.
   Graph g(3);

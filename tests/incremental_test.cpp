@@ -1,7 +1,7 @@
 // Incremental-vs-full screening equivalence (customize/incremental.hpp):
-// delta-BFS repair must match fresh sweeps bit-for-bit, and every search
-// surface (greedy, exhaustive, explore) must return identical results with
-// the incremental context on and off.
+// context and batch screening must match per-candidate screening
+// bit-for-bit, and every search surface (greedy, exhaustive, explore) must
+// return identical results with the incremental context on and off.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,7 +11,6 @@
 #include "shg/customize/explore.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/search.hpp"
-#include "shg/graph/shortest_paths.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -44,72 +43,41 @@ void expect_same_search_result(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.cost.total_area_mm2, b.cost.total_area_mm2);
 }
 
-/// Draws a random SHG trajectory (one extra skip distance per step) and
-/// checks the delta-BFS repair against fresh sweeps at every step.
-TEST(DeltaBfs, RandomTrajectoriesMatchFreshSweeps) {
-  Prng prng(20260729);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int rows = prng.range(4, 8);
-    const int cols = prng.range(4, 8);
-    topo::ShgParams params;  // start from the mesh
-    for (int step = 0; step < 4; ++step) {
-      // Collect the skip distances not yet used, pick one at random.
-      std::vector<std::pair<bool, int>> choices;  // (is_col, x)
-      for (int x = 2; x < cols; ++x) {
-        if (params.row_skips.count(x) == 0) choices.emplace_back(false, x);
-      }
-      for (int x = 2; x < rows; ++x) {
-        if (params.col_skips.count(x) == 0) choices.emplace_back(true, x);
-      }
-      if (choices.empty()) break;
-      const auto [is_col, x] =
-          choices[prng.below(choices.size())];
-      topo::ShgParams child = params;
-      std::vector<graph::Edge> new_edges;
-      const topo::Topology parent_topo = topo::make_sparse_hamming(
-          rows, cols, params.row_skips, params.col_skips);
-      if (is_col) {
-        child.col_skips.insert(x);
-        for (int c = 0; c < cols; ++c) {
-          for (int i = 0; i + x < rows; ++i) {
-            new_edges.push_back(
-                graph::Edge{i * cols + c, (i + x) * cols + c});
-          }
-        }
-      } else {
-        child.row_skips.insert(x);
-        for (int r = 0; r < rows; ++r) {
-          for (int i = 0; i + x < cols; ++i) {
-            new_edges.push_back(graph::Edge{r * cols + i, r * cols + i + x});
-          }
-        }
-      }
-      const topo::Topology child_topo = topo::make_sparse_hamming(
-          rows, cols, child.row_skips, child.col_skips);
-
-      graph::BfsWorkspace parent_ws;
-      graph::BfsWorkspace repair_ws;
-      graph::BfsWorkspace fresh_ws;
-      for (graph::NodeId s = 0; s < child_topo.graph().num_nodes(); ++s) {
-        graph::bfs_distances(parent_topo.graph(), s, parent_ws);
-        repair_ws.resize(child_topo.graph().num_nodes());
-        std::copy(parent_ws.dist.begin(),
-                  parent_ws.dist.begin() + child_topo.graph().num_nodes(),
-                  repair_ws.dist.begin());
-        graph::update_distances_add_edges(child_topo.graph(), new_edges,
-                                          repair_ws);
-        graph::bfs_distances(child_topo.graph(), s, fresh_ws);
-        for (graph::NodeId v = 0; v < child_topo.graph().num_nodes(); ++v) {
-          ASSERT_EQ(repair_ws.dist[static_cast<std::size_t>(v)],
-                    fresh_ws.dist[static_cast<std::size_t>(v)])
-              << rows << "x" << cols << " src " << s << " node " << v;
-        }
-      }
-      // The repair must also match the fused summary when driven through
-      // the screening context (histogram-fused statistics path).
-      params = child;
-    }
+/// Subsets of {2..limit-1} with at most two elements, in explore_shg's
+/// enumeration order.
+std::vector<std::set<int>> skip_subsets_up_to_two(int limit) {
+  std::vector<std::set<int>> subsets = {{}};
+  for (int x = 2; x < limit; ++x) {
+    subsets.push_back({x});
+    for (int y = x + 1; y < limit; ++y) subsets.push_back({x, y});
   }
+  return subsets;
+}
+
+/// A seeded 200-candidate sample of the 16x16 explore_shg space (up to two
+/// skips per dimension) screened through the prefix forest must match the
+/// per-candidate oracle bit for bit, with routing reuse on and off.
+TEST(ScreeningBatch, ExploreShgSampleMatchesOracle) {
+  ArchParams arch = knc_scenario(KncScenario::kA);
+  arch.rows = 16;
+  arch.cols = 16;
+  const std::vector<std::set<int>> rows = skip_subsets_up_to_two(arch.cols);
+  const std::vector<std::set<int>> cols = skip_subsets_up_to_two(arch.rows);
+  Prng prng(20261017);
+  std::set<std::pair<std::size_t, std::size_t>> picked;
+  std::vector<topo::ShgParams> sample;
+  int two_plus_two = 0;
+  while (sample.size() < 200) {
+    const std::size_t r = prng.below(rows.size());
+    const std::size_t c = prng.below(cols.size());
+    if (!picked.emplace(r, c).second) continue;
+    sample.push_back(topo::ShgParams{rows[r], cols[c]});
+    if (rows[r].size() == 2 && cols[c].size() == 2) ++two_plus_two;
+  }
+  ASSERT_GT(two_plus_two, 0);
+  EXPECT_NO_THROW(verify_incremental_equivalence(arch, sample));
+  EXPECT_NO_THROW(
+      verify_incremental_equivalence(arch, sample, ScreeningOptions{false}));
 }
 
 TEST(ScreeningContext, ChildMatchesScreenCandidate) {
@@ -141,8 +109,8 @@ TEST(ScreeningContext, ChildMatchesScreenCandidate) {
 TEST(ScreeningContext, RejectsNonSupersetChildren) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
   const ScreeningContext ctx(arch, topo::ShgParams{{3}, {}});
-  // Removing a skip distance deletes edges; distances can then grow, which
-  // the add-edge repair cannot express — the context must refuse.
+  // Removing a skip distance deletes edges, which the added-links routing
+  // replay cannot express — the context must refuse.
   EXPECT_THROW(ctx.screen_child(topo::ShgParams{}), Error);
   EXPECT_THROW(ctx.screen_child(topo::ShgParams{{4}, {}}), Error);
 }
@@ -174,10 +142,10 @@ TEST(ScreeningBatch, RandomBatchesMatchFullScreening) {
   EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
 }
 
-TEST(ScreeningContext, RoutingReuseBitIdenticalToRowRepairPath) {
-  // The topology-free fast path (routing context + overlay bit sweep) and
-  // the row-repair path must produce the same bits candidate by candidate,
-  // and both must match screen_candidate.
+TEST(ScreeningContext, RoutingReuseBitIdenticalToMaterializedPath) {
+  // The topology-free fast path (routing context + product-form hop
+  // totals) and the materialize-and-route path must produce the same bits
+  // candidate by candidate, and both must match screen_candidate.
   const ArchParams arch = knc_scenario(KncScenario::kA);
   const topo::ShgParams parent{{3}, {2}};
   const ScreeningContext with_routing(arch, parent, ScreeningOptions{true});

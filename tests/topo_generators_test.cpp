@@ -2,8 +2,13 @@
 // radix, diameter formulas from Table I) and family-specific properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <tuple>
+#include <vector>
 
+#include "shg/common/prng.hpp"
 #include "shg/graph/shortest_paths.hpp"
 #include "shg/topo/generators.hpp"
 #include "shg/topo/registry.hpp"
@@ -252,6 +257,71 @@ TEST(Ruche, IsSubsetOfShgFamilies) {
 TEST(Ruche, SkipBelowTwoMeansMesh) {
   const Topology ruche = make_ruche(8, 8, 0, 1);
   EXPECT_EQ(ruche.graph().num_edges(), make_mesh(8, 8).graph().num_edges());
+}
+
+/// Product-form hop totals against both all-pairs oracles on the
+/// materialized graph: the bit-parallel sweep (same integers) and
+/// distance_summary (the diameter and mean screening reports).
+void expect_hop_totals_match(const Topology& topo) {
+  const ShgParams& p = topo.shg_params();
+  const graph::AllPairsTotals product =
+      shg_hop_totals(topo.rows(), topo.cols(), p.row_skips, p.col_skips);
+  graph::BitSweepWorkspace ws;
+  const graph::AllPairsTotals swept =
+      graph::all_pairs_totals(topo.graph(), nullptr, ws);
+  EXPECT_EQ(product.sum, swept.sum) << topo.name();
+  EXPECT_EQ(product.reachable_pairs, swept.reachable_pairs) << topo.name();
+  EXPECT_EQ(product.diameter, swept.diameter) << topo.name();
+
+  const graph::DistanceSummary summary = graph::distance_summary(topo.graph());
+  const long long n = topo.num_tiles();
+  EXPECT_TRUE(summary.connected);
+  EXPECT_EQ(product.reachable_pairs, n * n) << topo.name();
+  EXPECT_EQ(product.diameter, summary.diameter) << topo.name();
+  if (n > 1) {
+    EXPECT_EQ(static_cast<double>(product.sum) /
+                  static_cast<double>(product.reachable_pairs - n),
+              summary.avg_hops)
+        << topo.name();
+  }
+}
+
+/// Up to `max_size` distinct skip distances drawn from {2..len-1}.
+std::set<int> random_skips(Prng& prng, int len, int max_size) {
+  std::vector<int> pool;
+  for (int x = 2; x < len; ++x) pool.push_back(x);
+  const int size =
+      std::min(static_cast<int>(pool.size()), prng.range(0, max_size));
+  std::set<int> skips;
+  while (static_cast<int>(skips.size()) < size) {
+    skips.insert(pool[prng.below(pool.size())]);
+  }
+  return skips;
+}
+
+TEST(ShgHopTotals, MatchMaterializedGraphOnRandomSkipSets) {
+  Prng prng(0x5bd7u);
+  for (const auto& [r, c] : {std::pair{1, 9}, {9, 1}, {1, 1}, {8, 16},
+                            {16, 16}, {24, 24}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      expect_hop_totals_match(make_sparse_hamming(
+          r, c, random_skips(prng, c, 4), random_skips(prng, r, 4)));
+    }
+  }
+}
+
+TEST(ShgHopTotals, MatchMaterializedRuche) {
+  for (const auto& [r, c, rx, ry] :
+       {std::tuple{16, 16, 3, 3}, {8, 16, 5, 2}, {16, 8, 0, 4},
+        {24, 24, 4, 6}, {1, 12, 3, 0}}) {
+    expect_hop_totals_match(make_ruche(r, c, rx, ry));
+  }
+}
+
+TEST(ShgHopTotals, RejectsInvalidSkips) {
+  EXPECT_THROW(shg_hop_totals(8, 8, {1}, {}), Error);
+  EXPECT_THROW(shg_hop_totals(8, 8, {}, {8}), Error);
+  EXPECT_THROW(shg_hop_totals(0, 8, {}, {}), Error);
 }
 
 TEST(Configurations, TableIValues) {
