@@ -8,8 +8,8 @@
 
 #include "shg/common/strings.hpp"
 #include "shg/common/table.hpp"
+#include "shg/eval/experiment.hpp"
 #include "shg/eval/scenario.hpp"
-#include "shg/eval/sweep.hpp"
 #include "shg/eval/toolchain.hpp"
 
 namespace {
@@ -34,37 +34,27 @@ BENCHMARK(BM_SweepPointMesh);
 
 void print_curves() {
   const auto scenario = eval::figure6_scenario(tech::KncScenario::kA);
-  eval::PerfConfig config = eval::default_perf_config(scenario.arch);
-  config.sim.warmup_cycles = 500;
-  config.sim.measure_cycles = 1500;
-  config.sim.drain_cycles = 15000;
-
-  const std::vector<double> rates = {0.02, 0.05, 0.1, 0.2, 0.3,
-                                     0.4,  0.5,  0.6, 0.8, 1.0};
-  const auto pattern = sim::make_uniform(scenario.arch.num_tiles());
-
-  std::vector<eval::LoadLatencyCurve> curves;
-  for (const auto& topology : eval::scenario_topologies(scenario)) {
-    const auto cost = eval::predict_cost(scenario.arch, topology);
-    curves.push_back(eval::sweep_load_latency(
-        topology, cost.link_latencies(), scenario.arch.endpoints_per_tile,
-        *pattern, config, rates, topology.name()));
-  }
+  // Every scenario topology with its cost-model link latencies, under
+  // uniform traffic — one experiment, one shared route table per topology.
+  eval::ExperimentSpec spec = eval::figure6_experiment(
+      scenario, {0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0});
+  spec.config.sim.warmup_cycles = 500;
+  spec.config.sim.measure_cycles = 1500;
+  spec.config.sim.drain_cycles = 15000;
+  const eval::ExperimentReport report = eval::run_experiment(spec);
 
   std::printf("\n=== Load-latency curves (scenario a, uniform traffic) ===\n");
   Table table({"topology", "rate", "accepted", "avg latency", "p99",
                "drained"});
-  for (const auto& curve : curves) {
-    for (const auto& point : curve.points) {
-      table.add_row({curve.label, fmt_double(point.offered_rate, 2),
-                     fmt_double(point.accepted_rate, 3),
-                     fmt_double(point.avg_latency, 1),
-                     fmt_double(point.p99_latency, 1),
-                     point.drained ? "yes" : "no"});
-    }
+  for (const auto& point : report.points) {
+    table.add_row({point.topology, fmt_double(point.offered_rate, 2),
+                   fmt_double(point.accepted_rate.mean, 3),
+                   fmt_double(point.avg_latency.mean, 1),
+                   fmt_double(point.p99_latency.mean, 1),
+                   point.all_drained ? "yes" : "no"});
   }
   std::printf("%s", table.to_string().c_str());
-  std::printf("\nCSV:\n%s", eval::curves_to_csv(curves).c_str());
+  std::printf("\nCSV:\n%s", eval::experiment_to_csv(report).c_str());
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <functional>
 #include <sstream>
 
-#include "shg/common/parallel.hpp"
 #include "shg/common/strings.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/session.hpp"
@@ -36,28 +35,18 @@ std::string label_for(const topo::ShgParams& params, const char* family) {
   return os.str();
 }
 
-/// Screens every enumerated parameterization (shared-prefix incremental
-/// reuse by default, per-candidate parallel sweeps otherwise), then filters
-/// and labels in enumeration order — the returned points are identical
-/// (values and order) to the old screen-inside-the-enumeration serial loop.
+/// Screens every enumerated parameterization with shared-prefix reuse
+/// (through the session's cache when one is attached), then filters and
+/// labels in enumeration order — each point's metrics are bit-identical to
+/// `screen_candidate` on its parameterization.
 std::vector<ExploredPoint> screen_all(const tech::ArchParams& arch,
                                       std::vector<topo::ShgParams> batch,
                                       const ExploreOptions& options,
                                       const char* family) {
-  std::vector<CandidateMetrics> metrics;
-  if (options.session != nullptr) {
-    metrics = screen_batch_cached(arch, batch, *options.session,
-                                  options.incremental,
-                                  ScreeningOptions{options.incremental_routing});
-  } else if (options.incremental) {
-    metrics = screen_batch_incremental(
-        arch, batch, ScreeningOptions{options.incremental_routing});
-  } else {
-    metrics.resize(batch.size());
-    parallel_for(batch.size(), [&](std::size_t i) {
-      metrics[i] = screen_candidate(arch, batch[i]);
-    });
-  }
+  const std::vector<CandidateMetrics> metrics =
+      options.session != nullptr
+          ? screen_batch_cached(arch, batch, *options.session)
+          : screen_batch_incremental(arch, batch);
   std::vector<ExploredPoint> points;
   points.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -26,13 +26,6 @@ struct ExploreOptions {
   int max_row_skips = 2;  ///< enumerate SR subsets up to this size
   int max_col_skips = 2;
   double max_area_overhead = 1.0;  ///< screen-out threshold
-  /// Shared-prefix screening reuse (customize/incremental.hpp); results are
-  /// bit-identical on or off — off exists for the equivalence tests.
-  bool incremental = true;
-  /// Channel-router reuse + topology-free child pricing
-  /// (phys/incremental_route.hpp); bit-identical on or off, no effect with
-  /// `incremental` off.
-  bool incremental_routing = true;
   /// Persistent DSE session (customize/session.hpp, default off): screened
   /// candidates are served from the session's cache across explore / search
   /// invocations — a refined re-enumeration (e.g. max_*_skips bumped by

@@ -51,6 +51,14 @@ std::vector<int> skip_delta(const std::set<int>& parent,
   return delta;
 }
 
+std::vector<int> node_degrees(const graph::Graph& g) {
+  std::vector<int> degrees(static_cast<std::size_t>(g.num_nodes()));
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    degrees[static_cast<std::size_t>(u)] = g.degree(u);
+  }
+  return degrees;
+}
+
 }  // namespace
 
 struct ScreeningContext::ChildScreen {
@@ -59,41 +67,32 @@ struct ScreeningContext::ChildScreen {
 };
 
 ScreeningContext::ScreeningContext(const tech::ArchParams& arch,
-                                   const topo::ShgParams& params,
-                                   const ScreeningOptions& options)
+                                   const topo::ShgParams& params)
     : arch_(&arch),
-      options_(options),
       params_(params),
       topo_(topo::make_sparse_hamming(arch.rows, arch.cols, params.row_skips,
-                                      params.col_skips)) {
-  refresh_reuse_state();
-  // With the routing context built, its parent loads feed the cost model
-  // directly (same arithmetic, bit-identical areas) instead of a second
-  // from-scratch route of the same topology.
-  const model::ScreeningCost cost =
-      routing_.has_value()
-          ? model::evaluate_screening_cost(arch, topo_.radix(),
-                                           routing_->loads())
-          : model::evaluate_screening_cost(arch, topo_);
+                                      params.col_skips)),
+      routing_(topo_),
+      degrees_(node_degrees(topo_.graph())) {
+  // The routing context's parent loads feed the cost model directly (same
+  // arithmetic, bit-identical areas) instead of a second from-scratch route
+  // of the same topology.
   metrics_ = make_metrics(
-      cost,
+      model::evaluate_screening_cost(arch, topo_.radix(), routing_.loads()),
       topo::shg_hop_totals(arch.rows, arch.cols, params.row_skips,
                            params.col_skips),
       topo_.num_tiles(), topo_.graph().num_edges());
 }
 
-void ScreeningContext::refresh_reuse_state() {
-  const graph::Graph& g = topo_.graph();
-  degrees_.resize(static_cast<std::size_t>(g.num_nodes()));
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    degrees_[static_cast<std::size_t>(u)] = g.degree(u);
-  }
-  if (options_.incremental_routing) {
-    routing_.emplace(topo_);
-  } else {
-    routing_.reset();
-  }
-}
+ScreeningContext::ScreeningContext(const tech::ArchParams* arch,
+                                   topo::ShgParams params, topo::Topology topo,
+                                   const CandidateMetrics& metrics)
+    : arch_(arch),
+      params_(std::move(params)),
+      topo_(std::move(topo)),
+      routing_(topo_),
+      degrees_(node_degrees(topo_.graph())),
+      metrics_(metrics) {}
 
 ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
@@ -114,21 +113,14 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     // screening cost — would only reproduce the same bits.
     out.metrics = *known_metrics;
   } else if (need_metrics) {
-    // With a routing context available, price the child from a suffix
-    // repair of the parent's loads (bit-identical to the from-scratch
-    // route the topology overload would run) — rebase/derive pricing then
-    // shares the hot path's step-2 reuse.
-    model::ScreeningCost cost;
-    if (routing_.has_value()) {
-      const phys::GlobalRoutingResult loads =
-          routing_->route_child_loads(out.topo);
-      cost = model::evaluate_screening_cost(*arch_, out.topo.radix(), loads,
-                                            tile_cache);
-    } else {
-      cost = model::evaluate_screening_cost(*arch_, out.topo, tile_cache);
-    }
+    // Price the child from a suffix repair of the parent's loads
+    // (bit-identical to a from-scratch route) — rebase/derive pricing then
+    // shares screen_child's step-2 reuse.
+    const phys::GlobalRoutingResult loads =
+        routing_.route_child_loads(out.topo);
     out.metrics = make_metrics(
-        cost,
+        model::evaluate_screening_cost(*arch_, out.topo.radix(), loads,
+                                       tile_cache),
         topo::shg_hop_totals(arch_->rows, arch_->cols, child.row_skips,
                              child.col_skips),
         out.topo.num_tiles(), out.topo.graph().num_edges());
@@ -137,15 +129,6 @@ ScreeningContext::ChildScreen ScreeningContext::screen_impl(
 }
 
 CandidateMetrics ScreeningContext::screen_child(
-    const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
-    Workspace* ws) const {
-  if (routing_.has_value()) {
-    return screen_child_fast(child, tile_cache, ws);
-  }
-  return screen_impl(child, tile_cache).metrics;
-}
-
-CandidateMetrics ScreeningContext::screen_child_fast(
     const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
     Workspace* ws) const {
   const std::vector<int> new_row_skips =
@@ -183,7 +166,7 @@ CandidateMetrics ScreeningContext::screen_child_fast(
 
   // Channel loads: suffix replay against the parent's routing context —
   // bit-identical to global_route_loads on the materialized child.
-  routing_->route_child_loads(new_row_skips, new_col_skips, &ws->loads);
+  routing_.route_child_loads(new_row_skips, new_col_skips, &ws->loads);
   const model::ScreeningCost cost =
       model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
   return make_metrics(
@@ -195,10 +178,8 @@ CandidateMetrics ScreeningContext::screen_child_fast(
 void ScreeningContext::rebase(const topo::ShgParams& child,
                               const CandidateMetrics* known_metrics) {
   ChildScreen screened = screen_impl(child, nullptr, known_metrics);
-  params_ = child;
-  topo_ = std::move(screened.topo);
-  metrics_ = screened.metrics;
-  refresh_reuse_state();
+  *this = ScreeningContext(arch_, child, std::move(screened.topo),
+                           screened.metrics);
 }
 
 ScreeningContext ScreeningContext::derive(const topo::ShgParams& child,
@@ -206,36 +187,29 @@ ScreeningContext ScreeningContext::derive(const topo::ShgParams& child,
                                           bool need_metrics) const {
   ChildScreen screened =
       screen_impl(child, tile_cache, nullptr, need_metrics);
-  return ScreeningContext(arch_, options_, child, std::move(screened.topo),
+  return ScreeningContext(arch_, child, std::move(screened.topo),
                           screened.metrics);
 }
 
 TopologyScreeningContext::TopologyScreeningContext(
     const tech::ArchParams& arch, topo::Topology parent)
-    : arch_(&arch), parent_(std::move(parent)), routing_(parent_) {
+    : arch_(&arch),
+      parent_(std::move(parent)),
+      routing_(parent_),
+      degrees_(node_degrees(parent_.graph())) {
   SHG_REQUIRE(parent_.rows() == arch.rows && parent_.cols() == arch.cols,
               "parent topology grid does not match the architecture");
-  const graph::Graph& g = parent_.graph();
-  degrees_.resize(static_cast<std::size_t>(g.num_nodes()));
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    degrees_[static_cast<std::size_t>(u)] = g.degree(u);
-  }
   // The routing run doubles as cost-model step 2 for the parent: the
   // radix+loads overload runs the same step 1/3/4 arithmetic as the
   // topology overload (pinned bit-identical in tests/cost_model_test.cpp),
-  // so metrics() matches screen_topology(arch, parent) bit for bit.
-  const model::ScreeningCost cost =
-      model::evaluate_screening_cost(arch, parent_.radix(), routing_.loads());
-  const graph::DistanceSummary summary =
-      graph::distance_summary(parent_.graph());
-  SHG_REQUIRE(summary.connected, "screening requires a connected topology");
-  metrics_.area_overhead = cost.area_overhead;
-  metrics_.avg_hops = summary.avg_hops;
-  metrics_.diameter = static_cast<double>(summary.diameter);
-  const double directed_links = 2.0 * g.num_edges();
-  metrics_.throughput_bound =
-      directed_links /
-      (static_cast<double>(parent_.num_tiles()) * metrics_.avg_hops);
+  // and the hop totals come from the same sweep and integer fold as
+  // screen_child, so metrics() matches screen_topology(arch, parent) bit
+  // for bit.
+  graph::BitSweepWorkspace ws;
+  metrics_ = make_metrics(
+      model::evaluate_screening_cost(arch, parent_.radix(), routing_.loads()),
+      graph::all_pairs_totals(parent_.graph(), nullptr, ws),
+      parent_.num_tiles(), parent_.graph().num_edges());
 }
 
 CandidateMetrics TopologyScreeningContext::screen_child(
@@ -336,8 +310,7 @@ struct Trie {
 }  // namespace
 
 std::vector<CandidateMetrics> screen_batch_incremental(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options) {
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
   std::vector<CandidateMetrics> out(batch.size());
   if (batch.empty()) return out;
 
@@ -356,7 +329,7 @@ std::vector<CandidateMetrics> screen_batch_incremental(
     for (std::size_t b : node.batch_indices) out[b] = metrics;
   };
 
-  // Per-worker scratch: geometry memo plus the fast path's workspace.
+  // Per-worker scratch: geometry memo plus screen_child's workspace.
   struct Scratch {
     model::TileGeometryCache tile_cache;
     ScreeningContext::Workspace ws;
@@ -391,7 +364,7 @@ std::vector<CandidateMetrics> screen_batch_incremental(
   // starts), then the depth-1 leaves and depth-2 subtrees fan out via a
   // second one. Output slots are disjoint throughout, so the result is
   // deterministic per the parallel_for contract.
-  const ScreeningContext root_ctx(arch, nodes[0].params, options);
+  const ScreeningContext root_ctx(arch, nodes[0].params);
   record(nodes[0], root_ctx.metrics());
 
   struct Task {
@@ -435,10 +408,9 @@ std::vector<CandidateMetrics> screen_batch_incremental(
 }
 
 std::vector<CandidateMetrics> verify_incremental_equivalence(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options) {
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
   const std::vector<CandidateMetrics> incremental =
-      screen_batch_incremental(arch, batch, options);
+      screen_batch_incremental(arch, batch);
   std::vector<CandidateMetrics> full(batch.size());
   parallel_for(batch.size(), [&](std::size_t i) {
     full[i] = screen_candidate(arch, batch[i]);

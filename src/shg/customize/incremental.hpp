@@ -21,10 +21,9 @@
 //    `model::TileGeometryCache` recomputes it only when a candidate's radix
 //    actually changed.
 //
-//  * Routing reuse (ScreeningOptions::incremental_routing, default on). A
-//    naive patch of cached channel loads would not be bit-identical — the
-//    greedy router assigns channels longest-link-first with
-//    congestion-dependent tie-breaks, so a new skip link can legally
+//  * Routing reuse. A naive patch of cached channel loads would not be
+//    bit-identical — the greedy router assigns channels longest-link-first
+//    with congestion-dependent tie-breaks, so a new skip link can legally
 //    re-route previously placed links. `phys::RoutingContext` instead
 //    replays the divergent length-class suffix of the greedy order from a
 //    recorded boundary snapshot, which IS bit-identical (see
@@ -37,9 +36,9 @@
 //    candidate batch (greedy neighborhoods, exhaustive mask enumerations,
 //    explore_* subset sweeps) into a prefix forest ordered by canonical
 //    skip-element order, derives one context per interior node, and screens
-//    each candidate from its longest cached ancestor — with routing reuse
-//    on, every candidate's channel loads come from a suffix replay against
-//    its nearest interior prefix rather than a from-scratch route.
+//    each candidate from its longest cached ancestor — every candidate's
+//    channel loads come from a suffix replay against its nearest interior
+//    prefix rather than a from-scratch route.
 //
 // Cache invalidation is by construction: a context is keyed to one parent
 // parameterization and one ArchParams; `screen_child` only accepts children
@@ -48,17 +47,16 @@
 // (edge deletion) is not an added-links replay — such children are
 // rejected rather than screened wrongly.
 //
-// Equivalence oracle: `verify_incremental_equivalence` screens a batch both
-// ways and throws on the first metric that is not bit-identical; the bench
-// and CI gate on it.
+// Equivalence oracle: `verify_incremental_equivalence` screens a batch
+// through the prefix forest and with `screen_candidate`, and throws on the
+// first metric that is not bit-identical; the bench and CI gate on it.
 //
 // == Exactness & concurrency ==============================================
 //
 //  * Exactness. Every screening API in this header is EXACT: metrics are
 //    bit-identical to `screen_candidate` / `screen_topology` on the
-//    materialized child, for any combination of options (the oracle and
-//    the randomized trajectory tests enforce it). Nothing here has a
-//    bounded-error mode.
+//    materialized child (the oracle and the randomized trajectory tests
+//    enforce it). Nothing here has a bounded-error mode.
 //  * Concurrency. `ScreeningContext::screen_child` and
 //    `TopologyScreeningContext::screen_child` are const and safe to call
 //    concurrently on ONE shared context, provided each caller passes its
@@ -70,7 +68,6 @@
 //    from one thread and let them own the fan-out.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "shg/customize/search.hpp"
@@ -79,32 +76,19 @@
 
 namespace shg::customize {
 
-/// Knobs of the incremental screening engine.
-struct ScreeningOptions {
-  /// Channel-router reuse (phys::RoutingContext) plus the topology-free
-  /// child evaluation it unlocks: children are priced from product-form
-  /// hop totals and repaired channel loads, never materializing a child
-  /// Topology. Metrics are bit-identical either way (oracle-tested); off
-  /// materializes each child and routes it from scratch, for equivalence
-  /// tests and as the benchmark baseline.
-  bool incremental_routing = true;
-};
-
 /// Cached screening state of one parent parameterization.
 class ScreeningContext {
  public:
   /// Full screen of `params`: product-form hop totals plus cost steps 1-4.
   /// The context keeps a pointer to `arch`, which must outlive it.
   ScreeningContext(const tech::ArchParams& arch,
-                   const topo::ShgParams& params,
-                   const ScreeningOptions& options = {});
+                   const topo::ShgParams& params);
 
   const topo::ShgParams& params() const { return params_; }
-  const ScreeningOptions& screening_options() const { return options_; }
 
-  /// Per-caller scratch for screen_child's fast path; reusing one across
-  /// children keeps its heap allocations warm. One per thread when
-  /// screening concurrently (see parallel_for_with_worker).
+  /// Per-caller scratch for screen_child; reusing one across children
+  /// keeps its heap allocations warm. One per thread when screening
+  /// concurrently (see parallel_for_with_worker).
   struct Workspace {
     std::vector<graph::Edge> new_edges;
     std::vector<int> degrees;
@@ -115,13 +99,11 @@ class ScreeningContext {
   /// `screen_candidate(arch, params())`.
   const CandidateMetrics& metrics() const { return metrics_; }
 
-  /// Screens `child`, whose skip sets must be supersets of `params()`.
-  /// With incremental routing on this runs the topology-free fast path
-  /// (product-form hop totals + channel-load repair); otherwise it
-  /// materializes the child and routes it from scratch. Either way
-  /// the result is bit-identical to `screen_candidate(arch, child)`. Safe
-  /// to call concurrently on one context; `tile_cache` and `ws` (both
-  /// optional) must then be per-caller.
+  /// Screens `child`, whose skip sets must be supersets of `params()`,
+  /// without materializing it: product-form hop totals plus a channel-load
+  /// repair of the parent's routing. Bit-identical to
+  /// `screen_candidate(arch, child)`. Safe to call concurrently on one
+  /// context; `tile_cache` and `ws` (both optional) must then be per-caller.
   CandidateMetrics screen_child(const topo::ShgParams& child,
                                 model::TileGeometryCache* tile_cache =
                                     nullptr,
@@ -151,32 +133,15 @@ class ScreeningContext {
                           model::TileGeometryCache* tile_cache,
                           const CandidateMetrics* known_metrics = nullptr,
                           bool need_metrics = true) const;
-  CandidateMetrics screen_child_fast(const topo::ShgParams& child,
-                                     model::TileGeometryCache* tile_cache,
-                                     Workspace* ws) const;
-  /// Rebuilds the reuse state derived from topo_ (the routing context and
-  /// the per-node degrees the fast path bumps for child radices); called
-  /// after every re-keying of the context.
-  void refresh_reuse_state();
-
-  ScreeningContext(const tech::ArchParams* arch,
-                   const ScreeningOptions& options, topo::ShgParams params,
-                   topo::Topology topo, const CandidateMetrics& metrics)
-      : arch_(arch),
-        options_(options),
-        params_(std::move(params)),
-        topo_(std::move(topo)),
-        metrics_(metrics) {
-    refresh_reuse_state();
-  }
+  ScreeningContext(const tech::ArchParams* arch, topo::ShgParams params,
+                   topo::Topology topo, const CandidateMetrics& metrics);
 
   const tech::ArchParams* arch_;
-  ScreeningOptions options_;
   topo::ShgParams params_;
   topo::Topology topo_;
-  /// Fast-path reuse state, rebuilt with topo_: the parent's incremental
-  /// router (absent when incremental routing is off) and per-node degrees.
-  std::optional<phys::RoutingContext> routing_;
+  /// Reuse state derived from topo_: the parent's incremental router and
+  /// the per-node degrees screen_child bumps for child radices.
+  phys::RoutingContext routing_;
   std::vector<int> degrees_;
   CandidateMetrics metrics_;
 };
@@ -243,15 +208,13 @@ class TopologyScreeningContext {
 /// screened as stepping stones. Parallelises over prefix subtrees via
 /// `parallel_for`; the output is deterministic regardless of worker count.
 std::vector<CandidateMetrics> screen_batch_incremental(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options = {});
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch);
 
-/// Equivalence oracle: screens `batch` incrementally (under `options`) and
-/// with the full per-candidate path, and throws shg::Error naming the first
-/// candidate whose metrics are not bit-identical. Returns the (verified)
-/// incremental metrics.
+/// Equivalence oracle: screens `batch` incrementally and with the full
+/// per-candidate path, and throws shg::Error naming the first candidate
+/// whose metrics are not bit-identical. Returns the (verified) incremental
+/// metrics.
 std::vector<CandidateMetrics> verify_incremental_equivalence(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    const ScreeningOptions& options = {});
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch);
 
 }  // namespace shg::customize

@@ -25,18 +25,6 @@ bool better(const CandidateMetrics& a, const CandidateMetrics& b) {
   return a.avg_hops < b.avg_hops;
 }
 
-/// Screens a batch of parameterizations concurrently; results are indexed
-/// like the input, so downstream reductions see the same order as a serial
-/// loop (deterministic regardless of the worker count).
-std::vector<CandidateMetrics> screen_batch(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
-  std::vector<CandidateMetrics> metrics(batch.size());
-  parallel_for(batch.size(), [&](std::size_t i) {
-    metrics[i] = screen_candidate(arch, batch[i]);
-  });
-  return metrics;
-}
-
 /// Final cost report of a search winner, through the session's artifact
 /// tier when one is attached: the full five-step model is deterministic,
 /// so the report cached under (arch, winner) is bit-identical to
@@ -159,13 +147,9 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
   // result.params (ensure_ctx constructs it there; the accept step rebases
   // it).
   std::optional<ScreeningContext> ctx;
-  auto ensure_ctx = [&]() -> ScreeningContext* {
-    if (!options.incremental) return nullptr;
-    if (!ctx) {
-      ctx.emplace(arch, result.params,
-                  ScreeningOptions{options.incremental_routing});
-    }
-    return &*ctx;
+  auto ensure_ctx = [&]() -> ScreeningContext& {
+    if (!ctx) ctx.emplace(arch, result.params);
+    return *ctx;
   };
 
   bool have_metrics = false;
@@ -179,20 +163,16 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
   }
   if (!have_metrics) {
     // The context's construction doubles as the mesh screening, so the
-    // incremental path pays no extra screen up front.
-    if (ScreeningContext* c = ensure_ctx()) {
-      result.metrics = c->metrics();
-    } else {
-      result.metrics = screen_candidate(arch, result.params);
-    }
+    // search pays no extra screen up front.
+    result.metrics = ensure_ctx().metrics();
     if (session != nullptr) {
       session->store(fingerprint_shg_candidate(*arch_fp, result.params),
                      result.metrics);
     }
   }
-  // Per-worker scratch for the fast screening path, reused across
-  // iterations (the first neighborhood is the largest, so the worker count
-  // never grows after this).
+  // Per-worker screen_child scratch, reused across iterations (the first
+  // neighborhood is the largest, so the worker count never grows after
+  // this).
   struct Scratch {
     model::TileGeometryCache tile_cache;
     ScreeningContext::Workspace ws;
@@ -245,32 +225,18 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
     }
 
     if (!miss.empty()) {
-      ScreeningContext* const c = ensure_ctx();
-      if (c != nullptr && options.incremental_routing) {
-        // Every neighbor is the parent plus one skip distance — the exact
-        // shape the routing suffix replay is built for. Worker-pinned
-        // scratch keeps the fast path's buffers and the tile-geometry memo
-        // warm across candidates and iterations.
-        const std::size_t workers = parallel_worker_count(miss.size());
-        if (scratch.size() < workers) scratch.resize(workers);
-        parallel_for_with_worker(miss.size(), [&](std::size_t k,
-                                                  std::size_t w) {
-          screened[miss[k]] =
-              c->screen_child(batch[miss[k]], &scratch[w].tile_cache,
-                              &scratch[w].ws);
-        });
-      } else if (c != nullptr) {
-        // Context reuse without the routing context: each child is
-        // materialized and routed from scratch — the benchmark baseline
-        // and the on/off equivalence tests' off side.
-        parallel_for(miss.size(), [&](std::size_t k) {
-          screened[miss[k]] = c->screen_child(batch[miss[k]]);
-        });
-      } else {
-        parallel_for(miss.size(), [&](std::size_t k) {
-          screened[miss[k]] = screen_candidate(arch, batch[miss[k]]);
-        });
-      }
+      // Every neighbor is the parent plus one skip distance — the exact
+      // shape the routing suffix replay is built for. Worker-pinned
+      // scratch keeps screen_child's buffers and the tile-geometry memo
+      // warm across candidates and iterations.
+      const ScreeningContext& c = ensure_ctx();
+      const std::size_t workers = parallel_worker_count(miss.size());
+      if (scratch.size() < workers) scratch.resize(workers);
+      parallel_for_with_worker(miss.size(), [&](std::size_t k,
+                                                std::size_t w) {
+        screened[miss[k]] = c.screen_child(
+            batch[miss[k]], &scratch[w].tile_cache, &scratch[w].ws);
+      });
       if (session != nullptr) {
         for (std::size_t k : miss) session->store(keys[k], screened[k]);
       }
@@ -323,21 +289,15 @@ SearchResult customize_exhaustive(const tech::ArchParams& arch,
     }
   }
   // The subset lattice is a prefix forest: every mask is some other mask
-  // plus one element, so the incremental path reuses the shared-prefix
-  // routing contexts across the whole enumeration; an attached session
-  // additionally serves repeated invocations from its cache and screens
-  // only the misses. Either way the serial reduction below sees
-  // bit-identical metrics in the same order.
+  // plus one element, so the shared-prefix routing contexts are reused
+  // across the whole enumeration; an attached session additionally serves
+  // repeated invocations from its cache and screens only the misses.
+  // Either way the serial reduction below sees bit-identical metrics in
+  // the same order.
   const std::vector<CandidateMetrics> screened =
       options.session != nullptr
-          ? screen_batch_cached(arch, batch, *options.session,
-                                options.incremental,
-                                ScreeningOptions{options.incremental_routing})
-          : (options.incremental
-                 ? screen_batch_incremental(
-                       arch, batch,
-                       ScreeningOptions{options.incremental_routing})
-                 : screen_batch(arch, batch));
+          ? screen_batch_cached(arch, batch, *options.session)
+          : screen_batch_incremental(arch, batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const CandidateMetrics& metrics = screened[i];
     if (metrics.area_overhead > goal.max_area_overhead) continue;

@@ -62,13 +62,11 @@ struct SearchResult {
   std::vector<SearchStep> history;
 };
 
-/// Knobs of the search engines. `incremental` turns on the context
-/// screening reuse (customize/incremental.hpp); `incremental_routing`
-/// additionally reuses the parent's channel routing and prices children
-/// without materializing their topologies (phys/incremental_route.hpp) —
-/// it has no effect with `incremental` off. Results are bit-identical with
-/// any combination (oracle-tested); the flags exist for the equivalence
-/// tests and the benchmark's old-vs-new comparisons.
+/// Knobs of the search engines. Both engines screen through the
+/// incremental stack (customize/incremental.hpp): a context per parent
+/// that reuses its channel routing and prices children without
+/// materializing their topologies — bit-identical to `screen_candidate`
+/// per candidate (oracle-tested).
 ///
 /// `session` (default off) attaches a persistent DSE session
 /// (customize/session.hpp): candidates whose fingerprints hit the
@@ -79,8 +77,6 @@ struct SearchResult {
 /// notes included; oracle-tested). The session is read and written on the
 /// calling thread only.
 struct SearchOptions {
-  bool incremental = true;
-  bool incremental_routing = true;
   Session* session = nullptr;  ///< not owned; must outlive the call
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "shg/common/parallel.hpp"
 
 namespace shg::customize {
 
@@ -126,8 +125,7 @@ void Session::store_artifact(const Fingerprint& key,
 
 std::vector<CandidateMetrics> screen_batch_cached(
     const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    Session& session, bool incremental, const ScreeningOptions& screening,
-    ScreenBatchStats* stats) {
+    Session& session, ScreenBatchStats* stats) {
   std::vector<CandidateMetrics> out(batch.size());
   if (stats != nullptr) *stats = ScreenBatchStats{};
   if (batch.empty()) return out;
@@ -135,7 +133,7 @@ std::vector<CandidateMetrics> screen_batch_cached(
   // All session traffic on this thread (under kSingleThread the cache is
   // not locked and serial access keeps LRU order deterministic; under
   // kSharded the tiers lock per shard); only the miss screening fans out,
-  // inside screen_batch_incremental / parallel_for.
+  // inside screen_batch_incremental.
   const Fingerprint arch_fp = fingerprint_arch(arch);
   std::vector<Fingerprint> keys(batch.size());
   std::vector<std::size_t> miss;
@@ -158,17 +156,10 @@ std::vector<CandidateMetrics> screen_batch_cached(
   std::vector<topo::ShgParams> miss_batch;
   miss_batch.reserve(miss.size());
   for (std::size_t i : miss) miss_batch.push_back(batch[i]);
-  std::vector<CandidateMetrics> screened;
-  if (incremental) {
-    // Duplicate misses are fine: the prefix forest collapses equal
-    // parameterizations onto one node.
-    screened = screen_batch_incremental(arch, miss_batch, screening);
-  } else {
-    screened.resize(miss_batch.size());
-    parallel_for(miss_batch.size(), [&](std::size_t k) {
-      screened[k] = screen_candidate(arch, miss_batch[k]);
-    });
-  }
+  // Duplicate misses are fine: the prefix forest collapses equal
+  // parameterizations onto one node.
+  const std::vector<CandidateMetrics> screened =
+      screen_batch_incremental(arch, miss_batch);
   for (std::size_t k = 0; k < miss.size(); ++k) {
     out[miss[k]] = screened[k];
     session.store(keys[miss[k]], screened[k]);

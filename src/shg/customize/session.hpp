@@ -220,16 +220,13 @@ struct ScreenBatchStats {
 };
 
 /// Screens `batch` through the session cache: hits come from the cache,
-/// misses are screened with the incremental stack (`screen_batch_incremental`
-/// under `screening`, or per-candidate `screen_candidate` sweeps when
-/// `incremental` is false) and stored. The result is indexed like the input
+/// misses are screened with the incremental stack (`screen_batch_incremental`)
+/// and stored. The result is indexed like the input
 /// and bit-identical to a session-free screen of the same batch. `stats`,
 /// when non-null, receives this call's exact hit/miss split.
 std::vector<CandidateMetrics> screen_batch_cached(
     const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
-    Session& session, bool incremental = true,
-    const ScreeningOptions& screening = {},
-    ScreenBatchStats* stats = nullptr);
+    Session& session, ScreenBatchStats* stats = nullptr);
 
 /// Cached generic-family screen: looks up (arch, parent, delta) in the
 /// session, pricing a miss through `ctx` (the incremental stack — overlay

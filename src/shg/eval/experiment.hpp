@@ -5,9 +5,9 @@
 // each topology's route table is built once and shared by every run on
 // it, all points fan out through parallel_for, multi-seed replicas are
 // aggregated (mean/stddev/min/max per metric), and the report renders as
-// JSON or CSV. Callers that used to own their own simulate-loops
-// (sweep_load_latency, the Figure 6 drivers, the examples) are thin
-// wrappers over this engine.
+// JSON or CSV. Callers that used to own their own simulate-loops (the
+// load-latency sweeps, the Figure 6 drivers, the examples) build a spec
+// and run it here.
 //
 // Determinism: every run is an independent Simulator with a private PRNG
 // seeded from its (rate, seed) cell, results land in index-addressed

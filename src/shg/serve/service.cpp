@@ -446,7 +446,7 @@ std::vector<Response> Service::execute_screen_batch(
   std::string batch_error;
   try {
     metrics = customize::screen_batch_cached(batch.front().arch, params,
-                                             session_, true, {}, &stats);
+                                             session_, &stats);
   } catch (const std::exception& e) {
     batch_error = e.what();
   }

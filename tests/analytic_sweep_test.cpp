@@ -1,9 +1,10 @@
-// Tests for the analytic performance model and load-latency sweeps,
-// including cross-validation of the closed form against the simulator.
+// Tests for the analytic performance model and load-latency sweeps through
+// the experiment engine, including cross-validation of the closed form
+// against the simulator.
 #include <gtest/gtest.h>
 
 #include "shg/eval/analytic.hpp"
-#include "shg/eval/sweep.hpp"
+#include "shg/eval/experiment.hpp"
 #include "shg/topo/generators.hpp"
 
 namespace shg::eval {
@@ -113,49 +114,25 @@ TEST(Analytic, Validation) {
 
 TEST(Sweep, LatencyRisesMonotonicallyTowardSaturation) {
   const auto topo = topo::make_mesh(4, 4);
-  PerfConfig config;
-  config.sim.num_vcs = 2;
-  config.sim.buffer_depth_flits = 8;
-  config.sim.warmup_cycles = 400;
-  config.sim.measure_cycles = 1200;
   const auto pattern = sim::make_uniform(16);
-  const auto curve =
-      sweep_load_latency(topo, unit_latencies(topo), 1, *pattern, config,
-                         {0.02, 0.1, 0.3, 0.6}, "mesh");
-  ASSERT_EQ(curve.points.size(), 4u);
-  EXPECT_EQ(curve.label, "mesh");
+  ExperimentSpec spec;
+  spec.topologies.push_back(TopologyCase{topo, unit_latencies(topo), "mesh"});
+  spec.traffic.push_back(TrafficCase{"", pattern.get(), ""});
+  spec.rates = {0.02, 0.1, 0.3, 0.6};
+  spec.config.sim.num_vcs = 2;
+  spec.config.sim.buffer_depth_flits = 8;
+  spec.config.sim.warmup_cycles = 400;
+  spec.config.sim.measure_cycles = 1200;
+  const std::vector<ExperimentPoint> points = run_experiment(spec).points;
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[0].topology, "mesh");
   // Weak monotonicity with slack for simulation noise at low loads.
-  EXPECT_LE(curve.points[0].avg_latency, curve.points[2].avg_latency * 1.1);
-  EXPECT_LT(curve.points[1].avg_latency, curve.points[3].avg_latency);
+  EXPECT_LE(points[0].avg_latency.mean, points[2].avg_latency.mean * 1.1);
+  EXPECT_LT(points[1].avg_latency.mean, points[3].avg_latency.mean);
   // p99 dominates the mean everywhere.
-  for (const auto& point : curve.points) {
-    EXPECT_GE(point.p99_latency, point.avg_latency);
+  for (const auto& point : points) {
+    EXPECT_GE(point.p99_latency.mean, point.avg_latency.mean);
   }
-}
-
-TEST(Sweep, CsvShape) {
-  LoadLatencyCurve curve;
-  curve.label = "test";
-  curve.points.push_back(SweepPoint{0.1, 0.099, 12.0, 30.0, true});
-  curve.points.push_back(SweepPoint{0.5, 0.31, 210.0, 900.0, false});
-  const std::string csv = curves_to_csv({curve});
-  EXPECT_NE(csv.find("label,offered,accepted,avg_latency,p99_latency,drained"),
-            std::string::npos);
-  EXPECT_NE(csv.find("test,0.1000,0.0990,12.00,30.00,1"), std::string::npos);
-  EXPECT_NE(csv.find("test,0.5000,0.3100,210.00,900.00,0"),
-            std::string::npos);
-}
-
-TEST(Sweep, Validation) {
-  const auto topo = topo::make_mesh(3, 3);
-  PerfConfig config;
-  const auto pattern = sim::make_uniform(9);
-  EXPECT_THROW(sweep_load_latency(topo, unit_latencies(topo), 1, *pattern,
-                                  config, {}, "x"),
-               Error);
-  EXPECT_THROW(sweep_load_latency(topo, unit_latencies(topo), 1, *pattern,
-                                  config, {1.5}, "x"),
-               Error);
 }
 
 }  // namespace

@@ -224,10 +224,10 @@ TEST(ShardedSession, ScreenBatchMatchesSingleThreadSession) {
 
   customize::ScreenBatchStats single_stats;
   customize::ScreenBatchStats sharded_stats;
-  const auto a = customize::screen_batch_cached(arch, batch, single, true, {},
-                                               &single_stats);
-  const auto b = customize::screen_batch_cached(arch, batch, sharded, true,
-                                               {}, &sharded_stats);
+  const auto a =
+      customize::screen_batch_cached(arch, batch, single, &single_stats);
+  const auto b =
+      customize::screen_batch_cached(arch, batch, sharded, &sharded_stats);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "batch index " << i;

@@ -1,7 +1,7 @@
 // Tests for the batched experiment engine: spec validation, determinism
-// across worker counts, multi-seed aggregation, the sweep_load_latency
-// wrapper's bit-identity with the engine-free implementation it replaced,
-// CSV/JSON rendering (including comma-label escaping), and the session
+// across worker counts, multi-seed aggregation, a borrowed-pattern run's
+// bit-identity with the engine-free simulate_at_rate loop, CSV/JSON
+// rendering (including comma-label escaping), and the session
 // simulation-result tier — warm-run bit-identity, overlap reuse, cell-key
 // sensitivity (every SimConfig field), sharded campaigns, and the shard-
 // file corruption matrix (cold fallback, never stale bits).
@@ -16,7 +16,6 @@
 #include "shg/common/parallel.hpp"
 #include "shg/customize/session.hpp"
 #include "shg/eval/experiment.hpp"
-#include "shg/eval/sweep.hpp"
 #include "shg/sim/trace.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -133,30 +132,34 @@ TEST(Experiment, MultiSeedSameSeedCollapses) {
   EXPECT_DOUBLE_EQ(point.avg_latency.stddev, 0.0);
 }
 
-TEST(Experiment, SweepWrapperBitIdenticalToDirectLoop) {
-  // sweep_load_latency is now a wrapper over the engine; its curve must be
-  // bit-identical to the engine-free implementation it replaced (one
-  // shared route table, one simulate_at_rate per rate).
+TEST(Experiment, BorrowedPatternBitIdenticalToDirectLoop) {
+  // A single-seed run over a borrowed pattern must be bit-identical to the
+  // engine-free loop: one shared route table, one simulate_at_rate per
+  // rate. With one replica every aggregate mean IS the replica's value.
   const auto topo = topo::make_mesh(4, 4);
   const std::vector<int> latencies(
       static_cast<std::size_t>(topo.graph().num_edges()), 1);
   const auto pattern = sim::make_uniform(16);
-  const PerfConfig config = fast_config();
-  const std::vector<double> rates = {0.05, 0.10, 0.20};
+  ExperimentSpec spec;
+  spec.topologies.push_back(TopologyCase{topo, latencies, "mesh"});
+  spec.traffic.push_back(TrafficCase{"", pattern.get(), ""});
+  spec.rates = {0.05, 0.10, 0.20};
+  spec.config = fast_config();
 
-  const LoadLatencyCurve curve = sweep_load_latency(
-      topo, latencies, 1, *pattern, config, rates, "mesh");
+  const ExperimentReport report = run_experiment(spec);
 
-  const auto table = make_shared_route_table(topo, config);
-  ASSERT_EQ(curve.points.size(), rates.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto table = make_shared_route_table(topo, spec.config);
+  ASSERT_EQ(report.points.size(), spec.rates.size());
+  for (std::size_t i = 0; i < spec.rates.size(); ++i) {
+    const ExperimentPoint& point = report.points[i];
     const sim::SimResult reference = simulate_at_rate(
-        topo, latencies, 1, *pattern, config, rates[i], table);
-    EXPECT_EQ(curve.points[i].offered_rate, reference.offered_rate);
-    EXPECT_EQ(curve.points[i].accepted_rate, reference.accepted_rate);
-    EXPECT_EQ(curve.points[i].avg_latency, reference.avg_packet_latency);
-    EXPECT_EQ(curve.points[i].p99_latency, reference.p99_packet_latency);
-    EXPECT_EQ(curve.points[i].drained, reference.drained);
+        topo, latencies, 1, *pattern, spec.config, spec.rates[i], table);
+    ASSERT_EQ(point.runs.size(), 1u);
+    EXPECT_EQ(point.runs.front().offered_rate, reference.offered_rate);
+    EXPECT_EQ(point.accepted_rate.mean, reference.accepted_rate);
+    EXPECT_EQ(point.avg_latency.mean, reference.avg_packet_latency);
+    EXPECT_EQ(point.p99_latency.mean, reference.p99_packet_latency);
+    EXPECT_EQ(point.all_drained, reference.drained);
   }
 }
 
@@ -183,15 +186,6 @@ TEST(Experiment, CsvEscapesCommaLabels) {
   EXPECT_EQ(count_cols(csv.substr(0, header_end)),
             count_cols(csv.substr(header_end + 1,
                                   row_end - header_end - 1)));
-}
-
-TEST(Experiment, CurvesCsvEscapesLabels) {
-  LoadLatencyCurve curve;
-  curve.label = "hotspot:0,7:0.2 \"bursty\"";
-  curve.points.push_back(SweepPoint{0.1, 0.1, 5.0, 9.0, true});
-  const std::string csv = curves_to_csv({curve});
-  EXPECT_NE(csv.find("\"hotspot:0,7:0.2 \"\"bursty\"\"\","),
-            std::string::npos);
 }
 
 TEST(Experiment, JsonReportShape) {

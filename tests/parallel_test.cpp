@@ -13,7 +13,7 @@
 #include "shg/common/parallel.hpp"
 #include "shg/customize/explore.hpp"
 #include "shg/customize/search.hpp"
-#include "shg/eval/sweep.hpp"
+#include "shg/eval/experiment.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -130,30 +130,32 @@ TEST(ParallelDeterminism, LoadSweepIdenticalSerialVsParallel) {
   const std::vector<int> latencies(
       static_cast<std::size_t>(topo.graph().num_edges()), 1);
   const auto pattern = sim::make_uniform(topo.num_tiles());
-  eval::PerfConfig config;
-  config.sim.warmup_cycles = 200;
-  config.sim.measure_cycles = 600;
-  const std::vector<double> rates = {0.02, 0.05, 0.10, 0.15};
+  eval::ExperimentSpec spec;
+  spec.topologies.push_back(eval::TopologyCase{topo, latencies, ""});
+  spec.traffic.push_back(eval::TrafficCase{"", pattern.get(), ""});
+  spec.rates = {0.02, 0.05, 0.10, 0.15};
+  spec.config.sim.warmup_cycles = 200;
+  spec.config.sim.measure_cycles = 600;
 
-  eval::LoadLatencyCurve serial, parallel;
+  eval::ExperimentReport serial, parallel;
   {
     ThreadCapGuard guard(1);
-    serial = eval::sweep_load_latency(topo, latencies, 1, *pattern, config,
-                                      rates, "serial");
+    serial = eval::run_experiment(spec);
   }
   {
     ThreadCapGuard guard(8);
-    parallel = eval::sweep_load_latency(topo, latencies, 1, *pattern, config,
-                                        rates, "parallel");
+    parallel = eval::run_experiment(spec);
   }
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
     EXPECT_EQ(serial.points[i].offered_rate, parallel.points[i].offered_rate);
-    EXPECT_EQ(serial.points[i].accepted_rate,
-              parallel.points[i].accepted_rate);
-    EXPECT_EQ(serial.points[i].avg_latency, parallel.points[i].avg_latency);
-    EXPECT_EQ(serial.points[i].p99_latency, parallel.points[i].p99_latency);
-    EXPECT_EQ(serial.points[i].drained, parallel.points[i].drained);
+    EXPECT_EQ(serial.points[i].accepted_rate.mean,
+              parallel.points[i].accepted_rate.mean);
+    EXPECT_EQ(serial.points[i].avg_latency.mean,
+              parallel.points[i].avg_latency.mean);
+    EXPECT_EQ(serial.points[i].p99_latency.mean,
+              parallel.points[i].p99_latency.mean);
+    EXPECT_EQ(serial.points[i].all_drained, parallel.points[i].all_drained);
   }
 }
 

@@ -393,25 +393,6 @@ TEST(Session, GreedyWarmReinvocationBitIdenticalRandomized) {
   }
 }
 
-TEST(Session, GreedyWarmWorksWithIncrementalOff) {
-  // The session must compose with every screening configuration — cached
-  // bits come from oracle-equivalent paths, so mixing configurations
-  // across invocations is also exact.
-  const tech::ArchParams arch = small_arch(6, 7);
-  const Goal goal{0.40};
-  const SearchResult reference = customize_greedy(arch, goal);
-  Session session;
-  SearchOptions populate;
-  populate.incremental = false;
-  populate.session = &session;
-  expect_same_search(customize_greedy(arch, goal, populate), reference,
-                     "populate with incremental off");
-  SearchOptions warm;
-  warm.session = &session;  // incremental on, warm from the off-path run
-  expect_same_search(customize_greedy(arch, goal, warm), reference,
-                     "warm across configurations");
-}
-
 TEST(Session, GreedyWarmAcrossDiskBoundary) {
   const std::string path = temp_cache_path("disk-warm.cache");
   std::remove(path.c_str());
