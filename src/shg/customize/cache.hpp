@@ -29,11 +29,9 @@
 //    for any decomposition (oracle-tested), so the canonical key is the
 //    *union* (the child's final skip sets) and hits transfer across
 //    different search trajectories.
-//  * `fingerprint_topology` / `fingerprint_child` — arbitrary-family
-//    parents (edge list in edge-id order) and their added-edge children.
-//    The delta is fingerprinted in *append order*: channel routing depends
-//    on the order links enter their length class, so two deltas with equal
-//    edge sets but different orders are distinct candidates.
+//  * `fingerprint_topology` — an arbitrary-family topology (grid shape
+//    plus edge list in edge-id order); the experiment engine keys its
+//    route tables and simulated topologies with it.
 //  * `fingerprint_sim_config` / `fingerprint_sim_topology` /
 //    `fingerprint_sim_cell` — one experiment cell of the evaluation engine
 //    (eval/experiment.hpp): the simulated topology (edges, family kind —
@@ -161,12 +159,6 @@ Fingerprint fingerprint_shg_candidate(const Fingerprint& arch_fp,
 /// identically). Edge-id order matters: it is the channel router's greedy
 /// order within each length class.
 Fingerprint fingerprint_topology(const topo::Topology& topo);
-
-/// Key of a generic added-edge child: (arch, parent topology, delta in
-/// append order).
-Fingerprint fingerprint_child(const Fingerprint& arch_fp,
-                              const Fingerprint& parent_fp,
-                              const std::vector<graph::Edge>& new_edges);
 
 /// Fingerprint of EVERY `sim::SimConfig` field, in declaration order —
 /// including the injection rate and seed (the experiment engine overrides

@@ -97,33 +97,18 @@ ScreeningContext::ScreeningContext(const tech::ArchParams* arch,
 ScreeningContext::ChildScreen ScreeningContext::screen_impl(
     const topo::ShgParams& child, model::TileGeometryCache* tile_cache,
     const CandidateMetrics* known_metrics, bool need_metrics) const {
-  const std::vector<int> new_row_skips =
-      skip_delta(params_.row_skips, child.row_skips, "row");
-  const std::vector<int> new_col_skips =
-      skip_delta(params_.col_skips, child.col_skips, "column");
-
+  // The re-keyed context routes the materialized child from scratch; only
+  // its metrics come from the parent.
   ChildScreen out{topo::make_sparse_hamming(arch_->rows, arch_->cols,
                                             child.row_skips, child.col_skips),
                   CandidateMetrics{}};
-  if (new_row_skips.empty() && new_col_skips.empty()) {
-    out.metrics = metrics_;
-  } else if (known_metrics != nullptr) {
+  if (known_metrics != nullptr) {
     // The caller screened this exact child already (screen_child during
     // candidate ranking); re-running the cost model — the dominant
     // screening cost — would only reproduce the same bits.
     out.metrics = *known_metrics;
   } else if (need_metrics) {
-    // Price the child from a suffix repair of the parent's loads
-    // (bit-identical to a from-scratch route) — rebase/derive pricing then
-    // shares screen_child's step-2 reuse.
-    const phys::GlobalRoutingResult loads =
-        routing_.route_child_loads(out.topo);
-    out.metrics = make_metrics(
-        model::evaluate_screening_cost(*arch_, out.topo.radix(), loads,
-                                       tile_cache),
-        topo::shg_hop_totals(arch_->rows, arch_->cols, child.row_skips,
-                             child.col_skips),
-        out.topo.num_tiles(), out.topo.graph().num_edges());
+    out.metrics = screen_child(child, tile_cache);
   }
   return out;
 }
@@ -189,84 +174,6 @@ ScreeningContext ScreeningContext::derive(const topo::ShgParams& child,
       screen_impl(child, tile_cache, nullptr, need_metrics);
   return ScreeningContext(arch_, child, std::move(screened.topo),
                           screened.metrics);
-}
-
-TopologyScreeningContext::TopologyScreeningContext(
-    const tech::ArchParams& arch, topo::Topology parent)
-    : arch_(&arch),
-      parent_(std::move(parent)),
-      routing_(parent_),
-      degrees_(node_degrees(parent_.graph())) {
-  SHG_REQUIRE(parent_.rows() == arch.rows && parent_.cols() == arch.cols,
-              "parent topology grid does not match the architecture");
-  // The routing run doubles as cost-model step 2 for the parent: the
-  // radix+loads overload runs the same step 1/3/4 arithmetic as the
-  // topology overload (pinned bit-identical in tests/cost_model_test.cpp),
-  // and the hop totals come from the same sweep and integer fold as
-  // screen_child, so metrics() matches screen_topology(arch, parent) bit
-  // for bit.
-  graph::BitSweepWorkspace ws;
-  metrics_ = make_metrics(
-      model::evaluate_screening_cost(arch, parent_.radix(), routing_.loads()),
-      graph::all_pairs_totals(parent_.graph(), nullptr, ws),
-      parent_.num_tiles(), parent_.graph().num_edges());
-}
-
-CandidateMetrics TopologyScreeningContext::screen_child(
-    const std::vector<graph::Edge>& new_edges,
-    model::TileGeometryCache* tile_cache, Workspace* ws) const {
-  if (new_edges.empty()) return metrics_;
-  Workspace local;
-  if (ws == nullptr) ws = &local;
-  const graph::Graph& g = parent_.graph();
-  const int n = g.num_nodes();
-
-  // Grid links for the routing repair, in append order (the order they
-  // enter the child's greedy classes after the parent's same-length
-  // links); the phys layer normalizes endpoint order itself. The child
-  // must be materializable (Graph rejects parallel edges), so the delta
-  // may neither overlap the parent nor repeat an edge within itself —
-  // a duplicate would silently double-route the link and double-bump its
-  // endpoint degrees, producing metrics for a child that cannot exist.
-  ws->links.clear();
-  ws->seen.clear();
-  for (const graph::Edge& e : new_edges) {
-    SHG_REQUIRE(!g.has_edge(e.u, e.v),
-                "child delta edges must be absent from the parent");
-    const auto [lo, hi] = std::minmax(e.u, e.v);
-    ws->seen.push_back(static_cast<long long>(lo) * g.num_nodes() + hi);
-    ws->links.push_back(phys::GridLink{parent_.coord(e.u), parent_.coord(e.v)});
-  }
-  std::sort(ws->seen.begin(), ws->seen.end());
-  SHG_REQUIRE(
-      std::adjacent_find(ws->seen.begin(), ws->seen.end()) == ws->seen.end(),
-      "child delta edges must be distinct");
-
-  // Hop metrics: bit-parallel all-pairs sweep over parent + overlay (exact
-  // integer totals — same division operands as screen_topology).
-  ws->overlay.assign(n, new_edges);
-  const graph::AllPairsTotals totals =
-      graph::all_pairs_totals(g, &ws->overlay, ws->bitsweep);
-
-  // Child radix from bumped parent degrees.
-  ws->degrees.assign(degrees_.begin(), degrees_.end());
-  for (const graph::Edge& e : new_edges) {
-    ++ws->degrees[static_cast<std::size_t>(e.u)];
-    ++ws->degrees[static_cast<std::size_t>(e.v)];
-  }
-  int radix = 0;
-  for (const int d : ws->degrees) radix = std::max(radix, d);
-
-  // Channel loads: added-links suffix replay (joint replay when a diagonal
-  // is in the divergent suffix) — bit-identical to routing the
-  // materialized child from scratch.
-  routing_.route_child_loads(ws->links, &ws->loads);
-  const model::ScreeningCost cost =
-      model::evaluate_screening_cost(*arch_, radix, ws->loads, tile_cache);
-
-  return make_metrics(
-      cost, totals, parent_.num_tiles(),
-      g.num_edges() + static_cast<long long>(new_edges.size()));
 }
 
 namespace {

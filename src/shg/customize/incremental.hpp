@@ -57,21 +57,20 @@
 //    bit-identical to `screen_candidate` / `screen_topology` on the
 //    materialized child (the oracle and the randomized trajectory tests
 //    enforce it). Nothing here has a bounded-error mode.
-//  * Concurrency. `ScreeningContext::screen_child` and
-//    `TopologyScreeningContext::screen_child` are const and safe to call
-//    concurrently on ONE shared context, provided each caller passes its
-//    own `tile_cache` / `ws` (use `parallel_for_with_worker` for
-//    worker-pinned scratch). `rebase` and `derive` mutate / read-snapshot
-//    the context and require exclusive access — no concurrent
-//    `screen_child` may be in flight. `screen_batch_incremental` and
-//    `verify_incremental_equivalence` parallelize internally; call them
-//    from one thread and let them own the fan-out.
+//  * Concurrency. `ScreeningContext::screen_child` and `derive` are const
+//    and safe to call concurrently on ONE shared context, provided each
+//    caller passes its own `tile_cache` / `ws` (use
+//    `parallel_for_with_worker` for worker-pinned scratch). `rebase`
+//    mutates the context and requires exclusive access — no concurrent
+//    `screen_child` or `derive` may be in flight.
+//    `screen_batch_incremental` and `verify_incremental_equivalence`
+//    parallelize internally; call them from one thread and let them own
+//    the fan-out.
 #pragma once
 
 #include <vector>
 
 #include "shg/customize/search.hpp"
-#include "shg/graph/shortest_paths.hpp"
 #include "shg/phys/incremental_route.hpp"
 
 namespace shg::customize {
@@ -141,61 +140,6 @@ class ScreeningContext {
   topo::Topology topo_;
   /// Reuse state derived from topo_: the parent's incremental router and
   /// the per-node degrees screen_child bumps for child radices.
-  phys::RoutingContext routing_;
-  std::vector<int> degrees_;
-  CandidateMetrics metrics_;
-};
-
-/// Incremental screening for non-SHG families: a parent topology of ANY
-/// family (SlimNoC, torus, mesh, custom) plus added-edge children. Before
-/// this existed, screening such children meant a fresh sweep and a
-/// from-scratch channel route per child; now they flow through an
-/// incremental stack like SHG candidates. They have no product form, so
-/// the hop metrics come from `graph::EdgeOverlay` plus the bit-parallel
-/// all-pairs sweep, the radix from bumped parent degrees, and the channel
-/// loads from the `phys::RoutingContext` added-links suffix replay (which
-/// handles diagonal links with a joint-orientation replay). No child
-/// Topology is ever materialized.
-///
-/// Exactness: `screen_child` is bit-identical to `screen_topology` on the
-/// parent-copy-plus-add_link child (randomized trajectory oracle in
-/// tests/session_test.cpp over SHG, SlimNoC and torus parents).
-/// Concurrency: `screen_child` is const and safe to share across threads
-/// with per-caller `tile_cache` / `ws`.
-class TopologyScreeningContext {
- public:
-  /// Full screen of `parent` (one routing run + one all-pairs sweep); the
-  /// context keeps a pointer to `arch`, which must outlive it.
-  TopologyScreeningContext(const tech::ArchParams& arch,
-                           topo::Topology parent);
-
-  const topo::Topology& parent() const { return parent_; }
-
-  /// Screening metrics of the parent itself; bit-identical to
-  /// `screen_topology(arch, parent())`.
-  const CandidateMetrics& metrics() const { return metrics_; }
-
-  /// Per-caller scratch; one per thread when screening concurrently.
-  struct Workspace {
-    graph::EdgeOverlay overlay;
-    graph::BitSweepWorkspace bitsweep;
-    std::vector<int> degrees;
-    std::vector<phys::GridLink> links;
-    std::vector<long long> seen;  ///< delta-edge keys, duplicate check
-    phys::GlobalRoutingResult loads;
-  };
-
-  /// Screens the child "parent plus `new_edges`" (node ids on the parent
-  /// grid, edges absent from the parent — checked; append order matters,
-  /// it is the order the links enter the router's greedy classes).
-  /// Bit-identical to `screen_topology` on the materialized child.
-  CandidateMetrics screen_child(const std::vector<graph::Edge>& new_edges,
-                                model::TileGeometryCache* tile_cache = nullptr,
-                                Workspace* ws = nullptr) const;
-
- private:
-  const tech::ArchParams* arch_;
-  topo::Topology parent_;
   phys::RoutingContext routing_;
   std::vector<int> degrees_;
   CandidateMetrics metrics_;

@@ -94,8 +94,8 @@ CandidateMetrics screen_candidate(const tech::ArchParams& arch,
 /// over the arch grid (SlimNoC, torus, custom overlays, ...). Runs exactly
 /// the arithmetic of `screen_candidate` — which is now a thin wrapper that
 /// materializes the SHG and calls this — so SHG results are unchanged bit
-/// for bit. Incremental variants live in
-/// `customize::TopologyScreeningContext` (customize/incremental.hpp).
+/// for bit. SlimNoC and torus baselines are priced once through it; only
+/// SHG children are screened incrementally (customize/incremental.hpp).
 CandidateMetrics screen_topology(const tech::ArchParams& arch,
                                  const topo::Topology& topo);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "shg/customize/incremental.hpp"
 
 namespace shg::customize {
 
@@ -165,17 +166,6 @@ std::vector<CandidateMetrics> screen_batch_cached(
     session.store(keys[miss[k]], screened[k]);
   }
   return out;
-}
-
-CandidateMetrics screen_child_cached(
-    Session& session, const TopologyScreeningContext& ctx,
-    const Fingerprint& arch_fp, const Fingerprint& parent_fp,
-    const std::vector<graph::Edge>& new_edges) {
-  const Fingerprint key = fingerprint_child(arch_fp, parent_fp, new_edges);
-  if (const auto hit = session.lookup(key)) return *hit;
-  const CandidateMetrics metrics = ctx.screen_child(new_edges);
-  session.store(key, metrics);
-  return metrics;
 }
 
 }  // namespace shg::customize

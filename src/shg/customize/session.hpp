@@ -63,7 +63,6 @@
 #include <mutex>
 
 #include "shg/customize/cache.hpp"
-#include "shg/customize/incremental.hpp"
 
 namespace shg::customize {
 
@@ -227,18 +226,5 @@ struct ScreenBatchStats {
 std::vector<CandidateMetrics> screen_batch_cached(
     const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch,
     Session& session, ScreenBatchStats* stats = nullptr);
-
-/// Cached generic-family screen: looks up (arch, parent, delta) in the
-/// session, pricing a miss through `ctx` (the incremental stack — overlay
-/// bit sweep + routing suffix replay) and storing it. `arch_fp` /
-/// `parent_fp` are the precomputed fingerprints of ctx's arch and parent
-/// (compute them once per trajectory, not per child). Bit-identical to
-/// `ctx.screen_child(new_edges)` and so to `screen_topology` on the
-/// materialized child.
-CandidateMetrics screen_child_cached(Session& session,
-                                     const TopologyScreeningContext& ctx,
-                                     const Fingerprint& arch_fp,
-                                     const Fingerprint& parent_fp,
-                                     const std::vector<graph::Edge>& new_edges);
 
 }  // namespace shg::customize

@@ -213,13 +213,8 @@ std::vector<double> dijkstra(const Graph& g, NodeId src,
   return dist;
 }
 
-namespace {
-
-enum class HopDagObjective { kMin, kMax };
-
-std::vector<double> weight_over_min_hop_paths(
-    const Graph& g, NodeId dest, const std::vector<double>& edge_weight,
-    HopDagObjective objective) {
+std::vector<double> max_weight_over_min_hop_paths(
+    const Graph& g, NodeId dest, const std::vector<double>& edge_weight) {
   SHG_REQUIRE(dest >= 0 && dest < g.num_nodes(), "dest out of range");
   SHG_REQUIRE(static_cast<int>(edge_weight.size()) == g.num_edges(),
               "one weight per edge required");
@@ -250,8 +245,6 @@ std::vector<double> weight_over_min_hop_paths(
         if (!found) {
           best = cand;
           found = true;
-        } else if (objective == HopDagObjective::kMin) {
-          best = std::min(best, cand);
         } else {
           best = std::max(best, cand);
         }
@@ -260,20 +253,6 @@ std::vector<double> weight_over_min_hop_paths(
     weight[static_cast<std::size_t>(u)] = best;
   }
   return weight;
-}
-
-}  // namespace
-
-std::vector<double> min_weight_over_min_hop_paths(
-    const Graph& g, NodeId dest, const std::vector<double>& edge_weight) {
-  return weight_over_min_hop_paths(g, dest, edge_weight,
-                                   HopDagObjective::kMin);
-}
-
-std::vector<double> max_weight_over_min_hop_paths(
-    const Graph& g, NodeId dest, const std::vector<double>& edge_weight) {
-  return weight_over_min_hop_paths(g, dest, edge_weight,
-                                   HopDagObjective::kMax);
 }
 
 }  // namespace shg::graph

@@ -56,10 +56,11 @@ DistanceSummary distance_summary(const Graph& g, BfsWorkspace& ws);
 
 /// Extra adjacency overlaid on a base graph: per node, the neighbor
 /// endpoints a set of new edges contributes. Lets distance computations run
-/// against "base graph plus these edges" without materializing the child
-/// graph — the generic-family screening path prices many children of one
-/// parent topology and the child graph construction would dominate it.
-/// `assign` is reusable (buffers keep their capacity across children).
+/// against "base graph plus these edges" without building the combined
+/// Graph. The SHG line sweep (topo::shg_hop_totals) lays each row and
+/// column line's links over an edgeless graph of its tiles this way, so
+/// the bit-parallel sweep reads a flat adjacency.
+/// `assign` is reusable (buffers keep their capacity across calls).
 class EdgeOverlay {
  public:
   /// Rebuilds the overlay for `edges` over a `num_nodes`-node base graph.
@@ -128,20 +129,11 @@ double average_hops(const Graph& g);
 std::vector<double> dijkstra(const Graph& g, NodeId src,
                              const std::vector<double>& edge_weight);
 
-/// For a fixed destination `dest`, computes for every node the minimum total
-/// edge weight achievable over *hop-minimal* paths to `dest`.
-///
-/// This answers Table I's "minimal paths present among hop-minimal routes"
-/// question: a routing algorithm that minimizes router-to-router hops can
-/// only use hop-minimal paths, so the physically shortest path it may pick
-/// is exactly this quantity.
-std::vector<double> min_weight_over_min_hop_paths(
-    const Graph& g, NodeId dest, const std::vector<double>& edge_weight);
-
-/// Like min_weight_over_min_hop_paths, but the *maximum* total edge weight
-/// over hop-minimal paths — the physically worst path a hop-minimizing
-/// routing algorithm might legally pick. Table I's "minimal paths used" is
-/// satisfied only when even this worst case equals the physical minimum.
+/// For a fixed destination `dest`, computes for every node the *maximum*
+/// total edge weight over hop-minimal paths to `dest` — the physically
+/// worst path a hop-minimizing routing algorithm might legally pick.
+/// Table I's "minimal paths used" is satisfied only when even this worst
+/// case equals the physical minimum.
 std::vector<double> max_weight_over_min_hop_paths(
     const Graph& g, NodeId dest, const std::vector<double>& edge_weight);
 

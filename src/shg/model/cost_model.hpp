@@ -130,8 +130,8 @@ ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch,
 
 /// Screening cost from a precomputed step-2 result: `radix` is the
 /// topology's router radix (Table I) and `global_loads` its channel-load
-/// profiles (e.g. from `phys::RoutingContext`, whose repaired loads are
-/// bit-identical to `phys::global_route_loads`). Runs the same step 1/3/4
+/// profiles (e.g. from `phys::RoutingContext::route_child_loads`, whose
+/// skip-insertion repair is bit-identical to `phys::global_route_loads`). Runs the same step 1/3/4
 /// arithmetic as the overload above — same operands in the same order —
 /// so the returned areas are bit-identical when the loads are. This is the
 /// cost-model entry of the screening fast path, which never materializes a

@@ -48,19 +48,9 @@ double Floorplan::chan_h_top(int i) const {
   return chan_h_top_[static_cast<std::size_t>(i)];
 }
 
-double Floorplan::chan_h_height(int i) const {
-  SHG_REQUIRE(i >= 0 && i <= rows_, "horizontal channel index out of range");
-  return h_spacing_[static_cast<std::size_t>(i)];
-}
-
 double Floorplan::chan_v_left(int j) const {
   SHG_REQUIRE(j >= 0 && j <= cols_, "vertical channel index out of range");
   return chan_v_left_[static_cast<std::size_t>(j)];
-}
-
-double Floorplan::chan_v_width(int j) const {
-  SHG_REQUIRE(j >= 0 && j <= cols_, "vertical channel index out of range");
-  return v_spacing_[static_cast<std::size_t>(j)];
 }
 
 double Floorplan::row_top(int r) const {

@@ -35,12 +35,8 @@ class Floorplan {
 
   /// Top y of the horizontal channel above tile row i (i in [0, rows]).
   double chan_h_top(int i) const;
-  /// Height of horizontal channel i.
-  double chan_h_height(int i) const;
   /// Left x of the vertical channel left of tile column j (j in [0, cols]).
   double chan_v_left(int j) const;
-  /// Width of vertical channel j.
-  double chan_v_width(int j) const;
 
   /// Top y of tile row r.
   double row_top(int r) const;

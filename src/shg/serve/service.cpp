@@ -469,10 +469,6 @@ std::vector<Response> Service::execute_screen_batch(
   return responses;
 }
 
-std::string Service::handle_line(const std::string& line) {
-  return execute(parse_request(line)).to_line();
-}
-
 std::string Response::to_line() const {
   std::string out = "{\"id\":" + id_json;
   if (!op_text.empty()) out += ",\"op\":" + json_quote(op_text);

@@ -33,8 +33,8 @@
 //
 // Robustness: malformed requests — bad JSON, missing/unknown ops, wrong
 // field types, out-of-range values — produce an {"ok": false, "error":
-// ...} reply and never throw out of execute()/handle_line(), so one bad
-// request can never take the serving process down.
+// ...} reply and never throw out of execute(), so one bad request can never
+// take the serving process down.
 #pragma once
 
 #include <atomic>
@@ -140,9 +140,6 @@ class Service {
   /// per request, each byte-identical in "result" to its solo execution.
   std::vector<Response> execute_screen_batch(
       const std::vector<Request>& batch);
-
-  /// parse + execute + render: the whole line protocol for one request.
-  std::string handle_line(const std::string& line);
 
   /// True once a "shutdown" op has executed; transports stop accepting.
   bool shutdown_requested() const {

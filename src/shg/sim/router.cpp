@@ -379,32 +379,4 @@ void Router::allocate_phase(Cycle now) {
   }
 }
 
-std::string Router::debug_state() const {
-  std::string out;
-  for (int p = 0; p < num_ports(); ++p) {
-    for (int v = 0; v < config_.num_vcs; ++v) {
-      const InputVc& ivc = in_vc(p, v);
-      if (ivc.buffer.empty()) continue;
-      const Flit& front = ivc.buffer.front();
-      out += "  node " + std::to_string(node_) + " in(" + std::to_string(p) +
-             "," + std::to_string(v) + ") state=" +
-             std::to_string(static_cast<int>(ivc.state)) + " flits=" +
-             std::to_string(ivc.buffer.size()) + " front{pkt=" +
-             std::to_string(front.packet_id) + " dest=" +
-             std::to_string(front.dest) + (front.head ? " H" : "") +
-             (front.tail ? " T" : "") + "} out=(" +
-             std::to_string(ivc.out_port) + "," + std::to_string(ivc.out_vc) +
-             ")";
-      if (ivc.out_port >= 0) {
-        const OutputVc& ovc =
-            output_vcs_[static_cast<std::size_t>(ivc.out_port * config_.num_vcs +
-                                                 ivc.out_vc)];
-        out += " credits=" + std::to_string(ovc.credits);
-      }
-      out += "\n";
-    }
-  }
-  return out;
-}
-
 }  // namespace shg::sim

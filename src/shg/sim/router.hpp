@@ -65,10 +65,6 @@ class Router {
   /// router maintains the count as flits enter and leave its input VCs.
   long long buffered_flits() const { return buffered_; }
 
-  /// Human-readable dump of all occupied input VCs and allocated output VCs
-  /// (deadlock diagnostics).
-  std::string debug_state() const;
-
   /// Packets this router sent on a UGAL non-minimal leg (source routers
   /// only; always 0 under an effective kMinimal policy).
   long long ugal_nonminimal() const { return ugal_nonminimal_; }

@@ -1,9 +1,6 @@
-// Tests for the analytic performance model and load-latency sweeps through
-// the experiment engine, including cross-validation of the closed form
-// against the simulator.
+// Tests for load-latency sweeps through the experiment engine.
 #include <gtest/gtest.h>
 
-#include "shg/eval/analytic.hpp"
 #include "shg/eval/experiment.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -13,103 +10,6 @@ namespace {
 std::vector<int> unit_latencies(const topo::Topology& topo) {
   return std::vector<int>(static_cast<std::size_t>(topo.graph().num_edges()),
                           1);
-}
-
-TEST(Analytic, MeshClosedForm) {
-  // 4x4 mesh, unit links, router delay 1, injection 1, 4-flit packets:
-  // avg hops = 8/3; ZLL = 1 + (h+1) + h + 3 averaged over pairs.
-  const auto topo = topo::make_mesh(4, 4);
-  const auto perf = analytic_performance(topo, unit_latencies(topo), 1, 1, 4);
-  EXPECT_NEAR(perf.avg_hops, 8.0 / 3.0, 1e-9);
-  EXPECT_NEAR(perf.zero_load_latency_cycles, 1 + (8.0 / 3.0 + 1) + 8.0 / 3.0 + 3,
-              1e-9);
-  EXPECT_NEAR(perf.capacity_bound, 2.0 * 24 / (16 * 8.0 / 3.0), 1e-9);
-}
-
-TEST(Analytic, LinkLatenciesEnterThePathSum) {
-  const auto topo = topo::make_mesh(3, 3);
-  const auto fast = analytic_performance(topo, unit_latencies(topo), 1, 1, 1);
-  std::vector<int> slow(static_cast<std::size_t>(topo.graph().num_edges()),
-                        3);
-  const auto slow_perf = analytic_performance(topo, slow, 1, 1, 1);
-  // Each hop's link now costs 3 instead of 1: difference = 2 * avg_hops.
-  EXPECT_NEAR(slow_perf.zero_load_latency_cycles -
-                  fast.zero_load_latency_cycles,
-              2.0 * fast.avg_hops, 1e-9);
-}
-
-TEST(Analytic, UsesCheapestMinHopPath) {
-  // Two min-hop routes with different link latencies: the analytic model
-  // must charge the cheaper one (idealized hop-minimizing router).
-  auto topo = topo::Topology(topo::Kind::kCustom, "diamond", 2, 2);
-  const auto a = topo.node(0, 0);
-  const auto b = topo.node(0, 1);
-  const auto c = topo.node(1, 0);
-  const auto d = topo.node(1, 1);
-  topo.add_link(a, b);
-  topo.add_link(b, d);
-  topo.add_link(a, c);
-  topo.add_link(c, d);
-  const std::vector<int> latencies = {1, 1, 5, 5};
-  const auto perf = analytic_performance(topo, latencies, 0, 0, 1);
-  // Pair (a, d): cheapest 2-hop path costs 2, not 10; contributes 2+0+0.
-  // Check via the mean: all pairs: ab=1 ad=2 ac=5 bd=1 bc=6? hop-minimal
-  // b->c is 2 hops (via a or d): min(1+5, 1+5) = 6; cd=5.
-  const double expected_mean =
-      (1 + 2 + 5 + 1 + 6 + 5) * 2 / 12.0;  // ordered pairs
-  EXPECT_NEAR(perf.zero_load_latency_cycles, expected_mean, 1e-9);
-}
-
-TEST(Analytic, MatchesSimulatedZeroLoadOnSmallMesh) {
-  // Cross-validation: the simulator at very low load must land close to
-  // the closed form (within ~15%: the sim adds ejection-cycle and
-  // quantization effects).
-  const auto topo = topo::make_mesh(4, 4);
-  const auto analytic =
-      analytic_performance(topo, unit_latencies(topo), 1, 1, 4);
-  PerfConfig config;
-  config.sim.num_vcs = 2;
-  config.sim.buffer_depth_flits = 8;
-  config.sim.warmup_cycles = 500;
-  config.sim.measure_cycles = 2000;
-  const auto pattern = sim::make_uniform(16);
-  const auto result = simulate_at_rate(topo, unit_latencies(topo), 1,
-                                       *pattern, config, 0.005);
-  ASSERT_TRUE(result.drained);
-  EXPECT_NEAR(result.avg_packet_latency, analytic.zero_load_latency_cycles,
-              0.15 * analytic.zero_load_latency_cycles);
-}
-
-TEST(Analytic, CapacityBoundIsAnUpperBound) {
-  // Measured saturation throughput (per tile) can never exceed the
-  // uniform-traffic capacity bound.
-  for (const auto& topo :
-       {topo::make_mesh(4, 4), topo::make_flattened_butterfly(4, 4),
-        topo::make_ring(4, 4)}) {
-    const auto analytic =
-        analytic_performance(topo, unit_latencies(topo), 1, 1, 4);
-    PerfConfig config;
-    config.sim.num_vcs = 2;
-    config.sim.buffer_depth_flits = 8;
-    config.sim.warmup_cycles = 300;
-    config.sim.measure_cycles = 1000;
-    config.bisection_iterations = 4;
-    const auto pattern = sim::make_uniform(16);
-    const auto perf = evaluate_performance(topo, unit_latencies(topo), 1,
-                                           *pattern, config);
-    EXPECT_LE(perf.saturation_throughput,
-              analytic.capacity_bound * 1.05)
-        << topo.name();
-  }
-}
-
-TEST(Analytic, Validation) {
-  const auto topo = topo::make_mesh(3, 3);
-  EXPECT_THROW(analytic_performance(topo, {}, 1, 1, 4), Error);
-  EXPECT_THROW(analytic_performance(topo, unit_latencies(topo), -1, 1, 4),
-               Error);
-  EXPECT_THROW(analytic_performance(topo, unit_latencies(topo), 1, 1, 0),
-               Error);
 }
 
 TEST(Sweep, LatencyRisesMonotonicallyTowardSaturation) {

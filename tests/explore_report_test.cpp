@@ -1,8 +1,7 @@
-// Tests for the design-space explorer (SHG vs Ruche) and report CSV export.
+// Tests for the design-space explorer (SHG vs Ruche).
 #include <gtest/gtest.h>
 
 #include "shg/customize/explore.hpp"
-#include "shg/model/report_io.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -107,32 +106,3 @@ TEST(Explore, CoverageStaircase) {
 
 }  // namespace
 }  // namespace shg::customize
-
-namespace shg::model {
-namespace {
-
-TEST(ReportIo, CostReportCsv) {
-  const auto arch = tech::knc_scenario(tech::KncScenario::kA);
-  std::vector<NamedCostReport> reports;
-  reports.push_back({"mesh", evaluate_cost(arch, topo::make_mesh(8, 8))});
-  reports.push_back(
-      {"torus", evaluate_cost(arch, topo::make_torus(8, 8))});
-  const std::string csv = cost_reports_to_csv(reports);
-  EXPECT_NE(csv.find("name,area_overhead"), std::string::npos);
-  EXPECT_NE(csv.find("mesh,"), std::string::npos);
-  EXPECT_NE(csv.find("torus,"), std::string::npos);
-  // Header + 2 rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-}
-
-TEST(ReportIo, LinkCostsCsv) {
-  const auto arch = tech::knc_scenario(tech::KncScenario::kA);
-  const auto report = evaluate_cost(arch, topo::make_mesh(8, 8));
-  const std::string csv = link_costs_to_csv(report);
-  // Header + one row per link.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
-            1 + static_cast<long>(report.links.size()));
-}
-
-}  // namespace
-}  // namespace shg::model

@@ -10,10 +10,6 @@
 //    where cold (session-free), populating and warm re-invocation searches
 //    must be bit-identical in winners, metric bits and history notes —
 //    in-process and across an on-disk save/load boundary;
-//  * the generic-family screening stack (TopologyScreeningContext) over
-//    SHG, SlimNoC and torus parents with randomized added-link
-//    trajectories, bit-identical to screen_topology on the materialized
-//    child, cached or not;
 //  * experiment-engine route-table reuse through the session artifact
 //    tier, with byte-identical reports.
 #include <gtest/gtest.h>
@@ -458,115 +454,6 @@ TEST(Session, ExhaustiveAndExploreHitAcrossInvocations) {
     EXPECT_EQ(cold_points[i].metrics, warm_points[i].metrics) << i;
     EXPECT_EQ(cold_points[i].label, warm_points[i].label) << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Generic-family screening (SHG + SlimNoC + torus trajectories)
-// ---------------------------------------------------------------------------
-
-/// Random non-unit candidate links absent from `parent` (and from each
-/// other), including diagonal ones.
-std::vector<graph::Edge> random_new_edges(const topo::Topology& parent,
-                                          Prng& prng, int count) {
-  std::vector<graph::Edge> edges;
-  topo::Topology probe = parent;  // tracks picked edges to avoid duplicates
-  int attempts = 0;
-  while (static_cast<int>(edges.size()) < count && attempts < 200) {
-    ++attempts;
-    const graph::NodeId u = static_cast<graph::NodeId>(
-        prng.below(static_cast<std::uint64_t>(parent.num_tiles())));
-    const graph::NodeId v = static_cast<graph::NodeId>(
-        prng.below(static_cast<std::uint64_t>(parent.num_tiles())));
-    if (u == v || probe.graph().has_edge(u, v)) continue;
-    probe.add_link(u, v);
-    edges.push_back(graph::Edge{u, v});
-  }
-  return edges;
-}
-
-topo::Topology materialize_child(const topo::Topology& parent,
-                                 const std::vector<graph::Edge>& new_edges) {
-  topo::Topology child = parent;
-  for (const graph::Edge& e : new_edges) child.add_link(e.u, e.v);
-  return child;
-}
-
-TEST(TopologyScreeningContext, RandomFamilyTrajectoriesBitIdentical) {
-  struct Case {
-    topo::Topology parent;
-    tech::ArchParams arch;
-  };
-  std::vector<Case> cases;
-  cases.push_back({topo::make_sparse_hamming(8, 8, {3}, {2}),
-                   small_arch(8, 8)});
-  cases.push_back({topo::make_slim_noc(5, 10), small_arch(5, 10)});
-  cases.push_back({topo::make_torus(6, 7), small_arch(6, 7)});
-  cases.push_back({topo::make_mesh(6, 6), small_arch(6, 6)});
-
-  Prng prng(0xfa111e5u);
-  for (const Case& c : cases) {
-    const TopologyScreeningContext ctx(c.arch, c.parent);
-    EXPECT_EQ(ctx.metrics(), screen_topology(c.arch, c.parent))
-        << c.parent.name();
-    TopologyScreeningContext::Workspace ws;
-    model::TileGeometryCache tile_cache;
-    for (int trial = 0; trial < 5; ++trial) {
-      const std::vector<graph::Edge> delta =
-          random_new_edges(c.parent, prng, 1 + trial);
-      if (delta.empty()) continue;
-      const CandidateMetrics fast = ctx.screen_child(delta, &tile_cache, &ws);
-      const CandidateMetrics fresh =
-          screen_topology(c.arch, materialize_child(c.parent, delta));
-      EXPECT_EQ(fast, fresh)
-          << c.parent.name() << " trial " << trial << " (" << delta.size()
-          << " added links)";
-    }
-  }
-}
-
-TEST(TopologyScreeningContext, RejectsDuplicateDeltaEdges) {
-  const tech::ArchParams arch = small_arch(4, 4);
-  const topo::Topology parent = topo::make_mesh(4, 4);
-  const TopologyScreeningContext ctx(arch, parent);
-  // (0,0)-(0,1) is a mesh link — repairing it as "new" would double-count.
-  EXPECT_THROW(ctx.screen_child({graph::Edge{0, 1}}), Error);
-  // A repeat WITHIN the delta is just as unmaterializable (Graph rejects
-  // parallel edges) and would double-route the link: must throw, in
-  // either endpoint order.
-  EXPECT_THROW(ctx.screen_child({graph::Edge{0, 5}, graph::Edge{0, 5}}),
-               Error);
-  EXPECT_THROW(ctx.screen_child({graph::Edge{0, 5}, graph::Edge{5, 0}}),
-               Error);
-}
-
-TEST(Session, GenericChildrenWarmAcrossTrajectories) {
-  const tech::ArchParams arch = small_arch(5, 10);
-  const topo::Topology parent = topo::make_slim_noc(5, 10);
-  const TopologyScreeningContext ctx(arch, parent);
-  const Fingerprint arch_fp = fingerprint_arch(arch);
-  const Fingerprint parent_fp = fingerprint_topology(parent);
-
-  Prng prng(0x9e11e71cu);
-  Session session;
-  std::vector<std::vector<graph::Edge>> deltas;
-  std::vector<CandidateMetrics> cold;
-  for (int trial = 0; trial < 4; ++trial) {
-    deltas.push_back(random_new_edges(parent, prng, 2 + trial));
-    cold.push_back(screen_child_cached(session, ctx, arch_fp, parent_fp,
-                                       deltas.back()));
-    // Cold pass must agree with the fresh sweep on the materialized child.
-    EXPECT_EQ(cold.back(),
-              screen_topology(arch, materialize_child(parent, deltas.back())))
-        << trial;
-  }
-  const std::uint64_t misses_before = session.stats().misses;
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    EXPECT_EQ(screen_child_cached(session, ctx, arch_fp, parent_fp,
-                                  deltas[i]),
-              cold[i])
-        << "warm " << i;
-  }
-  EXPECT_EQ(session.stats().misses, misses_before) << "warm pass re-screened";
 }
 
 // ---------------------------------------------------------------------------
