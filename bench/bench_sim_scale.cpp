@@ -1,36 +1,35 @@
-// Simulator raw-speed benchmark: tracks the SoA hot-loop overhaul (flat
-// state slabs, active-router worklist, quiescence fast-forward) against the
-// reference AoS engine across fabric sizes and workloads.
+// Simulator raw-speed benchmark: absolute throughput of the simulation
+// engine (flat state slabs, active-router worklist, quiescence
+// fast-forward) across fabric sizes and workloads.
 //
-// Grid: {10x10, 32x32, 64x64} meshes x {uniform, hotspot, onoff}. The two
-// small tiers run BOTH engines and report flits/sec each; 64x64 runs the
-// SoA engine only with live routing (the all-pairs route table is the
-// scaling wall there — building it would dwarf the simulation), proving the
-// size-up the overhaul exists for. A concentrated 16x16 c=4 row (same 1024
-// terminals as the 32x32 mesh on a quarter of the routers) tracks the
-// concentration path.
+// Grid: {10x10, 32x32, 64x64} meshes x {uniform, hotspot, onoff}, each row
+// reporting simulated flits per second. 64x64 runs with live routing (the
+// all-pairs route table is the scaling wall there — building it would
+// dwarf the simulation). A concentrated 16x16 c=4 row (same 1024 terminals
+// as the 32x32 mesh on a quarter of the routers) tracks the concentration
+// path.
 //
-// A routing-policy section (schema v3) saturates 32x32 fabrics (mesh and
-// torus) under the two adversarial workloads (hotspot, transpose) with
-// minimal and UGAL routing at identical VC/buffer resources and compares
-// the accepted load. The per-row ratios tell the expected story: UGAL wins
-// where minimal routing lacks path diversity (torus DOR under transpose,
-// mesh hotspot trees) and can lose past deep saturation where its local
-// occupancy signal goes stale — all four rows ship in the JSON so the
-// trade-off stays visible.
+// A routing-policy section saturates 32x32 fabrics (mesh and torus) under
+// the two adversarial workloads (hotspot, transpose) with minimal and UGAL
+// routing at identical VC/buffer resources and compares the accepted load.
+// The per-row ratios tell the expected story: UGAL wins where minimal
+// routing lacks path diversity (torus DOR under transpose, mesh hotspot
+// trees) and can lose past deep saturation where its local occupancy
+// signal goes stale — all four rows ship in the JSON so the trade-off
+// stays visible.
 //
-// Acceptance gates (non-zero exit so CI can gate on the smoke run):
-//  * bit-identity at 10x10 — every SimResult field of the SoA engine must
-//    equal the AoS engine exactly, for all three workloads;
-//  * >= 3x SoA-over-AoS flits/sec at 32x32 uniform;
+// Acceptance gates (non-zero exit so CI can gate on the smoke run). Both
+// are simulated quantities, deterministic for the fixed seeds, so the
+// verdict does not depend on the machine:
 //  * the 64x64 tiers must drain (the scale target actually completes);
 //  * UGAL sustains >= 1.5x the minimal-routing accepted load at saturation
 //    on at least one 32x32 adversarial row (adaptivity must pay off).
+// Bit-identity of the results is pinned by the golden corpus tests
+// (tests/golden/), not here.
 //
 // Output: a human-readable table on stdout and machine-readable JSON
 // (default BENCH_sim.json; see --out). `--smoke` shrinks the simulated
-// cycle counts for CI — the speedup ratio stays meaningful, absolute
-// flits/sec get noisier.
+// cycle counts for CI — absolute flits/sec get noisier.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -59,68 +58,30 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
                           1);
 }
 
-bool same_result(const sim::SimResult& a, const sim::SimResult& b) {
-  return a.offered_rate == b.offered_rate &&
-         a.accepted_rate == b.accepted_rate &&
-         a.avg_packet_latency == b.avg_packet_latency &&
-         a.max_packet_latency == b.max_packet_latency &&
-         a.p50_packet_latency == b.p50_packet_latency &&
-         a.p95_packet_latency == b.p95_packet_latency &&
-         a.p99_packet_latency == b.p99_packet_latency &&
-         a.avg_hops == b.avg_hops && a.fairness == b.fairness &&
-         a.measured_packets == b.measured_packets &&
-         a.drained == b.drained && a.cycles_run == b.cycles_run;
-}
-
 struct Row {
   std::string fabric;
   std::string workload;
-  bool dual_engine = false;  ///< AoS side ran too (aos/speedup meaningful)
-  double aos_seconds = 0.0;  ///< only meaningful when dual_engine
-  double soa_seconds = 0.0;
-  long long flits = 0;  ///< measured flits (identical across engines)
+  double seconds = 0.0;
+  long long flits = 0;  ///< measured flits
   bool drained = false;
-  bool identical = true;  ///< vacuously true when only one engine ran
 
-  double speedup() const {
-    return aos_seconds > 0.0 && soa_seconds > 0.0
-               ? aos_seconds / soa_seconds
-               : 0.0;
-  }
-  double soa_flits_per_sec() const {
-    return soa_seconds > 0.0 ? static_cast<double>(flits) / soa_seconds
-                             : 0.0;
+  double flits_per_sec() const {
+    return seconds > 0.0 ? static_cast<double>(flits) / seconds : 0.0;
   }
 };
 
 void print_row(const Row& r) {
-  char aos[24];
-  char speedup[16];
-  if (r.dual_engine) {
-    std::snprintf(aos, sizeof(aos), "aos %8.3f s", r.aos_seconds);
-    std::snprintf(speedup, sizeof(speedup), "%6.2fx", r.speedup());
-  } else {
-    // SoA-only tier: there is no AoS time, so print none rather than a
-    // bogus 0.000 s / 0.00x pair.
-    std::snprintf(aos, sizeof(aos), "aos      --  ");
-    std::snprintf(speedup, sizeof(speedup), "    --");
-  }
-  std::printf("%-14s %-22s  %s  soa %8.3f s  %s  "
-              "%10.0f flits/s  %s%s\n",
-              r.fabric.c_str(), r.workload.c_str(), aos, r.soa_seconds,
-              speedup, r.soa_flits_per_sec(),
-              r.drained ? "drained" : "UNDRAINED",
-              r.identical ? "" : "  NOT IDENTICAL");
+  std::printf("%-14s %-22s  %8.3f s  %10.0f flits/s  %s\n",
+              r.fabric.c_str(), r.workload.c_str(), r.seconds,
+              r.flits_per_sec(), r.drained ? "drained" : "UNDRAINED");
 }
 
 struct Tier {
   std::string fabric;
   topo::Topology topo;
-  bool both_engines;   ///< time AoS too (and check identity)
-  bool check_identity; ///< gate on bit-identical SimResults
-  bool use_table;      ///< route-table mode (off = live routing)
+  bool use_table;  ///< route-table mode (off = live routing)
   double rate;
-  int reps;            ///< timing reps per engine (min-of-reps)
+  int reps;        ///< timing reps (min-of-reps)
 };
 
 Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
@@ -148,48 +109,22 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
   Row row;
   row.fabric = tier.fabric;
   row.workload = workload;
-  row.dual_engine = tier.both_engines;
 
-  sim::SimResult soa_result;
-  config.use_soa_engine = true;
-  row.soa_seconds = std::numeric_limits<double>::infinity();
+  sim::SimResult result;
+  row.seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < tier.reps; ++r) {
     // Construction (route-table build included) happens outside the timer:
     // the table is a per-topology artifact sweeps amortize, the run loop is
     // what this benchmark tracks.
-    sim::Simulator soa(tier.topo, latencies, config, *pattern, 1, nullptr,
-                       nullptr,
-                       spec.make_process(packet_prob, num_sources));
+    sim::Simulator sim(tier.topo, latencies, config, *pattern, 1, nullptr,
+                       nullptr, spec.make_process(packet_prob, num_sources));
     const auto t0 = Clock::now();
-    soa_result = soa.run();
-    row.soa_seconds = std::min(row.soa_seconds, seconds_since(t0));
+    result = sim.run();
+    row.seconds = std::min(row.seconds, seconds_since(t0));
   }
-  row.flits = soa_result.measured_packets *
+  row.flits = result.measured_packets *
               static_cast<long long>(config.packet_size_flits);
-  row.drained = soa_result.drained;
-
-  if (tier.both_engines) {
-    sim::SimResult aos_result;
-    config.use_soa_engine = false;
-    row.aos_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < tier.reps; ++r) {
-      sim::Simulator aos(tier.topo, latencies, config, *pattern, 1, nullptr,
-                         nullptr,
-                         spec.make_process(packet_prob, num_sources));
-      const auto t0 = Clock::now();
-      aos_result = aos.run();
-      row.aos_seconds = std::min(row.aos_seconds, seconds_since(t0));
-    }
-    if (tier.check_identity) {
-      row.identical = same_result(aos_result, soa_result);
-      if (!row.identical) {
-        std::fprintf(stderr,
-                     "BIT-IDENTITY VIOLATION: %s %s — SoA diverged from "
-                     "AoS\n",
-                     tier.fabric.c_str(), workload.c_str());
-      }
-    }
-  }
+  row.drained = result.drained;
   return row;
 }
 
@@ -205,7 +140,7 @@ struct SatRow {
   }
 };
 
-/// One saturated SoA run; returns the accepted load (flits/cycle/port)
+/// One saturated run; returns the accepted load (flits/cycle/port)
 /// measured past the saturation point. Both policies get identical VC and
 /// buffer resources (the UGAL floor of 4 VCs), so the comparison isolates
 /// the routing decision; live routing on both sides keeps the all-pairs
@@ -227,7 +162,6 @@ double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
                                              // cap the tail, it is not gated
   config.routing_policy = policy;
   config.use_route_table = false;
-  config.use_soa_engine = true;
 
   const double packet_prob =
       config.injection_rate / static_cast<double>(config.packet_size_flits);
@@ -237,29 +171,13 @@ double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
 }
 
 void append_json(std::string& json, const Row& r) {
-  // Schema v2: single-engine rows carry null aos_seconds/speedup (v1 wrote
-  // misleading 0.000000 / 0.000 there); `dual_engine` makes the distinction
-  // explicit for consumers.
-  char engine_fields[80];
-  if (r.dual_engine) {
-    std::snprintf(engine_fields, sizeof(engine_fields),
-                  "\"aos_seconds\": %.6f, \"speedup\": %.3f",
-                  r.aos_seconds, r.speedup());
-  } else {
-    std::snprintf(engine_fields, sizeof(engine_fields),
-                  "\"aos_seconds\": null, \"speedup\": null");
-  }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"fabric\": \"%s\", \"workload\": \"%s\", "
-      "\"dual_engine\": %s, %s, \"soa_seconds\": %.6f, "
-      "\"soa_flits_per_sec\": %.0f, \"flits\": %lld, \"drained\": %s, "
-      "\"identical\": %s}",
-      r.fabric.c_str(), r.workload.c_str(),
-      r.dual_engine ? "true" : "false", engine_fields, r.soa_seconds,
-      r.soa_flits_per_sec(), r.flits, r.drained ? "true" : "false",
-      r.identical ? "true" : "false");
+  char buf[384];
+  std::snprintf(buf, sizeof(buf),
+                "    {\"fabric\": \"%s\", \"workload\": \"%s\", "
+                "\"seconds\": %.6f, \"flits_per_sec\": %.0f, "
+                "\"flits\": %lld, \"drained\": %s}",
+                r.fabric.c_str(), r.workload.c_str(), r.seconds,
+                r.flits_per_sec(), r.flits, r.drained ? "true" : "false");
   if (!json.empty()) json += ",\n";
   json += buf;
 }
@@ -294,46 +212,28 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Tier> tiers;
-  tiers.push_back({"mesh-10x10", topo::make_mesh(10, 10),
-                   /*both_engines=*/true, /*check_identity=*/true,
-                   /*use_table=*/true, /*rate=*/0.05, /*reps=*/smoke ? 1 : 3});
-  tiers.push_back({"mesh-32x32", topo::make_mesh(32, 32),
-                   /*both_engines=*/true, /*check_identity=*/true,
-                   /*use_table=*/true, /*rate=*/0.02,
-                   /*reps=*/smoke ? 2 : 3});
+  tiers.push_back({"mesh-10x10", topo::make_mesh(10, 10), /*use_table=*/true,
+                   /*rate=*/0.05, /*reps=*/smoke ? 1 : 3});
+  tiers.push_back({"mesh-32x32", topo::make_mesh(32, 32), /*use_table=*/true,
+                   /*rate=*/0.02, /*reps=*/smoke ? 2 : 3});
   tiers.push_back({"cmesh-16x16x4", topo::make_concentrated_mesh(16, 16, 4),
-                   /*both_engines=*/true, /*check_identity=*/true,
                    /*use_table=*/true, /*rate=*/0.01,
                    /*reps=*/smoke ? 1 : 2});
   tiers.push_back({"mesh-64x64", topo::make_mesh(64, 64),
-                   /*both_engines=*/false, /*check_identity=*/false,
-                   /*use_table=*/false, /*rate=*/0.01,
-                   /*reps=*/1});
+                   /*use_table=*/false, /*rate=*/0.01, /*reps=*/1});
 
   std::vector<Row> rows;
-  bool all_identical = true;
   bool scale_drained = true;
-  double gate_speedup = 0.0;
   for (const Tier& tier : tiers) {
     for (const std::string& workload :
          workloads(tier.topo.num_tiles() * tier.topo.concentration())) {
       rows.push_back(run_tier(tier, workload, smoke));
       print_row(rows.back());
-      const Row& r = rows.back();
-      all_identical = all_identical && r.identical;
       if (tier.fabric == "mesh-64x64") {
-        scale_drained = scale_drained && r.drained;
-      }
-      if (tier.fabric == "mesh-32x32" && workload == "uniform") {
-        gate_speedup = r.speedup();
+        scale_drained = scale_drained && rows.back().drained;
       }
     }
   }
-
-  std::printf("soa bit-identical to aos on all dual-engine rows: %s\n",
-              all_identical ? "yes" : "NO — BUG");
-  std::printf("32x32 uniform soa-over-aos speedup: %.2fx (gate: 3x)\n",
-              gate_speedup);
 
   // Routing-policy saturation section: minimal vs UGAL accepted load past
   // saturation, adversarial workloads only (uniform is minimal routing's
@@ -387,11 +287,8 @@ int main(int argc, char** argv) {
     sat_entries += buf;
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_sim_scale.v3\",\n"
+  out << "{\n  \"schema\": \"shg.bench_sim_scale.v4\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"all_identical\": " << (all_identical ? "true" : "false")
-      << ",\n"
-      << "  \"speedup_32x32_uniform\": " << gate_speedup << ",\n"
       << "  \"scale_64x64_drained\": " << (scale_drained ? "true" : "false")
       << ",\n"
       << "  \"ugal_best_ratio\": " << best_ratio << ",\n"
@@ -406,18 +303,6 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: SoA engine diverged from the AoS reference\n");
-    return 1;
-  }
-  if (gate_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: 32x32 uniform speedup %.2fx below the 3x acceptance "
-                 "bar\n",
-                 gate_speedup);
-    return 1;
-  }
   if (!scale_drained) {
     std::fprintf(stderr, "FAIL: a 64x64 run did not drain\n");
     return 1;

@@ -7,7 +7,7 @@
 //
 //  1. differential replay — for each recorded family, the trace replayed
 //     through make_trace_replay is bit-identical to the live synthetic
-//     run on BOTH engines (AoS and SoA);
+//     run;
 //  2. worker counts — the trace campaign report is byte-identical with
 //     one worker and the default worker count;
 //  3. warm campaign — a warm re-run against a session performs ZERO
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   std::printf("=== bench_trace (%s mode, %dx%d grid) ===\n",
               smoke ? "smoke" : "full", rows, cols);
 
-  // -- Gate 1: differential replay identity on both engines. ------------
+  // -- Gate 1: differential replay identity. -----------------------------
   const auto topology = topo::make_mesh(rows, cols);
   const std::vector<int> latencies(
       static_cast<std::size_t>(topology.graph().num_edges()), 1);
@@ -133,47 +133,39 @@ int main(int argc, char** argv) {
     trace_paths.push_back(path);
     const auto shared = std::make_shared<const sim::Trace>(trace);
 
-    for (const bool soa : {false, true}) {
-      sim::SimConfig run_config = config.sim;
-      run_config.use_soa_engine = soa;
-      // Live: the synthetic pattern/process pair the trace was recorded
-      // from, running its own RNG draws.
-      const auto pattern = spec.make_pattern(rows, cols);
-      auto process = spec.make_process(
-          rec.injection_rate /
-              static_cast<double>(run_config.packet_size_flits),
-          num_tiles);
-      auto t0 = Clock::now();
-      sim::Simulator live(topology, latencies, run_config, *pattern, 1,
-                          nullptr, nullptr, std::move(process));
-      const sim::SimResult live_result = live.run();
-      live_seconds += seconds_since(t0);
+    // Live: the synthetic pattern/process pair the trace was recorded
+    // from, running its own RNG draws.
+    const auto pattern = spec.make_pattern(rows, cols);
+    auto process = spec.make_process(
+        rec.injection_rate / static_cast<double>(config.sim.packet_size_flits),
+        num_tiles);
+    auto t0 = Clock::now();
+    sim::Simulator live(topology, latencies, config.sim, *pattern, 1, nullptr,
+                        nullptr, std::move(process));
+    const sim::SimResult live_result = live.run();
+    live_seconds += seconds_since(t0);
 
-      // Replay: pure function of the trace bytes, zero RNG draws.
-      sim::TraceWorkload workload = sim::make_trace_replay(
-          shared, num_tiles, num_tiles, run_config.packet_size_flits);
-      t0 = Clock::now();
-      sim::Simulator replay(topology, latencies, run_config,
-                            *workload.pattern, 1, nullptr, nullptr,
-                            std::move(workload.process));
-      const sim::SimResult replay_result = replay.run();
-      replay_seconds += seconds_since(t0);
+    // Replay: pure function of the trace bytes, zero RNG draws.
+    sim::TraceWorkload workload = sim::make_trace_replay(
+        shared, num_tiles, num_tiles, config.sim.packet_size_flits);
+    t0 = Clock::now();
+    sim::Simulator replay(topology, latencies, config.sim, *workload.pattern,
+                          1, nullptr, nullptr, std::move(workload.process));
+    const sim::SimResult replay_result = replay.run();
+    replay_seconds += seconds_since(t0);
 
-      if (!results_identical(live_result, replay_result) ||
-          live_result.measured_packets <= 0) {
-        std::fprintf(stderr,
-                     "FAIL: %s replay diverged from the live run on the "
-                     "%s engine\n",
-                     family.spec, soa ? "SoA" : "AoS");
-        differential_ok = false;
-      }
+    if (!results_identical(live_result, replay_result) ||
+        live_result.measured_packets <= 0) {
+      std::fprintf(stderr, "FAIL: %s replay diverged from the live run\n",
+                   family.spec);
+      differential_ok = false;
     }
   }
-  std::printf("live_synthetic  %8.3f s  (%zu families x 2 engines)\n",
-              live_seconds, std::size(kFamilies));
+  std::printf("live_synthetic  %8.3f s  (%zu families)\n", live_seconds,
+              std::size(kFamilies));
   std::printf("trace_replay    %8.3f s  (precomputed schedules)\n",
               replay_seconds);
-  std::printf("replay == live on both engines: %s\n",
+  std::printf("replay == live: %s\n",
               differential_ok ? "yes" : "NO — BUG");
 
   // -- Trace campaign: every family as a trace: spec through the engine.

@@ -279,11 +279,12 @@ static_assert(sizeof(void*) != 8 || sizeof(sim::SimConfig) == 96,
 Fingerprint fingerprint_sim_config(const sim::SimConfig& config) {
   FingerprintBuilder b;
   // v2: routing_policy / ugal_bias_flits / ugal_via_seed joined the key.
+  // v3: the engine-selection flag left SimConfig (one engine remains).
   // The raw fields are hashed (not effective_routing_policy) so a sentinel
   // always-minimal UGAL run and a plain minimal run occupy distinct cache
   // cells even though their results are bit-identical — cheaper than
   // proving the degeneracy at every lookup site.
-  b.tag("shg.simconfig.v2");
+  b.tag("shg.simconfig.v3");
   b.i64(config.num_vcs).i64(config.buffer_depth_flits);
   b.i64(config.router_delay_cycles);
   b.i64(config.packet_size_flits);
@@ -293,7 +294,6 @@ Fingerprint fingerprint_sim_config(const sim::SimConfig& config) {
   b.i64(config.drain_cycles);
   b.u64(config.use_route_table ? 1 : 0);
   b.u64(config.verify_route_table ? 1 : 0);
-  b.u64(config.use_soa_engine ? 1 : 0);
   b.u64(static_cast<std::uint64_t>(config.latency_sample_cap));
   b.i64(static_cast<long long>(config.routing_policy));
   b.i64(config.ugal_bias_flits);

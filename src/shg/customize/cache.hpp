@@ -38,9 +38,9 @@
 //    the kind selects the default routing function — concentration, link
 //    latencies, endpoint count), the workload's canonical TrafficSpec
 //    string, and EVERY field of `sim::SimConfig` including the injection
-//    rate and seed. The engine-selection flags (use_route_table /
-//    verify_route_table / use_soa_engine) are bit-identity-neutral by the
-//    simulator's oracle-tested contract, but they are keyed anyway: the
+//    rate and seed. The route-table flags (use_route_table /
+//    verify_route_table) are bit-identity-neutral by the simulator's
+//    tested contract, but they are keyed anyway: the
 //    cell key is deliberately total over SimConfig so that a new config
 //    field can never silently alias existing cache entries — the
 //    static_assert on sizeof(SimConfig) next to the routine (cache.cpp)

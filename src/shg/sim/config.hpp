@@ -9,6 +9,9 @@
 
 namespace shg::sim {
 
+/// Simulated time, in router clock cycles.
+using Cycle = long long;
+
 /// How the router picks the path of a packet.
 ///
 /// kMinimal: every packet follows a hop-minimal route (the per-family
@@ -73,14 +76,6 @@ struct SimConfig {
   // Equivalence-checking mode: after building the table, re-derive every
   // entry from the live routing function and fail loudly on any mismatch.
   bool verify_route_table = false;
-
-  // Structure-of-arrays hot loop (sim/soa_network.hpp): flat ring-buffer
-  // slabs instead of per-object deques, an active-router worklist instead
-  // of full-network sweeps, and whole-network quiescence fast-forward
-  // between injections. Results are bit-identical with the engine on or
-  // off (the bench_sim_scale gate and the sim_soa_test suite enforce it);
-  // turn it off only to run the reference AoS path.
-  bool use_soa_engine = true;
 
   /// Latency samples stored exactly before the Distribution folds into its
   /// integer-binned mode (see sim/stats.hpp). Below the cap percentiles are

@@ -505,7 +505,7 @@ class UgalRouting final : public RoutingFunction {
       }
     }
     // One deterministic Valiant intermediate per ordered (src, dest) pair,
-    // drawn s-major then d so the table is identical however the engines
+    // drawn s-major then d so the table is identical however callers
     // enumerate pairs. The draw is uniform over the n-2 nodes that are
     // neither endpoint (remap around the sorted pair).
     if (n >= 3) {

@@ -2,10 +2,10 @@
 //
 // Each topology family gets a provably deadlock-free routing function (the
 // per-family deadlock-freedom arguments live in ARCHITECTURE.md, "Deadlock
-// freedom by routing family"). The port numbering convention is shared with
-// sim::Network: output/input port i of router u talks to
-// topology.graph().neighbors(u)[i].node; endpoint (local) ports follow the
-// network ports.
+// freedom by routing family"). The port numbering convention is the one the
+// simulation engine (sim/soa_network.hpp) lays out: output/input port i of
+// router u talks to topology.graph().neighbors(u)[i].node; endpoint (local)
+// ports follow the network ports.
 //
 //  * XYHammingRouting — mesh / flattened butterfly / sparse Hamming graph /
 //    Ruche: route the row dimension first with monotone (never overshoot)

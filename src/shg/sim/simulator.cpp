@@ -1,11 +1,9 @@
 #include "shg/sim/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
-#include "shg/sim/concentration.hpp"
 #include "shg/sim/soa_network.hpp"
-#include "shg/sim/stats.hpp"
 
 namespace shg::sim {
 
@@ -129,173 +127,11 @@ Simulator::Simulator(const topo::Topology& topo,
 }
 
 SimResult Simulator::run() {
-  if (config_.use_soa_engine) {
-    SoaEngine engine(*topo_, link_latencies_, config_, *pattern_,
-                     endpoints_per_tile_, routing_.get(), route_table_.get(),
-                     process_.get());
-    const SimResult result = engine.run();
-    last_ugal_nonminimal_ = engine.ugal_nonminimal();
-    return result;
-  }
-  return run_aos();
-}
-
-SimResult Simulator::run_aos() {
-  Network network(*topo_, link_latencies_, config_, routing_.get(),
-                  endpoints_per_tile_, route_table_.get());
-  Prng rng(config_.seed);
-  process_->reset();
-
-  const Cycle generation_end = config_.warmup_cycles + config_.measure_cycles;
-  const Cycle hard_end = generation_end + config_.drain_cycles;
-  const double packet_prob =
-      config_.injection_rate / static_cast<double>(config_.packet_size_flits);
-  // Terminal addressing for concentrated fabrics; with concentration == 1
-  // the classic tile addressing below stays byte-for-byte the seed path.
-  const Concentration conc = Concentration::make(
-      topo_->rows(), topo_->cols(), config_.concentration);
-  const bool concentrated = config_.concentration > 1;
-
-  // Reserve the packet log from the expected injection volume (every
-  // injection process targets this mean rate) instead of a fixed guess, so
-  // high-rate runs do not pay repeated geometric reallocations of a
-  // multi-megabyte vector.
-  std::vector<PacketRecord> packets;
-  packets.reserve(packet_reserve_hint(packet_prob, generation_end,
-                                      topo_->num_tiles(),
-                                      endpoints_per_tile_));
-
-  long long measured_created = 0;
-  long long measured_ejected = 0;
-  long long flits_ejected_in_window = 0;
-  Distribution latencies(config_.latency_sample_cap);
-  double hops_sum = 0.0;
-  std::vector<double> source_latency_sum(
-      static_cast<std::size_t>(topo_->num_tiles()), 0.0);
-  std::vector<long long> source_packets(
-      static_cast<std::size_t>(topo_->num_tiles()), 0);
-  Cycle last_ejection = 0;
-
-  // Reusable per-packet flit staging. Head/tail flags depend only on the
-  // slot, so they are set once; the per-packet loop only fills the fields
-  // that actually vary (id, endpoints, creation time).
-  std::vector<Flit> scratch_flits(
-      static_cast<std::size_t>(config_.packet_size_flits));
-  for (int f = 0; f < config_.packet_size_flits; ++f) {
-    scratch_flits[static_cast<std::size_t>(f)].head = f == 0;
-    scratch_flits[static_cast<std::size_t>(f)].tail =
-        f == config_.packet_size_flits - 1;
-  }
-
-  SimResult result;
-  result.offered_rate = config_.injection_rate;
-
-  Cycle now = 0;
-  for (; now < hard_end; ++now) {
-    // --- Packet generation (injection process per endpoint port) ---------
-    if (now < generation_end) {
-      for (int tile = 0; tile < network.num_tiles(); ++tile) {
-        for (int port = 0; port < endpoints_per_tile_; ++port) {
-          const int source = tile * endpoints_per_tile_ + port;
-          if (!process_->inject(source, rng)) continue;
-          int dest_tile;
-          int eject_port = -1;
-          if (concentrated) {
-            // Patterns address terminals; a destination on the same tile
-            // but a different terminal is real traffic (it still crosses
-            // the router), only the exact self-terminal is a fixed point.
-            const int src_terminal = conc.terminal(tile, port);
-            const int dest_terminal = pattern_->dest(src_terminal, rng);
-            if (dest_terminal == src_terminal) continue;
-            dest_tile = conc.tile_of(dest_terminal);
-            eject_port = conc.port_of(dest_terminal);
-          } else {
-            dest_tile = pattern_->dest(tile, rng);
-            if (dest_tile == tile) continue;  // fixed point of a permutation
-          }
-          const int id = static_cast<int>(packets.size());
-          const bool measured = now >= config_.warmup_cycles;
-          packets.push_back(PacketRecord{now, -1, 0, measured});
-          if (measured) ++measured_created;
-          for (int f = 0; f < config_.packet_size_flits; ++f) {
-            Flit& flit = scratch_flits[static_cast<std::size_t>(f)];
-            flit.packet_id = id;
-            flit.src = tile;
-            flit.dest = dest_tile;
-            flit.eject_port = eject_port;
-            flit.create_cycle = now;
-          }
-          network.interface(tile).enqueue_packet(port, scratch_flits);
-        }
-      }
-    }
-
-    // --- One network cycle -------------------------------------------------
-    network.step(now);
-
-    // --- Harvest ejected flits ---------------------------------------------
-    for (int tile = 0; tile < network.num_tiles(); ++tile) {
-      auto& ejected = network.router(tile).ejected();
-      for (const Flit& flit : ejected) {
-        SHG_ASSERT(flit.dest == tile, "flit ejected at the wrong tile");
-        last_ejection = now;
-        if (now >= config_.warmup_cycles && now < generation_end) {
-          ++flits_ejected_in_window;
-        }
-        if (!flit.tail) continue;
-        auto& record = packets[static_cast<std::size_t>(flit.packet_id)];
-        SHG_ASSERT(record.eject < 0, "packet ejected twice");
-        record.eject = now;
-        record.hops = flit.hops;
-        if (record.measured) {
-          ++measured_ejected;
-          const double latency = static_cast<double>(now - record.create + 1);
-          latencies.add(latency);
-          hops_sum += record.hops;
-          source_latency_sum[static_cast<std::size_t>(flit.src)] += latency;
-          ++source_packets[static_cast<std::size_t>(flit.src)];
-        }
-      }
-      ejected.clear();
-    }
-
-    // --- Termination checks --------------------------------------------------
-    if (now >= generation_end) {
-      if (measured_ejected == measured_created) break;
-      // Deadlock/livelock watchdog: traffic in flight but nothing ejects.
-      if (now - last_ejection > 20000 && network.flits_in_flight() > 0) {
-        break;
-      }
-    }
-  }
-
-  last_ugal_nonminimal_ = network.ugal_nonminimal();
-  result.cycles_run = now;
-  result.measured_packets = measured_ejected;
-  result.drained = measured_ejected == measured_created;
-  result.accepted_rate =
-      static_cast<double>(flits_ejected_in_window) /
-      (static_cast<double>(config_.measure_cycles) *
-       static_cast<double>(network.num_tiles()) *
-       static_cast<double>(endpoints_per_tile_));
-  if (measured_ejected > 0) {
-    result.avg_packet_latency = latencies.mean();
-    result.max_packet_latency = latencies.max();
-    result.p50_packet_latency = latencies.percentile(0.50);
-    result.p95_packet_latency = latencies.percentile(0.95);
-    result.p99_packet_latency = latencies.percentile(0.99);
-    result.avg_hops = hops_sum / static_cast<double>(measured_ejected);
-    std::vector<double> per_source;
-    for (std::size_t s = 0; s < source_packets.size(); ++s) {
-      if (source_packets[s] > 0) {
-        per_source.push_back(source_latency_sum[s] /
-                             static_cast<double>(source_packets[s]));
-      }
-    }
-    if (!per_source.empty()) {
-      result.fairness = fairness_ratio(per_source);
-    }
-  }
+  SoaEngine engine(*topo_, link_latencies_, config_, *pattern_,
+                   endpoints_per_tile_, routing_.get(), route_table_.get(),
+                   process_.get());
+  const SimResult result = engine.run();
+  last_ugal_nonminimal_ = engine.ugal_nonminimal();
   return result;
 }
 

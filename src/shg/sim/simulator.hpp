@@ -2,11 +2,11 @@
 // latency/throughput statistics (the BookSim2 substitute of the prediction
 // toolchain, Fig. 3).
 //
-// Two engines produce bit-identical results (ARCHITECTURE.md, "Simulator
-// hot loop"): the reference AoS path (Network/Router/Channel objects,
-// per-cycle full sweeps) and the SoA hot loop (sim/soa_network.hpp: flat
-// slabs, an active-router worklist and quiescence fast-forward), selected
-// by SimConfig::use_soa_engine.
+// Simulator validates the run and owns its routing function, route table
+// and injection process; each run() hands them to one SoaEngine
+// (sim/soa_network.hpp: flat slabs, an active-router worklist and
+// quiescence fast-forward). The golden corpus (tests/golden/) pins its
+// results bit for bit (ARCHITECTURE.md, "Simulator hot loop").
 #pragma once
 
 #include <memory>
@@ -14,7 +14,6 @@
 
 #include "shg/sim/config.hpp"
 #include "shg/sim/injection.hpp"
-#include "shg/sim/network.hpp"
 #include "shg/sim/route_table.hpp"
 #include "shg/sim/routing.hpp"
 #include "shg/sim/traffic.hpp"
@@ -42,7 +41,7 @@ struct SimResult {
   long long cycles_run = 0;
 
   /// Exact (bit-level for the doubles) equality — the comparison the
-  /// engine-identity and cache-identity oracles gate on.
+  /// cache-identity and differential oracles gate on.
   friend bool operator==(const SimResult&, const SimResult&) = default;
 };
 
@@ -70,7 +69,9 @@ class Simulator {
             std::shared_ptr<const RouteTable> shared_table = nullptr,
             std::unique_ptr<InjectionProcess> process = nullptr);
 
-  /// Runs warmup + measurement + drain and returns the statistics.
+  /// Runs warmup + measurement + drain on a fresh SoaEngine and returns
+  /// the statistics. Repeated calls give identical results: the injection
+  /// process is reset and the PRNG reseeded from config.seed each time.
   SimResult run();
 
   /// The live routing function. Not available when a shared route table
@@ -95,16 +96,6 @@ class Simulator {
   long long ugal_nonminimal_choices() const { return last_ugal_nonminimal_; }
 
  private:
-  struct PacketRecord {
-    Cycle create = 0;
-    Cycle eject = -1;
-    int hops = 0;
-    bool measured = false;
-  };
-
-  /// Reference engine: AoS Network/Router objects, full sweeps per cycle.
-  SimResult run_aos();
-
   const topo::Topology* topo_;
   std::vector<int> link_latencies_;
   SimConfig config_;

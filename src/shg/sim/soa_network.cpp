@@ -10,8 +10,7 @@
 namespace shg::sim {
 
 namespace {
-// Local output ports model the tile's endpoints as an infinite sink (the
-// reference router's kSinkCredits).
+// Local output ports model the tile's endpoints as an infinite sink.
 constexpr int kSinkCredits = std::numeric_limits<int>::max() / 2;
 }  // namespace
 
@@ -72,7 +71,7 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   const std::size_t nr = static_cast<std::size_t>(num_routers_);
 
   // Port layout: network ports first (one per neighbor, adjacency order —
-  // the convention shared with sim::Network), then the endpoint ports.
+  // the port convention of RoutingFunction), then the endpoint ports.
   net_ports_.resize(nr);
   port_base_.resize(nr + 1);
   std::size_t ports = 0;
@@ -182,11 +181,11 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
 }
 
 void SoaEngine::pregenerate(const topo::Topology& topo) {
-  // Replays the reference generation loop exactly: same PRNG, same draw
-  // order (cycle -> tile -> port, inject draw then destination draw), same
-  // fixed-point skip, same packet ids. No draw depends on network state and
-  // source queues are unbounded, so the schedule is a pure function of the
-  // seed — which is what makes quiescence fast-forward exact.
+  // The generation loop, pre-drawn: one PRNG, draw order cycle -> tile ->
+  // port (inject draw then destination draw), fixed points skipped, packet
+  // ids in draw order. No draw depends on network state and source queues
+  // are unbounded, so the schedule is a pure function of the seed — which
+  // is what makes quiescence fast-forward exact.
   Prng rng(config_.seed);
   process_->reset();
   const Cycle generation_end = config_.warmup_cycles + config_.measure_cycles;
@@ -394,8 +393,13 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     ivc_routes_[s] = &ivc_eject_[s];
     ivc_routes_len_[s] = 1;
   } else {
-    // Local input ports report in_port == -1 AND in_vc == -1 (see the
-    // reference Router::compute_route for the deadlock this avoids).
+    // Local input ports report in_port == -1 AND in_vc == -1: the local
+    // buffer VC an injected packet happens to sit in carries no routing
+    // state (VC classes like dateline/escape only apply to network hops).
+    // Passing the raw local VC once caused a real deadlock: packets
+    // injected into VC 1 of the local port were misclassified as "already
+    // crossed the dateline" and legally traversed the wrap edge on the
+    // class-1 channels, closing the cycle the dateline breaks.
     const bool from_network = port < net;
     const int in_port = from_network ? port : -1;
     const int in_vc = from_network ? vc : -1;
@@ -450,10 +454,10 @@ void SoaEngine::append_band(int r, int in_port, int in_vc, int to,
 
 void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
                                    int in_vc, std::int32_t pkt, int dest) {
-  // Mirrors Router::compute_route_ugal decision-for-decision; the occupancy
-  // reads touch only this router's output credit counters, which deliver(r)
-  // settled before allocate(r) in both engines (phase commutation across
-  // routers), so the choice is engine-independent.
+  // The occupancy reads touch only this router's output credit counters,
+  // which deliver(r) settled before allocate(r) (phase commutation across
+  // routers), so the choice does not depend on the order routers are
+  // processed in.
   const bool on_escape =
       in_port >= 0 && in_vc >= 0 && in_vc < kUgalEscapeVcs;
   std::int32_t& via = pk_via_[static_cast<std::size_t>(pkt)];
@@ -504,8 +508,9 @@ void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
 }
 
 void SoaEngine::allocate(int r, Cycle now) {
-  // Empty router fast path — identical to the reference (the round-robin
-  // pointers only advance on grants, so skipping is bit-identical).
+  // Empty router fast path: the round-robin pointers only advance on
+  // grants, so skipping a router with nothing buffered is bit-identical to
+  // scanning it.
   if (buffered_[static_cast<std::size_t>(r)] == 0) return;
   const std::size_t pbase = port_base_[static_cast<std::size_t>(r)];
   const int net = net_ports_[static_cast<std::size_t>(r)];
@@ -596,7 +601,7 @@ void SoaEngine::allocate(int r, Cycle now) {
   // (round-robin), then every requested output port grants one input port
   // (round-robin). Ports without active VCs cannot nominate and outputs
   // without requests grant nothing, so restricting both scans to the
-  // occupied entries decides identically to the reference full sweep.
+  // occupied entries decides identically to a full port sweep.
   if (active_ivcs_[static_cast<std::size_t>(r)] == 0) return;
   sa_req_in_.clear();
   sa_req_ops_.clear();
@@ -624,8 +629,8 @@ void SoaEngine::allocate(int r, Cycle now) {
       }
     }
   }
-  // Grants processed in ascending output-port order, matching the reference
-  // output sweep (this fixes the within-router ejection order).
+  // Grants processed in ascending output-port order (this fixes the
+  // within-router ejection order).
   for (const int op : sa_req_ops_) {
     int winner = -1;
     int best = std::numeric_limits<int>::max();
@@ -656,10 +661,9 @@ void SoaEngine::allocate(int r, Cycle now) {
     const int out_v = ivc_out_vc_[s];
     const std::size_t os = sbase + static_cast<std::size_t>(out_port * vcs +
                                                             out_v);
-    // Hop counting: the reference stamps every flit, but only the tail's
-    // value is read at ejection, and in wormhole switching the tail crosses
-    // exactly the routers the head crossed — so counting head traversals
-    // into the per-packet array is equivalent.
+    // Hop counting: in wormhole switching the tail crosses exactly the
+    // routers the head crossed, so counting head traversals into the
+    // per-packet array gives the packet's hop count.
     if (flit.flags & kHead) ++pk_hops_[static_cast<std::size_t>(flit.pkt)];
     if (out_port >= net) {
       // Ejection; the endpoint sink consumes immediately (credit net zero).
@@ -731,8 +735,8 @@ SimResult SoaEngine::run() {
       if (sched_ptr_ < num_packets) {
         if (pk_create_[sched_ptr_] > now) now = pk_create_[sched_ptr_];
       } else {
-        // Nothing will ever move again: the reference loop idles to its
-        // first post-generation termination check and breaks there.
+        // Nothing will ever move again: a cycle-by-cycle loop would idle
+        // to its first post-generation termination check and break there.
         if (now < generation_end) now = generation_end;
         break;
       }
@@ -766,7 +770,7 @@ SimResult SoaEngine::run() {
       allocate(r, now);
     }
 
-    // --- Harvest ejected flits (reference order: tile-ascending) ----------
+    // --- Harvest ejected flits (tile-ascending order) ---------------------
     if (!eject_buf_.empty()) {
       std::stable_sort(eject_buf_.begin(), eject_buf_.end(),
                        [](const EjectRec& a, const EjectRec& b) {

@@ -1,9 +1,11 @@
-// Structure-of-arrays simulation engine: the simulator's raw-speed path.
+// Structure-of-arrays simulation engine: the simulator's only engine.
 //
-// Produces results bit-identical to the reference AoS path (Simulator's
-// Network/Router/Channel objects) — same PRNG draw order, same allocator
-// decisions, same floating-point accumulation order, same cycle count —
-// while replacing its three scaling bottlenecks:
+// Its results are pinned bit for bit by the golden corpus
+// (tests/golden/sim_results.txt), recorded while an object-per-router
+// reference engine still ran alongside it. The corpus fixes the PRNG draw
+// order, the allocator decisions, the floating-point accumulation order
+// and the cycle count. Three design choices keep the engine fast without
+// changing any of them:
 //
 //  * Flat slabs instead of per-object deques. Input-VC buffers, channel
 //    pipelines and credit queues live in fixed-capacity ring buffers inside
@@ -19,7 +21,7 @@
 //    channels); only routers with work are processed. Router phases commute
 //    across routers (channels are timestamped, so nothing pushed in cycle t
 //    is visible before t+1), except that ejection statistics must
-//    accumulate in the reference tile order — ejections therefore collect
+//    accumulate in ascending tile order — ejections therefore collect
 //    into a per-cycle buffer that is stable-sorted by tile before the
 //    statistics pass.
 //
@@ -28,8 +30,8 @@
 //    queues are unbounded), so it is pre-generated draw-for-draw. When
 //    nothing is in flight — no flit anywhere AND no credit on a channel —
 //    every cycle until the next scheduled injection is a provable no-op and
-//    `now` jumps there directly, preserving the exact cycle count the
-//    reference loop reports.
+//    `now` jumps there directly, preserving the exact cycle count a
+//    cycle-by-cycle loop reports.
 //
 // See ARCHITECTURE.md ("Simulator hot loop") for the invariants that make
 // the three equivalences exact.
@@ -60,19 +62,18 @@ class SoaEngine {
             int endpoints_per_tile, const RoutingFunction* routing,
             const RouteTable* table, InjectionProcess* process);
 
-  /// Runs warmup + measurement + drain and returns the statistics,
-  /// bit-identical to the AoS reference path.
+  /// Runs warmup + measurement + drain and returns the statistics.
   SimResult run();
 
   /// Packets sent on a UGAL non-minimal leg (0 under an effective kMinimal
-  /// policy); matches the reference engine's per-router counter sum.
+  /// policy).
   long long ugal_nonminimal() const { return ugal_nonminimal_; }
 
  private:
   // Flags on buffered/in-flight flit entries.
   static constexpr std::uint8_t kHead = 1;
   static constexpr std::uint8_t kTail = 2;
-  // Input-VC allocation states (the reference InputVc::State values).
+  // Input-VC allocation states.
   static constexpr std::uint8_t kIdle = 0;
   static constexpr std::uint8_t kVcAlloc = 1;
   static constexpr std::uint8_t kActive = 2;
@@ -96,14 +97,14 @@ class SoaEngine {
     std::int32_t vc = 0;
   };
   /// One ejected flit, buffered per cycle and sorted by tile so statistics
-  /// accumulate in the reference harvest order.
+  /// accumulate in the order the golden corpus pins.
   struct EjectRec {
     std::int32_t tile = 0;
     std::int32_t pkt = 0;
     std::uint8_t flags = 0;
   };
-  /// Growable ring of packet ids (an NI source queue; unbounded like the
-  /// reference deque, but one entry per packet instead of per flit).
+  /// Growable ring of packet ids (an NI source queue; unbounded, one entry
+  /// per packet).
   struct PktRing {
     std::vector<std::int32_t> buf;
     std::size_t head = 0;
@@ -127,8 +128,7 @@ class SoaEngine {
 
   void build_fabric(const topo::Topology& topo,
                     const std::vector<int>& link_latencies);
-  /// Replays the reference generation loop draw-for-draw into the
-  /// per-packet arrays (the injection schedule).
+  /// Draws the whole injection schedule into the per-packet arrays.
   void pregenerate(const topo::Topology& topo);
 
   void activate(int r) {
@@ -143,9 +143,8 @@ class SoaEngine {
   void allocate(int r, Cycle now);
   void compute_route(int r, int port, int vc, std::size_t s);
 
-  /// UGAL-mode route computation (mirrors Router::compute_route_ugal):
-  /// injection-time minimal/non-minimal decision, via-leg candidate splice,
-  /// escape-band passthrough.
+  /// UGAL-mode route computation: injection-time minimal/non-minimal
+  /// decision, via-leg candidate splice, escape-band passthrough.
   void compute_route_ugal(int r, std::size_t s, int in_port, int in_vc,
                           std::int32_t pkt, int dest);
   /// Output port of the first injection-row candidate toward `to`.
@@ -250,8 +249,9 @@ class SoaEngine {
   std::vector<std::int32_t> pk_eject_port_;  ///< -1 = spread by packet id
   std::vector<std::int32_t> pk_hops_;
   /// UGAL Valiant intermediate per packet; -1 = minimal / already reached.
-  /// Equivalent to the reference Flit::via field: the head flit exists in
-  /// exactly one buffer at a time, so one per-packet slot is the same state.
+  /// Only the head flit reads it, and the head exists in exactly one buffer
+  /// at a time, so one per-packet slot holds the whole state (the golden
+  /// corpus pins the UGAL cases, non-minimal counts included).
   std::vector<std::int32_t> pk_via_;
   std::vector<std::uint8_t> pk_measured_;
   std::vector<std::uint8_t> pk_done_;

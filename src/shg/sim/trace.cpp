@@ -215,10 +215,10 @@ Trace load_trace(const std::string& path) {
 
 namespace {
 
-/// The cursor shared by the replay pair. The engines call inject() exactly
+/// The cursor shared by the replay pair. The engine calls inject() exactly
 /// once per (source, cycle) with sources ascending and, on a positive
-/// draw, query the pattern immediately after and strictly sequentially
-/// (both engines generate single-threaded) — so one staged destination
+/// draw, queries the pattern immediately after and strictly sequentially
+/// (generation is single-threaded) — so one staged destination
 /// slot suffices and no source-to-terminal mapping is re-derived.
 struct ReplayState {
   struct Entry {
@@ -367,8 +367,8 @@ Trace trace_from_spec(const TrafficSpec& spec, const TraceRecordOptions& opt) {
       opt.injection_rate / static_cast<double>(opt.packet_size_flits),
       num_tiles * ports);
 
-  // The engines' generation loop, draw for draw (simulator.cpp run_aos /
-  // soa_network.cpp pregenerate): cycle -> tile -> port, inject draw then
+  // The engine's generation loop, draw for draw (soa_network.cpp
+  // pregenerate): cycle -> tile -> port, inject draw then
   // destination draw, fixed points skipped after the draw. Recording this
   // order is what makes the replay differential oracle exact.
   Prng rng(opt.seed);

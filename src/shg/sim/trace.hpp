@@ -8,14 +8,13 @@
 // message-dependency edges. Replay is a PURE FUNCTION OF THE TRACE BYTES
 // (plus the grid shape and packet size): it draws nothing from the
 // simulation PRNG and observes no network state, so the injection schedule
-// stays a pure function of the run's inputs — the invariant the SoA
-// engine's pregeneration and whole-network quiescence fast-forward rely on
-// — and both engines replay a trace bit-identically.
+// stays a pure function of the run's inputs — the invariant the engine's
+// pregeneration and whole-network quiescence fast-forward rely on.
 //
 // Dependencies are resolved at schedule-build time, not delivery time: a
 // record with `dep = j` starts no earlier than the cycle record j finished
 // injecting. Waiting on *delivery* would make the schedule depend on
-// network state and silently fork the two engines; injection-order
+// network state and break that purity; injection-order
 // dependencies keep producer-consumer shaped traces meaningful (a reply
 // never precedes its request's injection) while preserving purity.
 //
@@ -46,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "shg/sim/flit.hpp"
+#include "shg/sim/config.hpp"
 #include "shg/sim/injection.hpp"
 #include "shg/sim/traffic.hpp"
 
@@ -142,7 +141,7 @@ struct TraceRecordOptions {
   std::uint64_t seed = 1;
 };
 
-/// Materializes a synthetic spec into a trace by replaying the engines'
+/// Materializes a synthetic spec into a trace by replaying the engine's
 /// generation loop draw-for-draw (cycle -> tile -> port, inject draw then
 /// destination draw, same fixed-point skip). Replaying the result through
 /// make_trace_replay with the same grid, packet size and generation window

@@ -493,7 +493,7 @@ TEST(ResultTierKeys, SimConfigFingerprintCoversEveryField) {
   // the sizeof static_assert next to fingerprint_sim_config) fails after
   // adding a field, extend both the fingerprint and this list.
   const sim::SimConfig base;
-  std::vector<sim::SimConfig> perturbed(17, base);
+  std::vector<sim::SimConfig> perturbed(16, base);
   perturbed[0].num_vcs += 1;
   perturbed[1].buffer_depth_flits += 1;
   perturbed[2].router_delay_cycles += 1;
@@ -505,12 +505,11 @@ TEST(ResultTierKeys, SimConfigFingerprintCoversEveryField) {
   perturbed[8].drain_cycles += 1;
   perturbed[9].use_route_table = !base.use_route_table;
   perturbed[10].verify_route_table = !base.verify_route_table;
-  perturbed[11].use_soa_engine = !base.use_soa_engine;
-  perturbed[12].latency_sample_cap += 1;
-  perturbed[13].seed += 1;
-  perturbed[14].routing_policy = sim::RoutingPolicy::kUgal;
-  perturbed[15].ugal_bias_flits += 1;
-  perturbed[16].ugal_via_seed += 1;
+  perturbed[11].latency_sample_cap += 1;
+  perturbed[12].seed += 1;
+  perturbed[13].routing_policy = sim::RoutingPolicy::kUgal;
+  perturbed[14].ugal_bias_flits += 1;
+  perturbed[15].ugal_via_seed += 1;
 
   std::vector<customize::Fingerprint> fps;
   fps.push_back(customize::fingerprint_sim_config(base));

@@ -99,12 +99,18 @@ TEST(RouteTable, VerifyAgainstRejectsDifferentRouting) {
 }
 
 TEST(RouteTable, RejectsVcMismatchInRouter) {
+  // A shared table built for 2 VCs cannot serve a 4-VC simulation.
   const auto topo = topo::make_mesh(3, 3);
   const auto routing = make_xy_hamming_routing(topo, 2);
-  const RouteTable table(topo, *routing, 2);
+  const auto table = std::make_shared<const RouteTable>(topo, *routing, 2);
   SimConfig config;
   config.num_vcs = 4;  // != table's 2
-  EXPECT_THROW(Router(0, 2, 1, config, routing.get(), &table), Error);
+  const auto pattern = make_uniform(topo.num_tiles());
+  const std::vector<int> latencies(
+      static_cast<std::size_t>(topo.graph().num_edges()), 1);
+  EXPECT_THROW(
+      Simulator(topo, latencies, config, *pattern, 1, nullptr, table),
+      Error);
 }
 
 TEST(RouteTable, SimulatorRejectsSharedTableForDifferentTopology) {

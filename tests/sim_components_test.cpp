@@ -1,73 +1,12 @@
-// Unit tests for simulator components: channels, arbiters, traffic patterns.
+// Unit tests for simulator components: traffic patterns.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "shg/sim/arbiter.hpp"
-#include "shg/sim/channel.hpp"
 #include "shg/sim/traffic.hpp"
 
 namespace shg::sim {
 namespace {
-
-TEST(Channel, FlitsTakeLatencyCycles) {
-  Channel ch(3);
-  Flit flit;
-  flit.packet_id = 7;
-  ch.push_flit(flit, 10);
-  EXPECT_FALSE(ch.pop_flit(10).has_value());
-  EXPECT_FALSE(ch.pop_flit(12).has_value());
-  const auto out = ch.pop_flit(13);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->packet_id, 7);
-  EXPECT_FALSE(ch.pop_flit(14).has_value());
-}
-
-TEST(Channel, PreservesOrder) {
-  Channel ch(1);
-  for (int i = 0; i < 5; ++i) {
-    Flit flit;
-    flit.packet_id = i;
-    ch.push_flit(flit, i);
-  }
-  for (int i = 0; i < 5; ++i) {
-    const auto out = ch.pop_flit(100);
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->packet_id, i);
-  }
-}
-
-TEST(Channel, CreditsFlowIndependently) {
-  Channel ch(2);
-  ch.push_credit(Credit{3}, 0);
-  Flit flit;
-  ch.push_flit(flit, 0);
-  const auto credit = ch.pop_credit(2);
-  ASSERT_TRUE(credit.has_value());
-  EXPECT_EQ(credit->vc, 3);
-  EXPECT_TRUE(ch.pop_flit(2).has_value());
-  EXPECT_TRUE(ch.idle());
-}
-
-TEST(Channel, RejectsZeroLatency) {
-  EXPECT_THROW(Channel(0), Error);
-}
-
-TEST(Arbiter, RotatesFairly) {
-  RoundRobinArbiter arb(3);
-  std::vector<bool> all{true, true, true};
-  EXPECT_EQ(arb.arbitrate(all), 0);
-  EXPECT_EQ(arb.arbitrate(all), 1);
-  EXPECT_EQ(arb.arbitrate(all), 2);
-  EXPECT_EQ(arb.arbitrate(all), 0);
-}
-
-TEST(Arbiter, SkipsNonRequesters) {
-  RoundRobinArbiter arb(4);
-  EXPECT_EQ(arb.arbitrate({false, false, true, false}), 2);
-  EXPECT_EQ(arb.arbitrate({true, false, true, false}), 0);  // after 2 -> 3,0
-  EXPECT_EQ(arb.arbitrate({false, false, false, false}), -1);
-}
 
 TEST(Traffic, UniformAvoidsSelfAndCoversAll) {
   const auto pattern = make_uniform(16);

@@ -72,6 +72,23 @@ TEST(Simulator, LinkLatencyRaisesPacketLatency) {
             fast_result.avg_packet_latency + 3.0);
 }
 
+TEST(Simulator, RunRejectsMalformedFabric) {
+  // A latency count that does not match the link count, a tile without
+  // endpoints and a zero-cycle link each fail with a clean shg::Error.
+  const auto topo = topo::make_mesh(3, 3);
+  const SimConfig config = fast_config();
+  const auto pattern = make_uniform(9);
+  EXPECT_THROW(Simulator(topo, std::vector<int>(5, 1), config, *pattern, 1)
+                   .run(),
+               Error);
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, *pattern, 0)
+                   .run(),
+               Error);
+  std::vector<int> zero_link = unit_latencies(topo);
+  zero_link[3] = 0;
+  EXPECT_THROW(Simulator(topo, zero_link, config, *pattern, 1).run(), Error);
+}
+
 TEST(Simulator, MoreEndpointsInjectMoreTraffic) {
   const auto topo = topo::make_mesh(4, 4);
   SimConfig config = fast_config();

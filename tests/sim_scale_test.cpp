@@ -1,6 +1,7 @@
-// Scale smoke test: a 32x32 mesh run through the SoA engine must finish in
-// seconds (CI-friendly) and produce sane statistics. This is the "can we
-// even size up" guard — throughput ratios live in bench_sim_scale.
+// Scale smoke test: a 32x32 mesh run through the simulator must finish in
+// seconds (CI-friendly), produce sane statistics and match its golden
+// corpus line bit for bit. This is the "can we even size up" guard —
+// throughput numbers live in bench_sim_scale.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,6 +9,8 @@
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/traffic_spec.hpp"
 #include "shg/topo/generators.hpp"
+
+#include "golden.hpp"
 
 namespace shg::sim {
 namespace {
@@ -30,6 +33,7 @@ TEST(SimScale, Mesh32x32UniformCompletes) {
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
   Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
   const SimResult result = simulator.run();
+  golden::expect_golden(golden::topo_label(topo) + " uniform", result);
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 5000);
   EXPECT_GT(result.avg_packet_latency, 0.0);
@@ -51,6 +55,7 @@ TEST(SimScale, Mesh32x32LiveRoutingCompletes) {
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
   Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
   const SimResult result = simulator.run();
+  golden::expect_golden(golden::topo_label(topo) + " uniform live", result);
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 0);
 }
@@ -68,6 +73,7 @@ TEST(SimScale, ConcentratedMesh16x16x4Completes) {
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(16, 16, 4);
   Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
   const SimResult result = simulator.run();
+  golden::expect_golden(golden::topo_label(topo) + " uniform", result);
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 0);
 }

@@ -1,9 +1,10 @@
-// Bit-identity oracle for the SoA simulation engine: every SimResult field
-// must equal the reference AoS path EXACTLY (==, not near) across topology
-// families, traffic patterns, injection processes, endpoint counts, link
-// latencies, routing modes (table and live) and concentration — plus the
-// quiescence fast-forward regime (rates low enough that the network goes
-// fully idle between injections).
+// Bit-identity oracle for the simulation engine: every SimResult field must
+// equal its golden corpus line EXACTLY (tests/golden/sim_results.txt,
+// recorded with a second, object-per-router engine agreeing on every case)
+// across topology families, traffic patterns, injection processes, endpoint
+// counts, link latencies, routing modes (table and live) and concentration
+// — plus the quiescence fast-forward regime (rates low enough that the
+// network goes fully idle between injections).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,6 +14,8 @@
 #include "shg/sim/trace.hpp"
 #include "shg/sim/traffic_spec.hpp"
 #include "shg/topo/generators.hpp"
+
+#include "golden.hpp"
 
 namespace shg::sim {
 namespace {
@@ -33,11 +36,12 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
                           1);
 }
 
-/// Runs the same simulation on both engines and requires exact equality of
-/// every SimResult field. `spec_text` drives pattern AND process through
-/// the TrafficSpec path (the experiment engine's shape).
+/// Runs one simulation and requires every SimResult field to match the
+/// golden corpus bit for bit. `spec_text` drives pattern AND process
+/// through the TrafficSpec path (the experiment engine's shape).
 void expect_bit_identical(const topo::Topology& topo,
-                          const std::vector<int>& latencies, SimConfig config,
+                          const std::vector<int>& latencies,
+                          const SimConfig& config,
                           const std::string& spec_text,
                           int endpoints_per_tile) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
@@ -51,30 +55,16 @@ void expect_bit_identical(const topo::Topology& topo,
   const double packet_prob =
       config.injection_rate / static_cast<double>(config.packet_size_flits);
 
-  config.use_soa_engine = false;
-  Simulator aos(topo, latencies, config, *pattern, endpoints_per_tile,
+  Simulator sim(topo, latencies, config, *pattern, endpoints_per_tile,
                 nullptr, nullptr,
                 spec.make_process(packet_prob, topo.num_tiles() * ports));
-  const SimResult a = aos.run();
-
-  config.use_soa_engine = true;
-  Simulator soa(topo, latencies, config, *pattern, endpoints_per_tile,
-                nullptr, nullptr,
-                spec.make_process(packet_prob, topo.num_tiles() * ports));
-  const SimResult s = soa.run();
-
-  EXPECT_EQ(a.cycles_run, s.cycles_run) << spec_text;
-  EXPECT_EQ(a.measured_packets, s.measured_packets) << spec_text;
-  EXPECT_EQ(a.drained, s.drained) << spec_text;
-  EXPECT_EQ(a.offered_rate, s.offered_rate) << spec_text;
-  EXPECT_EQ(a.accepted_rate, s.accepted_rate) << spec_text;
-  EXPECT_EQ(a.avg_packet_latency, s.avg_packet_latency) << spec_text;
-  EXPECT_EQ(a.max_packet_latency, s.max_packet_latency) << spec_text;
-  EXPECT_EQ(a.p50_packet_latency, s.p50_packet_latency) << spec_text;
-  EXPECT_EQ(a.p95_packet_latency, s.p95_packet_latency) << spec_text;
-  EXPECT_EQ(a.p99_packet_latency, s.p99_packet_latency) << spec_text;
-  EXPECT_EQ(a.avg_hops, s.avg_hops) << spec_text;
-  EXPECT_EQ(a.fairness, s.fairness) << spec_text;
+  const SimResult s = sim.run();
+  std::string label = golden::topo_label(topo) + " " + spec_text;
+  if (endpoints_per_tile > 1) {
+    label += " ep" + std::to_string(endpoints_per_tile);
+  }
+  if (!config.use_route_table) label += " live";
+  golden::expect_golden(label, s, sim.ugal_nonminimal_choices());
   // The run must have done real work, or the comparison proves nothing.
   EXPECT_GT(s.measured_packets, 0) << spec_text;
 }
@@ -143,8 +133,7 @@ TEST(SoaBitIdentity, NonUnitLinkLatenciesAndDeeperBuffers) {
 }
 
 TEST(SoaBitIdentity, LiveRoutingWithoutTable) {
-  // No route table: the SoA engine calls the routing function per head
-  // flit, exactly like the reference router's live mode.
+  // No route table: the engine calls the routing function per head flit.
   const auto topo = topo::make_mesh(5, 5);
   SimConfig config = fast_config();
   config.injection_rate = 0.05;
@@ -153,9 +142,9 @@ TEST(SoaBitIdentity, LiveRoutingWithoutTable) {
 }
 
 TEST(SoaBitIdentity, QuiescentLowRateFastForward) {
-  // Rate low enough that the fabric is empty most cycles: the SoA engine
+  // Rate low enough that the fabric is empty most cycles: the engine
   // spends its time in quiescence fast-forward and must still reproduce
-  // the reference cycle count exactly.
+  // the recorded cycle count exactly.
   const auto topo = topo::make_mesh(4, 4);
   SimConfig config = fast_config();
   config.injection_rate = 0.001;
@@ -194,8 +183,8 @@ TEST(SoaBitIdentity, ConcentratedMesh) {
 }
 
 TEST(SoaBitIdentity, ZeroTrafficRun) {
-  // A rate so low the PRNG may never inject: both engines must agree on
-  // the degenerate all-idle run (cycles_run = generation end, drained).
+  // A rate so low the PRNG may never inject: the degenerate all-idle run
+  // (cycles_run = generation end, drained) is pinned too.
   const auto topo = topo::make_mesh(3, 3);
   SimConfig config = fast_config();
   config.injection_rate = 1e-9;
@@ -203,22 +192,16 @@ TEST(SoaBitIdentity, ZeroTrafficRun) {
   config.measure_cycles = 100;
   const TrafficSpec spec = TrafficSpec::parse("uniform");
   const auto pattern = spec.make_pattern(3, 3);
-  config.use_soa_engine = false;
-  Simulator aos(topo, unit_latencies(topo), config, *pattern, 1);
-  const SimResult a = aos.run();
-  config.use_soa_engine = true;
-  Simulator soa(topo, unit_latencies(topo), config, *pattern, 1);
-  const SimResult s = soa.run();
-  EXPECT_EQ(a.cycles_run, s.cycles_run);
-  EXPECT_EQ(a.measured_packets, s.measured_packets);
-  EXPECT_EQ(a.drained, s.drained);
+  Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
+  const SimResult s = sim.run();
+  golden::expect_golden(golden::topo_label(topo) + " uniform", s);
 }
 
-/// Replays `trace` on both engines and requires exact SimResult equality —
-/// trace injection must preserve the engine-identity contract exactly like
-/// the synthetic processes do.
-void expect_trace_bit_identical(const topo::Topology& topo, SimConfig config,
-                                const Trace& trace,
+/// Replays `trace` and requires exact SimResult equality with the golden
+/// corpus — trace injection must preserve the bit-identity contract
+/// exactly like the synthetic processes do.
+void expect_trace_bit_identical(const topo::Topology& topo,
+                                const SimConfig& config, const Trace& trace,
                                 const std::string& what) {
   const auto shared = std::make_shared<const Trace>(trace);
   const int conc = topo.concentration();
@@ -226,35 +209,18 @@ void expect_trace_bit_identical(const topo::Topology& topo, SimConfig config,
                                    : topo.num_tiles();
   const int num_terminals = num_sources;
 
-  SimResult results[2];
-  for (const bool soa : {false, true}) {
-    config.use_soa_engine = soa;
-    TraceWorkload workload = make_trace_replay(shared, num_sources,
-                                               num_terminals,
-                                               config.packet_size_flits);
-    Simulator simulator(topo, unit_latencies(topo), config,
-                        *workload.pattern, 1, nullptr, nullptr,
-                        std::move(workload.process));
-    results[soa ? 1 : 0] = simulator.run();
-  }
-  const SimResult& a = results[0];
-  const SimResult& s = results[1];
-  EXPECT_EQ(a.cycles_run, s.cycles_run) << what;
-  EXPECT_EQ(a.measured_packets, s.measured_packets) << what;
-  EXPECT_EQ(a.drained, s.drained) << what;
-  EXPECT_EQ(a.accepted_rate, s.accepted_rate) << what;
-  EXPECT_EQ(a.avg_packet_latency, s.avg_packet_latency) << what;
-  EXPECT_EQ(a.max_packet_latency, s.max_packet_latency) << what;
-  EXPECT_EQ(a.p50_packet_latency, s.p50_packet_latency) << what;
-  EXPECT_EQ(a.p95_packet_latency, s.p95_packet_latency) << what;
-  EXPECT_EQ(a.p99_packet_latency, s.p99_packet_latency) << what;
-  EXPECT_EQ(a.avg_hops, s.avg_hops) << what;
-  EXPECT_EQ(a.fairness, s.fairness) << what;
+  TraceWorkload workload = make_trace_replay(shared, num_sources,
+                                             num_terminals,
+                                             config.packet_size_flits);
+  Simulator simulator(topo, unit_latencies(topo), config, *workload.pattern,
+                      1, nullptr, nullptr, std::move(workload.process));
+  const SimResult s = simulator.run();
+  golden::expect_golden(what, s);
   EXPECT_GT(s.measured_packets, 0) << what;
 }
 
 TEST(SoaBitIdentity, TraceReplayAcrossFamilies) {
-  // A recorded synthetic trace replayed on both engines, across families.
+  // A recorded synthetic trace replayed across families.
   SimConfig config = fast_config();
   config.injection_rate = 0.05;
   TraceRecordOptions opt;
@@ -277,7 +243,7 @@ TEST(SoaBitIdentity, TraceReplayAcrossFamilies) {
 TEST(SoaBitIdentity, TraceWithNonUnitMessageSizes) {
   // Message sizes that are not multiples of the packet size: messages of
   // 1..10 flits over 4-flit packets split into ceil(size/4) packets on
-  // consecutive cycles in both engines.
+  // consecutive cycles.
   SimConfig config = fast_config();
   config.warmup_cycles = 0;  // the whole hand-built trace is measured
   Trace trace;
@@ -328,9 +294,9 @@ TEST(SoaBitIdentity, TraceWithDependencyStalledSources) {
 }
 
 TEST(SoaBitIdentity, TraceDrainsToQuiescenceMidRun) {
-  // Long idle gaps between bursts: the SoA engine's whole-network
-  // quiescence fast-forward must jump the gaps and still match the AoS
-  // cycle count exactly.
+  // Long idle gaps between bursts: the engine's whole-network quiescence
+  // fast-forward must jump the gaps and still match the recorded cycle
+  // count exactly.
   SimConfig config = fast_config();
   config.warmup_cycles = 100;
   config.measure_cycles = 2900;

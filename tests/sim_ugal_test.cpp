@@ -2,7 +2,7 @@
 // of the routing function, the min-VC construction guard, the
 // always-minimal sentinel differential oracle (SimConfig::routing_policy =
 // kUgal with ugal_bias_flits = kUgalBiasAlwaysMinimal must be bit-identical
-// to kMinimal), AoS/SoA engine bit-identity under live UGAL decisions, and
+// to kMinimal), golden-corpus bit-identity under live UGAL decisions, and
 // saturation soak drains across every topology family.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,8 @@
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/traffic_spec.hpp"
 #include "shg/topo/generators.hpp"
+
+#include "golden.hpp"
 
 namespace shg::sim {
 namespace {
@@ -44,9 +46,8 @@ struct RunOutcome {
   long long nonminimal = 0;
 };
 
-RunOutcome run_once(const topo::Topology& topo, SimConfig config,
-                    const std::string& spec_text, bool soa) {
-  config.use_soa_engine = soa;
+RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
+                    const std::string& spec_text) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const auto pattern =
       spec.make_pattern(topo.rows(), topo.cols(), topo.concentration());
@@ -57,21 +58,18 @@ RunOutcome run_once(const topo::Topology& topo, SimConfig config,
   return out;
 }
 
-/// Both engines must agree on every SimResult field AND on the number of
-/// non-minimal decisions (the decision inputs are engine-independent by
+/// Every SimResult field AND the number of non-minimal decisions must
+/// match the golden corpus (the decision inputs are deterministic by
 /// construction; this is the oracle that keeps them so).
 RunOutcome expect_engines_identical(const topo::Topology& topo,
                                     const SimConfig& config,
                                     const std::string& spec_text) {
-  const RunOutcome aos = run_once(topo, config, spec_text, false);
-  const RunOutcome soa = run_once(topo, config, spec_text, true);
-  EXPECT_TRUE(aos.result == soa.result)
-      << topo.name() << " / " << spec_text << ": cycles " << aos.result.cycles_run
-      << " vs " << soa.result.cycles_run << ", latency "
-      << aos.result.avg_packet_latency << " vs " << soa.result.avg_packet_latency;
-  EXPECT_EQ(aos.nonminimal, soa.nonminimal) << topo.name() << " / " << spec_text;
-  EXPECT_GT(soa.result.measured_packets, 0) << topo.name() << " / " << spec_text;
-  return soa;
+  const RunOutcome out = run_once(topo, config, spec_text);
+  std::string label = golden::topo_label(topo) + " " + spec_text;
+  if (!config.use_route_table) label += " live";
+  golden::expect_golden(label, out.result, out.nonminimal);
+  EXPECT_GT(out.result.measured_packets, 0) << label;
+  return out;
 }
 
 // --- Routing-function level -------------------------------------------------
@@ -358,31 +356,28 @@ TEST(UgalRouteTable, SimulatorRejectsPolicyMismatchedSharedTable) {
 
 TEST(UgalSentinel, AlwaysMinimalBiasIsBitIdenticalToMinimalPolicy) {
   // The whole UGAL machinery must vanish under the sentinel: every
-  // SimResult field equals the plain minimal run bit-for-bit, on both
-  // engines, in table and live-routing mode.
+  // SimResult field equals the plain minimal run bit-for-bit, in table and
+  // live-routing mode.
   for (const auto& topo : {topo::make_mesh(4, 4), topo::make_torus(4, 4)}) {
     for (const char* spec : {"uniform", "transpose"}) {
-      for (const bool soa : {false, true}) {
-        for (const bool table : {true, false}) {
-          SCOPED_TRACE(std::string(topo.name()) + " / " + spec +
-                       (soa ? " soa" : " aos") +
-                       (table ? " table" : " live"));
-          SimConfig minimal;
-          minimal.num_vcs = kVcs;
-          minimal.injection_rate = 0.15;
-          minimal.warmup_cycles = 200;
-          minimal.measure_cycles = 500;
-          minimal.use_route_table = table;
-          SimConfig sentinel = minimal;
-          sentinel.routing_policy = RoutingPolicy::kUgal;
-          sentinel.ugal_bias_flits = SimConfig::kUgalBiasAlwaysMinimal;
-          const RunOutcome a = run_once(topo, minimal, spec, soa);
-          const RunOutcome b = run_once(topo, sentinel, spec, soa);
-          EXPECT_TRUE(a.result == b.result);
-          EXPECT_EQ(a.nonminimal, 0);
-          EXPECT_EQ(b.nonminimal, 0);
-          EXPECT_GT(a.result.measured_packets, 0);
-        }
+      for (const bool table : {true, false}) {
+        SCOPED_TRACE(std::string(topo.name()) + " / " + spec +
+                     (table ? " table" : " live"));
+        SimConfig minimal;
+        minimal.num_vcs = kVcs;
+        minimal.injection_rate = 0.15;
+        minimal.warmup_cycles = 200;
+        minimal.measure_cycles = 500;
+        minimal.use_route_table = table;
+        SimConfig sentinel = minimal;
+        sentinel.routing_policy = RoutingPolicy::kUgal;
+        sentinel.ugal_bias_flits = SimConfig::kUgalBiasAlwaysMinimal;
+        const RunOutcome a = run_once(topo, minimal, spec);
+        const RunOutcome b = run_once(topo, sentinel, spec);
+        EXPECT_TRUE(a.result == b.result);
+        EXPECT_EQ(a.nonminimal, 0);
+        EXPECT_EQ(b.nonminimal, 0);
+        EXPECT_GT(a.result.measured_packets, 0);
       }
     }
   }
@@ -400,7 +395,7 @@ TEST(UgalSentinel, HugeBiasNeverGoesNonminimal) {
   EXPECT_TRUE(out.result.drained);
 }
 
-// --- Engine bit-identity under live UGAL ------------------------------------
+// --- Golden-corpus bit-identity under live UGAL -----------------------------
 
 TEST(UgalBitIdentity, FamiliesAndPatterns) {
   SimConfig config = ugal_config();
@@ -424,7 +419,7 @@ TEST(UgalBitIdentity, SaturatedAdversarialAndLiveRouting) {
   config.injection_rate = 0.5;
   config.drain_cycles = 40000;
   expect_engines_identical(topo, config, "transpose");
-  config.use_route_table = false;  // live routing on both engines
+  config.use_route_table = false;  // live routing
   expect_engines_identical(topo, config, "hotspot:0,15:0.5");
 }
 
@@ -446,8 +441,8 @@ TEST(UgalDeterminism, RepeatedRunsAndParallelCampaignsAreByteIdentical) {
   const auto topo = topo::make_mesh(4, 4);
   SimConfig config = ugal_config();
   config.injection_rate = 0.3;
-  const RunOutcome once = run_once(topo, config, "randperm:3", true);
-  const RunOutcome twice = run_once(topo, config, "randperm:3", true);
+  const RunOutcome once = run_once(topo, config, "randperm:3");
+  const RunOutcome twice = run_once(topo, config, "randperm:3");
   EXPECT_TRUE(once.result == twice.result);
   EXPECT_EQ(once.nonminimal, twice.nonminimal);
 
@@ -484,7 +479,7 @@ TEST(UgalSoak, SaturationPermutationsDrainEveryFamilyBothPolicies) {
         config.injection_rate = 0.45;
         config.warmup_cycles = 150;
         config.measure_cycles = 350;
-        const RunOutcome out = run_once(topo, config, spec, true);
+        const RunOutcome out = run_once(topo, config, spec);
         EXPECT_TRUE(out.result.drained);
         EXPECT_GT(out.result.measured_packets, 0);
       }

@@ -10,8 +10,7 @@
 //    dependency stalls, same-source serialization, time scaling, reset);
 //  * the differential replay oracle: a synthetic spec materialized by
 //    trace_from_spec and replayed must produce a SimResult bit-identical
-//    to the live run it was recorded from, across spec families and BOTH
-//    engines;
+//    to the live run it was recorded from, across spec families;
 //  * the trace: TrafficSpec grammar (parse/canonical round trip, errors).
 #include <gtest/gtest.h>
 
@@ -384,12 +383,12 @@ void expect_same_result(const SimResult& a, const SimResult& b,
   EXPECT_GT(a.measured_packets, 0) << what;
 }
 
-/// Live run vs. trace_from_spec + replay, on one engine. The recorded
+/// Live run vs. trace_from_spec + replay. The recorded
 /// trace reproduces the live generation schedule exactly, so every
 /// SimResult field must match bit for bit.
-void expect_replay_matches_live(const topo::Topology& topo, SimConfig config,
-                                const std::string& spec_text, bool use_soa) {
-  config.use_soa_engine = use_soa;
+void expect_replay_matches_live(const topo::Topology& topo,
+                                const SimConfig& config,
+                                const std::string& spec_text) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const int conc = topo.concentration();
   const int ports = conc > 1 ? conc : 1;
@@ -422,8 +421,7 @@ void expect_replay_matches_live(const topo::Topology& topo, SimConfig config,
                    nullptr, nullptr, std::move(workload.process));
   const SimResult replay_result = replay.run();
 
-  expect_same_result(live_result, replay_result,
-                     spec_text + (use_soa ? " [soa]" : " [aos]"));
+  expect_same_result(live_result, replay_result, spec_text);
 }
 
 TEST(TraceDifferential, ReplayBitIdenticalToLiveRun) {
@@ -433,10 +431,8 @@ TEST(TraceDifferential, ReplayBitIdenticalToLiveRun) {
   for (const char* spec :
        {"uniform", "hotspot:0,5:0.4", "transpose/onoff:0.1,0.3",
         "randperm:7"}) {
-    for (const bool soa : {false, true}) {
-      SCOPED_TRACE(spec);
-      expect_replay_matches_live(topo, config, spec, soa);
-    }
+    SCOPED_TRACE(spec);
+    expect_replay_matches_live(topo, config, spec);
   }
 }
 
@@ -444,9 +440,7 @@ TEST(TraceDifferential, ReplayBitIdenticalOnConcentratedFabric) {
   const auto topo = topo::make_concentrated_mesh(4, 4, 4);
   SimConfig config = fast_config();
   config.injection_rate = 0.03;
-  for (const bool soa : {false, true}) {
-    expect_replay_matches_live(topo, config, "hotspot:0,9:0.4", soa);
-  }
+  expect_replay_matches_live(topo, config, "hotspot:0,9:0.4");
 }
 
 TEST(TraceDifferential, RoundTripThroughDiskPreservesTheOracle) {
