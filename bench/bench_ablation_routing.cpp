@@ -61,11 +61,12 @@ sim::SimResult run_once(const Setup& setup, const sim::TrafficPattern& pattern,
   config.warmup_cycles = 500;
   config.measure_cycles = 1500;
   config.drain_cycles = 20000;
-  auto routing = table_routing
-                     ? sim::make_table_escape_routing(setup.topology, vcs)
-                     : sim::make_xy_hamming_routing(setup.topology, vcs);
-  sim::Simulator simulator(setup.topology, setup.latencies, config, pattern,
-                           1, std::move(routing));
+  const auto routing =
+      table_routing ? sim::make_table_escape_routing(setup.topology, vcs)
+                    : sim::make_xy_hamming_routing(setup.topology, vcs);
+  sim::Simulator simulator(
+      setup.topology, setup.latencies, config, pattern, 1,
+      std::make_shared<const sim::RouteTable>(setup.topology, *routing, vcs));
   return simulator.run();
 }
 

@@ -14,8 +14,9 @@
 //     was >= 5x; the legacy side has since gotten faster for free (its
 //     five-step model includes the optimized detailed router), so the ratio
 //     understates the original win and the section is tracked, not gated;
-//  4. sim_cycle    — full simulation cycle loop with the route table on vs
-//     off, asserting bit-identical SimResults;
+//  4. sim_cycle    — full simulation cycle loop with live routing (the
+//     engine driven without a table) vs the simulator's route table,
+//     asserting bit-identical SimResults;
 //  5. dse_greedy_incremental — the whole greedy customization: a
 //     bench-local reference loop (every neighbor screened with
 //     screen_candidate in a parallel_for, the winner picked by
@@ -71,6 +72,7 @@
 #include "shg/phys/incremental_route.hpp"
 #include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
+#include "shg/sim/soa_network.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -329,7 +331,8 @@ BenchResult bench_dse_screen(bool smoke) {
   return result;
 }
 
-// 4. Full simulation cycle loop: route table off vs on, identical results.
+// 4. Full simulation cycle loop: live routing vs route table, identical
+// results.
 BenchResult bench_sim_cycle(bool smoke, bool* results_identical) {
   const topo::Topology topo =
       topo::make_sparse_hamming(10, 10, {3, 6}, {3, 6});
@@ -349,14 +352,18 @@ BenchResult bench_sim_cycle(bool smoke, bool* results_identical) {
   // simulated cycles) are what tracks the inner-loop trajectory over PRs.
   result.note = "10x10 SHG, uniform, rate 0.10; delta isolates route table";
 
-  config.use_route_table = false;
-  sim::Simulator live(topo, latencies, config, *pattern, 1);
+  // The live side drives the engine without a table, with the routing and
+  // Bernoulli process the simulator would build; the table side is the
+  // simulator, which builds its table (10x10 is within the row budget).
+  const auto routing = sim::make_policy_routing(topo, config);
+  const auto process = sim::make_bernoulli(
+      config.injection_rate / static_cast<double>(config.packet_size_flits));
   auto t0 = Clock::now();
+  sim::SoaEngine live(topo, latencies, config, *pattern, 1, routing.get(),
+                      nullptr, process.get());
   const sim::SimResult live_result = live.run();
   result.old_seconds = seconds_since(t0);
 
-  config.use_route_table = true;
-  config.verify_route_table = true;  // equivalence-checking mode
   sim::Simulator tabled(topo, latencies, config, *pattern, 1);
   t0 = Clock::now();
   const sim::SimResult table_result = tabled.run();
@@ -748,7 +755,7 @@ int main(int argc, char** argv) {
   print_result(results.back());
   const DedupStats dedup = bench_route_table_dedup();
 
-  std::printf("sim results identical (table on vs off): %s\n",
+  std::printf("sim results identical (live routing vs table): %s\n",
               results_identical ? "yes" : "NO — BUG");
   std::printf(
       "incremental DSE identical (reference loop + oracle): %s\n",

@@ -3,11 +3,12 @@
 // fast-forward) across fabric sizes and workloads.
 //
 // Grid: {10x10, 32x32, 64x64} meshes x {uniform, hotspot, onoff}, each row
-// reporting simulated flits per second. 64x64 runs with live routing (the
-// all-pairs route table is the scaling wall there — building it would
-// dwarf the simulation). A concentrated 16x16 c=4 row (same 1024 terminals
-// as the 32x32 mesh on a quarter of the routers) tracks the concentration
-// path.
+// reporting simulated flits per second. The simulator picks the route table
+// by size (sim::kMaxRouteTableRows): 64x64 is above the budget and routes
+// live (the all-pairs table is the scaling wall there), the smaller tiers
+// build a table; each row records which. A concentrated 16x16 c=4 row
+// (same 1024 terminals as the 32x32 mesh on a quarter of the routers)
+// tracks the concentration path.
 //
 // A routing-policy section saturates 32x32 fabrics (mesh and torus) under
 // the two adversarial workloads (hotspot, transpose) with minimal and UGAL
@@ -64,6 +65,7 @@ struct Row {
   double seconds = 0.0;
   long long flits = 0;  ///< measured flits
   bool drained = false;
+  bool route_table = false;  ///< the simulator built a route table
 
   double flits_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(flits) / seconds : 0.0;
@@ -71,15 +73,15 @@ struct Row {
 };
 
 void print_row(const Row& r) {
-  std::printf("%-14s %-22s  %8.3f s  %10.0f flits/s  %s\n",
+  std::printf("%-14s %-22s  %8.3f s  %10.0f flits/s  %-5s  %s\n",
               r.fabric.c_str(), r.workload.c_str(), r.seconds,
-              r.flits_per_sec(), r.drained ? "drained" : "UNDRAINED");
+              r.flits_per_sec(), r.route_table ? "table" : "live",
+              r.drained ? "drained" : "UNDRAINED");
 }
 
 struct Tier {
   std::string fabric;
   topo::Topology topo;
-  bool use_table;  ///< route-table mode (off = live routing)
   double rate;
   int reps;        ///< timing reps (min-of-reps)
 };
@@ -97,7 +99,6 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
   config.injection_rate = tier.rate;
   config.warmup_cycles = smoke ? 200 : 500;
   config.measure_cycles = smoke ? 600 : 2000;
-  config.use_route_table = tier.use_table;
 
   const int ports = tier.topo.concentration() > 1
                         ? tier.topo.concentration()
@@ -117,7 +118,8 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
     // the table is a per-topology artifact sweeps amortize, the run loop is
     // what this benchmark tracks.
     sim::Simulator sim(tier.topo, latencies, config, *pattern, 1, nullptr,
-                       nullptr, spec.make_process(packet_prob, num_sources));
+                       spec.make_process(packet_prob, num_sources));
+    row.route_table = sim.route_table() != nullptr;
     const auto t0 = Clock::now();
     result = sim.run();
     row.seconds = std::min(row.seconds, seconds_since(t0));
@@ -143,8 +145,8 @@ struct SatRow {
 /// One saturated run; returns the accepted load (flits/cycle/port)
 /// measured past the saturation point. Both policies get identical VC and
 /// buffer resources (the UGAL floor of 4 VCs), so the comparison isolates
-/// the routing decision; live routing on both sides keeps the all-pairs
-/// UGAL table out of the measurement.
+/// the routing decision. At 32x32 and 4 VCs both fabrics are above the
+/// route-table row budget, so both sides route live.
 double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
                      const std::string& workload, double rate, bool smoke) {
   const sim::TrafficSpec spec = sim::TrafficSpec::parse(workload);
@@ -161,11 +163,10 @@ double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
   config.drain_cycles = smoke ? 500 : 2000;  // saturated runs rarely drain;
                                              // cap the tail, it is not gated
   config.routing_policy = policy;
-  config.use_route_table = false;
 
   const double packet_prob =
       config.injection_rate / static_cast<double>(config.packet_size_flits);
-  sim::Simulator s(topo, latencies, config, *pattern, 1, nullptr, nullptr,
+  sim::Simulator s(topo, latencies, config, *pattern, 1, nullptr,
                    spec.make_process(packet_prob, topo.num_tiles()));
   return s.run().accepted_rate;
 }
@@ -175,9 +176,10 @@ void append_json(std::string& json, const Row& r) {
   std::snprintf(buf, sizeof(buf),
                 "    {\"fabric\": \"%s\", \"workload\": \"%s\", "
                 "\"seconds\": %.6f, \"flits_per_sec\": %.0f, "
-                "\"flits\": %lld, \"drained\": %s}",
+                "\"flits\": %lld, \"drained\": %s, \"route_table\": %s}",
                 r.fabric.c_str(), r.workload.c_str(), r.seconds,
-                r.flits_per_sec(), r.flits, r.drained ? "true" : "false");
+                r.flits_per_sec(), r.flits, r.drained ? "true" : "false",
+                r.route_table ? "true" : "false");
   if (!json.empty()) json += ",\n";
   json += buf;
 }
@@ -212,15 +214,14 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Tier> tiers;
-  tiers.push_back({"mesh-10x10", topo::make_mesh(10, 10), /*use_table=*/true,
-                   /*rate=*/0.05, /*reps=*/smoke ? 1 : 3});
-  tiers.push_back({"mesh-32x32", topo::make_mesh(32, 32), /*use_table=*/true,
-                   /*rate=*/0.02, /*reps=*/smoke ? 2 : 3});
+  tiers.push_back({"mesh-10x10", topo::make_mesh(10, 10), /*rate=*/0.05,
+                   /*reps=*/smoke ? 1 : 3});
+  tiers.push_back({"mesh-32x32", topo::make_mesh(32, 32), /*rate=*/0.02,
+                   /*reps=*/smoke ? 2 : 3});
   tiers.push_back({"cmesh-16x16x4", topo::make_concentrated_mesh(16, 16, 4),
-                   /*use_table=*/true, /*rate=*/0.01,
-                   /*reps=*/smoke ? 1 : 2});
-  tiers.push_back({"mesh-64x64", topo::make_mesh(64, 64),
-                   /*use_table=*/false, /*rate=*/0.01, /*reps=*/1});
+                   /*rate=*/0.01, /*reps=*/smoke ? 1 : 2});
+  tiers.push_back({"mesh-64x64", topo::make_mesh(64, 64), /*rate=*/0.01,
+                   /*reps=*/1});
 
   std::vector<Row> rows;
   bool scale_drained = true;
@@ -287,7 +288,7 @@ int main(int argc, char** argv) {
     sat_entries += buf;
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_sim_scale.v4\",\n"
+  out << "{\n  \"schema\": \"shg.bench_sim_scale.v5\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"scale_64x64_drained\": " << (scale_drained ? "true" : "false")
       << ",\n"

@@ -96,7 +96,7 @@ sim::SimResult replay_mempool_trace() {
       shared, topo.num_tiles() * arch.endpoints_per_tile, topo.num_tiles(),
       config.sim.packet_size_flits);
   sim::Simulator simulator(topo, latencies, config.sim, *workload.pattern,
-                           arch.endpoints_per_tile, nullptr, nullptr,
+                           arch.endpoints_per_tile, nullptr,
                            std::move(workload.process));
   return simulator.run();
 }

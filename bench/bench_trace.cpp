@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
         num_tiles);
     auto t0 = Clock::now();
     sim::Simulator live(topology, latencies, config.sim, *pattern, 1, nullptr,
-                        nullptr, std::move(process));
+                        std::move(process));
     const sim::SimResult live_result = live.run();
     live_seconds += seconds_since(t0);
 
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
         shared, num_tiles, num_tiles, config.sim.packet_size_flits);
     t0 = Clock::now();
     sim::Simulator replay(topology, latencies, config.sim, *workload.pattern,
-                          1, nullptr, nullptr, std::move(workload.process));
+                          1, nullptr, std::move(workload.process));
     const sim::SimResult replay_result = replay.run();
     replay_seconds += seconds_since(t0);
 

@@ -102,7 +102,7 @@ double run_legacy_serial(const eval::ExperimentSpec& spec) {
               rate / static_cast<double>(config.packet_size_flits),
               tc.topology.num_tiles() * spec.endpoints_per_tile);
           sim::Simulator simulator(tc.topology, latencies, config, *pattern,
-                                   spec.endpoints_per_tile, nullptr, nullptr,
+                                   spec.endpoints_per_tile, nullptr,
                                    std::move(process));
           sink += simulator.run().avg_packet_latency;
         }

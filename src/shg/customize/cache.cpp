@@ -271,33 +271,32 @@ Fingerprint fingerprint_topology(const topo::Topology& topo) {
 // platforms CI runs, forcing whoever adds it to extend
 // fingerprint_sim_config below (and the perturb-every-field test in
 // tests/experiment_test.cpp) before cached cells can silently alias.
-static_assert(sizeof(void*) != 8 || sizeof(sim::SimConfig) == 96,
+static_assert(sizeof(void*) != 8 || sizeof(sim::SimConfig) == 64,
               "SimConfig changed size: add the new field to "
               "fingerprint_sim_config and to the perturbation test, then "
               "update this assertion");
 
 Fingerprint fingerprint_sim_config(const sim::SimConfig& config) {
   FingerprintBuilder b;
-  // v2: routing_policy / ugal_bias_flits / ugal_via_seed joined the key.
+  // v2: routing_policy / ugal_bias_flits / the UGAL via seed joined the
+  // key.
   // v3: the engine-selection flag left SimConfig (one engine remains).
+  // v4: the route-table flags, the concentration (the topology carries it;
+  // fingerprint_sim_topology keys it), the latency sample cap and the UGAL
+  // via seed (now sim::kUgalViaSeed) left SimConfig.
   // The raw fields are hashed (not effective_routing_policy) so a sentinel
   // always-minimal UGAL run and a plain minimal run occupy distinct cache
   // cells even though their results are bit-identical — cheaper than
   // proving the degeneracy at every lookup site.
-  b.tag("shg.simconfig.v3");
+  b.tag("shg.simconfig.v4");
   b.i64(config.num_vcs).i64(config.buffer_depth_flits);
   b.i64(config.router_delay_cycles);
   b.i64(config.packet_size_flits);
   b.f64(config.injection_rate);
-  b.i64(config.concentration);
   b.i64(config.warmup_cycles).i64(config.measure_cycles);
   b.i64(config.drain_cycles);
-  b.u64(config.use_route_table ? 1 : 0);
-  b.u64(config.verify_route_table ? 1 : 0);
-  b.u64(static_cast<std::uint64_t>(config.latency_sample_cap));
   b.i64(static_cast<long long>(config.routing_policy));
   b.i64(config.ugal_bias_flits);
-  b.u64(config.ugal_via_seed);
   b.u64(config.seed);
   return b.done();
 }

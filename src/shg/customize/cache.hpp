@@ -38,11 +38,11 @@
 //    the kind selects the default routing function — concentration, link
 //    latencies, endpoint count), the workload's canonical TrafficSpec
 //    string, and EVERY field of `sim::SimConfig` including the injection
-//    rate and seed. The route-table flags (use_route_table /
-//    verify_route_table) are bit-identity-neutral by the simulator's
-//    tested contract, but they are keyed anyway: the
-//    cell key is deliberately total over SimConfig so that a new config
-//    field can never silently alias existing cache entries — the
+//    rate and seed. Whether the simulator uses a route table is not a
+//    config field (the table's row budget decides, bit-identically), so it
+//    is not keyed. The cell key is deliberately total over SimConfig so
+//    that a new config field can never silently alias existing cache
+//    entries — the
 //    static_assert on sizeof(SimConfig) next to the routine (cache.cpp)
 //    and the perturb-every-field unit test enforce totality.
 //  * Screening-mode domain separation: every key mixes a version/mode tag.

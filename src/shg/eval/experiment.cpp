@@ -37,7 +37,7 @@ customize::Fingerprint route_table_key(const topo::Topology& topo,
   b.i64(static_cast<long long>(topo.kind()));
   b.i64(config.num_vcs);
   b.i64(static_cast<long long>(policy));
-  b.u64(ugal ? config.ugal_via_seed : 0);
+  b.u64(ugal ? sim::kUgalViaSeed : 0);
   return b.done();
 }
 
@@ -185,8 +185,9 @@ struct CellEngine {
     num_seeds = seeds.size();
 
     // Per-topology setup: unit link latencies where unspecified, and one
-    // shared route table per topology — built in parallel, each used
-    // read-only by every run on that topology afterwards.
+    // shared route table per topology within sim::kMaxSharedRouteTableRows
+    // (null above it: those cells route live) — built in parallel, each
+    // used read-only by every run on that topology afterwards.
     latencies.resize(num_topos);
     tables.resize(num_topos);
     for (std::size_t t = 0; t < num_topos; ++t) {
@@ -203,8 +204,7 @@ struct CellEngine {
     // before) and stored back. Session traffic stays on this thread.
     std::vector<std::size_t> to_build;
     std::vector<customize::Fingerprint> table_keys(num_topos);
-    const bool use_session_tables =
-        spec.session != nullptr && spec.config.sim.use_route_table;
+    const bool use_session_tables = spec.session != nullptr;
     for (std::size_t t = 0; t < num_topos; ++t) {
       if (use_session_tables) {
         table_keys[t] =
@@ -328,7 +328,7 @@ struct CellEngine {
           spec.endpoints_per_tile, config.packet_size_flits);
       sim::Simulator simulator(topology, latencies[t], config,
                                *workload.pattern, spec.endpoints_per_tile,
-                               nullptr, tables[t], std::move(workload.process));
+                               tables[t], std::move(workload.process));
       return simulator.run();
     }
     std::unique_ptr<sim::InjectionProcess> process;
@@ -344,7 +344,7 @@ struct CellEngine {
     }
     sim::Simulator simulator(spec.topologies[t].topology, latencies[t],
                              config, *patterns[t * num_traffic + w],
-                             spec.endpoints_per_tile, nullptr, tables[t],
+                             spec.endpoints_per_tile, tables[t],
                              std::move(process));
     return simulator.run();
   }

@@ -125,8 +125,10 @@ struct TableFootprint {
 struct ExperimentReport {
   std::string name;
   std::vector<ExperimentPoint> points;
-  /// One entry per topology with a shared route table (empty when
-  /// SimConfig::use_route_table is off), in spec order.
+  /// One entry per topology with a shared route table, in spec order. A
+  /// topology above sim::kMaxSharedRouteTableRows simulates with live
+  /// routing and gets no entry, so the rendered section depends on the
+  /// grid size (the serve protocol's 64x64 limit lists none).
   std::vector<TableFootprint> route_tables;
   /// Result-tier accounting of this invocation (all zero without a
   /// session). Deliberately NOT rendered into the JSON/CSV reports: the

@@ -10,14 +10,16 @@ sim::SimResult simulate_at_rate(
   sim::SimConfig sim_config = config.sim;
   sim_config.injection_rate = rate;
   sim::Simulator simulator(topo, link_latencies, sim_config, pattern,
-                           endpoints_per_tile, nullptr,
-                           std::move(shared_table));
+                           endpoints_per_tile, std::move(shared_table));
   return simulator.run();
 }
 
 std::shared_ptr<const sim::RouteTable> make_shared_route_table(
     const topo::Topology& topo, const PerfConfig& config) {
-  if (!config.sim.use_route_table) return nullptr;
+  if (sim::RouteTable::rows_for(topo, config.sim.num_vcs) >
+      sim::kMaxSharedRouteTableRows) {
+    return nullptr;
+  }
   // Policy-aware: an ugal config gets a table with the UGAL candidate rows
   // (and the ugal_info sidecar the simulator requires); minimal configs get
   // the family default, exactly as before.

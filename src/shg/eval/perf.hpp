@@ -47,9 +47,10 @@ sim::SimResult simulate_at_rate(
     const PerfConfig& config, double rate,
     std::shared_ptr<const sim::RouteTable> shared_table = nullptr);
 
-/// Builds the route table the default routing of `topo` would use, for
-/// sharing across the simulations of a sweep or bisection. Returns null when
-/// the config disables route tables.
+/// Builds the route table the config's routing policy would use on `topo`,
+/// for sharing across the simulations of a sweep or bisection. Returns null
+/// above the shared row budget (sim::kMaxSharedRouteTableRows), where the
+/// simulator routes live instead.
 std::shared_ptr<const sim::RouteTable> make_shared_route_table(
     const topo::Topology& topo, const PerfConfig& config);
 

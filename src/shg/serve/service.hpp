@@ -14,6 +14,9 @@
 //   experiment {"grid": "RxC"?, "traffic": [string...]?,
 //               "rates": [number...]?, "seeds": int?, "smoke": bool?,
 //               "routing": "minimal"|"ugal"?}
+//   The experiment report's "route_tables" section lists only topologies
+//   within sim::kMaxSharedRouteTableRows; larger ones route live, so the
+//   section shrinks as the grid grows (none from 56x56 up).
 //
 //   response := {"id": scalar, "op": OP?, "ok": bool, "error": string?,
 //                "elapsed_us": int, "counters": {...}?, "tiers": {...},

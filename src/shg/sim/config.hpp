@@ -1,7 +1,6 @@
 // Simulation configuration: router microarchitecture and measurement setup.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -39,6 +38,11 @@ enum class RoutingPolicy : std::int32_t {
 /// (customize::fingerprint_sim_config) — a sizeof-based static_assert next
 /// to that routine trips when a field is added here without extending it,
 /// so new knobs cannot silently alias cached simulation results.
+///
+/// What the simulator can derive is not a knob here: the concentration
+/// factor comes from the topology (topo::Topology::concentration()), and
+/// whether a route table is built from the topology's size
+/// (RouteTable::rows_for against kMaxRouteTableRows, sim/route_table.hpp).
 struct SimConfig {
   // Router microarchitecture ("input-queued routers with 8 virtual channels
   // and 32-flit buffers", Section V-b).
@@ -52,37 +56,10 @@ struct SimConfig {
   int packet_size_flits = 4;
   double injection_rate = 0.01;  ///< flits per cycle per endpoint port
 
-  /// Concentration (booksim2 cmesh-style): terminals per router. With
-  /// concentration > 1 every router serves `concentration` endpoint ports,
-  /// traffic patterns address *terminals* laid out on the concentrated
-  /// sub-grid (see sim/concentration.hpp), and a packet ejects at its
-  /// destination terminal's port. Requires the simulator's
-  /// endpoints_per_tile argument to be 1 (the concentration defines the
-  /// endpoint count). concentration == 1 is the classic per-tile
-  /// addressing, bit-identical to the pre-concentration simulator.
-  int concentration = 1;
-
   // Measurement phases (BookSim-style warmup / measure / drain).
   long long warmup_cycles = 1000;
   long long measure_cycles = 3000;
   long long drain_cycles = 40000;  ///< cap on the drain phase
-
-  // Route-table acceleration: precompute every routing decision into a flat
-  // table at simulator construction so no RoutingFunction::route() call (or
-  // vector allocation) happens per head flit. Results are bit-identical with
-  // the table on or off; turn it off only when the table's memory footprint
-  // is a concern (it grows with nodes^2 * radix * VCs).
-  bool use_route_table = true;
-  // Equivalence-checking mode: after building the table, re-derive every
-  // entry from the live routing function and fail loudly on any mismatch.
-  bool verify_route_table = false;
-
-  /// Latency samples stored exactly before the Distribution folds into its
-  /// integer-binned mode (see sim/stats.hpp). Below the cap percentiles are
-  /// bit-identical to the unbounded implementation; above it memory stays
-  /// bounded for million-packet runs. 0 bins from the first sample. The
-  /// default matches Distribution::kDefaultSampleCap.
-  std::size_t latency_sample_cap = std::size_t{1} << 20;
 
   /// Forces a kUgal config to behave exactly like kMinimal (every decision
   /// resolves minimal before any UGAL machinery engages); see
@@ -99,10 +76,9 @@ struct SimConfig {
   /// Larger values favor minimal routing; kUgalBiasAlwaysMinimal disables
   /// non-minimal routing entirely.
   int ugal_bias_flits = 1;
-  /// Seed of the deterministic Valiant-intermediate draw. Kept separate
-  /// from `seed` so an injection-seed sweep shares one route table.
-  std::uint64_t ugal_via_seed = 0x9e3779b97f4a7c15ull;
 
+  /// Seed of the injection schedule (the traffic pattern's and injection
+  /// process's draws).
   std::uint64_t seed = 0x5eed;
 
   void validate() const {
@@ -110,7 +86,6 @@ struct SimConfig {
     SHG_REQUIRE(buffer_depth_flits >= 1, "need at least one buffer slot");
     SHG_REQUIRE(router_delay_cycles >= 0, "router delay must be >= 0");
     SHG_REQUIRE(packet_size_flits >= 1, "packets need at least one flit");
-    SHG_REQUIRE(concentration >= 1, "need at least one terminal per router");
     SHG_REQUIRE(injection_rate > 0.0 && injection_rate <= 1.0,
                 "injection rate must be in (0, 1] flits/cycle/port");
     SHG_REQUIRE(warmup_cycles >= 0 && measure_cycles > 0 && drain_cycles >= 0,

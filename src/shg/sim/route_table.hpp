@@ -34,13 +34,22 @@
 // into a single empty unique row. Candidate order within a list is
 // preserved from the routing function (the VC allocator tries candidates
 // front to back), so simulation results are bit-identical with the table
-// on or off, deduplicated or not.
+// or with live routing, deduplicated or not.
+//
+// Size. The row index alone holds (N + V * sum of degrees) * N entries, so
+// it grows with nodes^2: 9.2 M rows for a 32x32 mesh at 2 VCs, 149 M at
+// 64x64. A simulator builds a table for its own run only when rows_for()
+// stays within kMaxRouteTableRows, and eval::make_shared_route_table builds
+// one for many runs within kMaxSharedRouteTableRows; above the budget the
+// engine calls the routing function per head flit instead, with
+// bit-identical results.
 //
 // Equivalence checking: verify_against() re-derives every row from a live
-// routing function and throws on the first mismatch; SimConfig's
-// verify_route_table flag runs it at simulator construction.
+// routing function and throws on the first mismatch (the route-table tests'
+// reference).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -50,8 +59,30 @@
 
 namespace shg::sim {
 
+/// Row budget of a table a Simulator builds for its own run: 1 << 24 rows,
+/// i.e. 64 MiB of row indices.
+inline constexpr std::size_t kMaxRouteTableRows = std::size_t{1} << 24;
+
+/// Row budget of a table shared by many runs (a campaign's cells, a
+/// bisection's probes, a session's requests): 1 << 26 rows, 256 MiB of row
+/// indices. The build is paid once, so the table pays off at larger sizes:
+/// on a 4-vCPU x86 VM a default 108-cell campaign runs about as fast with
+/// live routing as with tables at 40x40, while at 32x32 (at most 39.6 M
+/// rows) the tables save about a fifth of the time under UGAL (PERF.md).
+inline constexpr std::size_t kMaxSharedRouteTableRows = std::size_t{1} << 26;
+
 class RouteTable {
  public:
+  /// Rows a table for `topo` at `num_vcs` VCs holds, (N + V * sum of
+  /// degrees) * N — exactly num_rows() of the built table, computed without
+  /// building it.
+  static std::size_t rows_for(const topo::Topology& topo, int num_vcs) {
+    const graph::Graph& g = topo.graph();
+    const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+    const std::size_t degrees = 2 * static_cast<std::size_t>(g.num_edges());
+    return (n + static_cast<std::size_t>(num_vcs) * degrees) * n;
+  }
+
   /// Builds the full table by exhaustively querying `routing`. The routing
   /// function must be total over the state space described above.
   RouteTable(const topo::Topology& topo, const RoutingFunction& routing,

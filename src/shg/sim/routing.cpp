@@ -491,18 +491,12 @@ class UgalRouting final : public RoutingFunction {
                     " VCs (2 escape classes + 1 adaptive)");
     const auto& g = topo.graph();
     const int n = g.num_nodes();
-    hops_ = graph::all_pairs_hops(g);
     info_.num_nodes = n;
     const auto flat = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
     info_.via.assign(flat, -1);
-    info_.hops.assign(flat, 0);
-    for (int s = 0; s < n; ++s) {
-      for (int d = 0; d < n; ++d) {
-        info_.hops[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(d)] =
-            static_cast<std::int32_t>(
-                hops_[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)]);
-      }
+    info_.hops.reserve(flat);
+    for (const std::vector<int>& row : graph::all_pairs_hops(g)) {
+      info_.hops.insert(info_.hops.end(), row.begin(), row.end());
     }
     // One deterministic Valiant intermediate per ordered (src, dest) pair,
     // drawn s-major then d so the table is identical however callers
@@ -538,14 +532,13 @@ class UgalRouting final : public RoutingFunction {
       // [0, kUgalEscapeVcs) because it was built for that many VCs.
       return escape_->route(node, in_port, in_vc, dest);
     }
-    // Fully adaptive minimal hops on the adaptive VC band.
+    // Fully adaptive minimal hops on the adaptive VC band. The graph is
+    // undirected, so every distance to `dest` sits in its one row.
     std::vector<RouteCandidate> result;
-    const int d = hops_[static_cast<std::size_t>(node)]
-                       [static_cast<std::size_t>(dest)];
+    const int d = info_.hops_between(dest, node);
     const auto& nbrs = topo_->graph().neighbors(node);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (hops_[static_cast<std::size_t>(nbrs[i].node)]
-               [static_cast<std::size_t>(dest)] == d - 1) {
+      if (info_.hops_between(dest, nbrs[i].node) == d - 1) {
         result.push_back(
             RouteCandidate{static_cast<int>(i), kUgalEscapeVcs, num_vcs_});
       }
@@ -566,7 +559,6 @@ class UgalRouting final : public RoutingFunction {
   const topo::Topology* topo_;
   int num_vcs_;
   std::unique_ptr<RoutingFunction> escape_;
-  std::vector<std::vector<int>> hops_;
   UgalInfo info_;
 };
 
@@ -622,7 +614,7 @@ std::unique_ptr<RoutingFunction> make_ugal_routing(const topo::Topology& topo,
 std::unique_ptr<RoutingFunction> make_policy_routing(const topo::Topology& topo,
                                                      const SimConfig& config) {
   if (effective_routing_policy(config) == RoutingPolicy::kUgal) {
-    return make_ugal_routing(topo, config.num_vcs, config.ugal_via_seed);
+    return make_ugal_routing(topo, config.num_vcs, kUgalViaSeed);
   }
   return make_default_routing(topo, config.num_vcs);
 }

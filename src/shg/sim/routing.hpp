@@ -124,8 +124,13 @@ std::unique_ptr<RoutingFunction> make_ugal_routing(const topo::Topology& topo,
                                                    int num_vcs,
                                                    std::uint64_t via_seed);
 
+/// The Valiant-intermediate seed make_policy_routing passes to
+/// make_ugal_routing. Fixed rather than derived from SimConfig::seed, so an
+/// injection-seed sweep shares one route table.
+inline constexpr std::uint64_t kUgalViaSeed = 0x9e3779b97f4a7c15ull;
+
 /// Routing for the policy `config` selects: make_default_routing for an
-/// effective kMinimal policy, make_ugal_routing(num_vcs, ugal_via_seed) for
+/// effective kMinimal policy, make_ugal_routing(num_vcs, kUgalViaSeed) for
 /// effective kUgal (see effective_routing_policy in sim/config.hpp).
 std::unique_ptr<RoutingFunction> make_policy_routing(const topo::Topology& topo,
                                                      const SimConfig& config);

@@ -52,7 +52,6 @@ std::size_t packet_reserve_hint(double packet_prob, Cycle generation_end,
 Simulator::Simulator(const topo::Topology& topo,
                      std::vector<int> link_latencies, SimConfig config,
                      const TrafficPattern& pattern, int endpoints_per_tile,
-                     std::unique_ptr<RoutingFunction> routing,
                      std::shared_ptr<const RouteTable> shared_table,
                      std::unique_ptr<InjectionProcess> process)
     : topo_(&topo),
@@ -60,22 +59,13 @@ Simulator::Simulator(const topo::Topology& topo,
       config_(config),
       pattern_(&pattern),
       endpoints_per_tile_(endpoints_per_tile),
-      routing_(std::move(routing)),
       route_table_(std::move(shared_table)),
       process_(std::move(process)) {
-  // Concentrated topologies (make_concentrated_mesh) carry their factor;
-  // adopt it so callers need not thread it into SimConfig separately.
-  if (config_.concentration == 1 && topo.concentration() > 1) {
-    config_.concentration = topo.concentration();
-  }
-  SHG_REQUIRE(topo.concentration() == 1 ||
-                  topo.concentration() == config_.concentration,
-              "topology and SimConfig disagree on the concentration factor");
-  if (config_.concentration > 1) {
+  if (topo.concentration() > 1) {
     SHG_REQUIRE(endpoints_per_tile_ == 1,
                 "concentrated runs define the endpoint count through the "
                 "concentration factor; pass endpoints_per_tile = 1");
-    endpoints_per_tile_ = config_.concentration;
+    endpoints_per_tile_ = topo.concentration();
   }
   config_.validate();
   {
@@ -96,9 +86,9 @@ Simulator::Simulator(const topo::Topology& topo,
     process_ = make_bernoulli(config_.injection_rate /
                               static_cast<double>(config_.packet_size_flits));
   }
-  const bool ugal =
-      effective_routing_policy(config_) == RoutingPolicy::kUgal;
   if (route_table_ != nullptr) {
+    const bool ugal =
+        effective_routing_policy(config_) == RoutingPolicy::kUgal;
     SHG_REQUIRE(route_table_->num_vcs() == config_.num_vcs,
                 "shared route table was built for a different VC count");
     SHG_REQUIRE(route_table_->matches(topo),
@@ -106,23 +96,16 @@ Simulator::Simulator(const topo::Topology& topo,
     SHG_REQUIRE((route_table_->ugal_info() != nullptr) == ugal,
                 "shared route table was built for a different routing "
                 "policy (minimal vs ugal)");
-  }
-  // With a shared table and no verification request, the routing function
-  // is never consulted — skip constructing the default one (for table-based
-  // families its constructor redoes the all-pairs work the shared table
-  // exists to amortize).
-  const bool need_routing =
-      routing_ == nullptr &&
-      (route_table_ == nullptr || config_.verify_route_table);
-  if (need_routing) {
-    routing_ = make_policy_routing(topo, config_);
-  }
-  if (route_table_ == nullptr && config_.use_route_table) {
-    route_table_ =
-        std::make_shared<const RouteTable>(topo, *routing_, config_.num_vcs);
-  }
-  if (route_table_ != nullptr && config_.verify_route_table) {
-    route_table_->verify_against(*routing_);
+  } else {
+    // No shared table: build one within the row budget, otherwise keep the
+    // routing function for the engine to call per head flit.
+    auto routing = make_policy_routing(topo, config_);
+    if (RouteTable::rows_for(topo, config_.num_vcs) <= kMaxRouteTableRows) {
+      route_table_ = std::make_shared<const RouteTable>(topo, *routing,
+                                                        config_.num_vcs);
+    } else {
+      routing_ = std::move(routing);
+    }
   }
 }
 

@@ -2,8 +2,9 @@
 // latency/throughput statistics (the BookSim2 substitute of the prediction
 // toolchain, Fig. 3).
 //
-// Simulator validates the run and owns its routing function, route table
-// and injection process; each run() hands them to one SoaEngine
+// Simulator validates the run and owns its route table (or, above the
+// table's row budget, its live routing function) and injection process;
+// each run() hands them to one SoaEngine
 // (sim/soa_network.hpp: flat slabs, an active-router worklist and
 // quiescence fast-forward). The golden corpus (tests/golden/) pins its
 // results bit for bit (ARCHITECTURE.md, "Simulator hot loop").
@@ -46,26 +47,26 @@ struct SimResult {
 };
 
 /// One simulation: a topology with per-link latencies, a router
-/// configuration, a routing function and a traffic pattern.
+/// configuration and a traffic pattern. The routing is the one the
+/// config's policy selects for the topology family (make_policy_routing).
 class Simulator {
  public:
   /// `link_latencies`: cycles per link, from the cost model (Section IV-B2d).
   /// `endpoints_per_tile`: local injection/ejection ports per tile; must be
-  /// 1 when the run is concentrated (SimConfig::concentration > 1 or a
-  /// topology built by make_concentrated_mesh), because the concentration
-  /// then defines the endpoint count.
-  /// If `routing` is null, the topology family's default deadlock-free
-  /// routing is used. `shared_table` lets callers running many simulations
-  /// on one topology (sweeps, bisection) reuse one precomputed route table
-  /// instead of rebuilding it per run; it must match the routing function
-  /// and VC count, which verify_route_table can check.
+  /// 1 for a concentrated topology (make_concentrated_mesh), whose
+  /// concentration factor then defines the endpoint count.
+  /// `shared_table` lets callers running many simulations on one topology
+  /// (sweeps, bisection) reuse one precomputed route table instead of
+  /// rebuilding it per run; it must match the topology, VC count and
+  /// routing policy. Without one, the simulator builds its own table when
+  /// RouteTable::rows_for stays within kMaxRouteTableRows and routes live
+  /// above that budget.
   /// If `process` is null, a Bernoulli injection process at
   /// config.injection_rate / config.packet_size_flits packets per cycle
   /// per source is used — the classic (and pre-refactor) behavior.
   Simulator(const topo::Topology& topo, std::vector<int> link_latencies,
             SimConfig config, const TrafficPattern& pattern,
             int endpoints_per_tile,
-            std::unique_ptr<RoutingFunction> routing = nullptr,
             std::shared_ptr<const RouteTable> shared_table = nullptr,
             std::unique_ptr<InjectionProcess> process = nullptr);
 
@@ -74,20 +75,9 @@ class Simulator {
   /// process is reset and the PRNG reseeded from config.seed each time.
   SimResult run();
 
-  /// The live routing function. Not available when a shared route table
-  /// (without verification) made constructing one unnecessary.
-  const RoutingFunction& routing() const {
-    SHG_REQUIRE(routing_ != nullptr,
-                "simulator runs purely from a shared route table; no live "
-                "routing function was constructed");
-    return *routing_;
-  }
-
-  /// The precomputed route table (null when config.use_route_table is off).
+  /// The route table the runs use: the shared one, or the one built here;
+  /// null above the row budget, where the engine routes live.
   const RouteTable* route_table() const { return route_table_.get(); }
-
-  /// The injection process driving packet generation (never null).
-  const InjectionProcess& process() const { return *process_; }
 
   /// Packets the last run() sent on a UGAL non-minimal leg. Always 0 under
   /// an effective kMinimal policy (including the kUgalBiasAlwaysMinimal
@@ -101,7 +91,7 @@ class Simulator {
   SimConfig config_;
   const TrafficPattern* pattern_;
   int endpoints_per_tile_;
-  std::unique_ptr<RoutingFunction> routing_;
+  std::unique_ptr<RoutingFunction> routing_;  ///< null with a route table
   std::shared_ptr<const RouteTable> route_table_;
   std::unique_ptr<InjectionProcess> process_;
   long long last_ugal_nonminimal_ = 0;

@@ -192,8 +192,8 @@ void SoaEngine::pregenerate(const topo::Topology& topo) {
   const double packet_prob =
       config_.injection_rate / static_cast<double>(config_.packet_size_flits);
   const Concentration conc = Concentration::make(topo.rows(), topo.cols(),
-                                                 config_.concentration);
-  const bool concentrated = config_.concentration > 1;
+                                                 topo.concentration());
+  const bool concentrated = topo.concentration() > 1;
 
   const std::size_t hint = packet_reserve_hint(
       packet_prob, generation_end, num_routers_, local_ports_);
@@ -376,6 +376,14 @@ void SoaEngine::ni_inject(int r, Cycle now) {
   }
 }
 
+std::span<const RouteCandidate> SoaEngine::candidates(int r, int in_port,
+                                                      int in_vc, int dest,
+                                                      std::size_t s) {
+  if (table_ != nullptr) return table_->lookup(r, in_port, in_vc, dest);
+  ivc_live_[s] = routing_->route(r, in_port, in_vc, dest);
+  return ivc_live_[s];
+}
+
 void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
   const BufFlit& head = buf_[s * static_cast<std::size_t>(depth_) +
                              static_cast<std::size_t>(buf_head_[s])];
@@ -390,8 +398,7 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     SHG_ASSERT(ep < local_ports_, "eject port beyond the tile's endpoints");
     const int local = net + (ep >= 0 ? ep : head.pkt % local_ports_);
     ivc_eject_[s] = RouteCandidate{local, 0, vcs_};
-    ivc_routes_[s] = &ivc_eject_[s];
-    ivc_routes_len_[s] = 1;
+    set_routes(s, {&ivc_eject_[s], 1});
   } else {
     // Local input ports report in_port == -1 AND in_vc == -1: the local
     // buffer VC an injected packet happens to sit in carries no routing
@@ -405,14 +412,8 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     const int in_vc = from_network ? vc : -1;
     if (ugal_mode_) {
       compute_route_ugal(r, s, in_port, in_vc, head.pkt, dest);
-    } else if (table_ != nullptr) {
-      const auto span = table_->lookup(r, in_port, in_vc, dest);
-      ivc_routes_[s] = span.data();
-      ivc_routes_len_[s] = static_cast<std::int32_t>(span.size());
     } else {
-      ivc_live_[s] = routing_->route(r, in_port, in_vc, dest);
-      ivc_routes_[s] = ivc_live_[s].data();
-      ivc_routes_len_[s] = static_cast<std::int32_t>(ivc_live_[s].size());
+      set_routes(s, candidates(r, in_port, in_vc, dest, s));
     }
     SHG_ASSERT(ivc_routes_len_[s] > 0, "routing returned no candidates");
   }
@@ -421,11 +422,8 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
   ++va_pending_[static_cast<std::size_t>(r)];
 }
 
-int SoaEngine::first_port(int r, int to) const {
-  if (table_ != nullptr) {
-    return table_->lookup(r, -1, -1, to).front().out_port;
-  }
-  return routing_->route(r, -1, -1, to).front().out_port;
+int SoaEngine::first_port(int r, int to, std::size_t s) {
+  return candidates(r, -1, -1, to, s).front().out_port;
 }
 
 int SoaEngine::adaptive_occupancy(int r, int port) const {
@@ -437,17 +435,11 @@ int SoaEngine::adaptive_occupancy(int r, int port) const {
   return occ;
 }
 
-void SoaEngine::append_band(int r, int in_port, int in_vc, int to,
-                            bool adaptive,
-                            std::vector<RouteCandidate>& out) const {
-  if (table_ != nullptr) {
-    for (const RouteCandidate& cand : table_->lookup(r, in_port, in_vc, to)) {
-      if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) out.push_back(cand);
-    }
-  } else {
-    for (const RouteCandidate& cand :
-         routing_->route(r, in_port, in_vc, to)) {
-      if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) out.push_back(cand);
+void SoaEngine::append_band(int r, std::size_t s, int in_port, int in_vc,
+                            int to, bool adaptive) {
+  for (const RouteCandidate& cand : candidates(r, in_port, in_vc, to, s)) {
+    if ((cand.vc_begin >= kUgalEscapeVcs) == adaptive) {
+      splice_.push_back(cand);
     }
   }
 }
@@ -465,8 +457,8 @@ void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
     if (in_port < 0 && via < 0) {
       const std::int32_t drawn = ugal_info_->via_of(r, dest);
       if (drawn >= 0) {
-        const int occ_min = adaptive_occupancy(r, first_port(r, dest));
-        const int occ_nm = adaptive_occupancy(r, first_port(r, drawn));
+        const int occ_min = adaptive_occupancy(r, first_port(r, dest, s));
+        const int occ_nm = adaptive_occupancy(r, first_port(r, drawn, s));
         const long long cost_min =
             static_cast<long long>(occ_min) *
             ugal_info_->hops_between(r, dest);
@@ -485,26 +477,19 @@ void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
     if (via >= 0) {
       // Non-minimal leg: adaptive candidates steer toward the intermediate,
       // escape candidates keep targeting the final destination.
-      std::vector<RouteCandidate>& spliced = ivc_live_[s];
-      spliced.clear();
-      append_band(r, in_port, in_vc, via, /*adaptive=*/true, spliced);
-      append_band(r, in_port, in_vc, dest, /*adaptive=*/false, spliced);
-      ivc_routes_[s] = spliced.data();
-      ivc_routes_len_[s] = static_cast<std::int32_t>(spliced.size());
+      // The splice collects in splice_ because the lookups refill the
+      // slot's live vector, then the two swap.
+      splice_.clear();
+      append_band(r, s, in_port, in_vc, via, /*adaptive=*/true);
+      append_band(r, s, in_port, in_vc, dest, /*adaptive=*/false);
+      ivc_live_[s].swap(splice_);
+      set_routes(s, ivc_live_[s]);
       return;
     }
   }
   // Escape state or minimal/post-via adaptive state: the plain row toward
   // the destination.
-  if (table_ != nullptr) {
-    const auto span = table_->lookup(r, in_port, in_vc, dest);
-    ivc_routes_[s] = span.data();
-    ivc_routes_len_[s] = static_cast<std::int32_t>(span.size());
-  } else {
-    ivc_live_[s] = routing_->route(r, in_port, in_vc, dest);
-    ivc_routes_[s] = ivc_live_[s].data();
-    ivc_routes_len_[s] = static_cast<std::int32_t>(ivc_live_[s].size());
-  }
+  set_routes(s, candidates(r, in_port, in_vc, dest, s));
 }
 
 void SoaEngine::allocate(int r, Cycle now) {
@@ -712,7 +697,7 @@ SimResult SoaEngine::run() {
 
   long long measured_ejected = 0;
   long long flits_ejected_in_window = 0;
-  Distribution latencies(config_.latency_sample_cap);
+  Distribution latencies;
   double hops_sum = 0.0;
   std::vector<double> source_latency_sum(
       static_cast<std::size_t>(num_routers_), 0.0);

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -142,19 +143,30 @@ class SoaEngine {
   void ni_inject(int r, Cycle now);
   void allocate(int r, Cycle now);
   void compute_route(int r, int port, int vc, std::size_t s);
+  /// The one routing lookup: candidates for a head flit at router r that
+  /// arrived through (in_port, in_vc) (-1/-1 for injection) and heads for
+  /// `dest`. A span into the route table when there is one; otherwise the
+  /// routing function's answer, stored in slot s's live vector.
+  std::span<const RouteCandidate> candidates(int r, int in_port, int in_vc,
+                                             int dest, std::size_t s);
+  void set_routes(std::size_t s, std::span<const RouteCandidate> routes) {
+    ivc_routes_[s] = routes.data();
+    ivc_routes_len_[s] = static_cast<std::int32_t>(routes.size());
+  }
 
   /// UGAL-mode route computation: injection-time minimal/non-minimal
   /// decision, via-leg candidate splice, escape-band passthrough.
   void compute_route_ugal(int r, std::size_t s, int in_port, int in_vc,
                           std::int32_t pkt, int dest);
-  /// Output port of the first injection-row candidate toward `to`.
-  int first_port(int r, int to) const;
+  /// Output port of the first injection-row candidate toward `to`; slot s
+  /// serves as candidates()'s live vector.
+  int first_port(int r, int to, std::size_t s);
   /// Downstream adaptive-band occupancy of router r's output `port`.
   int adaptive_occupancy(int r, int port) const;
   /// Appends the adaptive (or escape) band of the (in_port, in_vc) row
-  /// toward `to` onto `out`.
-  void append_band(int r, int in_port, int in_vc, int to, bool adaptive,
-                   std::vector<RouteCandidate>& out) const;
+  /// toward `to` onto splice_.
+  void append_band(int r, std::size_t s, int in_port, int in_vc, int to,
+                   bool adaptive);
 
   void push_buf(std::size_t s, Cycle ready, std::int32_t pkt,
                 std::uint8_t flags);
@@ -209,6 +221,7 @@ class SoaEngine {
   std::vector<std::int32_t> ivc_routes_len_;
   std::vector<RouteCandidate> ivc_eject_;  ///< per slot: ejection candidate
   std::vector<std::vector<RouteCandidate>> ivc_live_;  ///< live-routing mode
+  std::vector<RouteCandidate> splice_;  ///< UGAL via-leg row under assembly
 
   // Output-VC state (per slot) and rotating allocator priorities.
   std::vector<std::uint8_t> ovc_busy_;

@@ -214,6 +214,40 @@ TEST(Experiment, ReportsDedupedRouteTableFootprint) {
   }
 }
 
+TEST(Experiment, RouteTableFootprintSkipsTopologiesAboveRowBudget) {
+  // A 56x56 mesh at 2 VCs needs 87.1 M rows, past
+  // sim::kMaxSharedRouteTableRows: its cells route live and the report
+  // lists no table for it. The rendered route_tables section therefore
+  // depends on the grid size.
+  ExperimentSpec spec;
+  spec.name = "budget";
+  spec.topologies.push_back(TopologyCase{topo::make_mesh(4, 4), {}, "small"});
+  spec.topologies.push_back(
+      TopologyCase{topo::make_mesh(56, 56), {}, "large"});
+  spec.traffic.push_back(TrafficCase{"uniform", nullptr, ""});
+  spec.rates = {0.02};
+  spec.seeds = {1};
+  spec.config = fast_config();
+  spec.config.sim.warmup_cycles = 50;
+  spec.config.sim.measure_cycles = 100;
+  ASSERT_LE(sim::RouteTable::rows_for(spec.topologies[0].topology, 2),
+            sim::kMaxSharedRouteTableRows);
+  ASSERT_GT(sim::RouteTable::rows_for(spec.topologies[1].topology, 2),
+            sim::kMaxSharedRouteTableRows);
+  const ExperimentReport report = run_experiment(spec);
+  ASSERT_EQ(report.points.size(), 2u);
+  EXPECT_TRUE(report.points[1].all_drained);
+  ASSERT_EQ(report.route_tables.size(), 1u);
+  EXPECT_EQ(report.route_tables[0].topology, "small");
+  EXPECT_EQ(report.route_tables[0].rows,
+            sim::RouteTable::rows_for(spec.topologies[0].topology, 2));
+  const std::string json = experiment_to_json(report);
+  const std::size_t section = json.find("\"route_tables\"");
+  ASSERT_NE(section, std::string::npos);
+  EXPECT_NE(json.find("\"topology\": \"small\"", section), std::string::npos);
+  EXPECT_EQ(json.find("\"topology\": \"large\"", section), std::string::npos);
+}
+
 TEST(Experiment, Figure6SpecRunsThroughEngine) {
   // The Figure 6 scenarios expressed as ExperimentSpecs: cost-model link
   // latencies per topology, uniform Bernoulli traffic. Shrunk here (two
@@ -493,23 +527,18 @@ TEST(ResultTierKeys, SimConfigFingerprintCoversEveryField) {
   // the sizeof static_assert next to fingerprint_sim_config) fails after
   // adding a field, extend both the fingerprint and this list.
   const sim::SimConfig base;
-  std::vector<sim::SimConfig> perturbed(16, base);
+  std::vector<sim::SimConfig> perturbed(11, base);
   perturbed[0].num_vcs += 1;
   perturbed[1].buffer_depth_flits += 1;
   perturbed[2].router_delay_cycles += 1;
   perturbed[3].packet_size_flits += 1;
   perturbed[4].injection_rate += 0.01;
-  perturbed[5].concentration += 1;
-  perturbed[6].warmup_cycles += 1;
-  perturbed[7].measure_cycles += 1;
-  perturbed[8].drain_cycles += 1;
-  perturbed[9].use_route_table = !base.use_route_table;
-  perturbed[10].verify_route_table = !base.verify_route_table;
-  perturbed[11].latency_sample_cap += 1;
-  perturbed[12].seed += 1;
-  perturbed[13].routing_policy = sim::RoutingPolicy::kUgal;
-  perturbed[14].ugal_bias_flits += 1;
-  perturbed[15].ugal_via_seed += 1;
+  perturbed[5].warmup_cycles += 1;
+  perturbed[6].measure_cycles += 1;
+  perturbed[7].drain_cycles += 1;
+  perturbed[8].seed += 1;
+  perturbed[9].routing_policy = sim::RoutingPolicy::kUgal;
+  perturbed[10].ugal_bias_flits += 1;
 
   std::vector<customize::Fingerprint> fps;
   fps.push_back(customize::fingerprint_sim_config(base));

@@ -1,12 +1,19 @@
 // Route-table correctness: the precomputed table must agree with the live
 // routing function on every reachable (node, in_port, in_vc, dest) state of
-// every topology family, and the simulator must produce bit-identical
-// results with the table on or off.
+// every topology family, the simulator must produce bit-identical results
+// with the table and with live routing, and the row budgets must pick the
+// table exactly where the simulator's callers can afford it.
 #include <gtest/gtest.h>
 
+#include "shg/eval/perf.hpp"
+#include "shg/eval/scenario.hpp"
+#include "shg/eval/toolchain.hpp"
+#include "shg/serve/service.hpp"
 #include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/topo/generators.hpp"
+
+#include "live_run.hpp"
 
 namespace shg::sim {
 namespace {
@@ -108,9 +115,7 @@ TEST(RouteTable, RejectsVcMismatchInRouter) {
   const auto pattern = make_uniform(topo.num_tiles());
   const std::vector<int> latencies(
       static_cast<std::size_t>(topo.graph().num_edges()), 1);
-  EXPECT_THROW(
-      Simulator(topo, latencies, config, *pattern, 1, nullptr, table),
-      Error);
+  EXPECT_THROW(Simulator(topo, latencies, config, *pattern, 1, table), Error);
 }
 
 TEST(RouteTable, SimulatorRejectsSharedTableForDifferentTopology) {
@@ -126,9 +131,8 @@ TEST(RouteTable, SimulatorRejectsSharedTableForDifferentTopology) {
   const auto pattern = make_uniform(other.num_tiles());
   const std::vector<int> latencies(
       static_cast<std::size_t>(other.graph().num_edges()), 1);
-  EXPECT_THROW(
-      Simulator(other, latencies, config, *pattern, 1, nullptr, table),
-      Error);
+  EXPECT_THROW(Simulator(other, latencies, config, *pattern, 1, table),
+               Error);
 }
 
 std::vector<int> unit_latencies(const topo::Topology& topo) {
@@ -137,8 +141,9 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
 }
 
 /// The acceptance bar of the perf overhaul: latency distribution,
-/// throughput and every other statistic must be identical with the route
-/// table on or off.
+/// throughput and every other statistic must be identical whether the
+/// engine routes live or through the table the simulator builds — and that
+/// table must agree with the live routing function row for row.
 void expect_bit_identical_sim(const topo::Topology& topo) {
   SimConfig config;
   config.num_vcs = kVcs;
@@ -147,13 +152,13 @@ void expect_bit_identical_sim(const topo::Topology& topo) {
   config.measure_cycles = 900;
   const auto pattern = make_uniform(topo.num_tiles());
 
-  config.use_route_table = false;
   const SimResult live =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
-  config.use_route_table = true;
-  config.verify_route_table = true;
-  const SimResult tabled =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
+      run_live(topo, unit_latencies(topo), config, *pattern, 1).result;
+  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  ASSERT_NE(simulator.route_table(), nullptr);
+  EXPECT_NO_THROW(simulator.route_table()->verify_against(
+      *make_policy_routing(topo, config)));
+  const SimResult tabled = simulator.run();
 
   EXPECT_EQ(live.offered_rate, tabled.offered_rate);
   EXPECT_EQ(live.accepted_rate, tabled.accepted_rate);
@@ -208,6 +213,64 @@ TEST(RouteTable, DedupPreservesEveryLookup) {
   EXPECT_GE(table.num_candidates_undeduped(), table.num_candidates());
 }
 
+TEST(RouteTable, RowBudget) {
+  // rows_for is the built table's exact row count.
+  const auto small = topo::make_sparse_hamming(6, 6, {3}, {2});
+  const RouteTable table(small, *make_default_routing(small, kVcs), kVcs);
+  EXPECT_EQ(RouteTable::rows_for(small, kVcs), table.num_rows());
+
+  const auto fits = [](const topo::Topology& topo, int num_vcs) {
+    return RouteTable::rows_for(topo, num_vcs) <= kMaxRouteTableRows;
+  };
+  // Tables: every Figure 6 campaign fabric at its 8 VCs, and the 32x32
+  // mesh at 2 VCs (9.18 M rows).
+  const eval::Scenario scenario =
+      eval::figure6_scenario(tech::KncScenario::kA);
+  const int campaign_vcs =
+      eval::default_perf_config(scenario.arch).sim.num_vcs;
+  EXPECT_EQ(campaign_vcs, 8);
+  for (const topo::Topology& topo : eval::scenario_topologies(scenario)) {
+    EXPECT_TRUE(fits(topo, campaign_vcs)) << topo.name();
+  }
+  EXPECT_EQ(RouteTable::rows_for(topo::make_mesh(32, 32), 2), 9175040u);
+  EXPECT_TRUE(fits(topo::make_mesh(32, 32), 2));
+  // Live: the 32x32 UGAL saturation fabrics at 4 VCs (17.3 M, 17.8 M rows).
+  EXPECT_FALSE(fits(topo::make_mesh(32, 32), 4));
+  EXPECT_FALSE(fits(topo::make_torus(32, 32), 4));
+
+  const auto fits_shared = [](const topo::Topology& topo, int num_vcs) {
+    return RouteTable::rows_for(topo, num_vcs) <= kMaxSharedRouteTableRows;
+  };
+  for (const char* routing : {"minimal", "ugal"}) {
+    // Shared tables: every fabric of a 32x32 "experiment" request, under
+    // either policy (at most 39.6 M rows, SHG under UGAL).
+    serve::CampaignParams params;
+    params.rows = 32;
+    params.cols = 32;
+    params.routing = routing;
+    const eval::ExperimentSpec at32 = serve::make_campaign_spec(params);
+    ASSERT_EQ(at32.topologies.size(), 3u);
+    for (const eval::TopologyCase& tc : at32.topologies) {
+      EXPECT_TRUE(fits_shared(tc.topology, at32.config.sim.num_vcs))
+          << routing << ' ' << tc.topology.name();
+    }
+    // Live: the three fabrics of a 64x64 request, whose tables would need
+    // hundreds of MB of row indices each. make_shared_route_table declines
+    // them before building any routing function.
+    params.rows = 64;
+    params.cols = 64;
+    const eval::ExperimentSpec at64 = serve::make_campaign_spec(params);
+    ASSERT_EQ(at64.topologies.size(), 3u);
+    for (const eval::TopologyCase& tc : at64.topologies) {
+      EXPECT_FALSE(fits_shared(tc.topology, at64.config.sim.num_vcs))
+          << routing << ' ' << tc.topology.name();
+      EXPECT_EQ(eval::make_shared_route_table(tc.topology, at64.config),
+                nullptr)
+          << routing << ' ' << tc.topology.name();
+    }
+  }
+}
+
 TEST(RouteTable, SharedTableMatchesPrivateTable) {
   const auto topo = topo::make_mesh(4, 4);
   const auto routing = make_default_routing(topo, kVcs);
@@ -222,7 +285,7 @@ TEST(RouteTable, SharedTableMatchesPrivateTable) {
   const SimResult with_private =
       Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
   const SimResult with_shared = Simulator(topo, unit_latencies(topo), config,
-                                          *pattern, 1, nullptr, shared)
+                                          *pattern, 1, shared)
                                     .run();
   EXPECT_EQ(with_private.avg_packet_latency, with_shared.avg_packet_latency);
   EXPECT_EQ(with_private.accepted_rate, with_shared.accepted_rate);

@@ -11,6 +11,7 @@
 #include "shg/topo/generators.hpp"
 
 #include "golden.hpp"
+#include "live_run.hpp"
 
 namespace shg::sim {
 namespace {
@@ -28,10 +29,11 @@ TEST(SimScale, Mesh32x32UniformCompletes) {
   config.injection_rate = 0.02;
   config.warmup_cycles = 500;
   config.measure_cycles = 1500;
-  // The route table at 32x32 is large but affordable; live routing is
-  // covered by the 64x64 bench tier.
+  // The route table at 32x32 and 2 VCs fits the row budget, so the
+  // simulator builds one.
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
   Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  EXPECT_NE(simulator.route_table(), nullptr);
   const SimResult result = simulator.run();
   golden::expect_golden(golden::topo_label(topo) + " uniform", result);
   EXPECT_TRUE(result.drained);
@@ -42,8 +44,8 @@ TEST(SimScale, Mesh32x32UniformCompletes) {
 }
 
 TEST(SimScale, Mesh32x32LiveRoutingCompletes) {
-  // Live routing (no table) is what makes 64x64+ feasible; smoke it at
-  // 32x32 where the reference table would already be ~1 GiB-scale work.
+  // Live routing (no table) is what makes 64x64+ feasible (above the row
+  // budget); smoke it at 32x32 through the engine directly.
   const auto topo = topo::make_mesh(32, 32);
   SimConfig config;
   config.num_vcs = 2;
@@ -51,13 +53,35 @@ TEST(SimScale, Mesh32x32LiveRoutingCompletes) {
   config.injection_rate = 0.02;
   config.warmup_cycles = 300;
   config.measure_cycles = 700;
-  config.use_route_table = false;
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
-  const SimResult result = simulator.run();
+  const SimResult result =
+      run_live(topo, unit_latencies(topo), config, *pattern, 1).result;
   golden::expect_golden(golden::topo_label(topo) + " uniform live", result);
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 0);
+}
+
+TEST(SimScale, SimulatorRoutesLiveAboveRowBudget) {
+  // 32x32 at 4 VCs needs 17.3 M rows, just past kMaxRouteTableRows, so the
+  // Simulator keeps the routing function and asks it per head flit. Its
+  // result must equal the run_live helper's for the same arguments, which
+  // pins the helper the " live" golden lines go through to the product path.
+  const auto topo = topo::make_mesh(32, 32);
+  SimConfig config;
+  config.num_vcs = 4;
+  config.buffer_depth_flits = 4;
+  config.injection_rate = 0.02;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 200;
+  ASSERT_GT(RouteTable::rows_for(topo, config.num_vcs), kMaxRouteTableRows);
+  const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
+  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  EXPECT_EQ(simulator.route_table(), nullptr);
+  const SimResult result = simulator.run();
+  EXPECT_TRUE(result.drained);
+  EXPECT_GT(result.measured_packets, 0);
+  EXPECT_EQ(result,
+            run_live(topo, unit_latencies(topo), config, *pattern, 1).result);
 }
 
 TEST(SimScale, ConcentratedMesh16x16x4Completes) {

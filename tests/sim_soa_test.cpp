@@ -16,6 +16,7 @@
 #include "shg/topo/generators.hpp"
 
 #include "golden.hpp"
+#include "live_run.hpp"
 
 namespace shg::sim {
 namespace {
@@ -38,33 +39,38 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
 
 /// Runs one simulation and requires every SimResult field to match the
 /// golden corpus bit for bit. `spec_text` drives pattern AND process
-/// through the TrafficSpec path (the experiment engine's shape).
+/// through the TrafficSpec path (the experiment engine's shape). `live`
+/// runs the engine without a route table (tests/live_run.hpp).
 void expect_bit_identical(const topo::Topology& topo,
                           const std::vector<int>& latencies,
                           const SimConfig& config,
                           const std::string& spec_text,
-                          int endpoints_per_tile) {
+                          int endpoints_per_tile, bool live = false) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
-  const auto pattern = spec.make_pattern(topo.rows(), topo.cols(),
-                                         topo.concentration() > 1
-                                             ? topo.concentration()
-                                             : config.concentration);
-  const int conc =
-      topo.concentration() > 1 ? topo.concentration() : config.concentration;
+  const int conc = topo.concentration();
+  const auto pattern = spec.make_pattern(topo.rows(), topo.cols(), conc);
   const int ports = conc > 1 ? conc : endpoints_per_tile;
   const double packet_prob =
       config.injection_rate / static_cast<double>(config.packet_size_flits);
+  auto process = spec.make_process(packet_prob, topo.num_tiles() * ports);
 
-  Simulator sim(topo, latencies, config, *pattern, endpoints_per_tile,
-                nullptr, nullptr,
-                spec.make_process(packet_prob, topo.num_tiles() * ports));
-  const SimResult s = sim.run();
+  RunOutcome run;
+  if (live) {
+    run = run_live(topo, latencies, config, *pattern, endpoints_per_tile,
+                   std::move(process));
+  } else {
+    Simulator sim(topo, latencies, config, *pattern, endpoints_per_tile,
+                  nullptr, std::move(process));
+    run.result = sim.run();
+    run.nonminimal = sim.ugal_nonminimal_choices();
+  }
+  const SimResult& s = run.result;
   std::string label = golden::topo_label(topo) + " " + spec_text;
   if (endpoints_per_tile > 1) {
     label += " ep" + std::to_string(endpoints_per_tile);
   }
-  if (!config.use_route_table) label += " live";
-  golden::expect_golden(label, s, sim.ugal_nonminimal_choices());
+  if (live) label += " live";
+  golden::expect_golden(label, s, run.nonminimal);
   // The run must have done real work, or the comparison proves nothing.
   EXPECT_GT(s.measured_packets, 0) << spec_text;
 }
@@ -137,8 +143,8 @@ TEST(SoaBitIdentity, LiveRoutingWithoutTable) {
   const auto topo = topo::make_mesh(5, 5);
   SimConfig config = fast_config();
   config.injection_rate = 0.05;
-  config.use_route_table = false;
-  expect_bit_identical(topo, unit_latencies(topo), config, "uniform", 1);
+  expect_bit_identical(topo, unit_latencies(topo), config, "uniform", 1,
+                       /*live=*/true);
 }
 
 TEST(SoaBitIdentity, QuiescentLowRateFastForward) {
@@ -213,7 +219,7 @@ void expect_trace_bit_identical(const topo::Topology& topo,
                                              num_terminals,
                                              config.packet_size_flits);
   Simulator simulator(topo, unit_latencies(topo), config, *workload.pattern,
-                      1, nullptr, nullptr, std::move(workload.process));
+                      1, nullptr, std::move(workload.process));
   const SimResult s = simulator.run();
   golden::expect_golden(what, s);
   EXPECT_GT(s.measured_packets, 0) << what;

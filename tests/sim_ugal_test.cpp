@@ -20,6 +20,7 @@
 #include "shg/topo/generators.hpp"
 
 #include "golden.hpp"
+#include "live_run.hpp"
 
 namespace shg::sim {
 namespace {
@@ -41,16 +42,14 @@ SimConfig ugal_config() {
   return config;
 }
 
-struct RunOutcome {
-  SimResult result;
-  long long nonminimal = 0;
-};
-
+/// One run through Simulator, or with `live` through the engine without a
+/// route table (tests/live_run.hpp).
 RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
-                    const std::string& spec_text) {
+                    const std::string& spec_text, bool live = false) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const auto pattern =
       spec.make_pattern(topo.rows(), topo.cols(), topo.concentration());
+  if (live) return run_live(topo, unit_latencies(topo), config, *pattern, 1);
   Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
   RunOutcome out;
   out.result = sim.run();
@@ -63,10 +62,11 @@ RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
 /// construction; this is the oracle that keeps them so).
 RunOutcome expect_engines_identical(const topo::Topology& topo,
                                     const SimConfig& config,
-                                    const std::string& spec_text) {
-  const RunOutcome out = run_once(topo, config, spec_text);
+                                    const std::string& spec_text,
+                                    bool live = false) {
+  const RunOutcome out = run_once(topo, config, spec_text, live);
   std::string label = golden::topo_label(topo) + " " + spec_text;
-  if (!config.use_route_table) label += " live";
+  if (live) label += " live";
   golden::expect_golden(label, out.result, out.nonminimal);
   EXPECT_GT(out.result.measured_packets, 0) << label;
   return out;
@@ -340,15 +340,15 @@ TEST(UgalRouteTable, SimulatorRejectsPolicyMismatchedSharedTable) {
   const auto minimal_table = std::make_shared<const RouteTable>(
       topo, *make_default_routing(topo, kVcs), kVcs);
   EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, *pattern, 1,
-                         nullptr, minimal_table),
+                         minimal_table),
                Error);
   // Ugal table handed to a minimal simulator:
   SimConfig minimal_config;
   minimal_config.num_vcs = kVcs;
   const auto ugal_table = std::make_shared<const RouteTable>(
-      topo, *make_ugal_routing(topo, kVcs, config.ugal_via_seed), kVcs);
+      topo, *make_ugal_routing(topo, kVcs, kUgalViaSeed), kVcs);
   EXPECT_THROW(Simulator(topo, unit_latencies(topo), minimal_config, *pattern,
-                         1, nullptr, ugal_table),
+                         1, ugal_table),
                Error);
 }
 
@@ -368,12 +368,11 @@ TEST(UgalSentinel, AlwaysMinimalBiasIsBitIdenticalToMinimalPolicy) {
         minimal.injection_rate = 0.15;
         minimal.warmup_cycles = 200;
         minimal.measure_cycles = 500;
-        minimal.use_route_table = table;
         SimConfig sentinel = minimal;
         sentinel.routing_policy = RoutingPolicy::kUgal;
         sentinel.ugal_bias_flits = SimConfig::kUgalBiasAlwaysMinimal;
-        const RunOutcome a = run_once(topo, minimal, spec);
-        const RunOutcome b = run_once(topo, sentinel, spec);
+        const RunOutcome a = run_once(topo, minimal, spec, !table);
+        const RunOutcome b = run_once(topo, sentinel, spec, !table);
         EXPECT_TRUE(a.result == b.result);
         EXPECT_EQ(a.nonminimal, 0);
         EXPECT_EQ(b.nonminimal, 0);
@@ -419,8 +418,7 @@ TEST(UgalBitIdentity, SaturatedAdversarialAndLiveRouting) {
   config.injection_rate = 0.5;
   config.drain_cycles = 40000;
   expect_engines_identical(topo, config, "transpose");
-  config.use_route_table = false;  // live routing
-  expect_engines_identical(topo, config, "hotspot:0,15:0.5");
+  expect_engines_identical(topo, config, "hotspot:0,15:0.5", /*live=*/true);
 }
 
 TEST(UgalBitIdentity, NonminimalChoicesFireUnderAdversarialLoad) {

@@ -397,7 +397,6 @@ void expect_replay_matches_live(const topo::Topology& topo,
 
   const auto pattern = spec.make_pattern(topo.rows(), topo.cols(), conc);
   Simulator live(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
-                 nullptr,
                  spec.make_process(packet_prob, topo.num_tiles() * ports));
   const SimResult live_result = live.run();
 
@@ -418,7 +417,7 @@ void expect_replay_matches_live(const topo::Topology& topo,
       conc > 1 ? topo.num_tiles() * conc : topo.num_tiles(),
       config.packet_size_flits);
   Simulator replay(topo, unit_latencies(topo), config, *workload.pattern, 1,
-                   nullptr, nullptr, std::move(workload.process));
+                   nullptr, std::move(workload.process));
   const SimResult replay_result = replay.run();
 
   expect_same_result(live_result, replay_result, spec_text);
@@ -461,7 +460,6 @@ TEST(TraceDifferential, RoundTripThroughDiskPreservesTheOracle) {
 
   const auto pattern = spec.make_pattern(4, 4);
   Simulator live(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
-                 nullptr,
                  spec.make_process(config.injection_rate /
                                        config.packet_size_flits,
                                    16));
@@ -470,7 +468,7 @@ TEST(TraceDifferential, RoundTripThroughDiskPreservesTheOracle) {
   TraceWorkload workload =
       loaded.make_trace_workload(4, 4, 1, 1, config.packet_size_flits);
   Simulator replay(topo, unit_latencies(topo), config, *workload.pattern, 1,
-                   nullptr, nullptr, std::move(workload.process));
+                   nullptr, std::move(workload.process));
   expect_same_result(live.run(), replay.run(), "disk round trip");
 }
 

@@ -316,7 +316,7 @@ TEST(BernoulliBitIdentity, MeshUniform) {
   // Explicitly supplying the equivalent Bernoulli process is a no-op.
   const SimResult explicit_process =
       Simulator(mesh, unit_latencies(mesh), config, *pattern, 1, nullptr,
-                nullptr, make_bernoulli(0.10 / 4.0))
+                make_bernoulli(0.10 / 4.0))
           .run();
   expect_result(explicit_process, 0.093666666666666662, 10.968028419182948,
                 26.0, 11.0, 17.0, 21.0, 3.6554174067495557,
