@@ -5,15 +5,12 @@
 // Measurements on a 10x10 KNC-class fabric:
 //  1. route_lookup — precomputed RouteTable::lookup vs a live virtual
 //     RoutingFunction::route() call (which allocates a vector per call);
-//  2. fused_bfs    — fused distance_summary (one all-pairs sweep, reused
-//     workspace) vs the pre-PR metric path (average_hops + diameter, each
-//     its own allocating sweep plus a connectivity probe);
-//  3. dse_screen   — greedy-DSE candidate screening: the pre-PR path (full
-//     five-step cost model + two-sweep metrics) vs customize::screen_candidate
-//     (area-only cost fast path + fused sweep). The original acceptance bar
-//     was >= 5x; the legacy side has since gotten faster for free (its
-//     five-step model includes the optimized detailed router), so the ratio
-//     understates the original win and the section is tracked, not gated;
+//  2. fused_bfs    — absolute time of graph::distance_summary (average
+//     hops + diameter + connectivity in one all-pairs sweep, reused
+//     workspace); tracked, not gated;
+//  3. dse_screen   — absolute time of customize::screen_candidate over the
+//     first greedy neighborhood (area-only cost fast path + fused sweep);
+//     tracked, not gated;
 //  4. sim_cycle    — full simulation cycle loop with live routing (the
 //     engine driven without a table) vs the simulator's route table,
 //     asserting bit-identical SimResults;
@@ -49,14 +46,14 @@
 // Output: a human-readable table on stdout and machine-readable JSON
 // (default BENCH_hotpath.json; see --out). `--smoke` shrinks repetition
 // counts for CI smoke runs — speedup ratios stay meaningful, absolute
-// numbers get noisier.
+// numbers get noisier. Sections 2 and 3 have no reference side, so their
+// JSON entries carry "new_seconds" without "old_seconds" / "speedup".
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -90,86 +87,12 @@ double seconds_since(Clock::time_point start) {
 volatile long long g_sink = 0;
 
 // ---------------------------------------------------------------------------
-// Pre-PR reference implementations (kept verbatim so the speedup is measured
-// against the real seed code path, not a strawman).
-// ---------------------------------------------------------------------------
-
-std::vector<int> legacy_bfs_distances(const graph::Graph& g,
-                                      graph::NodeId src) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()),
-                        graph::kUnreachable);
-  std::queue<graph::NodeId> queue;
-  dist[static_cast<std::size_t>(src)] = 0;
-  queue.push(src);
-  while (!queue.empty()) {
-    const graph::NodeId u = queue.front();
-    queue.pop();
-    for (const graph::Neighbor& n : g.neighbors(u)) {
-      auto& d = dist[static_cast<std::size_t>(n.node)];
-      if (d == graph::kUnreachable) {
-        d = dist[static_cast<std::size_t>(u)] + 1;
-        queue.push(n.node);
-      }
-    }
-  }
-  return dist;
-}
-
-bool legacy_is_connected(const graph::Graph& g) {
-  if (g.num_nodes() <= 1) return true;
-  const auto dist = legacy_bfs_distances(g, 0);
-  for (int d : dist) {
-    if (d == graph::kUnreachable) return false;
-  }
-  return true;
-}
-
-int legacy_diameter(const graph::Graph& g) {
-  if (!legacy_is_connected(g)) return -1;
-  int best = 0;
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto dist = legacy_bfs_distances(g, u);
-    for (int d : dist) best = std::max(best, d);
-  }
-  return best;
-}
-
-double legacy_average_hops(const graph::Graph& g) {
-  if (!legacy_is_connected(g)) return -1.0;
-  double total = 0.0;
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto dist = legacy_bfs_distances(g, u);
-    for (int d : dist) total += d;
-  }
-  return total /
-         (static_cast<double>(g.num_nodes()) * (g.num_nodes() - 1));
-}
-
-/// The seed's screen_candidate: full five-step cost model plus two separate
-/// all-pairs metric sweeps.
-customize::CandidateMetrics legacy_screen_candidate(
-    const tech::ArchParams& arch, const topo::ShgParams& params) {
-  const topo::Topology topo = topo::make_sparse_hamming(
-      arch.rows, arch.cols, params.row_skips, params.col_skips);
-  const model::CostReport cost = model::evaluate_cost(arch, topo);
-  customize::CandidateMetrics metrics;
-  metrics.area_overhead = cost.area_overhead;
-  metrics.avg_hops = legacy_average_hops(topo.graph());
-  metrics.diameter = legacy_diameter(topo.graph());
-  const double directed_links = 2.0 * topo.graph().num_edges();
-  metrics.throughput_bound =
-      directed_links /
-      (static_cast<double>(topo.num_tiles()) * metrics.avg_hops);
-  return metrics;
-}
-
-// ---------------------------------------------------------------------------
 // Benchmark plumbing
 // ---------------------------------------------------------------------------
 
 struct BenchResult {
   std::string name;
-  double old_seconds = 0.0;
+  double old_seconds = 0.0;  ///< reference side; 0 = absolute-only section
   double new_seconds = 0.0;
   long long ops = 0;  ///< operations per timed side
   std::string note;
@@ -180,6 +103,11 @@ struct BenchResult {
 };
 
 void print_result(const BenchResult& r) {
+  if (r.old_seconds == 0.0) {
+    std::printf("%-12s  %16s  new %10.4f s  %15s  %s\n", r.name.c_str(), "",
+                r.new_seconds, "", r.note.c_str());
+    return;
+  }
   std::printf("%-12s  old %10.4f s  new %10.4f s  speedup %6.2fx  %s\n",
               r.name.c_str(), r.old_seconds, r.new_seconds, r.speedup(),
               r.note.c_str());
@@ -258,7 +186,7 @@ BenchResult bench_route_lookup(bool smoke) {
   return result;
 }
 
-// 2. Fused distance summary vs two legacy sweeps.
+// 2. Fused distance summary, absolute.
 BenchResult bench_fused_bfs(bool smoke) {
   const topo::Topology topo =
       topo::make_sparse_hamming(10, 10, {3, 6}, {3, 6});
@@ -271,16 +199,9 @@ BenchResult bench_fused_bfs(bool smoke) {
   result.note = "avg_hops+diameter on " + std::to_string(g.num_nodes()) +
                 " nodes";
 
-  auto t0 = Clock::now();
   double acc = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    acc += legacy_average_hops(g);
-    acc += legacy_diameter(g);
-  }
-  result.old_seconds = seconds_since(t0);
-
   graph::BfsWorkspace ws;
-  t0 = Clock::now();
+  const auto t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
     const graph::DistanceSummary summary = graph::distance_summary(g, ws);
     acc += summary.avg_hops + summary.diameter;
@@ -290,7 +211,7 @@ BenchResult bench_fused_bfs(bool smoke) {
   return result;
 }
 
-// 3. Greedy-DSE candidate screening, old path vs new path.
+// 3. Greedy-DSE candidate screening, absolute.
 BenchResult bench_dse_screen(bool smoke) {
   const tech::ArchParams arch = fabric_10x10();
   // The first greedy neighborhood: the mesh plus every single-skip
@@ -311,16 +232,8 @@ BenchResult bench_dse_screen(bool smoke) {
   result.note = std::to_string(batch.size()) + " candidates x " +
                 std::to_string(reps) + " reps";
 
-  auto t0 = Clock::now();
   double acc = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    for (const auto& params : batch) {
-      acc += legacy_screen_candidate(arch, params).throughput_bound;
-    }
-  }
-  result.old_seconds = seconds_since(t0);
-
-  t0 = Clock::now();
+  const auto t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
     for (const auto& params : batch) {
       acc += customize::screen_candidate(arch, params).throughput_bound;
@@ -706,12 +619,19 @@ DedupStats bench_route_table_dedup() {
 
 void append_json(std::string& json, const BenchResult& r) {
   char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"name\": \"%s\", \"old_seconds\": %.6f, "
-                "\"new_seconds\": %.6f, \"speedup\": %.3f, \"ops\": %lld, "
-                "\"note\": \"%s\"}",
-                r.name.c_str(), r.old_seconds, r.new_seconds, r.speedup(),
-                r.ops, r.note.c_str());
+  if (r.old_seconds == 0.0) {
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"name\": \"%s\", \"new_seconds\": %.6f, "
+                  "\"ops\": %lld, \"note\": \"%s\"}",
+                  r.name.c_str(), r.new_seconds, r.ops, r.note.c_str());
+  } else {
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"name\": \"%s\", \"old_seconds\": %.6f, "
+                  "\"new_seconds\": %.6f, \"speedup\": %.3f, "
+                  "\"ops\": %lld, \"note\": \"%s\"}",
+                  r.name.c_str(), r.old_seconds, r.new_seconds, r.speedup(),
+                  r.ops, r.note.c_str());
+  }
   if (!json.empty()) json += ",\n";
   json += buf;
 }
@@ -774,23 +694,20 @@ int main(int argc, char** argv) {
       dedup.rows, dedup.unique_rows, dedup.bytes_undeduped,
       dedup.bytes_deduped, dedup.ratio());
 
-  double dse_speedup = 0.0;
   double greedy_speedup = 0.0;
   double session_speedup = 0.0;
   std::string entries;
   for (const BenchResult& r : results) {
     append_json(entries, r);
-    if (r.name == "dse_screen") dse_speedup = r.speedup();
     if (r.name == "dse_greedy_incremental") greedy_speedup = r.speedup();
     if (r.name == "dse_session_warm") session_speedup = r.speedup();
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_hotpath.v6\",\n"
+  out << "{\n  \"schema\": \"shg.bench_hotpath.v7\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"fabric\": \"knc-like-10x10\",\n"
       << "  \"sim_results_identical\": "
       << (results_identical ? "true" : "false") << ",\n"
-      << "  \"dse_screen_speedup\": " << dse_speedup << ",\n"
       << "  \"dse_greedy_incremental_speedup\": " << greedy_speedup << ",\n"
       << "  \"incremental_identical\": "
       << (incremental_identical ? "true" : "false") << ",\n"

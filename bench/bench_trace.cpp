@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   spec.topologies.push_back(
       eval::TopologyCase{topo::make_torus(rows, cols), {}, ""});
   for (const std::string& path : trace_paths) {
-    spec.traffic.push_back(eval::TrafficCase{"trace:" + path, nullptr, ""});
+    spec.traffic.push_back(eval::TrafficCase{"trace:" + path, ""});
   }
   spec.rates = {rec.injection_rate};
   spec.seeds = {1, 2};

@@ -1,16 +1,12 @@
 // Workload-engine benchmark: batched vs serial experiment throughput.
 //
 // Runs one Figure-6-class experiment — 4 topologies x 3 traffic specs x
-// 5 rates x 3 seeds = 180 simulations on an 8x8 KNC-class fabric — three
+// 5 rates x 3 seeds = 180 simulations on an 8x8 KNC-class fabric — two
 // ways:
 //
-//  1. legacy_serial — the pre-engine control flow: a hand-rolled loop
-//     over every point, each constructing its own Simulator (and
-//     therefore its own route table), exactly how callers plumbed sweeps
-//     by hand before the experiment engine existed;
-//  2. engine_serial — the experiment engine pinned to one worker
-//     (set_max_threads(1)): isolates the route-table sharing win;
-//  3. engine_batched — the engine at the default worker count: adds the
+//  1. engine_serial — the experiment engine pinned to one worker
+//     (set_max_threads(1));
+//  2. engine_batched — the engine at the default worker count: adds the
 //     parallel_for fan-out win.
 //
 // The engine_serial and engine_batched reports must be identical — the
@@ -21,17 +17,17 @@
 //
 // Two more sections exercise the session simulation-result tier:
 //
-//  4. warm campaign — the same campaign run cold into a fresh session,
+//  3. warm campaign — the same campaign run cold into a fresh session,
 //     then re-run warm against it. Gates: the warm run performs ZERO
 //     simulations, its JSON and CSV reports are byte-identical to the
 //     session-free run's, and it is >= 5x faster than the cold run;
-//  5. shard merge — the campaign split across two `run_experiment_shard`
+//  4. shard merge — the campaign split across two `run_experiment_shard`
 //     workers exchanging `shg.cache.v1` shard files, then merged into one
 //     session. Gates: the merge run performs zero simulations and its
 //     reports are byte-identical to the single-process run's.
 //
 // Output: a table on stdout + machine-readable JSON (schema
-// "shg.bench_workloads.v2", default BENCH_workloads.json; see --out).
+// "shg.bench_workloads.v3", default BENCH_workloads.json; see --out).
 // `--smoke` shrinks the simulated cycle counts for CI; ratios stay
 // meaningful.
 #include <chrono>
@@ -71,7 +67,7 @@ eval::ExperimentSpec make_spec(bool smoke) {
       topo::make_sparse_hamming(rows, cols, {4}, {2, 5}), {}, ""});
   for (const char* workload :
        {"uniform", "transpose", "hotspot:0,7:0.2/onoff:0.05,0.15"}) {
-    spec.traffic.push_back(eval::TrafficCase{workload, nullptr, ""});
+    spec.traffic.push_back(eval::TrafficCase{workload, ""});
   }
   spec.rates = {0.02, 0.05, 0.10, 0.15, 0.20};
   spec.seeds = {1, 2, 3};
@@ -79,38 +75,6 @@ eval::ExperimentSpec make_spec(bool smoke) {
   spec.config.sim.measure_cycles = smoke ? 400 : 1500;
   spec.config.sim.drain_cycles = smoke ? 6000 : 15000;
   return spec;
-}
-
-/// The pre-engine control flow: every point owns its whole simulate-loop,
-/// including a private route-table build per Simulator (no sharing).
-double run_legacy_serial(const eval::ExperimentSpec& spec) {
-  const auto t0 = Clock::now();
-  double sink = 0.0;
-  for (const eval::TopologyCase& tc : spec.topologies) {
-    const std::vector<int> latencies(
-        static_cast<std::size_t>(tc.topology.graph().num_edges()), 1);
-    for (const eval::TrafficCase& wc : spec.traffic) {
-      const sim::TrafficSpec parsed = sim::TrafficSpec::parse(wc.spec);
-      const auto pattern =
-          parsed.make_pattern(tc.topology.rows(), tc.topology.cols());
-      for (double rate : spec.rates) {
-        for (std::uint64_t seed : spec.seeds) {
-          sim::SimConfig config = spec.config.sim;
-          config.injection_rate = rate;
-          config.seed = seed;
-          auto process = parsed.make_process(
-              rate / static_cast<double>(config.packet_size_flits),
-              tc.topology.num_tiles() * spec.endpoints_per_tile);
-          sim::Simulator simulator(tc.topology, latencies, config, *pattern,
-                                   spec.endpoints_per_tile, nullptr,
-                                   std::move(process));
-          sink += simulator.run().avg_packet_latency;
-        }
-      }
-    }
-  }
-  if (sink < 0.0) std::printf("impossible\n");  // defeat dead-code elim
-  return seconds_since(t0);
 }
 
 bool reports_identical(const eval::ExperimentReport& a,
@@ -142,10 +106,6 @@ int main(int argc, char** argv) {
   std::printf("=== bench_workloads (%s mode, %zu sims, %d threads) ===\n",
               smoke ? "smoke" : "full", sims, threads);
 
-  const double legacy_seconds = run_legacy_serial(spec);
-  std::printf("legacy_serial   %8.3f s  (per-point tables, hand loop)\n",
-              legacy_seconds);
-
   set_max_threads(1);
   auto t0 = Clock::now();
   const eval::ExperimentReport serial_report = eval::run_experiment(spec);
@@ -163,14 +123,10 @@ int main(int argc, char** argv) {
   const bool identical = reports_identical(serial_report, batched_report);
   const double batching_speedup =
       batched_seconds > 0.0 ? serial_seconds / batched_seconds : 0.0;
-  const double total_speedup =
-      batched_seconds > 0.0 ? legacy_seconds / batched_seconds : 0.0;
   std::printf("serial == batched reports: %s\n", identical ? "yes"
                                                            : "NO — BUG");
   std::printf("batching speedup (engine serial/batched): %.2fx\n",
               batching_speedup);
-  std::printf("total speedup (legacy/batched):           %.2fx\n",
-              total_speedup);
 
   // -- Warm campaign: cold fill of a fresh session, then a warm re-run. --
   eval::ExperimentSpec warm_spec = spec;
@@ -233,15 +189,13 @@ int main(int argc, char** argv) {
       merge_identical ? "yes" : "NO — BUG");
 
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_workloads.v2\",\n"
+  out << "{\n  \"schema\": \"shg.bench_workloads.v3\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"threads\": " << threads << ",\n"
       << "  \"sims\": " << sims << ",\n"
-      << "  \"legacy_serial_seconds\": " << legacy_seconds << ",\n"
       << "  \"engine_serial_seconds\": " << serial_seconds << ",\n"
       << "  \"engine_batched_seconds\": " << batched_seconds << ",\n"
       << "  \"batching_speedup\": " << batching_speedup << ",\n"
-      << "  \"total_speedup\": " << total_speedup << ",\n"
       << "  \"reports_identical\": " << (identical ? "true" : "false")
       << ",\n"
       << "  \"campaign_cold_seconds\": " << cold_seconds << ",\n"

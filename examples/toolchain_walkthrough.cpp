@@ -113,7 +113,7 @@ int main() {
       eval::TopologyCase{topology, report.link_latencies(), ""});
   for (const char* workload :
        {"uniform", "transpose", "hotspot:0,7:0.2", "uniform/onoff:0.05,0.2"}) {
-    spec.traffic.push_back(eval::TrafficCase{workload, nullptr, ""});
+    spec.traffic.push_back(eval::TrafficCase{workload, ""});
   }
   spec.rates = {0.05, 0.15, 0.30};
   spec.seeds = {1, 2, 3};

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   }
   for (const char* workload :
        {"uniform", "tornado", "hotspot:0:0.25/onoff:0.05,0.15"}) {
-    spec.traffic.push_back(eval::TrafficCase{workload, nullptr, ""});
+    spec.traffic.push_back(eval::TrafficCase{workload, ""});
   }
   spec.rates = {0.05, 0.20};
   spec.config.sim.warmup_cycles = 300;

@@ -36,14 +36,4 @@ std::string csv_field(const std::string& value) {
   return quoted;
 }
 
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) os << sep;
-    os << parts[i];
-  }
-  return os.str();
-}
-
 }  // namespace shg

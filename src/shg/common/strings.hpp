@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace shg {
 
@@ -13,10 +12,6 @@ std::string fmt_double(double value, int decimals);
 
 /// Formats a set of integers as "{a, b, c}" (used for SR / SC sets).
 std::string fmt_int_set(const std::set<int>& values);
-
-/// Joins strings with a separator.
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& sep);
 
 /// RFC-4180 CSV field quoting: returns the value unchanged unless it
 /// contains a comma, double quote, or newline, in which case it is wrapped

@@ -63,19 +63,4 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string Table::to_markdown() const {
-  std::ostringstream os;
-  os << "|";
-  for (const auto& h : header_) os << " " << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < header_.size(); ++c) os << "---|";
-  os << "\n";
-  for (const auto& row : rows_) {
-    os << "|";
-    for (const auto& cell : row) os << " " << cell << " |";
-    os << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace shg

@@ -22,9 +22,6 @@ class Table {
   /// Renders the table with aligned columns and a separator line.
   std::string to_string() const;
 
-  /// Renders the table as GitHub-flavored markdown.
-  std::string to_markdown() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -68,12 +68,12 @@
 // screen/simulation produced, so hits are bit-identical to recomputing by
 // construction. The store is split into `shards` independent LRU shards
 // selected by a fingerprint prefix (`(hi >> 48) % shards`), each with its
-// own mutex when locking is on:
-//  * shards = 1 without locking (the default) is the single-threaded mode
-//    every batch caller uses — one LRU list, no mutex acquisition,
-//    bit-identical to the pre-sharding cache in every observable (hit/miss
-//    sequence, eviction order, on-disk bytes);
-//  * shards > 1 (locking forced on) serves concurrent readers/writers: a
+// own mutex when there is more than one:
+//  * shards = 1 (the default) is the single-threaded mode every batch
+//    caller uses — one LRU list, no mutex acquisition, bit-identical to
+//    the pre-sharding cache in every observable (hit/miss sequence,
+//    eviction order, on-disk bytes);
+//  * shards > 1 (locked) serves concurrent readers/writers: a
 //    lookup or insert locks only its key's shard. Values are exact bits
 //    either way, so concurrency can only reorder RECENCY (and therefore
 //    eviction victims) across interleavings — never change a returned
@@ -179,8 +179,6 @@ Fingerprint fingerprint_sim_topology(const topo::Topology& topo,
 
 /// Key of one experiment cell: (simulated topology, canonical TrafficSpec
 /// string, full per-cell SimConfig — rate and seed already applied).
-/// Workloads given as borrowed `TrafficPattern` pointers have no canonical
-/// string and are not content-addressable; the engine never keys them.
 /// Trace workloads pass the trace's content hash (sim/trace.hpp,
 /// Trace::content_hash) as `trace_content_hash`, mixing the trace BYTES
 /// into the key — the canonical string only names the path, and a trace
@@ -212,14 +210,12 @@ template <class Value>
 class FingerprintLruCache {
  public:
   /// `capacity` is the total entry budget, split evenly over `shards`
-  /// independent LRU shards. `locking` arms the per-shard mutexes; it is
-  /// forced on whenever shards > 1 and defaults off for the single-shard
-  /// single-threaded mode (which is bit-identical to the pre-sharding
-  /// cache and pays no lock acquisition).
-  explicit FingerprintLruCache(std::size_t capacity, std::size_t shards = 1,
-                               bool locking = false)
+  /// independent LRU shards. The per-shard mutexes are armed exactly when
+  /// shards > 1; the single-shard mode is single-threaded (bit-identical
+  /// to the pre-sharding cache, no lock acquisition).
+  explicit FingerprintLruCache(std::size_t capacity, std::size_t shards = 1)
       : capacity_(capacity),
-        locking_(locking || shards > 1),
+        locking_(shards > 1),
         shards_(shards == 0 ? 1 : shards) {
     SHG_REQUIRE(capacity_ > 0, "cache capacity must be positive");
     SHG_REQUIRE(shards > 0, "shard count must be positive");

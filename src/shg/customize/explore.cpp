@@ -36,8 +36,8 @@ std::string label_for(const topo::ShgParams& params, const char* family) {
 }
 
 /// Screens every enumerated parameterization with shared-prefix reuse
-/// (through the session's cache when one is attached), then filters and
-/// labels in enumeration order — each point's metrics are bit-identical to
+/// (through the session's cache when one is attached), then labels in
+/// enumeration order — each point's metrics are bit-identical to
 /// `screen_candidate` on its parameterization.
 std::vector<ExploredPoint> screen_all(const tech::ArchParams& arch,
                                       std::vector<topo::ShgParams> batch,
@@ -50,7 +50,6 @@ std::vector<ExploredPoint> screen_all(const tech::ArchParams& arch,
   std::vector<ExploredPoint> points;
   points.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (metrics[i].area_overhead > options.max_area_overhead) continue;
     std::string label = label_for(batch[i], family);
     points.push_back(
         ExploredPoint{std::move(batch[i]), metrics[i], std::move(label)});

@@ -25,7 +25,6 @@ struct ExploredPoint {
 struct ExploreOptions {
   int max_row_skips = 2;  ///< enumerate SR subsets up to this size
   int max_col_skips = 2;
-  double max_area_overhead = 1.0;  ///< screen-out threshold
   /// Persistent DSE session (customize/session.hpp, default off): screened
   /// candidates are served from the session's cache across explore / search
   /// invocations — a refined re-enumeration (e.g. max_*_skips bumped by

@@ -8,47 +8,39 @@ namespace shg::customize {
 
 namespace {
 
-/// Tier shard count for the selected concurrency mode: kSingleThread is
-/// pinned to one unlocked shard (the bit-identical legacy layout)
-/// regardless of `options.shards`.
-std::size_t tier_shards(const SessionOptions& options) {
-  if (options.concurrency == ConcurrencyMode::kSingleThread) return 1;
-  return options.shards == 0 ? 1 : options.shards;
-}
+/// Tier sizes. The candidate tier holds every candidate of a
+/// 2-skips-per-dimension exploration sweep hundreds of times over (48 B per
+/// entry plus index overhead); the result tier holds the largest
+/// Figure-6-class campaign hundreds of times over (112 B per cell on
+/// disk); artifacts (route tables, cost reports) may be MBs each.
+constexpr std::size_t kCandidateCapacity = std::size_t{1} << 16;
+constexpr std::size_t kSimCapacity = std::size_t{1} << 16;
+constexpr std::size_t kArtifactCapacity = 64;
+/// Shards per tier under kSharded; more shards mean less lock contention,
+/// and the fingerprint-prefix mapping spreads keys uniformly.
+constexpr std::size_t kShards = 8;
 
-bool tier_locking(const SessionOptions& options) {
-  return options.concurrency == ConcurrencyMode::kSharded;
+/// Tier shard count for the selected concurrency mode: kSingleThread is
+/// pinned to one unlocked shard (the bit-identical legacy layout).
+std::size_t tier_shards(const SessionOptions& options) {
+  return options.concurrency == ConcurrencyMode::kSharded ? kShards : 1;
 }
 
 }  // namespace
 
 Session::Session(SessionOptions options)
     : options_(std::move(options)),
-      cache_(options_.capacity == 0 ? 1 : options_.capacity,
-             tier_shards(options_), tier_locking(options_)),
-      sim_results_(options_.sim_capacity == 0 ? 1 : options_.sim_capacity,
-                   tier_shards(options_), tier_locking(options_)) {
-  SHG_REQUIRE(options_.capacity > 0, "session capacity must be positive");
-  SHG_REQUIRE(options_.artifact_capacity > 0,
-              "artifact capacity must be positive");
-  SHG_REQUIRE(options_.sim_capacity > 0,
-              "simulation-result capacity must be positive");
-  SHG_REQUIRE(options_.concurrency == ConcurrencyMode::kSingleThread ||
-                  options_.shards > 0,
-              "a sharded session needs at least one shard");
-  if (options_.autoload) {
-    if (!options_.cache_path.empty()) load();
-    if (!options_.sim_cache_path.empty()) load_sim();
-  }
+      cache_(kCandidateCapacity, tier_shards(options_)),
+      sim_results_(kSimCapacity, tier_shards(options_)) {
+  load();
+  load_sim();
 }
 
 Session::~Session() {
-  if (options_.autosave) {
-    // Best effort: destructors must not throw, and save_file reports its
-    // own failures on stderr.
-    if (!options_.cache_path.empty()) save();
-    if (!options_.sim_cache_path.empty()) save_sim();
-  }
+  // Best effort: destructors must not throw, and save_file reports its
+  // own failures on stderr.
+  save();
+  save_sim();
 }
 
 std::size_t Session::load() {
@@ -74,8 +66,9 @@ std::size_t Session::save_sim() {
 std::unique_lock<std::mutex> Session::artifact_guard() const {
   // kSingleThread keeps the legacy lock-free path; kSharded serializes the
   // (tiny, linear-scan) artifact tier behind one mutex.
-  return tier_locking(options_) ? std::unique_lock<std::mutex>(artifact_mutex_)
-                                : std::unique_lock<std::mutex>();
+  return options_.concurrency == ConcurrencyMode::kSharded
+             ? std::unique_lock<std::mutex>(artifact_mutex_)
+             : std::unique_lock<std::mutex>();
 }
 
 std::uint64_t Session::artifact_hits() const {
@@ -112,7 +105,7 @@ void Session::store_artifact(const Fingerprint& key,
       return;
     }
   }
-  if (artifacts_.size() >= options_.artifact_capacity) {
+  if (artifacts_.size() >= kArtifactCapacity) {
     auto victim = std::min_element(
         artifacts_.begin(), artifacts_.end(),
         [](const Artifact& a, const Artifact& b) {

@@ -46,7 +46,7 @@
 //    slots per the parallel_for contract), which keeps LRU eviction order
 //    — and therefore warm-run behavior — bit-for-bit deterministic.
 //  * kSharded: every tier is safe for concurrent readers AND writers — the
-//    candidate and simulation-result tiers become `shards` independent
+//    candidate and simulation-result tiers become 8 independent
 //    lock-protected LRU shards keyed by fingerprint prefix, and the
 //    artifact tier takes a mutex per operation. The determinism contract
 //    under concurrency: any individual request's RESULT is byte-identical
@@ -78,37 +78,19 @@ enum class ConcurrencyMode {
   kSharded,
 };
 
-/// Knobs of one session.
+/// Knobs of one session. Tier sizes are fixed (session.cpp): 2^16
+/// candidates, 2^16 simulated cells and 64 artifacts, with 8 shards per
+/// tier under kSharded. A configured path is loaded on construction (a
+/// no-op when the file is absent; corrupt files are discarded with a
+/// warning) and saved on destruction (best effort; never throws).
 struct SessionOptions {
   /// Threading contract; kSharded makes every tier concurrency-safe.
   ConcurrencyMode concurrency = ConcurrencyMode::kSingleThread;
-  /// Shard count of the candidate and simulation-result tiers under
-  /// kSharded (ignored — forced to 1 — under kSingleThread). More shards
-  /// mean less lock contention; the fingerprint-prefix mapping spreads
-  /// keys uniformly.
-  std::size_t shards = 8;
-  /// Candidate-tier LRU capacity, in entries (48 B each plus index
-  /// overhead; the default comfortably holds every candidate of a
-  /// 2-skips-per-dimension exploration sweep hundreds of times over).
-  std::size_t capacity = std::size_t{1} << 16;
-  /// Artifact-tier LRU capacity, in artifacts (route tables, cost
-  /// reports; each may be MBs — keep this small).
-  std::size_t artifact_capacity = 64;
-  /// Simulation-result-tier LRU capacity, in cells (112 B each on disk;
-  /// the default holds the largest Figure-6-class campaign hundreds of
-  /// times over).
-  std::size_t sim_capacity = std::size_t{1} << 16;
   /// On-disk tier for the candidate cache; empty = memory-only.
   std::string cache_path;
   /// On-disk tier for the simulation-result cache (a campaign's cache
   /// file, or one worker's shard file); empty = memory-only.
   std::string sim_cache_path;
-  /// Load `cache_path` / `sim_cache_path` on construction (no-op when a
-  /// file is absent; corrupt files are discarded with a warning).
-  bool autoload = true;
-  /// Save `cache_path` / `sim_cache_path` on destruction (best effort;
-  /// never throws).
-  bool autosave = true;
 };
 
 /// Cross-invocation reuse state. See the file comment.
@@ -139,8 +121,8 @@ class Session {
   CacheStats stats() const { return cache_.stats(); }
   CandidateCache& cache() { return cache_; }
 
-  /// Loads the on-disk tier now (also called by the constructor when
-  /// `autoload`); returns entries adopted, 0 on absent/discarded files.
+  /// Loads the on-disk tier now (also called by the constructor); returns
+  /// entries adopted, 0 on absent/discarded files.
   std::size_t load();
   /// Saves the candidate tier to `options().cache_path`; returns entries
   /// written (0 when no path is configured or the write failed).
@@ -166,8 +148,8 @@ class Session {
   /// are discarded with a warning and the affected cells simulate cold).
   SimResultCache& sim_cache() { return sim_results_; }
 
-  /// Loads `options().sim_cache_path` now (also called by the constructor
-  /// when `autoload`); returns cells adopted.
+  /// Loads `options().sim_cache_path` now (also called by the
+  /// constructor); returns cells adopted.
   std::size_t load_sim();
   /// Saves the result tier to `options().sim_cache_path`; returns cells
   /// written (0 when no path is configured or the write failed).

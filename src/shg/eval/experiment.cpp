@@ -140,9 +140,7 @@ void ExperimentSpec::validate() const {
                 "concentrated topologies require endpoints_per_tile = 1");
   }
   for (const TrafficCase& wc : traffic) {
-    if (wc.pattern == nullptr) {
-      sim::TrafficSpec::parse(wc.spec);  // throws on malformed specs
-    }
+    sim::TrafficSpec::parse(wc.spec);  // throws on malformed specs
   }
 }
 
@@ -152,7 +150,7 @@ namespace {
 /// run_experiment_shard both need before any cell can simulate — resolved
 /// seeds, materialized link latencies, shared route tables (artifact-tier
 /// reuse when a session is attached), per-(topology, traffic) patterns,
-/// and — with a session — the result-tier key of every cacheable cell.
+/// and — with a session — the result-tier key of every cell.
 /// Tables are built for every topology even on a fully warm run: the
 /// report's route-table footprint section must be byte-identical between
 /// cold and warm invocations, and the artifact tier makes the warm build
@@ -167,10 +165,9 @@ struct CellEngine {
   std::vector<std::vector<int>> latencies;
   std::vector<std::shared_ptr<const sim::RouteTable>> tables;
   std::vector<sim::TrafficSpec> parsed;
-  std::vector<std::unique_ptr<sim::TrafficPattern>> owned_patterns;
-  std::vector<const sim::TrafficPattern*> patterns;
-  /// cell_keys[i] is valid iff a session is attached and cacheable(i);
-  /// borrowed patterns have no canonical string to key.
+  /// Per (topology, traffic); null for trace workloads.
+  std::vector<std::unique_ptr<sim::TrafficPattern>> patterns;
+  /// One key per cell, filled only when a session is attached.
   std::vector<customize::Fingerprint> cell_keys;
 
   explicit CellEngine(const ExperimentSpec& experiment_spec)
@@ -231,44 +228,33 @@ struct CellEngine {
       }
     }
 
-    // Per (topology, traffic) patterns. Spec-built patterns are owned
-    // here; borrowed patterns are used as-is. Patterns are stateless (all
+    // Per (topology, traffic) patterns. Patterns are stateless (all
     // state lives in the per-run PRNG), so sharing one across runs is
     // safe.
     parsed.resize(num_traffic);
     for (std::size_t w = 0; w < num_traffic; ++w) {
-      if (spec.traffic[w].pattern == nullptr) {
-        parsed[w] = sim::TrafficSpec::parse(spec.traffic[w].spec);
-        // Trace files are loaded (and fully validated) once per traffic
-        // case; every cell on every topology shares the in-memory trace.
-        parsed[w].resolve_trace();
-      }
+      parsed[w] = sim::TrafficSpec::parse(spec.traffic[w].spec);
+      // Trace files are loaded (and fully validated) once per traffic
+      // case; every cell on every topology shares the in-memory trace.
+      parsed[w].resolve_trace();
     }
-    owned_patterns.resize(num_topos * num_traffic);
     patterns.resize(num_topos * num_traffic);
     for (std::size_t t = 0; t < num_topos; ++t) {
       for (std::size_t w = 0; w < num_traffic; ++w) {
-        const std::size_t i = t * num_traffic + w;
-        if (spec.traffic[w].pattern != nullptr) {
-          patterns[i] = spec.traffic[w].pattern;
-        } else if (parsed[w].is_trace()) {
-          // Trace replay workloads carry a mutable cursor, so unlike the
-          // stateless synthetic patterns they cannot be shared across
-          // concurrently simulating cells; simulate() builds a private
-          // pair per cell instead.
-          patterns[i] = nullptr;
-        } else {
-          owned_patterns[i] = parsed[w].make_pattern(
-              spec.topologies[t].topology.rows(),
-              spec.topologies[t].topology.cols(),
-              spec.topologies[t].topology.concentration());
-          patterns[i] = owned_patterns[i].get();
-        }
+        // Trace replay workloads carry a mutable cursor, so unlike the
+        // stateless synthetic patterns they cannot be shared across
+        // concurrently simulating cells; simulate() builds a private pair
+        // per cell instead.
+        if (parsed[w].is_trace()) continue;
+        patterns[t * num_traffic + w] = parsed[w].make_pattern(
+            spec.topologies[t].topology.rows(),
+            spec.topologies[t].topology.cols(),
+            spec.topologies[t].topology.concentration());
       }
     }
 
     if (spec.session != nullptr) {
-      // The result-tier keys: one per cacheable cell, composed from a
+      // The result-tier keys: one per cell, composed from a
       // per-topology prefix so the topology is hashed once, not per cell.
       std::vector<customize::Fingerprint> topo_fps(num_topos);
       for (std::size_t t = 0; t < num_topos; ++t) {
@@ -280,7 +266,6 @@ struct CellEngine {
       for (std::size_t i = 0; i < total(); ++i) {
         std::size_t t, w, r, s;
         decompose(i, t, w, r, s);
-        if (!cacheable(w)) continue;
         cell_keys[i] = customize::fingerprint_sim_cell(
             topo_fps[t], parsed[w].canonical(), cell_config(r, s),
             parsed[w].trace_content_hash());
@@ -301,10 +286,6 @@ struct CellEngine {
     t = i / (num_seeds * num_rates * num_traffic);
   }
 
-  bool cacheable(std::size_t w) const {
-    return spec.traffic[w].pattern == nullptr;
-  }
-
   sim::SimConfig cell_config(std::size_t r, std::size_t s) const {
     sim::SimConfig config = spec.config.sim;
     config.injection_rate = spec.rates[r];
@@ -318,7 +299,7 @@ struct CellEngine {
     std::size_t t, w, r, s;
     decompose(i, t, w, r, s);
     const sim::SimConfig config = cell_config(r, s);
-    if (spec.traffic[w].pattern == nullptr && parsed[w].is_trace()) {
+    if (parsed[w].is_trace()) {
       // A private replay pair per cell: the schedule build is cheap next
       // to the simulation, and the shared_ptr'd trace bytes are not
       // copied. The workload outlives run() in this frame.
@@ -331,17 +312,13 @@ struct CellEngine {
                                tables[t], std::move(workload.process));
       return simulator.run();
     }
-    std::unique_ptr<sim::InjectionProcess> process;
-    if (spec.traffic[w].pattern == nullptr) {
-      // With concentration, the concentration factor is the per-tile
-      // endpoint count (the Simulator enforces endpoints_per_tile == 1).
-      const int conc = spec.topologies[t].topology.concentration();
-      const int ports_per_tile = conc > 1 ? conc : spec.endpoints_per_tile;
-      process = parsed[w].make_process(
-          config.injection_rate /
-              static_cast<double>(config.packet_size_flits),
-          spec.topologies[t].topology.num_tiles() * ports_per_tile);
-    }
+    // With concentration, the concentration factor is the per-tile
+    // endpoint count (the Simulator enforces endpoints_per_tile == 1).
+    const int conc = spec.topologies[t].topology.concentration();
+    const int ports_per_tile = conc > 1 ? conc : spec.endpoints_per_tile;
+    std::unique_ptr<sim::InjectionProcess> process = parsed[w].make_process(
+        config.injection_rate / static_cast<double>(config.packet_size_flits),
+        spec.topologies[t].topology.num_tiles() * ports_per_tile);
     sim::Simulator simulator(spec.topologies[t].topology, latencies[t],
                              config, *patterns[t * num_traffic + w],
                              spec.endpoints_per_tile, tables[t],
@@ -362,8 +339,8 @@ ExperimentReport run_experiment(const ExperimentSpec& spec) {
       engine.tables;
   const std::vector<sim::TrafficSpec>& parsed = engine.parsed;
 
-  // Result-tier lookups happen serially on this thread (the session is
-  // single-threaded by design); only the misses fan out below. Hits
+  // Result-tier lookups happen serially on this thread (see the threading
+  // contract on ExperimentSpec::session); only the misses fan out below. Hits
   // restore the exact SimResult bits the cold simulation produced, so the
   // aggregated report is byte-identical either way.
   const std::size_t total = engine.total();
@@ -373,14 +350,10 @@ ExperimentReport run_experiment(const ExperimentSpec& spec) {
   if (spec.session != nullptr) {
     to_sim.reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
-      std::size_t t, w, r, s;
-      engine.decompose(i, t, w, r, s);
-      if (engine.cacheable(w)) {
-        if (const auto hit = spec.session->lookup_sim(engine.cell_keys[i])) {
-          runs[i] = *hit;
-          ++hits;
-          continue;
-        }
+      if (const auto hit = spec.session->lookup_sim(engine.cell_keys[i])) {
+        runs[i] = *hit;
+        ++hits;
+        continue;
       }
       to_sim.push_back(i);
     }
@@ -398,11 +371,7 @@ ExperimentReport run_experiment(const ExperimentSpec& spec) {
     // Store in ascending cell order so the result tier's LRU order — and
     // therefore any later eviction — is deterministic.
     for (std::size_t i : to_sim) {
-      std::size_t t, w, r, s;
-      engine.decompose(i, t, w, r, s);
-      if (engine.cacheable(w)) {
-        spec.session->store_sim(engine.cell_keys[i], runs[i]);
-      }
+      spec.session->store_sim(engine.cell_keys[i], runs[i]);
     }
   }
 
@@ -425,12 +394,9 @@ ExperimentReport run_experiment(const ExperimentSpec& spec) {
                          tables[t]->undeduped_memory_bytes()});
     }
     for (std::size_t w = 0; w < num_traffic; ++w) {
-      const TrafficCase& wc = spec.traffic[w];
-      std::string traffic_label = wc.label;
-      if (traffic_label.empty()) {
-        traffic_label = wc.pattern != nullptr ? wc.pattern->name()
-                                              : parsed[w].canonical();
-      }
+      const std::string traffic_label = spec.traffic[w].label.empty()
+                                            ? parsed[w].canonical()
+                                            : spec.traffic[w].label;
       for (std::size_t r = 0; r < num_rates; ++r) {
         ExperimentPoint point;
         point.topology = topo_label;
@@ -470,11 +436,6 @@ ShardRunStats run_experiment_shard(const ExperimentSpec& spec,
   for (std::size_t i = static_cast<std::size_t>(shard_index);
        i < engine.total(); i += static_cast<std::size_t>(shard_count)) {
     ++stats.shard_cells;
-    std::size_t t, w, r, s;
-    engine.decompose(i, t, w, r, s);
-    // Borrowed patterns have no cache key, so a worker cannot hand their
-    // results to the merge step; the merge run simulates them itself.
-    if (!engine.cacheable(w)) continue;
     if (spec.session->lookup_sim(engine.cell_keys[i]).has_value()) {
       ++stats.cache_hits;
       continue;
@@ -566,7 +527,7 @@ ExperimentSpec figure6_experiment(const Scenario& scenario,
         TopologyCase{std::move(topology), std::move(link_latencies), ""});
   }
   for (std::string& workload : traffic) {
-    spec.traffic.push_back(TrafficCase{std::move(workload), nullptr, ""});
+    spec.traffic.push_back(TrafficCase{std::move(workload), ""});
   }
   return spec;
 }

@@ -39,13 +39,10 @@ struct TopologyCase {
   std::string label;
 };
 
-/// One workload under test. Either a TrafficSpec string (the declarative
-/// path) or a borrowed pre-built pattern (for wrappers that already hold
-/// one; it is then driven by the default Bernoulli process).
+/// One workload under test: a TrafficSpec string (sim/traffic_spec.hpp).
 struct TrafficCase {
-  std::string spec;                              ///< parsed when pattern null
-  const sim::TrafficPattern* pattern = nullptr;  ///< not owned
-  /// Report label; empty = canonical spec (or pattern->name()).
+  std::string spec;
+  /// Report label; empty = canonical spec.
   std::string label;
 };
 
@@ -68,14 +65,16 @@ struct ExperimentSpec {
   ///    (topology + latencies + endpoints, canonical traffic spec, full
   ///    per-cell SimConfig), so an overlapping re-invocation — added
   ///    seeds, widened rate grids, a refined sweep, or a fully warm
-  ///    re-run — only simulates the cells it has never seen. Workloads
-  ///    passed as borrowed TrafficCase::pattern pointers have no canonical
-  ///    string and always simulate.
+  ///    re-run — only simulates the cells it has never seen.
   /// Reports are byte-identical with or without a session: the cached
   /// table is the same deduplicated CSR, and a result-tier hit returns the
   /// exact SimResult bits the cold simulation produced (the warm-campaign
   /// bench gate and tests/experiment_test.cpp enforce it). Not owned; must
-  /// outlive the call; accessed on the calling thread only.
+  /// outlive the call. The engine touches the session from the calling
+  /// thread only, so the session's own threading contract decides who
+  /// else may use it: a kSingleThread session belongs to one thread at a
+  /// time, and a kSharded one may be shared by concurrent calls (the serve
+  /// layer's pool workers run experiments on its one sharded session).
   customize::Session* session = nullptr;
 
   void validate() const;
@@ -164,9 +163,7 @@ struct ShardRunStats {
 /// into one session and calls run_experiment, which then simulates
 /// nothing and emits a report byte-identical to a single-process run —
 /// cells a lost or corrupt shard failed to deliver are simulated by the
-/// merge itself, so the merged report is correct either way. Workloads
-/// borrowed as TrafficCase::pattern have no cache key; shard workers skip
-/// them (the merge run simulates those cells itself).
+/// merge itself, so the merged report is correct either way.
 ShardRunStats run_experiment_shard(const ExperimentSpec& spec,
                                    int shard_index, int shard_count);
 

@@ -30,16 +30,21 @@ std::shared_ptr<const sim::RouteTable> make_shared_route_table(
 
 namespace {
 
-bool is_saturated(const sim::SimResult& result, double zero_load_latency,
-                  const PerfConfig& config) {
+/// Injection rate of the zero-load latency probe.
+constexpr double kZeroLoadRate = 0.005;
+/// A rate is saturated when mean latency exceeds this multiple of the
+/// zero-load latency (BookSim convention) ...
+constexpr double kLatencyThresholdFactor = 3.0;
+/// ... or when accepted throughput falls below this fraction of offered.
+constexpr double kMinAcceptedFraction = 0.9;
+
+bool is_saturated(const sim::SimResult& result, double zero_load_latency) {
   if (!result.drained) return true;
   if (result.measured_packets == 0) return true;
-  if (result.avg_packet_latency >
-      config.latency_threshold_factor * zero_load_latency) {
+  if (result.avg_packet_latency > kLatencyThresholdFactor * zero_load_latency) {
     return true;
   }
-  return result.accepted_rate <
-         config.min_accepted_fraction * result.offered_rate;
+  return result.accepted_rate < kMinAcceptedFraction * result.offered_rate;
 }
 
 }  // namespace
@@ -58,7 +63,7 @@ PerfResult evaluate_performance(const topo::Topology& topo,
   // Zero-load latency: a rate low enough that queueing is negligible.
   const sim::SimResult zero = simulate_at_rate(
       topo, link_latencies, endpoints_per_tile, pattern, config,
-      config.zero_load_rate, table);
+      kZeroLoadRate, table);
   SHG_REQUIRE(zero.drained && zero.measured_packets > 0,
               "zero-load run must drain; topology or routing is broken");
   result.zero_load_latency_cycles = zero.avg_packet_latency;
@@ -66,12 +71,12 @@ PerfResult evaluate_performance(const topo::Topology& topo,
 
   // Saturation: bisection on the injection rate. The zero-load probe is
   // un-saturated by construction; rate 1.0 is the upper bound.
-  double lo = config.zero_load_rate;
+  double lo = kZeroLoadRate;
   double hi = 1.0;
   sim::SimResult at_lo = zero;
   const sim::SimResult full = simulate_at_rate(
       topo, link_latencies, endpoints_per_tile, pattern, config, 1.0, table);
-  if (!is_saturated(full, result.zero_load_latency_cycles, config)) {
+  if (!is_saturated(full, result.zero_load_latency_cycles)) {
     result.saturation_throughput = 1.0;
     result.accepted_at_saturation = full.accepted_rate;
     return result;
@@ -81,7 +86,7 @@ PerfResult evaluate_performance(const topo::Topology& topo,
     const sim::SimResult probe = simulate_at_rate(
         topo, link_latencies, endpoints_per_tile, pattern, config, mid,
         table);
-    if (is_saturated(probe, result.zero_load_latency_cycles, config)) {
+    if (is_saturated(probe, result.zero_load_latency_cycles)) {
       hi = mid;
     } else {
       lo = mid;

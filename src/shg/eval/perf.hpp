@@ -8,17 +8,11 @@
 
 namespace shg::eval {
 
-/// Knobs of the performance evaluation.
+/// Knobs of the performance evaluation. The zero-load probe rate and the
+/// saturation criteria are fixed (perf.cpp).
 struct PerfConfig {
   sim::SimConfig sim;  ///< router microarchitecture + measurement phases
-
-  double zero_load_rate = 0.005;  ///< injection rate for the ZLL probe
-  /// A rate is saturated when mean latency exceeds this multiple of the
-  /// zero-load latency (BookSim convention) ...
-  double latency_threshold_factor = 3.0;
-  /// ... or when accepted throughput falls below this fraction of offered.
-  double min_accepted_fraction = 0.9;
-  int bisection_iterations = 7;
+  int bisection_iterations = 7;  ///< saturation-search steps
 };
 
 /// Zero-load latency and saturation throughput of one configuration.

@@ -15,18 +15,13 @@ model::CostReport predict_cost(const tech::ArchParams& arch,
 }
 
 Prediction predict(const tech::ArchParams& arch, const topo::Topology& topo,
-                   const PerfConfig& config,
-                   const sim::TrafficPattern* pattern) {
+                   const PerfConfig& config) {
   Prediction prediction;
   prediction.cost = model::evaluate_cost(arch, topo);
-  const auto latencies = prediction.cost.link_latencies();
-  std::unique_ptr<sim::TrafficPattern> uniform;
-  if (pattern == nullptr) {
-    uniform = sim::make_uniform(topo.num_tiles());
-    pattern = uniform.get();
-  }
-  prediction.perf = evaluate_performance(
-      topo, latencies, arch.endpoints_per_tile, *pattern, config);
+  const auto uniform = sim::make_uniform(topo.num_tiles());
+  prediction.perf =
+      evaluate_performance(topo, prediction.cost.link_latencies(),
+                           arch.endpoints_per_tile, *uniform, config);
   return prediction;
 }
 

@@ -15,11 +15,10 @@ struct Prediction {
   PerfResult perf;
 };
 
-/// Runs the full toolchain. If `pattern` is null, random uniform traffic is
-/// used (the Figure 6 configuration).
+/// Runs the full toolchain under random uniform traffic (the Figure 6
+/// configuration).
 Prediction predict(const tech::ArchParams& arch, const topo::Topology& topo,
-                   const PerfConfig& config,
-                   const sim::TrafficPattern* pattern = nullptr);
+                   const PerfConfig& config);
 
 /// Cost-only prediction (the fast inner loop of the customization strategy;
 /// skips the simulation).

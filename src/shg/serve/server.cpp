@@ -57,7 +57,7 @@ int accept_connections(Server& server, int listener) {
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), service_(options_.service) {}
+    : options_(std::move(options)), service_(options_.session) {}
 
 Server::~Server() = default;
 
@@ -84,8 +84,7 @@ std::size_t Server::serve_stream(int in_fd, int out_fd) {
       if (queue.empty()) return;
       batch.push_back(std::move(queue.front()));
       queue.pop_front();
-      if (options_.coalesce && batch.front().valid &&
-          batch.front().op == Op::kScreen) {
+      if (batch.front().valid && batch.front().op == Op::kScreen) {
         // Drain every queued screen on the same architecture: the group
         // screens through ONE screen_batch_cached call (misses share the
         // prefix forest), one response each.

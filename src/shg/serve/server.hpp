@@ -33,10 +33,8 @@ namespace shg::serve {
 struct ServerOptions {
   /// Worker pool size; 0 uses max_threads().
   int workers = 0;
-  /// Batch queued same-architecture screen requests into one screening
-  /// call (off serves every request individually; results are identical).
-  bool coalesce = true;
-  ServiceOptions service;
+  /// The shared Service's session (sharded, so the pool may share it).
+  customize::SessionOptions session = service_session_defaults();
 };
 
 class Server {

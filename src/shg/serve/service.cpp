@@ -213,7 +213,7 @@ eval::ExperimentSpec make_campaign_spec(const CampaignParams& params) {
       {},
       ""});
   for (const std::string& workload : params.traffic) {
-    spec.traffic.push_back(eval::TrafficCase{workload, nullptr, ""});
+    spec.traffic.push_back(eval::TrafficCase{workload, ""});
   }
   spec.rates = params.rates;
   for (int s = 1; s <= params.num_seeds; ++s) {
@@ -259,8 +259,8 @@ customize::SessionOptions service_session_defaults() {
   return options;
 }
 
-Service::Service(ServiceOptions options)
-    : session_(std::move(options.session)) {}
+Service::Service(customize::SessionOptions options)
+    : session_(std::move(options)) {}
 
 Request Service::parse_request(const std::string& line) const {
   Request request;

@@ -119,17 +119,14 @@ struct Response {
 /// tiers are safe for the server's worker pool.
 customize::SessionOptions service_session_defaults();
 
-struct ServiceOptions {
-  customize::SessionOptions session = service_session_defaults();
-};
-
 /// The op layer. Thread-safe: parse_request is const and touches no
 /// mutable state; execute/execute_screen_batch may run concurrently from
 /// any number of worker threads (the session tiers are sharded + locked
 /// under the default options).
 class Service {
  public:
-  explicit Service(ServiceOptions options = {});
+  explicit Service(
+      customize::SessionOptions options = service_session_defaults());
 
   /// Parses one request line; never throws (malformed lines come back with
   /// valid == false).

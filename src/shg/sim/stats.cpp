@@ -24,10 +24,6 @@ void Distribution::add(double sample) {
   bin_sample(sample);
 }
 
-void Distribution::reserve(std::size_t n) {
-  if (!binned_) samples_.reserve(std::min(n, cap_));
-}
-
 void Distribution::fold_into_bins() {
   binned_ = true;
   // Accumulate in insertion order so sum_ (and therefore mean()) carries

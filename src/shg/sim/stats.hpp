@@ -39,7 +39,6 @@ class Distribution {
       : cap_(sample_cap) {}
 
   void add(double sample);
-  void reserve(std::size_t n);
 
   std::size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }

@@ -14,10 +14,9 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
 
 TEST(Sweep, LatencyRisesMonotonicallyTowardSaturation) {
   const auto topo = topo::make_mesh(4, 4);
-  const auto pattern = sim::make_uniform(16);
   ExperimentSpec spec;
   spec.topologies.push_back(TopologyCase{topo, unit_latencies(topo), "mesh"});
-  spec.traffic.push_back(TrafficCase{"", pattern.get(), ""});
+  spec.traffic.push_back(TrafficCase{"uniform", ""});
   spec.rates = {0.02, 0.1, 0.3, 0.6};
   spec.config.sim.num_vcs = 2;
   spec.config.sim.buffer_depth_flits = 8;

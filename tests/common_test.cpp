@@ -146,15 +146,6 @@ TEST(Table, RejectsMismatchedArity) {
   EXPECT_THROW(t.add_row({"only-one"}), Error);
 }
 
-TEST(Table, MarkdownShape) {
-  Table t({"h1", "h2"});
-  t.add_row({"x", "y"});
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| h1 | h2 |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-}
-
 TEST(Strings, FmtDouble) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(2.0, 0), "2");
@@ -164,11 +155,6 @@ TEST(Strings, FmtIntSet) {
   EXPECT_EQ(fmt_int_set({}), "{}");
   EXPECT_EQ(fmt_int_set({4}), "{4}");
   EXPECT_EQ(fmt_int_set({2, 5}), "{2, 5}");
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
 }
 
 /// Captures (context, line) pairs for the duration of a test and restores

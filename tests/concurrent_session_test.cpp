@@ -82,7 +82,6 @@ TEST(ShardedCache, LookupsAgreeAcrossShardCounts) {
 
 TEST(ShardedCache, LockingForcedOnWhenSharded) {
   EXPECT_FALSE(CandidateCache(16, 1).locking());
-  EXPECT_TRUE(CandidateCache(16, 1, true).locking());
   EXPECT_TRUE(CandidateCache(16, 4).locking());
 }
 
@@ -181,6 +180,22 @@ TEST(ShardedCache, ConcurrentStoresAreNeverLost) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
+TEST(ShardedSession, ShardCountFollowsConcurrencyMode) {
+  customize::Session single;  // kSingleThread defaults
+  EXPECT_EQ(single.cache().shard_count(), 1u);
+  EXPECT_FALSE(single.cache().locking());
+  EXPECT_EQ(single.sim_cache().shard_count(), 1u);
+  EXPECT_FALSE(single.sim_cache().locking());
+
+  customize::SessionOptions options;
+  options.concurrency = customize::ConcurrencyMode::kSharded;
+  customize::Session sharded(options);
+  EXPECT_EQ(sharded.cache().shard_count(), 8u);
+  EXPECT_TRUE(sharded.cache().locking());
+  EXPECT_EQ(sharded.sim_cache().shard_count(), 8u);
+  EXPECT_TRUE(sharded.sim_cache().locking());
+}
+
 TEST(ShardedSession, ConcurrentArtifactTierIsSafe) {
   customize::SessionOptions options;
   options.concurrency = customize::ConcurrencyMode::kSharded;
@@ -271,10 +286,7 @@ TEST(ConcurrentService, MixedRequestsMatchSoloTwinsByteForByte) {
   std::vector<serve::Request> requests;
   std::vector<std::string> solo_results;
   for (const std::string& line : lines) {
-    serve::ServiceOptions solo_options;
-    solo_options.session.concurrency =
-        customize::ConcurrencyMode::kSingleThread;
-    serve::Service solo(solo_options);
+    serve::Service solo(customize::SessionOptions{});  // kSingleThread
     requests.push_back(solo.parse_request(line));
     ASSERT_TRUE(requests.back().valid) << requests.back().error;
     const serve::Response response = solo.execute(requests.back());

@@ -1,6 +1,6 @@
 // Tests for the batched experiment engine: spec validation, determinism
-// across worker counts, multi-seed aggregation, a borrowed-pattern run's
-// bit-identity with the engine-free simulate_at_rate loop, CSV/JSON
+// across worker counts, multi-seed aggregation, a "uniform" run's
+// bit-identity with an engine-free Simulator loop, CSV/JSON
 // rendering (including comma-label escaping), and the session
 // simulation-result tier — warm-run bit-identity, overlap reuse, cell-key
 // sensitivity (every SimConfig field), sharded campaigns, and the shard-
@@ -37,8 +37,8 @@ ExperimentSpec small_spec() {
   spec.name = "unit";
   spec.topologies.push_back(TopologyCase{topo::make_mesh(4, 4), {}, ""});
   spec.topologies.push_back(TopologyCase{topo::make_torus(4, 4), {}, ""});
-  spec.traffic.push_back(TrafficCase{"uniform", nullptr, ""});
-  spec.traffic.push_back(TrafficCase{"hotspot:0,7:0.2", nullptr, ""});
+  spec.traffic.push_back(TrafficCase{"uniform", ""});
+  spec.traffic.push_back(TrafficCase{"hotspot:0,7:0.2", ""});
   spec.rates = {0.05, 0.15};
   spec.seeds = {1, 2, 3};
   spec.config = fast_config();
@@ -132,28 +132,36 @@ TEST(Experiment, MultiSeedSameSeedCollapses) {
   EXPECT_DOUBLE_EQ(point.avg_latency.stddev, 0.0);
 }
 
-TEST(Experiment, BorrowedPatternBitIdenticalToDirectLoop) {
-  // A single-seed run over a borrowed pattern must be bit-identical to the
-  // engine-free loop: one shared route table, one simulate_at_rate per
-  // rate. With one replica every aggregate mean IS the replica's value.
+TEST(Experiment, UniformSpecBitIdenticalToDirectLoop) {
+  // A single-seed run over the "uniform" spec must be bit-identical to the
+  // engine-free loop: one shared route table, one Simulator per rate
+  // driven by the spec's own pattern and injection process. With one
+  // replica every aggregate mean IS the replica's value.
   const auto topo = topo::make_mesh(4, 4);
   const std::vector<int> latencies(
       static_cast<std::size_t>(topo.graph().num_edges()), 1);
-  const auto pattern = sim::make_uniform(16);
   ExperimentSpec spec;
   spec.topologies.push_back(TopologyCase{topo, latencies, "mesh"});
-  spec.traffic.push_back(TrafficCase{"", pattern.get(), ""});
+  spec.traffic.push_back(TrafficCase{"uniform", ""});
   spec.rates = {0.05, 0.10, 0.20};
   spec.config = fast_config();
 
   const ExperimentReport report = run_experiment(spec);
 
+  const sim::TrafficSpec traffic = sim::TrafficSpec::parse("uniform");
+  const auto pattern = traffic.make_pattern(topo.rows(), topo.cols());
   const auto table = make_shared_route_table(topo, spec.config);
   ASSERT_EQ(report.points.size(), spec.rates.size());
   for (std::size_t i = 0; i < spec.rates.size(); ++i) {
     const ExperimentPoint& point = report.points[i];
-    const sim::SimResult reference = simulate_at_rate(
-        topo, latencies, 1, *pattern, spec.config, spec.rates[i], table);
+    sim::SimConfig config = spec.config.sim;
+    config.injection_rate = spec.rates[i];
+    sim::Simulator simulator(
+        topo, latencies, config, *pattern, 1, table,
+        traffic.make_process(
+            spec.rates[i] / static_cast<double>(config.packet_size_flits),
+            topo.num_tiles()));
+    const sim::SimResult reference = simulator.run();
     ASSERT_EQ(point.runs.size(), 1u);
     EXPECT_EQ(point.runs.front().offered_rate, reference.offered_rate);
     EXPECT_EQ(point.accepted_rate.mean, reference.accepted_rate);
@@ -166,7 +174,7 @@ TEST(Experiment, BorrowedPatternBitIdenticalToDirectLoop) {
 TEST(Experiment, CsvEscapesCommaLabels) {
   ExperimentSpec spec = small_spec();
   spec.topologies.erase(spec.topologies.begin() + 1, spec.topologies.end());
-  spec.traffic = {TrafficCase{"hotspot:0,7:0.2", nullptr, ""}};
+  spec.traffic = {TrafficCase{"hotspot:0,7:0.2", ""}};
   spec.rates = {0.05};
   spec.seeds = {1};
   const std::string csv = experiment_to_csv(run_experiment(spec));
@@ -224,7 +232,7 @@ TEST(Experiment, RouteTableFootprintSkipsTopologiesAboveRowBudget) {
   spec.topologies.push_back(TopologyCase{topo::make_mesh(4, 4), {}, "small"});
   spec.topologies.push_back(
       TopologyCase{topo::make_mesh(56, 56), {}, "large"});
-  spec.traffic.push_back(TrafficCase{"uniform", nullptr, ""});
+  spec.traffic.push_back(TrafficCase{"uniform", ""});
   spec.rates = {0.02};
   spec.seeds = {1};
   spec.config = fast_config();
@@ -327,25 +335,6 @@ TEST(ResultTier, OverlapOnlySimulatesNewCells) {
   EXPECT_EQ(warm.sim_cache_hits, 2u * per_seed);
   EXPECT_EQ(warm.sim_simulated, per_seed);
   EXPECT_EQ(report_bytes(warm), reference_bytes());
-}
-
-TEST(ResultTier, BorrowedPatternCellsAlwaysSimulate) {
-  // Workloads passed as borrowed TrafficPattern pointers have no canonical
-  // string, so they are never cached — a warm re-run re-simulates exactly
-  // those cells, and both runs render identically.
-  ExperimentSpec spec = small_spec();
-  const auto pattern = sim::make_uniform(16);
-  spec.traffic[1] = TrafficCase{"", pattern.get(), "borrowed-uniform"};
-  customize::Session session;
-  spec.session = &session;
-
-  const ExperimentReport cold = run_experiment(spec);
-  const ExperimentReport warm = run_experiment(spec);
-  const std::size_t borrowed_cells =
-      spec.topologies.size() * spec.rates.size() * spec.seeds.size();
-  EXPECT_EQ(warm.sim_cache_hits, cold.sim_cells - borrowed_cells);
-  EXPECT_EQ(warm.sim_simulated, borrowed_cells);
-  EXPECT_EQ(report_bytes(warm), report_bytes(cold));
 }
 
 TEST(ResultTier, ShardMergeMatchesSingleProcess) {
@@ -632,7 +621,7 @@ TEST(ResultTier, WarmTraceCampaignZeroSimsByteIdentical) {
   const std::string path = testing::TempDir() + "/warm-campaign.trace";
   sim::save_trace(unit_trace(3), path);
   ExperimentSpec spec = small_spec();
-  spec.traffic[1] = TrafficCase{"trace:" + path, nullptr, ""};
+  spec.traffic[1] = TrafficCase{"trace:" + path, ""};
 
   const std::string reference = report_bytes(run_experiment(spec));
   set_max_threads(1);
@@ -659,7 +648,7 @@ TEST(ResultTier, EditedTraceFileMissesTheOldCells) {
   const std::string path = testing::TempDir() + "/edited.trace";
   sim::save_trace(unit_trace(1), path);
   ExperimentSpec spec = small_spec();
-  spec.traffic = {TrafficCase{"trace:" + path, nullptr, ""}};
+  spec.traffic = {TrafficCase{"trace:" + path, ""}};
   customize::Session session;
   spec.session = &session;
   const ExperimentReport cold = run_experiment(spec);
@@ -684,7 +673,7 @@ TEST(ResultTier, TraceShardMergeMatchesSingleProcess) {
   const std::string trace_path = testing::TempDir() + "/shardable.trace";
   sim::save_trace(unit_trace(5), trace_path);
   ExperimentSpec spec = small_spec();
-  spec.traffic[0] = TrafficCase{"trace:" + trace_path, nullptr, ""};
+  spec.traffic[0] = TrafficCase{"trace:" + trace_path, ""};
 
   const std::string reference = report_bytes(run_experiment(spec));
 

@@ -301,18 +301,15 @@ TEST(Explore, PointsMatchScreenCandidate) {
                {explore_ruche(arch, options), &ruche, "ruche"}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.family);
-    std::size_t next = 0;
-    for (const topo::ShgParams& params : *c.expected) {
-      const CandidateMetrics metrics = screen_candidate(arch, params);
-      if (metrics.area_overhead > options.max_area_overhead) continue;
-      ASSERT_LT(next, c.points.size());
-      const ExploredPoint& point = c.points[next++];
+    ASSERT_EQ(c.points.size(), c.expected->size());
+    for (std::size_t i = 0; i < c.points.size(); ++i) {
+      const topo::ShgParams& params = (*c.expected)[i];
+      const ExploredPoint& point = c.points[i];
       EXPECT_EQ(point.params, params);
       EXPECT_EQ(point.label,
                 std::string(c.family) + " " + fmt_skip_sets(params));
-      expect_same_metrics(point.metrics, metrics);
+      expect_same_metrics(point.metrics, screen_candidate(arch, params));
     }
-    EXPECT_EQ(next, c.points.size());
   }
 }
 

@@ -129,10 +129,9 @@ TEST(ParallelDeterminism, LoadSweepIdenticalSerialVsParallel) {
   const auto topo = topo::make_mesh(4, 4);
   const std::vector<int> latencies(
       static_cast<std::size_t>(topo.graph().num_edges()), 1);
-  const auto pattern = sim::make_uniform(topo.num_tiles());
   eval::ExperimentSpec spec;
   spec.topologies.push_back(eval::TopologyCase{topo, latencies, ""});
-  spec.traffic.push_back(eval::TrafficCase{"", pattern.get(), ""});
+  spec.traffic.push_back(eval::TrafficCase{"uniform", ""});
   spec.rates = {0.02, 0.05, 0.10, 0.15};
   spec.config.sim.warmup_cycles = 200;
   spec.config.sim.measure_cycles = 600;

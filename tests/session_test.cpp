@@ -244,7 +244,6 @@ TEST_F(CacheCorruptionTest, SessionWithCorruptFileStillSearchesCorrectly) {
 
   SessionOptions options;
   options.cache_path = path_;
-  options.autosave = false;
   Session session(options);  // load discards the corrupt file
   EXPECT_EQ(session.cache().size(), 0u);
   SearchOptions search;
@@ -346,9 +345,7 @@ TEST(SimResultCache, RepeatedLoadsMergeShards) {
     shard.insert(key_of(3), result_of(3.0));
     ASSERT_EQ(shard.save_file(b), 1u);
   }
-  SessionOptions options;
-  options.autosave = false;
-  Session session(options);
+  Session session;
   EXPECT_EQ(session.sim_cache().load_file(a), 2u);
   EXPECT_EQ(session.sim_cache().load_file(b), 1u);
   EXPECT_EQ(session.sim_cache().size(), 3u);
@@ -403,11 +400,10 @@ TEST(Session, GreedyWarmAcrossDiskBoundary) {
     search.session = &session;
     expect_same_search(customize_greedy(arch, goal, search), reference,
                        "populating run");
-  }  // autosave on destruction
+  }  // saved on destruction
   {
     SessionOptions options;
     options.cache_path = path;
-    options.autosave = false;
     Session session(options);
     EXPECT_GT(session.cache().size(), 0u);
     SearchOptions search;
@@ -467,7 +463,7 @@ TEST(Session, ExperimentReusesRouteTablesAcrossRuns) {
       eval::TopologyCase{topo::make_mesh(4, 4), {}, "mesh"});
   spec.topologies.push_back(
       eval::TopologyCase{topo::make_torus(4, 4), {}, "torus"});
-  spec.traffic.push_back(eval::TrafficCase{"uniform", nullptr, ""});
+  spec.traffic.push_back(eval::TrafficCase{"uniform", ""});
   spec.rates = {0.05};
   spec.seeds = {1, 2};
   spec.config.sim.warmup_cycles = 50;
@@ -502,7 +498,7 @@ TEST(Session, RouteTableKeysDistinguishFamilyKinds) {
 
   eval::ExperimentSpec spec;
   spec.name = "kind-keying";
-  spec.traffic.push_back(eval::TrafficCase{"uniform", nullptr, ""});
+  spec.traffic.push_back(eval::TrafficCase{"uniform", ""});
   spec.rates = {0.05};
   spec.config.sim.warmup_cycles = 50;
   spec.config.sim.measure_cycles = 150;

@@ -450,7 +450,7 @@ TEST(UgalDeterminism, RepeatedRunsAndParallelCampaignsAreByteIdentical) {
   spec.name = "ugal-determinism";
   spec.topologies.push_back(
       eval::TopologyCase{topo::make_mesh(4, 4), {}, ""});
-  spec.traffic.push_back(eval::TrafficCase{"randperm:7", nullptr, ""});
+  spec.traffic.push_back(eval::TrafficCase{"randperm:7", ""});
   spec.rates = {0.1, 0.3};
   spec.seeds = {1, 2, 3};
   spec.config.sim = ugal_config();

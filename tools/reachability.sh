@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Reachability report: lists every shg:: function that libshg.a defines but
-# that no product binary links.
+# that no product binary links, then the src/ line counts per module and in
+# total (the size metric the roadmap tracks).
 #
 # The library is built at -O0 with one section per function, and every root
 # is linked with --gc-sections, so a function survives in a root only when
@@ -12,8 +13,9 @@
 #
 #     tools/reachability.sh [build-dir]      # default build-reach
 #
-# Prints the unreached names (demangled, sorted) and their count. It is a
-# report, not a gate: it exits 0 unless the build fails.
+# Prints the unreached names (demangled, sorted), their count, and the line
+# counts of src/shg/<module>/*.[ch]pp. It is a report, not a gate: it exits
+# 0 unless the build fails.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -59,3 +61,10 @@ echo "shg:: functions defined in libshg.a but linked into none of" \
   "${#roots[@]} roots:"
 cat "$build/unreached.txt"
 echo "$(wc -l < "$build/unreached.txt") unreached"
+
+echo "src/ lines per module:"
+for dir in "$root"/src/shg/*/; do
+  printf '%7d  %s\n' "$(cat "$dir"*.[ch]pp | wc -l)" "$(basename "$dir")"
+done
+echo "$(find "$root/src" -name '*.[ch]pp' -exec cat {} + | wc -l) src/ lines" \
+  "in total"
