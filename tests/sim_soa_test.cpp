@@ -7,8 +7,11 @@
 // network goes fully idle between injections).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "shg/eval/scenario.hpp"
+#include "shg/eval/toolchain.hpp"
 #include "shg/sim/concentration.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/trace.hpp"
@@ -40,12 +43,14 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
 /// Runs one simulation and requires every SimResult field to match the
 /// golden corpus bit for bit. `spec_text` drives pattern AND process
 /// through the TrafficSpec path (the experiment engine's shape). `live`
-/// runs the engine without a route table (tests/live_run.hpp).
+/// runs the engine without a route table (tests/live_run.hpp). `tag`, when
+/// set, ends the case label (for cases that differ only in the config).
 void expect_bit_identical(const topo::Topology& topo,
                           const std::vector<int>& latencies,
                           const SimConfig& config,
                           const std::string& spec_text,
-                          int endpoints_per_tile, bool live = false) {
+                          int endpoints_per_tile, bool live = false,
+                          const std::string& tag = "") {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const int conc = topo.concentration();
   const auto pattern = spec.make_pattern(topo.rows(), topo.cols(), conc);
@@ -70,6 +75,7 @@ void expect_bit_identical(const topo::Topology& topo,
     label += " ep" + std::to_string(endpoints_per_tile);
   }
   if (live) label += " live";
+  if (!tag.empty()) label += " " + tag;
   golden::expect_golden(label, s, run.nonminimal);
   // The run must have done real work, or the comparison proves nothing.
   EXPECT_GT(s.measured_packets, 0) << spec_text;
@@ -134,6 +140,54 @@ TEST(SoaBitIdentity, NonUnitLinkLatenciesAndDeeperBuffers) {
       static_cast<std::size_t>(topo.graph().num_edges()));
   for (std::size_t e = 0; e < latencies.size(); ++e) {
     latencies[e] = 1 + static_cast<int>(e % 3);
+  }
+  expect_bit_identical(topo, latencies, config, "uniform", 1);
+}
+
+TEST(SoaBitIdentity, Figure6aConfigOnScenarioA) {
+  // The paper's evaluation config: 8 VCs, 32-flit buffers and cost-model
+  // link latencies on every scenario-a topology, below and past the knee.
+  const eval::Scenario scenario =
+      eval::figure6_scenario(tech::KncScenario::kA);
+  SimConfig config = eval::default_perf_config(scenario.arch).sim;
+  config.warmup_cycles = 300;
+  config.measure_cycles = 900;
+  for (const auto& topo : eval::scenario_topologies(scenario)) {
+    SCOPED_TRACE(topo.name());
+    const std::vector<int> latencies =
+        eval::predict_cost(scenario.arch, topo).link_latencies();
+    for (const char* rate : {"0.02", "0.2"}) {
+      config.injection_rate = std::stod(rate);
+      expect_bit_identical(topo, latencies, config, "uniform",
+                           scenario.arch.endpoints_per_tile, false,
+                           std::string("r") + rate);
+    }
+  }
+}
+
+TEST(SoaBitIdentity, OneAndSixtyFourVcs) {
+  // The VC-count extremes: a single VC, and the widest per-port VC set.
+  const auto topo = topo::make_mesh(4, 4);
+  SimConfig config = fast_config();
+  config.injection_rate = 0.1;
+  for (const int vcs : {1, 64}) {
+    config.num_vcs = vcs;
+    expect_bit_identical(topo, unit_latencies(topo), config, "uniform", 1,
+                         false, "vc" + std::to_string(vcs));
+  }
+}
+
+TEST(SoaBitIdentity, LinkLatenciesOneToNine) {
+  // Links of 1..9 cycles: many arrivals in flight per channel at once.
+  const auto topo = topo::make_sparse_hamming(4, 4, {2}, {2, 3});
+  SimConfig config = fast_config();
+  config.injection_rate = 0.1;
+  config.num_vcs = 4;
+  config.buffer_depth_flits = 8;
+  std::vector<int> latencies(
+      static_cast<std::size_t>(topo.graph().num_edges()));
+  for (std::size_t e = 0; e < latencies.size(); ++e) {
+    latencies[e] = 1 + static_cast<int>((e * 5) % 9);
   }
   expect_bit_identical(topo, latencies, config, "uniform", 1);
 }
