@@ -83,6 +83,8 @@ struct SimConfig {
 
   void validate() const {
     SHG_REQUIRE(num_vcs >= 1, "need at least one VC");
+    // The engine keeps one bit per VC of a port in a 64-bit mask.
+    SHG_REQUIRE(num_vcs <= 64, "at most 64 VCs per port");
     SHG_REQUIRE(buffer_depth_flits >= 1, "need at least one buffer slot");
     SHG_REQUIRE(router_delay_cycles >= 0, "router delay must be >= 0");
     SHG_REQUIRE(packet_size_flits >= 1, "packets need at least one flit");

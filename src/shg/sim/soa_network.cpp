@@ -1,6 +1,7 @@
 #include "shg/sim/soa_network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "shg/common/prng.hpp"
@@ -86,39 +87,32 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   const std::size_t slots = ports * static_cast<std::size_t>(vcs_);
 
   // Two directed channels per edge: 2e carries u -> v (with u the edge's
-  // stored u), 2e + 1 carries v -> u. A channel holds at most latency + 1
-  // flits (one push per cycle from the single upstream output port, drained
-  // on arrival because pending flits keep the consumer on the worklist), so
-  // latency + 2 ring slots never overflow; same argument for credits (one
-  // traversal per input port and cycle).
+  // stored u), 2e + 1 carries v -> u. A flit entering channel c lands on
+  // chan_dst_port_[c]; a credit sent back over c returns to
+  // chan_src_port_[c].
   const int num_chans = 2 * g.num_edges();
   chan_src_.resize(static_cast<std::size_t>(num_chans));
   chan_dst_.resize(static_cast<std::size_t>(num_chans));
   chan_lat_.resize(static_cast<std::size_t>(num_chans));
-  chan_cap_.resize(static_cast<std::size_t>(num_chans));
-  chan_base_.resize(static_cast<std::size_t>(num_chans) + 1);
-  std::size_t chan_slab = 0;
+  chan_src_port_.resize(static_cast<std::size_t>(num_chans));
+  chan_dst_port_.resize(static_cast<std::size_t>(num_chans));
+  int max_lat = 0;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& edge = g.edge(e);
     const int lat = link_latencies[static_cast<std::size_t>(e)];
     SHG_REQUIRE(lat >= 1, "every link has at least one cycle of latency");
+    max_lat = std::max(max_lat, lat);
     for (int dir = 0; dir < 2; ++dir) {
       const std::size_t c = static_cast<std::size_t>(2 * e + dir);
       chan_src_[c] = dir == 0 ? edge.u : edge.v;
       chan_dst_[c] = dir == 0 ? edge.v : edge.u;
       chan_lat_[c] = lat;
-      chan_cap_[c] = lat + 2;
-      chan_base_[c] = chan_slab;
-      chan_slab += static_cast<std::size_t>(lat + 2);
     }
   }
-  chan_base_[static_cast<std::size_t>(num_chans)] = chan_slab;
-  chan_flits_.resize(chan_slab);
-  chan_fhead_.assign(static_cast<std::size_t>(num_chans), 0);
-  chan_fcount_.assign(static_cast<std::size_t>(num_chans), 0);
-  chan_credits_.resize(chan_slab);
-  chan_chead_.assign(static_cast<std::size_t>(num_chans), 0);
-  chan_ccount_.assign(static_cast<std::size_t>(num_chans), 0);
+  // Arrivals land at most max_lat cycles after they are sent, so max_lat + 1
+  // buckets keep every pending arrival cycle in its own bucket.
+  wheel_.resize(static_cast<std::size_t>(max_lat) + 1);
+  bucket_cap_ = 2 * static_cast<std::size_t>(num_chans);
 
   in_chan_.assign(ports, -1);
   out_chan_.assign(ports, -1);
@@ -128,10 +122,14 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
       const auto& edge = g.edge(nbrs[i].edge);
       const bool is_forward = edge.u == u;
       const std::size_t pidx = port_base_[static_cast<std::size_t>(u)] + i;
-      out_chan_[pidx] =
-          2 * nbrs[i].edge + (is_forward ? 0 : 1);  // u -> neighbor
-      in_chan_[pidx] =
-          2 * nbrs[i].edge + (is_forward ? 1 : 0);  // neighbor -> u
+      const int out = 2 * nbrs[i].edge + (is_forward ? 0 : 1);  // u -> nbr
+      const int in = 2 * nbrs[i].edge + (is_forward ? 1 : 0);   // nbr -> u
+      out_chan_[pidx] = out;
+      in_chan_[pidx] = in;
+      chan_src_port_[static_cast<std::size_t>(out)] =
+          static_cast<std::int32_t>(pidx);
+      chan_dst_port_[static_cast<std::size_t>(in)] =
+          static_cast<std::int32_t>(pidx);
     }
   }
 
@@ -167,7 +165,9 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   route_pending_.assign(nr, 0);
   va_pending_.assign(nr, 0);
   active_ivcs_.assign(nr, 0);
-  port_active_.assign(ports, 0);
+  fresh_.assign(ports, 0);
+  waiting_.assign(ports, 0);
+  sendable_.assign(ports, 0);
 
   const std::size_t queues = nr * static_cast<std::size_t>(local_ports_);
   ni_queue_.resize(queues);
@@ -237,83 +237,67 @@ void SoaEngine::pregenerate(const topo::Topology& topo) {
   pk_done_.assign(pk_create_.size(), 0);
 }
 
-void SoaEngine::push_buf(std::size_t s, Cycle ready, std::int32_t pkt,
-                         std::uint8_t flags) {
-  SHG_ASSERT(buf_count_[s] < depth_, "input VC ring overflow");
+void SoaEngine::buffer_flit(int r, std::size_t port, int vc, Cycle ready,
+                            std::int32_t pkt, std::uint8_t flags) {
+  const std::size_t s =
+      port * static_cast<std::size_t>(vcs_) + static_cast<std::size_t>(vc);
+  SHG_ASSERT(buf_count_[s] < depth_,
+             "credit protocol violated: buffer overflow");
+  const std::uint64_t bit = std::uint64_t{1} << vc;
+  if (ivc_state_[s] == kIdle) {
+    // A flit landing in an empty idle slot is a fresh head awaiting route
+    // computation (state only returns to idle after a tail departs).
+    if ((fresh_[port] & bit) == 0) {
+      fresh_[port] |= bit;
+      ++route_pending_[static_cast<std::size_t>(r)];
+    }
+  } else if (ivc_state_[s] == kActive) {
+    sendable_[port] |= bit;
+  }
   std::size_t idx = static_cast<std::size_t>(buf_head_[s]) + buf_count_[s];
   if (idx >= static_cast<std::size_t>(depth_)) {
     idx -= static_cast<std::size_t>(depth_);
   }
   buf_[s * static_cast<std::size_t>(depth_) + idx] = {ready, pkt, flags};
   ++buf_count_[s];
+  ++buffered_[static_cast<std::size_t>(r)];
 }
 
-void SoaEngine::push_chan_flit(int c, Cycle now, std::int32_t pkt, int vc,
-                               std::uint8_t flags) {
+void SoaEngine::send(int c, std::int32_t pkt, int vc, std::uint8_t flags,
+                     bool credit) {
   const std::size_t ci = static_cast<std::size_t>(c);
-  SHG_ASSERT(chan_fcount_[ci] < chan_cap_[ci], "channel flit ring overflow");
-  std::size_t idx =
-      static_cast<std::size_t>(chan_fhead_[ci]) + chan_fcount_[ci];
-  if (idx >= static_cast<std::size_t>(chan_cap_[ci])) {
-    idx -= static_cast<std::size_t>(chan_cap_[ci]);
+  std::size_t b = due_bucket_ + static_cast<std::size_t>(chan_lat_[ci]);
+  if (b >= wheel_.size()) b -= wheel_.size();
+  std::vector<Arrival>& bucket = wheel_[b];
+  // One flit and one credit per channel and cycle, and a bucket holds one
+  // arrival cycle.
+  SHG_ASSERT(bucket.size() < bucket_cap_, "arrival bucket overflow");
+  if (credit) {
+    bucket.push_back(
+        {chan_src_[ci], chan_src_port_[ci], pkt, static_cast<std::int16_t>(vc),
+         flags, 1});
+  } else {
+    bucket.push_back(
+        {chan_dst_[ci], chan_dst_port_[ci], pkt, static_cast<std::int16_t>(vc),
+         flags, 0});
   }
-  chan_flits_[chan_base_[ci] + idx] = {now + chan_lat_[ci], pkt,
-                                       static_cast<std::int16_t>(vc), flags};
-  ++chan_fcount_[ci];
 }
 
-void SoaEngine::push_chan_credit(int c, Cycle now, int vc) {
-  const std::size_t ci = static_cast<std::size_t>(c);
-  SHG_ASSERT(chan_ccount_[ci] < chan_cap_[ci], "channel credit ring overflow");
-  std::size_t idx =
-      static_cast<std::size_t>(chan_chead_[ci]) + chan_ccount_[ci];
-  if (idx >= static_cast<std::size_t>(chan_cap_[ci])) {
-    idx -= static_cast<std::size_t>(chan_cap_[ci]);
-  }
-  chan_credits_[chan_base_[ci] + idx] = {now + chan_lat_[ci], vc};
-  ++chan_ccount_[ci];
-}
-
-void SoaEngine::deliver(int r, Cycle now) {
-  const std::size_t pbase = port_base_[static_cast<std::size_t>(r)];
-  const int net = net_ports_[static_cast<std::size_t>(r)];
-  for (int p = 0; p < net; ++p) {
-    const std::size_t pidx = pbase + static_cast<std::size_t>(p);
-    // Flits arriving from the upstream neighbor.
-    const std::size_t ci = static_cast<std::size_t>(in_chan_[pidx]);
-    while (chan_fcount_[ci] > 0) {
-      const ChanFlit& entry = chan_flits_[chan_base_[ci] + chan_fhead_[ci]];
-      if (entry.arrival > now) break;
-      const std::size_t s = pidx * static_cast<std::size_t>(vcs_) +
-                            static_cast<std::size_t>(entry.vc);
-      SHG_ASSERT(buf_count_[s] < depth_,
-                 "credit protocol violated: buffer overflow");
-      // A flit landing in an empty idle slot is a fresh head awaiting route
-      // computation (state only returns to idle after a tail departs).
-      if (buf_count_[s] == 0 && ivc_state_[s] == kIdle) {
-        ++route_pending_[static_cast<std::size_t>(r)];
-      }
-      push_buf(s, now + delay_, entry.pkt, entry.flags);
-      ++buffered_[static_cast<std::size_t>(r)];
-      chan_fhead_[ci] = static_cast<std::uint16_t>(
-          chan_fhead_[ci] + 1 == chan_cap_[ci] ? 0 : chan_fhead_[ci] + 1);
-      --chan_fcount_[ci];
-    }
-    // Credits returning from the downstream neighbor.
-    const std::size_t co = static_cast<std::size_t>(out_chan_[pidx]);
-    while (chan_ccount_[co] > 0) {
-      const ChanCredit& entry =
-          chan_credits_[chan_base_[co] + chan_chead_[co]];
-      if (entry.arrival > now) break;
-      ++ovc_credits_[pidx * static_cast<std::size_t>(vcs_) +
-                     static_cast<std::size_t>(entry.vc)];
-      chan_chead_[co] = static_cast<std::uint16_t>(
-          chan_chead_[co] + 1 == chan_cap_[co] ? 0 : chan_chead_[co] + 1);
-      --chan_ccount_[co];
+void SoaEngine::deliver_due(Cycle now) {
+  due_bucket_ = static_cast<std::size_t>(now % static_cast<Cycle>(wheel_.size()));
+  std::vector<Arrival>& due = wheel_[due_bucket_];
+  for (const Arrival& a : due) {
+    const std::size_t port = static_cast<std::size_t>(a.port);
+    if (a.credit) {
+      ++ovc_credits_[port * static_cast<std::size_t>(vcs_) +
+                     static_cast<std::size_t>(a.vc)];
       --total_credits_;
-      --work_[static_cast<std::size_t>(r)];
+      --work_[static_cast<std::size_t>(a.router)];
+    } else {
+      buffer_flit(a.router, port, a.vc, now + delay_, a.pkt, a.flags);
     }
   }
+  due.clear();
 }
 
 void SoaEngine::ni_inject(int r, Cycle now) {
@@ -360,13 +344,7 @@ void SoaEngine::ni_inject(int r, Cycle now) {
     std::uint8_t flags = 0;
     if (head) flags |= kHead;
     if (tail) flags |= kTail;
-    const std::size_t s = pidx * static_cast<std::size_t>(vcs_) +
-                          static_cast<std::size_t>(chosen);
-    if (buf_count_[s] == 0 && ivc_state_[s] == kIdle) {
-      ++route_pending_[static_cast<std::size_t>(r)];
-    }
-    push_buf(s, now + delay_, pkt, flags);
-    ++buffered_[static_cast<std::size_t>(r)];
+    buffer_flit(r, pidx, chosen, now + delay_, pkt, flags);
     if (fi + 1 == pkt_flits_) {
       ring.pop();
       ni_front_flit_[q] = 0;
@@ -418,8 +396,6 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     SHG_ASSERT(ivc_routes_len_[s] > 0, "routing returned no candidates");
   }
   ivc_state_[s] = kVcAlloc;
-  --route_pending_[static_cast<std::size_t>(r)];
-  ++va_pending_[static_cast<std::size_t>(r)];
 }
 
 int SoaEngine::first_port(int r, int to, std::size_t s) {
@@ -447,9 +423,9 @@ void SoaEngine::append_band(int r, std::size_t s, int in_port, int in_vc,
 void SoaEngine::compute_route_ugal(int r, std::size_t s, int in_port,
                                    int in_vc, std::int32_t pkt, int dest) {
   // The occupancy reads touch only this router's output credit counters,
-  // which deliver(r) settled before allocate(r) (phase commutation across
-  // routers), so the choice does not depend on the order routers are
-  // processed in.
+  // which deliver_due settled before any router ran (phase commutation
+  // across routers), so the choice does not depend on the order routers
+  // are processed in.
   const bool on_escape =
       in_port >= 0 && in_vc >= 0 && in_vc < kUgalEscapeVcs;
   std::int32_t& via = pk_via_[static_cast<std::size_t>(pkt)];
@@ -504,15 +480,22 @@ void SoaEngine::allocate(int r, Cycle now) {
   const std::size_t sbase = pbase * static_cast<std::size_t>(vcs);
 
   // --- Route computation for fresh heads --------------------------------
+  // Every fresh head is routed, in ascending (port, VC) order; each then
+  // waits for VC allocation.
   if (route_pending_[static_cast<std::size_t>(r)] > 0) {
     for (int p = 0; p < ports; ++p) {
-      for (int v = 0; v < vcs; ++v) {
-        const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-        if (ivc_state_[s] == kIdle && buf_count_[s] > 0) {
-          compute_route(r, p, v, s);
-        }
+      const std::size_t pf = pbase + static_cast<std::size_t>(p);
+      for (std::uint64_t m = fresh_[pf]; m != 0; m &= m - 1) {
+        const int v = std::countr_zero(m);
+        compute_route(r, p, v,
+                      sbase + static_cast<std::size_t>(p * vcs + v));
       }
+      waiting_[pf] |= fresh_[pf];
+      fresh_[pf] = 0;
     }
+    va_pending_[static_cast<std::size_t>(r)] +=
+        route_pending_[static_cast<std::size_t>(r)];
+    route_pending_[static_cast<std::size_t>(r)] = 0;
   }
 
   // --- VC allocation ------------------------------------------------------
@@ -521,9 +504,10 @@ void SoaEngine::allocate(int r, Cycle now) {
   if (va_pending_[static_cast<std::size_t>(r)] > 0) {
     va_requests_.clear();
     for (int p = 0; p < ports; ++p) {
-      for (int v = 0; v < vcs; ++v) {
+      for (std::uint64_t m = waiting_[pbase + static_cast<std::size_t>(p)];
+           m != 0; m &= m - 1) {
+        const int v = std::countr_zero(m);
         const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-        if (ivc_state_[s] != kVcAlloc) continue;
         int request = -1;
         const RouteCandidate* cands = ivc_routes_[s];
         const int len = ivc_routes_len_[s];
@@ -576,43 +560,55 @@ void SoaEngine::allocate(int r, Cycle now) {
           (in_key + 1) % (ports * vcs);
       --va_pending_[static_cast<std::size_t>(r)];
       ++active_ivcs_[static_cast<std::size_t>(r)];
-      ++port_active_[pbase + static_cast<std::size_t>(in_key / vcs)];
+      // The head is still buffered, so the granted VC can send.
+      const std::size_t pf = pbase + static_cast<std::size_t>(in_key / vcs);
+      const std::uint64_t bit = std::uint64_t{1} << (in_key % vcs);
+      waiting_[pf] &= ~bit;
+      sendable_[pf] |= bit;
       i = j;
     }
   }
 
   // --- Switch allocation ---------------------------------------------------
-  // Input-first: every input port with an active VC nominates one ready VC
-  // (round-robin), then every requested output port grants one input port
-  // (round-robin). Ports without active VCs cannot nominate and outputs
-  // without requests grant nothing, so restricting both scans to the
-  // occupied entries decides identically to a full port sweep.
+  // Input-first: every input port with a sendable VC nominates one ready VC
+  // (round-robin from sa_in_rr_), then every requested output port grants
+  // one input port (round-robin). Ports with nothing to send cannot
+  // nominate and outputs without requests grant nothing, so restricting
+  // both scans to the occupied entries decides identically to a full port
+  // sweep.
   if (active_ivcs_[static_cast<std::size_t>(r)] == 0) return;
   sa_req_in_.clear();
   sa_req_ops_.clear();
   for (int p = 0; p < ports; ++p) {
-    if (port_active_[pbase + static_cast<std::size_t>(p)] == 0) continue;
-    const int start = sa_in_rr_[pbase + static_cast<std::size_t>(p)];
-    for (int off = 0; off < vcs; ++off) {
-      const int v = (start + off) % vcs;
-      const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-      if (ivc_state_[s] != kActive || buf_count_[s] == 0) continue;
-      const BufFlit& front = buf_[s * static_cast<std::size_t>(depth_) +
-                                  static_cast<std::size_t>(buf_head_[s])];
-      const std::size_t os =
-          sbase +
-          static_cast<std::size_t>(ivc_out_port_[s] * vcs + ivc_out_vc_[s]);
-      if (front.ready <= now && ovc_credits_[os] > 0) {
-        const int op = ivc_out_port_[s];
-        sa_request_port_[static_cast<std::size_t>(p)] = op;
-        sa_request_vc_[static_cast<std::size_t>(p)] = v;
-        sa_req_in_.push_back(p);
-        const auto it =
-            std::lower_bound(sa_req_ops_.begin(), sa_req_ops_.end(), op);
-        if (it == sa_req_ops_.end() || *it != op) sa_req_ops_.insert(it, op);
-        break;
+    const std::size_t pf = pbase + static_cast<std::size_t>(p);
+    const std::uint64_t m = sendable_[pf];
+    if (m == 0) continue;
+    // Round-robin order from the pointer: the VCs at or above it, then the
+    // ones below, each ascending — the (start + off) % vcs walk.
+    const std::uint64_t from_start = ~std::uint64_t{0}
+                                     << sa_in_rr_[pf];
+    int nominee = -1;
+    for (std::uint64_t part : {m & from_start, m & ~from_start}) {
+      for (; part != 0 && nominee < 0; part &= part - 1) {
+        const int v = std::countr_zero(part);
+        const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
+        const BufFlit& front = buf_[s * static_cast<std::size_t>(depth_) +
+                                    static_cast<std::size_t>(buf_head_[s])];
+        const std::size_t os =
+            sbase +
+            static_cast<std::size_t>(ivc_out_port_[s] * vcs + ivc_out_vc_[s]);
+        if (front.ready <= now && ovc_credits_[os] > 0) nominee = v;
       }
     }
+    if (nominee < 0) continue;
+    const int op =
+        ivc_out_port_[sbase + static_cast<std::size_t>(p * vcs + nominee)];
+    sa_request_port_[static_cast<std::size_t>(p)] = op;
+    sa_request_vc_[static_cast<std::size_t>(p)] = nominee;
+    sa_req_in_.push_back(p);
+    const auto it =
+        std::lower_bound(sa_req_ops_.begin(), sa_req_ops_.end(), op);
+    if (it == sa_req_ops_.end() || *it != op) sa_req_ops_.insert(it, op);
   }
   // Grants processed in ascending output-port order (this fixes the
   // within-router ejection order).
@@ -636,12 +632,15 @@ void SoaEngine::allocate(int r, Cycle now) {
     // --- Switch traversal --------------------------------------------------
     const int iv = sa_request_vc_[static_cast<std::size_t>(winner)];
     const std::size_t s = sbase + static_cast<std::size_t>(winner * vcs + iv);
+    const std::size_t wf = pbase + static_cast<std::size_t>(winner);
+    const std::uint64_t bit = std::uint64_t{1} << iv;
     const BufFlit flit = buf_[s * static_cast<std::size_t>(depth_) +
                               static_cast<std::size_t>(buf_head_[s])];
     buf_head_[s] = static_cast<std::uint16_t>(
         buf_head_[s] + 1 == depth_ ? 0 : buf_head_[s] + 1);
     --buf_count_[s];
     --buffered_[static_cast<std::size_t>(r)];
+    if (buf_count_[s] == 0) sendable_[wf] &= ~bit;
     const int out_port = ivc_out_port_[s];
     const int out_v = ivc_out_vc_[s];
     const std::size_t os = sbase + static_cast<std::size_t>(out_port * vcs +
@@ -658,7 +657,7 @@ void SoaEngine::allocate(int r, Cycle now) {
     } else {
       --ovc_credits_[os];
       const int c = out_chan_[pbase + static_cast<std::size_t>(out_port)];
-      push_chan_flit(c, now, flit.pkt, out_v, flit.flags);
+      send(c, flit.pkt, out_v, flit.flags, /*credit=*/false);
       const int nbr = chan_dst_[static_cast<std::size_t>(c)];
       --work_[static_cast<std::size_t>(r)];
       ++work_[static_cast<std::size_t>(nbr)];
@@ -667,8 +666,8 @@ void SoaEngine::allocate(int r, Cycle now) {
     // Return the freed buffer slot upstream (network inputs only; the NI
     // observes local buffer occupancy directly).
     if (winner < net) {
-      const int c = in_chan_[pbase + static_cast<std::size_t>(winner)];
-      push_chan_credit(c, now, iv);
+      const int c = in_chan_[wf];
+      send(c, 0, iv, 0, /*credit=*/true);
       ++total_credits_;
       const int up = chan_src_[static_cast<std::size_t>(c)];
       ++work_[static_cast<std::size_t>(up)];
@@ -682,10 +681,13 @@ void SoaEngine::allocate(int r, Cycle now) {
       ivc_routes_[s] = nullptr;
       ivc_routes_len_[s] = 0;
       --active_ivcs_[static_cast<std::size_t>(r)];
-      --port_active_[pbase + static_cast<std::size_t>(winner)];
+      sendable_[wf] &= ~bit;
       // The next packet's head may already be buffered behind the departed
       // tail; it becomes route-pending now that the slot is idle again.
-      if (buf_count_[s] > 0) ++route_pending_[static_cast<std::size_t>(r)];
+      if (buf_count_[s] > 0) {
+        fresh_[wf] |= bit;
+        ++route_pending_[static_cast<std::size_t>(r)];
+      }
     }
   }
 }
@@ -742,15 +744,15 @@ SimResult SoaEngine::run() {
     }
 
     // --- One network cycle over the active routers ------------------------
-    // Phases commute across routers (channel entries are timestamped at
-    // now + latency >= now + 1, so nothing pushed this cycle is visible
-    // this cycle), which lets deliver/inject/allocate fuse per router.
-    // Routers activated during the pass (flits or credits sent their way)
-    // are appended beyond the snapshot and start next cycle.
+    // Everything due this cycle lands first; then inject/allocate fuse per
+    // router. Phases commute across routers (arrivals are filed at
+    // now + latency >= now + 1, so nothing sent this cycle is visible this
+    // cycle). Routers activated during the pass (flits or credits sent
+    // their way) are appended beyond the snapshot and start next cycle.
+    deliver_due(now);
     const std::size_t n_active = active_.size();
     for (std::size_t i = 0; i < n_active; ++i) {
       const int r = active_[i];
-      deliver(r, now);
       ni_inject(r, now);
       allocate(r, now);
     }

@@ -85,17 +85,15 @@ class SoaEngine {
     std::int32_t pkt = 0;
     std::uint8_t flags = 0;
   };
-  /// A flit traversing a channel pipeline.
-  struct ChanFlit {
-    Cycle arrival = 0;
+  /// A flit or credit in flight on a channel, filed in the arrival-wheel
+  /// bucket of the cycle it lands in.
+  struct Arrival {
+    std::int32_t router = 0;  ///< receiving router
+    std::int32_t port = 0;    ///< its flat port: input (flit) or output (credit)
     std::int32_t pkt = 0;
     std::int16_t vc = 0;
     std::uint8_t flags = 0;
-  };
-  /// A credit traversing a channel (upstream direction).
-  struct ChanCredit {
-    Cycle arrival = 0;
-    std::int32_t vc = 0;
+    std::uint8_t credit = 0;  ///< 1 = credit for output VC (port, vc)
   };
   /// One ejected flit, buffered per cycle and sorted by tile so statistics
   /// accumulate in the order the golden corpus pins.
@@ -139,7 +137,8 @@ class SoaEngine {
     }
   }
 
-  void deliver(int r, Cycle now);
+  /// Lands every flit and credit due at `now` (the current wheel bucket).
+  void deliver_due(Cycle now);
   void ni_inject(int r, Cycle now);
   void allocate(int r, Cycle now);
   void compute_route(int r, int port, int vc, std::size_t s);
@@ -168,11 +167,13 @@ class SoaEngine {
   void append_band(int r, std::size_t s, int in_port, int in_vc, int to,
                    bool adaptive);
 
-  void push_buf(std::size_t s, Cycle ready, std::int32_t pkt,
-                std::uint8_t flags);
-  void push_chan_flit(int c, Cycle now, std::int32_t pkt, int vc,
-                      std::uint8_t flags);
-  void push_chan_credit(int c, Cycle now, int vc);
+  /// Appends a flit to input VC (flat `port`, vc) of router r and updates
+  /// the slot's allocator masks.
+  void buffer_flit(int r, std::size_t port, int vc, Cycle ready,
+                   std::int32_t pkt, std::uint8_t flags);
+  /// Files a flit (downstream) or credit (upstream) on channel c into the
+  /// bucket of the cycle it lands in.
+  void send(int c, std::int32_t pkt, int vc, std::uint8_t flags, bool credit);
 
   // --- Configuration (copied out of SimConfig for tight loop access) -----
   SimConfig config_;
@@ -199,19 +200,18 @@ class SoaEngine {
   std::vector<int> chan_src_;           ///< per channel: producing router
   std::vector<int> chan_dst_;           ///< per channel: consuming router
   std::vector<int> chan_lat_;           ///< per channel: latency, cycles
-  std::vector<int> chan_cap_;           ///< per channel: ring capacity
-  std::vector<std::size_t> chan_base_;  ///< per channel: slab offset
+  std::vector<std::int32_t> chan_src_port_;  ///< per channel: flat out port
+  std::vector<std::int32_t> chan_dst_port_;  ///< per channel: flat in port
 
   // --- Hot state slabs ----------------------------------------------------
   std::vector<BufFlit> buf_;              ///< input VC buffers, slot * depth
   std::vector<std::uint16_t> buf_head_;   ///< per slot: ring head
   std::vector<std::uint16_t> buf_count_;  ///< per slot: occupancy
-  std::vector<ChanFlit> chan_flits_;
-  std::vector<std::uint16_t> chan_fhead_;
-  std::vector<std::uint16_t> chan_fcount_;
-  std::vector<ChanCredit> chan_credits_;
-  std::vector<std::uint16_t> chan_chead_;
-  std::vector<std::uint16_t> chan_ccount_;
+  /// Arrival wheel: bucket b holds what lands in the cycle t with
+  /// t % wheel_.size() == b; wheel_.size() is the longest latency + 1.
+  std::vector<std::vector<Arrival>> wheel_;
+  std::size_t due_bucket_ = 0;  ///< bucket of the current cycle
+  std::size_t bucket_cap_ = 0;  ///< two entries per channel
 
   // Input-VC allocation state (per slot).
   std::vector<std::uint8_t> ivc_state_;
@@ -230,15 +230,17 @@ class SoaEngine {
   std::vector<std::int32_t> sa_in_rr_;   ///< per flat port
   std::vector<std::int32_t> sa_out_rr_;  ///< per flat port
 
-  // Allocator phase occupancy, so allocate() skips phases with no eligible
-  // slot instead of re-scanning every (port, vc) each cycle. Pure
-  // skip-empty-work: round-robin pointers only move on grants, and a phase
-  // with zero eligible slots grants nothing, so skipping it is
-  // bit-identical to scanning it.
-  std::vector<std::int32_t> route_pending_;  ///< per router: idle slots w/ flits
+  // Allocator work sets, one bit per VC of a flat port, so each phase
+  // visits exactly its eligible slots in ascending (port, VC) order.
+  std::vector<std::uint64_t> fresh_;     ///< idle slot holding a head
+  std::vector<std::uint64_t> waiting_;   ///< slot in kVcAlloc
+  std::vector<std::uint64_t> sendable_;  ///< kActive slot with a flit
+  // Router-level skip gates: a phase with zero eligible slots grants
+  // nothing and moves no round-robin pointer, so skipping it is
+  // bit-identical to running it.
+  std::vector<std::int32_t> route_pending_;  ///< per router: fresh slots
   std::vector<std::int32_t> va_pending_;     ///< per router: slots in kVcAlloc
   std::vector<std::int32_t> active_ivcs_;    ///< per router: slots in kActive
-  std::vector<std::uint8_t> port_active_;    ///< per flat port: kActive slots
 
   // Network interfaces (per tile * local port).
   std::vector<PktRing> ni_queue_;

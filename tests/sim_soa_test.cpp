@@ -177,6 +177,17 @@ TEST(SoaBitIdentity, OneAndSixtyFourVcs) {
   }
 }
 
+TEST(SimConfigLimits, SixtyFiveVcsThrow) {
+  // The engine keeps one bit per VC in a 64-bit mask per port.
+  const auto topo = topo::make_mesh(4, 4);
+  SimConfig config = fast_config();
+  config.num_vcs = 65;
+  EXPECT_THROW(config.validate(), shg::Error);
+  const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, *pattern, 1),
+               shg::Error);
+}
+
 TEST(SoaBitIdentity, LinkLatenciesOneToNine) {
   // Links of 1..9 cycles: many arrivals in flight per channel at once.
   const auto topo = topo::make_sparse_hamming(4, 4, {2}, {2, 3});
