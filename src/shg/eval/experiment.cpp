@@ -121,7 +121,7 @@ const MetricColumn kMetrics[] = {
 
 }  // namespace
 
-void ExperimentSpec::validate() const {
+std::vector<sim::TrafficSpec> ExperimentSpec::validate() const {
   SHG_REQUIRE(!topologies.empty(), "experiment needs at least one topology");
   SHG_REQUIRE(!traffic.empty(), "experiment needs at least one workload");
   SHG_REQUIRE(!rates.empty(), "experiment needs at least one rate");
@@ -139,9 +139,12 @@ void ExperimentSpec::validate() const {
     SHG_REQUIRE(tc.topology.concentration() == 1 || endpoints_per_tile == 1,
                 "concentrated topologies require endpoints_per_tile = 1");
   }
+  std::vector<sim::TrafficSpec> parsed;
+  parsed.reserve(traffic.size());
   for (const TrafficCase& wc : traffic) {
-    sim::TrafficSpec::parse(wc.spec);  // throws on malformed specs
+    parsed.push_back(sim::TrafficSpec::parse(wc.spec));  // throws if malformed
   }
+  return parsed;
 }
 
 namespace {
@@ -171,8 +174,7 @@ struct CellEngine {
   std::vector<customize::Fingerprint> cell_keys;
 
   explicit CellEngine(const ExperimentSpec& experiment_spec)
-      : spec(experiment_spec) {
-    spec.validate();
+      : spec(experiment_spec), parsed(spec.validate()) {
     seeds = spec.seeds.empty()
                 ? std::vector<std::uint64_t>{spec.config.sim.seed}
                 : spec.seeds;
@@ -231,12 +233,10 @@ struct CellEngine {
     // Per (topology, traffic) patterns. Patterns are stateless (all
     // state lives in the per-run PRNG), so sharing one across runs is
     // safe.
-    parsed.resize(num_traffic);
-    for (std::size_t w = 0; w < num_traffic; ++w) {
-      parsed[w] = sim::TrafficSpec::parse(spec.traffic[w].spec);
+    for (sim::TrafficSpec& traffic : parsed) {
       // Trace files are loaded (and fully validated) once per traffic
       // case; every cell on every topology shares the in-memory trace.
-      parsed[w].resolve_trace();
+      traffic.resolve_trace();
     }
     patterns.resize(num_topos * num_traffic);
     for (std::size_t t = 0; t < num_topos; ++t) {

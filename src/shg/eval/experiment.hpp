@@ -77,7 +77,9 @@ struct ExperimentSpec {
   /// layer's pool workers run experiments on its one sharded session).
   customize::Session* session = nullptr;
 
-  void validate() const;
+  /// Throws on an invalid spec; returns the parsed traffic cases, one per
+  /// `traffic` entry, so callers do not parse them again.
+  [[nodiscard]] std::vector<sim::TrafficSpec> validate() const;
 };
 
 /// mean/stddev/min/max of one metric over the seed replicas of a point.
