@@ -182,7 +182,7 @@ BenchResult bench_route_lookup(bool smoke) {
     }
   }
   result.new_seconds = seconds_since(t0);
-  g_sink += sink;
+  g_sink = g_sink + sink;
   return result;
 }
 
@@ -207,7 +207,7 @@ BenchResult bench_fused_bfs(bool smoke) {
     acc += summary.avg_hops + summary.diameter;
   }
   result.new_seconds = seconds_since(t0);
-  g_sink += static_cast<long long>(acc);
+  g_sink = g_sink + static_cast<long long>(acc);
   return result;
 }
 
@@ -240,7 +240,7 @@ BenchResult bench_dse_screen(bool smoke) {
     }
   }
   result.new_seconds = seconds_since(t0);
-  g_sink += static_cast<long long>(acc * 1000.0);
+  g_sink = g_sink + static_cast<long long>(acc * 1000.0);
   return result;
 }
 
