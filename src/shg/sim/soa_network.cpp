@@ -284,7 +284,8 @@ void SoaEngine::send(int c, std::int32_t pkt, int vc, std::uint8_t flags,
 }
 
 void SoaEngine::deliver_due(Cycle now) {
-  due_bucket_ = static_cast<std::size_t>(now % static_cast<Cycle>(wheel_.size()));
+  due_bucket_ =
+      static_cast<std::size_t>(now % static_cast<Cycle>(wheel_.size()));
   std::vector<Arrival>& due = wheel_[due_bucket_];
   for (const Arrival& a : due) {
     const std::size_t port = static_cast<std::size_t>(a.port);
@@ -585,8 +586,7 @@ void SoaEngine::allocate(int r, Cycle now) {
     if (m == 0) continue;
     // Round-robin order from the pointer: the VCs at or above it, then the
     // ones below, each ascending — the (start + off) % vcs walk.
-    const std::uint64_t from_start = ~std::uint64_t{0}
-                                     << sa_in_rr_[pf];
+    const std::uint64_t from_start = ~std::uint64_t{0} << sa_in_rr_[pf];
     int nominee = -1;
     for (std::uint64_t part : {m & from_start, m & ~from_start}) {
       for (; part != 0 && nominee < 0; part &= part - 1) {

@@ -4,24 +4,31 @@
 // (tests/golden/sim_results.txt), recorded while an object-per-router
 // reference engine still ran alongside it. The corpus fixes the PRNG draw
 // order, the allocator decisions, the floating-point accumulation order
-// and the cycle count. Three design choices keep the engine fast without
+// and the cycle count. Four design choices keep the engine fast without
 // changing any of them:
 //
-//  * Flat slabs instead of per-object deques. Input-VC buffers, channel
-//    pipelines and credit queues live in fixed-capacity ring buffers inside
-//    network-owned arenas indexed by (router, port, vc) / channel id; a
-//    flit is a 16-byte {cycle, packet, flags} entry and per-packet metadata
-//    (src, dest, eject port, hop count) lives in packet-indexed arrays
-//    filled once at generation. No push_back/pop_front churn, no pointer
-//    chasing, no per-flit copies of cold fields.
+//  * Flat slabs instead of per-object deques. Input-VC buffers live in
+//    fixed-capacity ring buffers inside a network-owned arena indexed by
+//    (router, port, vc); a flit is a 16-byte {cycle, packet, flags} entry
+//    and per-packet metadata (src, dest, eject port, hop count) lives in
+//    packet-indexed arrays filled once at generation. No push_back/pop_front
+//    churn, no pointer chasing, no per-flit copies of cold fields.
 //
-//  * An active-router worklist instead of full-network sweeps. Every router
-//    carries a work counter (buffered flits + NI-queued flits + flits
-//    approaching on its input channels + credits approaching on its output
-//    channels); only routers with work are processed. Router phases commute
-//    across routers (channels are timestamped, so nothing pushed in cycle t
-//    is visible before t+1), except that ejection statistics must
-//    accumulate in ascending tile order — ejections therefore collect
+//  * An arrival wheel instead of channel polling. A flit or credit sent
+//    over a channel of latency L at cycle t is filed into the bucket of
+//    cycle t + L; each cycle first lands its whole bucket, then runs the
+//    routers. Nothing sent at t lands before t + 1 and every arrival
+//    touches only its own slot or credit counter, so this equals landing
+//    each arrival just before its router runs.
+//
+//  * Work sets instead of sweeps. Every router carries a work counter
+//    (buffered flits + NI-queued flits + flits and credits on the wheel
+//    bound for it); only routers with work are processed. Inside a router,
+//    per-port VC bitmasks (fresh heads, VCs waiting for an output VC, active
+//    VCs holding a flit) let route computation and VC and switch allocation
+//    visit only their eligible slots, in the order a full scan would.
+//    Router phases commute across routers, except that ejection statistics
+//    must accumulate in ascending tile order — ejections therefore collect
 //    into a per-cycle buffer that is stable-sorted by tile before the
 //    statistics pass.
 //
@@ -34,7 +41,7 @@
 //    cycle-by-cycle loop reports.
 //
 // See ARCHITECTURE.md ("Simulator hot loop") for the invariants that make
-// the three equivalences exact.
+// these equivalences exact.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +96,7 @@ class SoaEngine {
   /// bucket of the cycle it lands in.
   struct Arrival {
     std::int32_t router = 0;  ///< receiving router
-    std::int32_t port = 0;    ///< its flat port: input (flit) or output (credit)
+    std::int32_t port = 0;    ///< flat port: input (flit), output (credit)
     std::int32_t pkt = 0;
     std::int16_t vc = 0;
     std::uint8_t flags = 0;

@@ -1,6 +1,7 @@
 // Bit-identity oracle for the simulation engine: every SimResult field must
 // equal its golden corpus line EXACTLY (tests/golden/sim_results.txt,
-// recorded with a second, object-per-router engine agreeing on every case)
+// recorded with a second, object-per-router engine agreeing on every case,
+// plus later cases recorded on this engine before a rework of its phases)
 // across topology families, traffic patterns, injection processes, endpoint
 // counts, link latencies, routing modes (table and live) and concentration
 // — plus the quiescence fast-forward regime (rates low enough that the
@@ -146,7 +147,7 @@ TEST(SoaBitIdentity, NonUnitLinkLatenciesAndDeeperBuffers) {
 
 TEST(SoaBitIdentity, Figure6aConfigOnScenarioA) {
   // The paper's evaluation config: 8 VCs, 32-flit buffers and cost-model
-  // link latencies on every scenario-a topology, below and past the knee.
+  // link latencies on every scenario-a topology, at a low and a high rate.
   const eval::Scenario scenario =
       eval::figure6_scenario(tech::KncScenario::kA);
   SimConfig config = eval::default_perf_config(scenario.arch).sim;
