@@ -17,22 +17,22 @@
 //  5. dse_greedy_incremental — the whole greedy customization: a
 //     bench-local reference loop (every neighbor screened with
 //     screen_candidate in a parallel_for, the winner picked by
-//     select_greedy_candidate) vs customize_greedy's ScreeningContext
-//     reuse (product-form hop totals + routing context), asserting
-//     bit-identical winners, per-step metrics and final report areas and
-//     running the incremental-vs-full screening oracle. Acceptance bar:
-//     >= 1.5x;
+//     select_greedy_candidate) vs customize_greedy's product-form
+//     screening (one routed profile per row-skip and column-skip set,
+//     memoized for the search), asserting bit-identical winners, per-step
+//     metrics and final report areas and running the product-vs-full
+//     screening comparison. Acceptance bar: >= 1.5x;
 //  6. route_table_dedup — bytes of the deduplicated route-table CSR vs the
 //     one-range-per-row layout it replaced (sim equivalence is covered by
 //     the sim_cycle gate, which runs with the deduplicated table);
 //  7. screening gates, untimed (section 5 times the screening path) and
 //     all deterministic: the product-form hop totals equal
 //     all_pairs_totals on the materialized graph over seeded random shapes
-//     and skip sets; the channel-router differential oracle (loads the
-//     RoutingContext repairs from the new skip distances bit-identical to
-//     global_route_loads on the materialized child over 8 random
-//     skip-insertion trajectories); the screening equivalence oracle on a
-//     mixed batch.
+//     and skip sets; the channel-router differential oracle (the h and v
+//     profiles phys::axis_route_loads routes from the row and column skips
+//     alone bit-identical to global_route_loads on the materialized graph
+//     over 8 seeded random skip sets); the product-vs-full screening
+//     comparison on a mixed batch.
 //  8. dse_session_warm — the full greedy customization against a fresh
 //     persistent session (cold: every candidate is a cache miss and gets
 //     screened + stored) vs re-invoking it against the now-populated
@@ -66,7 +66,7 @@
 #include "shg/eval/perf.hpp"
 #include "shg/graph/shortest_paths.hpp"
 #include "shg/model/cost_model.hpp"
-#include "shg/phys/incremental_route.hpp"
+#include "shg/phys/global_route.hpp"
 #include "shg/sim/route_table.hpp"
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/soa_network.hpp"
@@ -317,10 +317,35 @@ bool same_search_result(const customize::SearchResult& a,
   return true;
 }
 
+/// Screens `batch` in product form and candidate by candidate with
+/// screen_candidate; true when every metric is bit-identical, otherwise
+/// prints the first mismatch (tagged with `what`) and returns false.
+bool product_screening_matches(const tech::ArchParams& arch,
+                               const std::vector<topo::ShgParams>& batch,
+                               const char* what) {
+  const std::vector<customize::CandidateMetrics> product =
+      customize::screen_batch_incremental(arch, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const customize::CandidateMetrics full =
+        customize::screen_candidate(arch, batch[i]);
+    if (product[i] != full) {
+      std::fprintf(stderr,
+                   "%s: product-form screening of %s differs from "
+                   "screen_candidate (area %.17g vs %.17g, hops %.17g vs "
+                   "%.17g)\n",
+                   what, customize::fmt_skip_sets(batch[i]).c_str(),
+                   product[i].area_overhead, full.area_overhead,
+                   product[i].avg_hops, full.avg_hops);
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Reference greedy search: every neighborhood screened candidate by
 /// candidate with screen_candidate (in parallel), the winner picked by
 /// select_greedy_candidate, the final report from the full cost model —
-/// customize_greedy's contract without its screening context. History
+/// customize_greedy's contract without its axis-summary memo. History
 /// notes are left empty.
 customize::SearchResult reference_greedy(const tech::ArchParams& arch,
                                          const customize::Goal& goal) {
@@ -370,8 +395,8 @@ BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   const int reps = 3;
 
   // Oracle: the first greedy neighborhood (mesh + every single skip) plus a
-  // few multi-skip candidates, screened incrementally and fully —
-  // verify_incremental_equivalence throws on any non-bit-identical metric.
+  // few multi-skip candidates, screened in product form and fully; any
+  // non-bit-identical metric fails the section.
   std::vector<topo::ShgParams> oracle_batch;
   oracle_batch.push_back(topo::ShgParams{});
   for (int x = 2; x < arch.cols; ++x) {
@@ -383,13 +408,8 @@ BenchResult bench_dse_greedy_incremental(bool* equivalent) {
   oracle_batch.push_back(topo::ShgParams{{3, 6}, {}});
   oracle_batch.push_back(topo::ShgParams{{3, 6}, {4}});
   oracle_batch.push_back(topo::ShgParams{{2}, {2, 5}});
-  bool oracle_ok = true;
-  try {
-    customize::verify_incremental_equivalence(arch, oracle_batch);
-  } catch (const Error& e) {
-    oracle_ok = false;
-    std::fprintf(stderr, "screening oracle: %s\n", e.what());
-  }
+  const bool oracle_ok =
+      product_screening_matches(arch, oracle_batch, "screening oracle");
 
   BenchResult result;
   result.name = "dse_greedy_incremental";
@@ -464,41 +484,23 @@ bool screening_gates(bool* hop_totals_match) {
   const tech::ArchParams arch = fabric_10x10();
   *hop_totals_match = shg_hop_totals_match_sweep();
 
-  // Channel-router differential oracle: over random SHG skip-insertion
-  // trajectories, the loads the context repairs from the new skip
-  // distances must be bit-identical to global_route_loads on the
-  // materialized child.
+  // Channel-router differential oracle: over seeded random SHG skip sets,
+  // the h and v profiles routed per axis must be bit-identical to
+  // global_route_loads on the materialized graph. The sets are the child
+  // sets of the skip-insertion trajectories this oracle has always drawn
+  // (same seed, same draws).
   bool oracle_ok = true;
   Prng rng(0x70410u);
   for (int trial = 0; trial < 8 && oracle_ok; ++trial) {
-    std::set<int> parent_rows, parent_cols;
-    std::vector<int> new_rows, new_cols;
+    std::set<int> row_skips, col_skips;
     for (int x = 2; x < 10; ++x) {
-      switch (rng() % 4) {
-        case 0: parent_rows.insert(x); break;
-        case 1: new_rows.push_back(x); break;
-        default: break;
-      }
-      switch (rng() % 4) {
-        case 0: parent_cols.insert(x); break;
-        case 1: new_cols.push_back(x); break;
-        default: break;
-      }
+      if (rng() % 4 <= 1) row_skips.insert(x);
+      if (rng() % 4 <= 1) col_skips.insert(x);
     }
-    const topo::Topology parent =
-        topo::make_sparse_hamming(10, 10, parent_rows, parent_cols);
-    const phys::RoutingContext ctx(parent);
-    std::set<int> child_rows = parent_rows;
-    std::set<int> child_cols = parent_cols;
-    child_rows.insert(new_rows.begin(), new_rows.end());
-    child_cols.insert(new_cols.begin(), new_cols.end());
-    const topo::Topology child =
-        topo::make_sparse_hamming(10, 10, child_rows, child_cols);
-    const phys::GlobalRoutingResult fresh = phys::global_route_loads(child);
-    phys::GlobalRoutingResult repaired;
-    ctx.route_child_loads(new_rows, new_cols, &repaired);
-    if (repaired.h_loads != fresh.h_loads ||
-        repaired.v_loads != fresh.v_loads) {
+    const phys::GlobalRoutingResult full = phys::global_route_loads(
+        topo::make_sparse_hamming(10, 10, row_skips, col_skips));
+    if (phys::axis_route_loads(10, 10, true, row_skips) != full.h_loads ||
+        phys::axis_route_loads(10, 10, false, col_skips) != full.v_loads) {
       oracle_ok = false;
       std::fprintf(stderr, "routing oracle: loads diverged on trial %d\n",
                    trial);
@@ -513,13 +515,8 @@ bool screening_gates(bool* hop_totals_match) {
   }
   oracle_batch.push_back(topo::ShgParams{{3, 6}, {4}});
   oracle_batch.push_back(topo::ShgParams{{2}, {2, 5}});
-  try {
-    customize::verify_incremental_equivalence(arch, oracle_batch);
-  } catch (const Error& e) {
-    oracle_ok = false;
-    std::fprintf(stderr, "screening oracle: %s\n", e.what());
-  }
-  return oracle_ok;
+  return product_screening_matches(arch, oracle_batch, "screening oracle") &&
+         oracle_ok;
 }
 
 // 8. Persistent-session warm re-invocation: the full greedy search against
@@ -681,7 +678,7 @@ int main(int argc, char** argv) {
       "incremental DSE identical (reference loop + oracle): %s\n",
       incremental_identical ? "yes" : "NO — BUG");
   std::printf(
-      "incremental routing identical (loads + screening oracle): %s\n",
+      "per-axis routing identical (loads + screening oracle): %s\n",
       routing_incremental_identical ? "yes" : "NO — BUG");
   std::printf("shg_hop_totals equals the all-pairs sweep: %s\n",
               hop_totals_match ? "yes" : "NO — BUG");
@@ -749,7 +746,7 @@ int main(int argc, char** argv) {
   }
   if (!routing_incremental_identical) {
     std::fprintf(stderr,
-                 "FAIL: incremental routing diverged (loads or screening "
+                 "FAIL: per-axis routing diverged (loads or screening "
                  "oracle)\n");
     return 1;
   }

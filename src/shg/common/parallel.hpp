@@ -55,28 +55,17 @@ inline int max_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-/// Number of workers parallel_for / parallel_for_with_worker use for `n`
-/// tasks (0 for an empty loop). Callers that keep per-worker scratch state
-/// size their state arrays with this.
-inline std::size_t parallel_worker_count(std::size_t n) {
-  if (n == 0) return 0;
-  return std::min<std::size_t>(static_cast<std::size_t>(max_threads()), n);
-}
-
-/// Like parallel_for below, but fn also receives the executing worker's
-/// index in [0, parallel_worker_count(n)). Tasks sharing a worker run
-/// sequentially, so per-worker scratch buffers (BFS workspaces, geometry
-/// caches, routing scratch) are safe to reuse across them and amortize
-/// their allocations over the whole loop — that is this overload's sole
-/// purpose; the task-to-worker mapping is otherwise unspecified and must
-/// not influence results (the parallel_for determinism contract applies
-/// unchanged).
+/// Runs fn(i) for every i in [0, n) across up to max_threads() workers
+/// (never more than n). Tasks are claimed from a shared atomic counter, so
+/// long tasks do not stall short ones. Blocks until every task has
+/// finished.
 template <typename Fn>
-void parallel_for_with_worker(std::size_t n, Fn&& fn) {
+void parallel_for(std::size_t n, Fn&& fn) {
   if (n == 0) return;
-  const std::size_t workers = parallel_worker_count(n);
+  const std::size_t workers =
+      std::min<std::size_t>(static_cast<std::size_t>(max_threads()), n);
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, std::size_t{0});
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
@@ -87,13 +76,13 @@ void parallel_for_with_worker(std::size_t n, Fn&& fn) {
   std::size_t failed_index = n;
   std::exception_ptr failure = nullptr;
 
-  auto worker = [&](std::size_t worker_id) {
+  auto worker = [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       if (have_failure.load(std::memory_order_relaxed)) return;
       try {
-        fn(i, worker_id);
+        fn(i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(failure_mutex);
         if (i < failed_index) {
@@ -107,21 +96,10 @@ void parallel_for_with_worker(std::size_t n, Fn&& fn) {
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  worker(0);
+  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
   if (failure) std::rethrow_exception(failure);
-}
-
-/// Runs fn(i) for every i in [0, n) across up to max_threads() workers.
-/// Tasks are claimed from a shared atomic counter, so long tasks do not
-/// stall short ones. Blocks until every task has finished.
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn) {
-  parallel_for_with_worker(n,
-                           [&fn](std::size_t i, std::size_t) { fn(i); });
 }
 
 /// Persistent worker pool for open-ended task streams — the dispatch

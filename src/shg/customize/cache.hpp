@@ -24,11 +24,11 @@
 //    excluded: they affect no computed metric, and including them would only
 //    shrink hit rates.
 //  * `fingerprint_shg_candidate` — an SHG parameterization under an arch
-//    fingerprint. The parent/delta decomposition the incremental screeners
-//    use is deliberately NOT part of the key: screening is bit-identical
-//    for any decomposition (oracle-tested), so the canonical key is the
-//    *union* (the child's final skip sets) and hits transfer across
-//    different search trajectories.
+//    fingerprint. How the candidate was reached (which search, which
+//    parent) is deliberately NOT part of the key: screening is a function
+//    of the final skip sets alone (oracle-tested), so those sets are the
+//    canonical key and hits transfer across different search
+//    trajectories.
 //  * `fingerprint_topology` — an arbitrary-family topology (grid shape
 //    plus edge list in edge-id order); the experiment engine keys its
 //    route tables and simulated topologies with it.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
+#include <string>
 
 #include "shg/common/strings.hpp"
 #include "shg/customize/incremental.hpp"
@@ -29,14 +29,12 @@ void for_each_skip_subset(int limit, int max_size,
 }
 
 std::string label_for(const topo::ShgParams& params, const char* family) {
-  std::ostringstream os;
-  os << family << " SR=" << fmt_int_set(params.row_skips)
-     << " SC=" << fmt_int_set(params.col_skips);
-  return os.str();
+  return std::string(family) + " SR=" + fmt_int_set(params.row_skips) +
+         " SC=" + fmt_int_set(params.col_skips);
 }
 
-/// Screens every enumerated parameterization with shared-prefix reuse
-/// (through the session's cache when one is attached), then labels in
+/// Screens every enumerated parameterization in product form (through the
+/// session's cache when one is attached), then labels in
 /// enumeration order — each point's metrics are bit-identical to
 /// `screen_candidate` on its parameterization.
 std::vector<ExploredPoint> screen_all(const tech::ArchParams& arch,
@@ -90,27 +88,48 @@ std::vector<ExploredPoint> explore_ruche(const tech::ArchParams& arch,
 }
 
 std::vector<ExploredPoint> trade_off_front(std::vector<ExploredPoint> points) {
-  std::vector<ExploredPoint> front;
-  for (const auto& candidate : points) {
-    bool dominated = false;
-    for (const auto& other : points) {
-      const bool no_worse =
-          other.metrics.area_overhead <= candidate.metrics.area_overhead &&
-          other.metrics.throughput_bound >=
-              candidate.metrics.throughput_bound &&
-          other.metrics.avg_hops <= candidate.metrics.avg_hops;
-      const bool strictly_better =
-          other.metrics.area_overhead < candidate.metrics.area_overhead ||
-          other.metrics.throughput_bound >
-              candidate.metrics.throughput_bound ||
-          other.metrics.avg_hops < candidate.metrics.avg_hops;
-      if (no_worse && strictly_better) {
-        dominated = true;
-        break;
-      }
+  // Lexicographic order (area up, throughput down, hops up): every point
+  // that dominates another sorts strictly before it, so one pass that
+  // tests each point against the non-dominated points found so far finds
+  // the same front as testing it against all points. The latest kept
+  // points are the nearest in area, so they are tried first.
+  auto dominates = [](const CandidateMetrics& a, const CandidateMetrics& b) {
+    const bool no_worse = a.area_overhead <= b.area_overhead &&
+                          a.throughput_bound >= b.throughput_bound &&
+                          a.avg_hops <= b.avg_hops;
+    const bool strictly_better = a.area_overhead < b.area_overhead ||
+                                 a.throughput_bound > b.throughput_bound ||
+                                 a.avg_hops < b.avg_hops;
+    return no_worse && strictly_better;
+  };
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+    const CandidateMetrics& a = points[i].metrics;
+    const CandidateMetrics& b = points[j].metrics;
+    if (a.area_overhead != b.area_overhead) {
+      return a.area_overhead < b.area_overhead;
     }
-    if (!dominated) front.push_back(candidate);
+    if (a.throughput_bound != b.throughput_bound) {
+      return a.throughput_bound > b.throughput_bound;
+    }
+    return a.avg_hops < b.avg_hops;
+  });
+  std::vector<std::size_t> kept;
+  for (const std::size_t i : order) {
+    const bool dominated =
+        std::any_of(kept.rbegin(), kept.rend(), [&](std::size_t k) {
+          return dominates(points[k].metrics, points[i].metrics);
+        });
+    if (!dominated) kept.push_back(i);
   }
+  // The front in input order, then the final sort: std::sort is not
+  // stable, so feeding it the same sequence as the all-pairs scan did keeps
+  // the output bytes unchanged.
+  std::sort(kept.begin(), kept.end());
+  std::vector<ExploredPoint> front;
+  front.reserve(kept.size());
+  for (const std::size_t i : kept) front.push_back(std::move(points[i]));
   std::sort(front.begin(), front.end(),
             [](const ExploredPoint& a, const ExploredPoint& b) {
               return a.metrics.area_overhead < b.metrics.area_overhead;

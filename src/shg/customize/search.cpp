@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 
-#include "shg/common/parallel.hpp"
 #include "shg/common/strings.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/session.hpp"
@@ -140,17 +139,12 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
   std::optional<Fingerprint> arch_fp;
   if (session != nullptr) arch_fp = fingerprint_arch(arch);
 
-  // The screening context is built LAZILY: with a session attached, a
-  // candidate that hits the cache never needs the context, and a fully
-  // warm re-invocation therefore runs no BFS sweep and no channel routing
-  // at all. The context, once built, is always keyed to the current
-  // result.params (ensure_ctx constructs it there; the accept step rebases
-  // it).
-  std::optional<ScreeningContext> ctx;
-  auto ensure_ctx = [&]() -> ScreeningContext& {
-    if (!ctx) ctx.emplace(arch, result.params);
-    return *ctx;
-  };
+  // The axis-summary memo lives for this search: every neighbor changes
+  // one axis of the current parameterization, so it routes only that axis
+  // and reuses the other's summary. With a session attached, a candidate
+  // that hits the cache is never screened, and a fully warm re-invocation
+  // therefore runs no BFS sweep and no channel routing at all.
+  ProductScreen screener(arch);
 
   bool have_metrics = false;
   if (session != nullptr) {
@@ -162,22 +156,12 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
     }
   }
   if (!have_metrics) {
-    // The context's construction doubles as the mesh screening, so the
-    // search pays no extra screen up front.
-    result.metrics = ensure_ctx().metrics();
+    result.metrics = screener.screen({result.params}).front();
     if (session != nullptr) {
       session->store(fingerprint_shg_candidate(*arch_fp, result.params),
                      result.metrics);
     }
   }
-  // Per-worker screen_child scratch, reused across iterations (the first
-  // neighborhood is the largest, so the worker count never grows after
-  // this).
-  struct Scratch {
-    model::TileGeometryCache tile_cache;
-    ScreeningContext::Workspace ws;
-  };
-  std::vector<Scratch> scratch;
   SHG_REQUIRE(result.metrics.area_overhead <= goal.max_area_overhead,
               "even the mesh exceeds the area budget");
   result.history.push_back(SearchStep{
@@ -205,40 +189,28 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
 
     // Session lookups run serially on this thread (the cache is not
     // thread-safe; serial traffic keeps LRU order deterministic); only
-    // cache misses reach the screening engines below.
-    std::vector<CandidateMetrics> screened(batch.size());
-    std::vector<Fingerprint> keys;
-    std::vector<std::size_t> miss;
-    if (session != nullptr) {
-      keys.resize(batch.size());
+    // cache misses are screened.
+    std::vector<CandidateMetrics> screened;
+    if (session == nullptr) {
+      screened = screener.screen(batch);
+    } else {
+      screened.resize(batch.size());
+      std::vector<Fingerprint> keys;
+      std::vector<topo::ShgParams> miss_batch;
+      std::vector<std::size_t> miss;
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        keys[i] = fingerprint_shg_candidate(*arch_fp, batch[i]);
+        keys.push_back(fingerprint_shg_candidate(*arch_fp, batch[i]));
         if (const auto hit = session->lookup(keys[i])) {
           screened[i] = *hit;
         } else {
           miss.push_back(i);
+          miss_batch.push_back(batch[i]);
         }
       }
-    } else {
-      miss.resize(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) miss[i] = i;
-    }
-
-    if (!miss.empty()) {
-      // Every neighbor is the parent plus one skip distance — the exact
-      // shape the routing suffix replay is built for. Worker-pinned
-      // scratch keeps screen_child's buffers and the tile-geometry memo
-      // warm across candidates and iterations.
-      const ScreeningContext& c = ensure_ctx();
-      const std::size_t workers = parallel_worker_count(miss.size());
-      if (scratch.size() < workers) scratch.resize(workers);
-      parallel_for_with_worker(miss.size(), [&](std::size_t k,
-                                                std::size_t w) {
-        screened[miss[k]] = c.screen_child(
-            batch[miss[k]], &scratch[w].tile_cache, &scratch[w].ws);
-      });
-      if (session != nullptr) {
-        for (std::size_t k : miss) session->store(keys[k], screened[k]);
+      const std::vector<CandidateMetrics> fresh = screener.screen(miss_batch);
+      for (std::size_t k = 0; k < miss.size(); ++k) {
+        screened[miss[k]] = fresh[k];
+        session->store(keys[miss[k]], fresh[k]);
       }
     }
 
@@ -248,7 +220,6 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
 
     result.params = batch[pick];
     result.metrics = screened[pick];
-    if (ctx) ctx->rebase(result.params, &result.metrics);
     std::ostringstream note;
     note << "accepted " << fmt_skip_sets(result.params) << " (overhead "
          << fmt_double(100.0 * result.metrics.area_overhead, 1)
@@ -288,10 +259,10 @@ SearchResult customize_exhaustive(const tech::ArchParams& arch,
       batch.push_back(std::move(params));
     }
   }
-  // The subset lattice is a prefix forest: every mask is some other mask
-  // plus one element, so the shared-prefix routing contexts are reused
-  // across the whole enumeration; an attached session additionally serves
-  // repeated invocations from its cache and screens only the misses.
+  // The enumeration holds 2^|rows| row-skip sets and 2^|cols| column-skip
+  // sets, so product-form screening routes that many axes for the whole
+  // lattice; an attached session additionally serves repeated invocations
+  // from its cache and screens only the misses.
   // Either way the serial reduction below sees bit-identical metrics in
   // the same order.
   const std::vector<CandidateMetrics> screened =

@@ -40,7 +40,7 @@ struct CandidateMetrics {
   double diameter = 0.0;
   double throughput_bound = 0.0;  ///< flits/node/cycle, uniform traffic
 
-  /// Bitwise field equality — what the incremental-screening equivalence
+  /// Bitwise field equality — what the product-form screening equivalence
   /// oracle and benches mean by "bit-identical".
   friend bool operator==(const CandidateMetrics&,
                          const CandidateMetrics&) = default;
@@ -62,16 +62,14 @@ struct SearchResult {
   std::vector<SearchStep> history;
 };
 
-/// Knobs of the search engines. Both engines screen through the
-/// incremental stack (customize/incremental.hpp): a context per parent
-/// that reuses its channel routing and prices children without
-/// materializing their topologies — bit-identical to `screen_candidate`
-/// per candidate (oracle-tested).
+/// Knobs of the search engines. Both engines screen in product form
+/// (customize/incremental.hpp): one routed profile per distinct row-skip
+/// set and per column-skip set, and no candidate topology is materialized
+/// — bit-identical to `screen_candidate` per candidate (oracle-tested).
 ///
 /// `session` (default off) attaches a persistent DSE session
 /// (customize/session.hpp): candidates whose fingerprints hit the
-/// session's cache skip re-screening entirely, and the screening context
-/// is only (re)built when a miss actually needs it — a warm re-invocation
+/// session's cache skip re-screening entirely — a warm re-invocation
 /// over an already-screened space runs no BFS sweep and no channel
 /// routing at all, yet produces a bit-identical SearchResult (history
 /// notes included; oracle-tested). The session is read and written on the
@@ -94,8 +92,8 @@ CandidateMetrics screen_candidate(const tech::ArchParams& arch,
 /// over the arch grid (SlimNoC, torus, custom overlays, ...). Runs exactly
 /// the arithmetic of `screen_candidate` — which is now a thin wrapper that
 /// materializes the SHG and calls this — so SHG results are unchanged bit
-/// for bit. SlimNoC and torus baselines are priced once through it; only
-/// SHG children are screened incrementally (customize/incremental.hpp).
+/// for bit. SlimNoC and torus baselines are priced once through it; SHG
+/// batches are screened in product form (customize/incremental.hpp).
 CandidateMetrics screen_topology(const tech::ArchParams& arch,
                                  const topo::Topology& topo);
 

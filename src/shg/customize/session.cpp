@@ -150,8 +150,7 @@ std::vector<CandidateMetrics> screen_batch_cached(
   std::vector<topo::ShgParams> miss_batch;
   miss_batch.reserve(miss.size());
   for (std::size_t i : miss) miss_batch.push_back(batch[i]);
-  // Duplicate misses are fine: the prefix forest collapses equal
-  // parameterizations onto one node.
+  // Duplicate misses are fine: they share their axis summaries.
   const std::vector<CandidateMetrics> screened =
       screen_batch_incremental(arch, miss_batch);
   for (std::size_t k = 0; k < miss.size(); ++k) {

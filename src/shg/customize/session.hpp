@@ -195,14 +195,14 @@ struct ScreenBatchStats {
   /// Per-batch-index hit flags (hit[i] == true when batch[i] came from the
   /// tier), for callers that account per entry — the serve layer's
   /// coalesced screen responses report each request's own hit/miss.
-  /// Duplicate keys within one batch all miss together (the forest screens
-  /// them once), whereas served one by one only the first would miss.
+  /// Duplicate keys within one batch all miss together (they are screened
+  /// in one call), whereas served one by one only the first would miss.
   std::vector<bool> hit;
 };
 
 /// Screens `batch` through the session cache: hits come from the cache,
-/// misses are screened with the incremental stack (`screen_batch_incremental`)
-/// and stored. The result is indexed like the input
+/// misses are screened in product form (`screen_batch_incremental`) and
+/// stored. The result is indexed like the input
 /// and bit-identical to a session-free screen of the same batch. `stats`,
 /// when non-null, receives this call's exact hit/miss split.
 std::vector<CandidateMetrics> screen_batch_cached(

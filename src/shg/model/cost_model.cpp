@@ -16,13 +16,14 @@ std::vector<int> CostReport::link_latencies() const {
 
 namespace {
 
-/// Steps 1, 3 and 4 of the model given a step-2 result, shared by every
-/// entry point (full evaluation, topology screening, and the screening
-/// fast path that supplies loads from the incremental router). One body
-/// means one set of arithmetic expressions — which is what makes the area
-/// figures bit-identical across entry points when the loads are.
+/// Steps 1, 3 and 4 of the model given the step-2 channel peaks, shared by
+/// every entry point (full evaluation, topology screening, and the
+/// product-form screening that supplies per-axis peaks). One body means one
+/// set of arithmetic expressions — which is what makes the area figures
+/// bit-identical across entry points when the peaks are.
 phys::Floorplan steps_1_3_4(const tech::ArchParams& arch, int radix,
-                            const phys::GlobalRoutingResult& global,
+                            const std::vector<int>& h_peaks,
+                            const std::vector<int>& v_peaks,
                             CostReport& report,
                             TileGeometryCache* tile_cache) {
   const tech::TechnologyModel& tech = arch.tech;
@@ -60,13 +61,13 @@ phys::Floorplan steps_1_3_4(const tech::ArchParams& arch, int radix,
   std::vector<double> h_spacing(static_cast<std::size_t>(arch.rows) + 1);
   std::vector<double> v_spacing(static_cast<std::size_t>(arch.cols) + 1);
   for (int i = 0; i <= arch.rows; ++i) {
-    const int nl = global.max_h_load(i);
+    const int nl = h_peaks[static_cast<std::size_t>(i)];
     report.peak_h_channel_load = std::max(report.peak_h_channel_load, nl);
     h_spacing[static_cast<std::size_t>(i)] =
         tech.wires.h_wires_to_mm(nl * wires);
   }
   for (int j = 0; j <= arch.cols; ++j) {
-    const int nl = global.max_v_load(j);
+    const int nl = v_peaks[static_cast<std::size_t>(j)];
     report.peak_v_channel_load = std::max(report.peak_v_channel_load, nl);
     v_spacing[static_cast<std::size_t>(j)] =
         tech.wires.v_wires_to_mm(nl * wires);
@@ -111,8 +112,16 @@ phys::Floorplan floorplan_steps_1_to_4(const tech::ArchParams& arch,
   phys::GlobalRoutingResult global = global_out != nullptr
                                          ? phys::global_route(topo)
                                          : phys::global_route_loads(topo);
+  std::vector<int> h_peaks(static_cast<std::size_t>(arch.rows) + 1);
+  std::vector<int> v_peaks(static_cast<std::size_t>(arch.cols) + 1);
+  for (int i = 0; i <= arch.rows; ++i) {
+    h_peaks[static_cast<std::size_t>(i)] = global.max_h_load(i);
+  }
+  for (int j = 0; j <= arch.cols; ++j) {
+    v_peaks[static_cast<std::size_t>(j)] = global.max_v_load(j);
+  }
   phys::Floorplan plan =
-      steps_1_3_4(arch, topo.radix(), global, report, tile_cache);
+      steps_1_3_4(arch, topo.radix(), h_peaks, v_peaks, report, tile_cache);
   if (global_out != nullptr) *global_out = std::move(global);
   return plan;
 }
@@ -136,16 +145,15 @@ ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch,
   return screening_cost_from_report(report);
 }
 
-ScreeningCost evaluate_screening_cost(
-    const tech::ArchParams& arch, int radix,
-    const phys::GlobalRoutingResult& global_loads,
-    TileGeometryCache* tile_cache) {
-  SHG_REQUIRE(static_cast<int>(global_loads.h_loads.size()) == arch.rows + 1 &&
-                  static_cast<int>(global_loads.v_loads.size()) ==
-                      arch.cols + 1,
-              "channel-load profiles do not match the architecture grid");
+ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch, int radix,
+                                      const std::vector<int>& h_peaks,
+                                      const std::vector<int>& v_peaks,
+                                      TileGeometryCache* tile_cache) {
+  SHG_REQUIRE(static_cast<int>(h_peaks.size()) == arch.rows + 1 &&
+                  static_cast<int>(v_peaks.size()) == arch.cols + 1,
+              "channel peaks do not match the architecture grid");
   CostReport report;
-  steps_1_3_4(arch, radix, global_loads, report, tile_cache);
+  steps_1_3_4(arch, radix, h_peaks, v_peaks, report, tile_cache);
   return screening_cost_from_report(report);
 }
 

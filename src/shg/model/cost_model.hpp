@@ -10,6 +10,15 @@
 //     direction);
 //  5. detailed routing in the grid of unit cells
 //     (shg::phys::detailed_route).
+//
+// DSE screening needs only the area, i.e. steps 1-4, and of step 2 only
+// the peak load of each channel. For a sparse Hamming graph those inputs
+// come in product form: the radix is the row line's degree plus the column
+// line's, the horizontal channel peaks depend on the row skips alone and
+// the vertical ones on the column skips alone. The peaks overload of
+// evaluate_screening_cost takes exactly those inputs, so a screening sweep
+// routes each distinct skip set once and prices every candidate from two
+// per-axis summaries.
 #pragma once
 
 #include <vector>
@@ -92,9 +101,9 @@ struct ScreeningCost {
 /// Step-1 memo for screening sweeps. Under a fixed `ArchParams`, the tile
 /// geometry (router area, tile area, tile width/height) is a pure function
 /// of the router port count, i.e. of the topology radix — the model assumes
-/// identical tiles sized for the worst-case radix. Incremental screening
+/// identical tiles sized for the worst-case radix. Batch screening
 /// therefore recomputes the tile-area step only for candidates whose radix
-/// actually changed; the stored values are exactly the ones the formula
+/// it has not seen yet; the stored values are exactly the ones the formula
 /// yields, so cached and uncached runs are bit-identical.
 ///
 /// The memo is only valid for one `ArchParams`; not thread-safe — use one
@@ -128,17 +137,20 @@ ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch,
                                       const topo::Topology& topo,
                                       TileGeometryCache* tile_cache = nullptr);
 
-/// Screening cost from a precomputed step-2 result: `radix` is the
-/// topology's router radix (Table I) and `global_loads` its channel-load
-/// profiles (e.g. from `phys::RoutingContext::route_child_loads`, whose
-/// skip-insertion repair is bit-identical to `phys::global_route_loads`). Runs the same step 1/3/4
-/// arithmetic as the overload above — same operands in the same order —
-/// so the returned areas are bit-identical when the loads are. This is the
-/// cost-model entry of the screening fast path, which never materializes a
-/// child Topology.
-ScreeningCost evaluate_screening_cost(
-    const tech::ArchParams& arch, int radix,
-    const phys::GlobalRoutingResult& global_loads,
-    TileGeometryCache* tile_cache = nullptr);
+/// Screening cost from a step-2 summary: `radix` is the topology's router
+/// radix (Table I), and `h_peaks` / `v_peaks` are the peak loads of the
+/// horizontal channels [0, rows] and vertical channels [0, cols], i.e.
+/// `max_h_load(i)` / `max_v_load(j)` of a global routing. Step 3 reads
+/// nothing else of the routing. Runs the same step 1/3/4 arithmetic as the
+/// overload above — same operands in the same order — so the returned
+/// areas are bit-identical when the peaks are. This is the cost-model entry
+/// of the product-form screening (customize/incremental.hpp), whose peaks
+/// come from one routed profile per row-skip set and per column-skip set
+/// (`phys::axis_route_loads`) and whose candidates never materialize a
+/// Topology.
+ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch, int radix,
+                                      const std::vector<int>& h_peaks,
+                                      const std::vector<int>& v_peaks,
+                                      TileGeometryCache* tile_cache = nullptr);
 
 }  // namespace shg::model

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "shg/phys/route_core.hpp"
+#include "shg/topo/generators.hpp"
 
 namespace shg::phys {
 
@@ -26,12 +27,11 @@ namespace {
 
 /// Shared greedy-routing driver. The decision code itself (candidate
 /// generation, cost arithmetic, tie-breaks, commits) lives in
-/// route_core.hpp, where incremental_route.cpp replays it over divergent
-/// length-class suffixes — any change there is automatically shared, which
-/// is what keeps repaired loads bit-identical to from-scratch runs. The
-/// template flag only controls whether the winning candidates are
-/// materialized into GlobalRoute objects; the committed channel loads are
-/// bit-identical with routes kept or dropped.
+/// route_core.hpp, which axis_route_loads drives too — any change there is
+/// automatically shared, which is what keeps one axis's loads bit-identical
+/// to that axis of a full run. The template flag only controls whether the
+/// winning candidates are materialized into GlobalRoute objects; the
+/// committed channel loads are bit-identical with routes kept or dropped.
 template <bool kKeepRoutes>
 void route_all_links(const topo::Topology& topo, GlobalRoutingResult& result) {
   const int rows = topo.rows();
@@ -118,6 +118,42 @@ GlobalRoutingResult global_route_loads(const topo::Topology& topo) {
   GlobalRoutingResult result;
   route_all_links<false>(topo, result);
   return result;
+}
+
+std::vector<std::vector<int>> axis_route_loads(int rows, int cols,
+                                               bool horizontal,
+                                               const std::set<int>& skips) {
+  SHG_REQUIRE(rows >= 1 && cols >= 1, "grid must have positive dimensions");
+  const int len = horizontal ? cols : rows;
+  for (int x : skips) {
+    SHG_REQUIRE(x >= 2 && x < len,
+                horizontal
+                    ? "row skip distances must lie in {2..C-1} (Section III-b)"
+                    : "column skip distances must lie in {2..R-1} (Section "
+                      "III-b)");
+  }
+  const int lines = horizontal ? rows : cols;
+  std::vector<std::vector<int>> loads(
+      static_cast<std::size_t>(lines) + 1,
+      std::vector<int>(static_cast<std::size_t>(len), 0));
+  // The other orientation's profile is never read or written: an
+  // axis-aligned link's candidates all lie in its own orientation.
+  std::vector<std::vector<int>> unused;
+  auto& h_loads = horizontal ? loads : unused;
+  auto& v_loads = horizontal ? unused : loads;
+  const std::set<int> none;
+  // Length class x holds exactly this axis's skip-x links (unit links are
+  // class 1, the other axis's links sit in the other profile), in edge-id
+  // order, which is for_each_skip_link's order for the single skip x.
+  for (auto x = skips.rbegin(); x != skips.rend(); ++x) {
+    const std::set<int> skip{*x};
+    topo::for_each_skip_link(
+        rows, cols, horizontal ? skip : none, horizontal ? none : skip,
+        [&](topo::TileCoord a, topo::TileCoord b) {
+          detail::route_and_commit(a, b, h_loads, v_loads);
+        });
+  }
+  return loads;
 }
 
 }  // namespace shg::phys

@@ -14,8 +14,18 @@
 //  * same-column links run in a vertical channel (east/west ports);
 //  * diagonal links (SlimNoC) take an L: one horizontal + one vertical
 //    channel span.
+//
+// Product form. Same-row links read and write only the horizontal
+// channels, same-column links only the vertical ones, and every link of
+// a sparse Hamming graph is one or the other. Its horizontal profile is
+// therefore a function of the row skips alone and its vertical profile of
+// the column skips alone: `axis_route_loads` routes one axis on its own,
+// bit-identical to that axis of `global_route_loads` on the whole graph,
+// which is what lets DSE screening route each distinct row-skip set and
+// column-skip set once instead of once per candidate.
 #pragma once
 
+#include <set>
 #include <vector>
 
 #include "shg/topo/topology.hpp"
@@ -70,5 +80,17 @@ GlobalRoutingResult global_route(const topo::Topology& topo);
 /// model only reads the load profiles, which makes this the hot-path entry
 /// for DSE screening.
 GlobalRoutingResult global_route_loads(const topo::Topology& topo);
+
+/// One axis of `global_route_loads(make_sparse_hamming(rows, cols, SR,
+/// SC))`, routed without the graph. With `horizontal`, `skips` is SR and
+/// the result is the [rows+1][cols] h_loads profile; otherwise `skips` is
+/// SC and the result is the [cols+1][rows] v_loads profile. The axis's
+/// skip links go through the same decision core as global_route, longest
+/// class first and in for_each_skip_link order within a class, which is
+/// the order the full run gives them; unit links occupy no channel. Skips
+/// are validated like make_sparse_hamming's.
+std::vector<std::vector<int>> axis_route_loads(int rows, int cols,
+                                               bool horizontal,
+                                               const std::set<int>& skips);
 
 }  // namespace shg::phys

@@ -1,31 +1,37 @@
-// Internal greedy-routing core shared by global_route (from-scratch runs)
-// and incremental_route (length-class suffix replay).
+// Internal greedy-routing core shared by global_route (every link of a
+// topology) and axis_route_loads (the skip links of one SHG axis).
 //
 // The channel router's result depends on the order links are considered and
 // on every cost comparison along the way, so "bit-identical loads" between
-// the from-scratch router and the incremental repair is only defensible if
-// both execute literally the same decision code. This header is that code:
-// one function that evaluates the candidate channels of one link against the
-// current load profiles (same candidate generation order, same cost
-// arithmetic, same first-strict-minimum tie-break), and one that commits the
-// winner. global_route.cpp drives it over the full greedy order;
-// incremental_route.cpp drives it over the replayed suffix. Neither may
-// re-implement any part of the decision.
+// a full run and a per-axis run is only defensible if both execute
+// literally the same decision code. This header is that code: one function
+// that evaluates the candidate channels of one link against the current
+// load profiles (same candidate generation order, same cost arithmetic,
+// same first-strict-minimum tie-break), and one that commits the winner.
+// global_route.cpp drives it over the full greedy order and over one
+// axis's classes. Neither driver may re-implement any part of the
+// decision.
+//
+// An axis-aligned link's candidates all lie in its own orientation: a
+// same-row link reads and writes only h_loads, a same-column link only
+// v_loads. That is why the two profiles of a graph without diagonal links
+// are independent decision streams, the fact the product-form screening
+// rests on.
 //
 // == Exactness & concurrency ==============================================
 //
 //  * Exactness. These functions ARE the definition of the greedy router's
-//    behavior: a driver that feeds them the child's links in greedy order
-//    (longest class first, edge-id order within a class) from a load state
-//    the from-scratch run reaches produces BIT-IDENTICAL loads to
-//    global_route / global_route_loads, by construction. Any caller that
-//    duplicates part of the decision (candidate order, cost arithmetic,
-//    tie-break) instead of calling these forfeits that guarantee.
+//    behavior: a driver that feeds them links in greedy order (longest
+//    class first, edge-id order within a class) from a load state the full
+//    run reaches produces BIT-IDENTICAL loads to global_route /
+//    global_route_loads, by construction. Any caller that duplicates part
+//    of the decision (candidate order, cost arithmetic, tie-break) instead
+//    of calling these forfeits that guarantee.
 //  * Concurrency. Free functions with no hidden state: safe to call from
 //    any number of threads, provided each call chain owns its h_loads /
 //    v_loads profiles exclusively (choose_route reads them, commit_route
 //    mutates them — never share one profile pair across concurrent
-//    repairs).
+//    routings).
 #pragma once
 
 #include <algorithm>

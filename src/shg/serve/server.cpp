@@ -86,8 +86,8 @@ std::size_t Server::serve_stream(int in_fd, int out_fd) {
       queue.pop_front();
       if (batch.front().valid && batch.front().op == Op::kScreen) {
         // Drain every queued screen on the same architecture: the group
-        // screens through ONE screen_batch_cached call (misses share the
-        // prefix forest), one response each.
+        // screens through ONE screen_batch_cached call (misses share
+        // their axis summaries), one response each.
         for (auto it = queue.begin(); it != queue.end();) {
           if (it->valid && it->op == Op::kScreen &&
               it->arch_fp == batch.front().arch_fp) {

@@ -14,7 +14,7 @@
 // Coalescing: when a worker pops a screen request, it also drains every
 // queued screen request sharing the same architecture fingerprint and
 // serves the whole group through ONE screen_batch_cached call (misses
-// screen together through the shared prefix forest). Each request still
+// screen together, sharing each skip set's routed axis). Each request still
 // gets its own response, byte-identical in "result" to its solo run.
 //
 // Shutdown: a "shutdown" op stops the reader after in-flight requests

@@ -1,5 +1,6 @@
 #include "shg/topo/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -34,26 +35,6 @@ void require_valid_skips(int rows, int cols, const std::set<int>& row_skips,
     SHG_REQUIRE(x >= 2 && x < rows,
                 "column skip distances must lie in {2..R-1} (Section III-b)");
   }
-}
-
-/// All-pairs hop totals of one SHG line: `len` tiles linked at distance 1
-/// and at every skip distance, enumerated as the single row of a 1 x len
-/// grid. The links ride as an overlay on an edgeless graph of the tiles,
-/// so the bit-parallel sweep reads a flat adjacency and building the line
-/// costs a handful of allocations.
-graph::AllPairsTotals line_hop_totals(int len, const std::set<int>& skips) {
-  std::vector<int> distances{1};
-  distances.insert(distances.end(), skips.begin(), skips.end());
-  std::vector<graph::Edge> links;
-  links.reserve(static_cast<std::size_t>(len) * distances.size());
-  for_each_skip_link(1, len, distances, std::vector<int>{},
-                     [&](TileCoord a, TileCoord b) {
-                       links.push_back(graph::Edge{a.col, b.col});
-                     });
-  graph::EdgeOverlay overlay;
-  overlay.assign(len, links);
-  graph::BitSweepWorkspace ws;
-  return graph::all_pairs_totals(graph::Graph(len), &overlay, ws);
 }
 
 }  // namespace
@@ -238,10 +219,49 @@ Topology make_sparse_hamming(int rows, int cols,
     }
   }
   // Additional links: the skip connectivity, via the shared enumeration
-  // the incremental screening repair also builds its edge lists from.
+  // the product-form screening routes its axes from.
   for_each_skip_link(rows, cols, row_skips, col_skips,
                      [&](TileCoord a, TileCoord b) { topo.add_link(a, b); });
   return topo;
+}
+
+ShgLine shg_line(int len, const std::set<int>& skips) {
+  SHG_REQUIRE(len >= 1, "line must have at least one tile");
+  require_valid_skips(1, len, skips, {});
+  // The links ride as an overlay on an edgeless graph of the tiles, so the
+  // bit-parallel sweep reads a flat adjacency and building the line costs a
+  // handful of allocations.
+  std::vector<int> distances{1};
+  distances.insert(distances.end(), skips.begin(), skips.end());
+  std::vector<graph::Edge> links;
+  links.reserve(static_cast<std::size_t>(len) * distances.size());
+  std::vector<int> degrees(static_cast<std::size_t>(len), 0);
+  for_each_skip_link(1, len, distances, std::vector<int>{},
+                     [&](TileCoord a, TileCoord b) {
+                       links.push_back(graph::Edge{a.col, b.col});
+                       ++degrees[static_cast<std::size_t>(a.col)];
+                       ++degrees[static_cast<std::size_t>(b.col)];
+                     });
+  graph::EdgeOverlay overlay;
+  overlay.assign(len, links);
+  graph::BitSweepWorkspace ws;
+  ShgLine line;
+  line.hops = graph::all_pairs_totals(graph::Graph(len), &overlay, ws);
+  line.max_degree = *std::max_element(degrees.begin(), degrees.end());
+  line.num_links = static_cast<long long>(links.size());
+  return line;
+}
+
+graph::AllPairsTotals product_hop_totals(int rows, int cols,
+                                         const ShgLine& row,
+                                         const ShgLine& col) {
+  const long long r = rows;
+  const long long c = cols;
+  graph::AllPairsTotals totals;
+  totals.sum = r * r * row.hops.sum + c * c * col.hops.sum;
+  totals.reachable_pairs = row.hops.reachable_pairs * col.hops.reachable_pairs;
+  totals.diameter = row.hops.diameter + col.hops.diameter;
+  return totals;
 }
 
 graph::AllPairsTotals shg_hop_totals(int rows, int cols,
@@ -249,15 +269,8 @@ graph::AllPairsTotals shg_hop_totals(int rows, int cols,
                                      const std::set<int>& col_skips) {
   SHG_REQUIRE(rows >= 1 && cols >= 1, "grid must have positive dimensions");
   require_valid_skips(rows, cols, row_skips, col_skips);
-  const graph::AllPairsTotals row = line_hop_totals(cols, row_skips);
-  const graph::AllPairsTotals col = line_hop_totals(rows, col_skips);
-  const long long r = rows;
-  const long long c = cols;
-  graph::AllPairsTotals totals;
-  totals.sum = r * r * row.sum + c * c * col.sum;
-  totals.reachable_pairs = row.reachable_pairs * col.reachable_pairs;
-  totals.diameter = row.diameter + col.diameter;
-  return totals;
+  return product_hop_totals(rows, cols, shg_line(cols, row_skips),
+                            shg_line(rows, col_skips));
 }
 
 Topology make_ruche(int rows, int cols, int row_skip, int col_skip) {

@@ -17,9 +17,9 @@ namespace shg::topo {
 /// R x C grid (Section III-b): for each row r, each x in SR, each start i
 /// with i + x < C, a link T(r,i) <-> T(r,i+x); columns analogously, rows
 /// first. This is THE definition of skip connectivity — make_sparse_hamming
-/// adds links in exactly this order, the incremental screening derives its
-/// new-edge lists from the same enumeration, and shg_hop_totals builds its
-/// row and column lines from it, so none of them can diverge. Skip
+/// adds links in exactly this order, phys::axis_route_loads routes each
+/// skip class in it, and shg_line builds its lines from it, so none of them
+/// can diverge. Skip
 /// containers need only be iterable in ascending order (std::set, sorted
 /// vector).
 template <typename RowSkips, typename ColSkips, typename Fn>
@@ -41,17 +41,37 @@ void for_each_skip_link(int rows, int cols, const RowSkips& row_skips,
   }
 }
 
+/// One line of an SHG, the factor the product form works from: a row is
+/// C tiles linked at distances {1} u SR, a column R tiles at {1} u SC, and
+/// the grid is the Cartesian product of the row line and the column line.
+/// So the grid's radix is the row line's max_degree plus the column line's,
+/// and its link count is R * row num_links + C * column num_links.
+struct ShgLine {
+  graph::AllPairsTotals hops;  ///< all-pairs hop totals within the line
+  int max_degree = 0;          ///< largest tile degree within the line
+  long long num_links = 0;     ///< links of one line, unit links included
+};
+
+/// Summarizes the line of `len` tiles linked at distance 1 and at every
+/// distance of `skips`, whose links come from for_each_skip_link on a
+/// one-line grid. Skips must lie in {2..len-1}.
+ShgLine shg_line(int len, const std::set<int>& skips);
+
+/// All-pairs hop totals of the Cartesian product of `rows` copies of the
+/// row line `row` and `cols` copies of the column line `col`. Every hop
+/// distance splits as d((r1,c1),(r2,c2)) = d_row(c1,c2) + d_col(r1,r2).
+/// Summed over all ordered pairs that gives sum = R^2 * sum_row + C^2 *
+/// sum_col, diameter = diam_row + diam_col and reachable_pairs = reach_row
+/// * reach_col. Same conventions as graph::all_pairs_totals.
+graph::AllPairsTotals product_hop_totals(int rows, int cols,
+                                         const ShgLine& row,
+                                         const ShgLine& col);
+
 /// Exact all-pairs hop totals of `make_sparse_hamming(rows, cols,
-/// row_skips, col_skips)` without building it. An SHG is the Cartesian
-/// product of a row line (C tiles, links at distances {1} u SR) and a
-/// column line (R tiles, links at {1} u SC), so every hop distance splits
-/// as d((r1,c1),(r2,c2)) = d_row(c1,c2) + d_col(r1,r2). Summed over all
-/// ordered pairs that gives sum = R^2 * sum_row + C^2 * sum_col, diameter =
-/// diam_row + diam_col and reachable_pairs = reach_row * reach_col, with
-/// the line totals from one sweep over each line (whose links come from
-/// for_each_skip_link on a one-line grid). Same conventions as
-/// graph::all_pairs_totals, and equal to it on the materialized graph.
-/// Skip sets are validated like make_sparse_hamming's.
+/// row_skips, col_skips)` without building it: product_hop_totals of
+/// shg_line(cols, SR) and shg_line(rows, SC), equal to all_pairs_totals on
+/// the materialized graph. Skip sets are validated like
+/// make_sparse_hamming's.
 graph::AllPairsTotals shg_hop_totals(int rows, int cols,
                                      const std::set<int>& row_skips,
                                      const std::set<int>& col_skips);

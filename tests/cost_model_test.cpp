@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "shg/model/cost_model.hpp"
-#include "shg/phys/incremental_route.hpp"
+#include "shg/phys/global_route.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
 
@@ -144,12 +144,25 @@ TEST(CostModel, LinkLatenciesVectorMatches) {
   }
 }
 
-TEST(ScreeningCost, LoadsOverloadMatchesTopologyOverload) {
-  // The radix + precomputed-loads entry must reproduce the topology entry
-  // bit for bit — it runs the same step 1/3/4 arithmetic, fed by loads the
-  // incremental router guarantees are bit-identical to global_route_loads.
+/// Per-channel peaks of a routing, the step-2 summary the peaks overload
+/// takes.
+void channel_peaks(const phys::GlobalRoutingResult& loads,
+                   std::vector<int>* h_peaks, std::vector<int>* v_peaks) {
+  h_peaks->clear();
+  v_peaks->clear();
+  for (int i = 0; i < static_cast<int>(loads.h_loads.size()); ++i) {
+    h_peaks->push_back(loads.max_h_load(i));
+  }
+  for (int j = 0; j < static_cast<int>(loads.v_loads.size()); ++j) {
+    v_peaks->push_back(loads.max_v_load(j));
+  }
+}
+
+TEST(ScreeningCost, PeaksOverloadMatchesTopologyOverload) {
+  // The radix + channel-peaks entry must reproduce the topology entry bit
+  // for bit — it runs the same step 1/3/4 arithmetic on the same peaks.
   // kA is the 8x8 grid; kC (8x16 = 128 tiles = 2 * 8^2) admits a SlimNoC,
-  // whose diagonal links exercise both load profiles at once.
+  // whose diagonal links load both orientations at once.
   struct Case {
     tech::ArchParams arch;
     topo::Topology topo;
@@ -160,35 +173,47 @@ TEST(ScreeningCost, LoadsOverloadMatchesTopologyOverload) {
       {tech::knc_scenario(tech::KncScenario::kA),
        topo::make_sparse_hamming(8, 8, {}, {})},
       {tech::knc_scenario(tech::KncScenario::kC),
+       topo::make_sparse_hamming(8, 16, {5, 11}, {2})},
+      {tech::knc_scenario(tech::KncScenario::kC),
        topo::make_slim_noc(8, 16)},
   };
   for (const auto& [arch, topo] : cases) {
     const ScreeningCost from_topo = evaluate_screening_cost(arch, topo);
-    const phys::GlobalRoutingResult loads = phys::global_route_loads(topo);
-    const ScreeningCost from_loads =
-        evaluate_screening_cost(arch, topo.radix(), loads);
-    EXPECT_EQ(from_topo.total_area_mm2, from_loads.total_area_mm2);
-    EXPECT_EQ(from_topo.base_area_mm2, from_loads.base_area_mm2);
-    EXPECT_EQ(from_topo.noc_area_mm2, from_loads.noc_area_mm2);
-    EXPECT_EQ(from_topo.area_overhead, from_loads.area_overhead);
+    std::vector<int> h_peaks, v_peaks;
+    channel_peaks(phys::global_route_loads(topo), &h_peaks, &v_peaks);
+    const ScreeningCost from_peaks =
+        evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks);
+    EXPECT_EQ(from_topo.total_area_mm2, from_peaks.total_area_mm2);
+    EXPECT_EQ(from_topo.base_area_mm2, from_peaks.base_area_mm2);
+    EXPECT_EQ(from_topo.noc_area_mm2, from_peaks.noc_area_mm2);
+    EXPECT_EQ(from_topo.area_overhead, from_peaks.area_overhead);
 
     // A tile-geometry cache warmed by one entry must not change the bits
     // of the other.
     TileGeometryCache cache;
     const ScreeningCost cached1 =
-        evaluate_screening_cost(arch, topo.radix(), loads, &cache);
+        evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks, &cache);
     const ScreeningCost cached2 =
-        evaluate_screening_cost(arch, topo.radix(), loads, &cache);
+        evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks, &cache);
     EXPECT_EQ(cached1.area_overhead, from_topo.area_overhead);
     EXPECT_EQ(cached2.area_overhead, from_topo.area_overhead);
   }
 }
 
-TEST(ScreeningCost, LoadsOverloadRejectsMismatchedProfiles) {
+TEST(ScreeningCost, PeaksOverloadRejectsMismatchedProfiles) {
   tech::ArchParams arch = tech::knc_scenario(tech::KncScenario::kA);
   const auto topo = topo::make_mesh(arch.rows - 1, arch.cols);
-  const phys::GlobalRoutingResult loads = phys::global_route_loads(topo);
-  EXPECT_THROW(evaluate_screening_cost(arch, topo.radix(), loads), Error);
+  std::vector<int> h_peaks, v_peaks;
+  channel_peaks(phys::global_route_loads(topo), &h_peaks, &v_peaks);
+  EXPECT_THROW(evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks),
+               Error);
+  // Swapped axes on a non-square grid do not fit either.
+  arch.rows = 4;
+  arch.cols = 6;
+  channel_peaks(phys::global_route_loads(topo::make_mesh(4, 6)), &h_peaks,
+                &v_peaks);
+  EXPECT_NO_THROW(evaluate_screening_cost(arch, 4, h_peaks, v_peaks));
+  EXPECT_THROW(evaluate_screening_cost(arch, 4, v_peaks, h_peaks), Error);
 }
 
 }  // namespace

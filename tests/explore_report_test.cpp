@@ -1,6 +1,11 @@
 // Tests for the design-space explorer (SHG vs Ruche).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "shg/common/prng.hpp"
 #include "shg/customize/explore.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
@@ -88,6 +93,65 @@ TEST(Explore, FrontIsNonDominatedAndSorted) {
            a.metrics.throughput_bound > b.metrics.throughput_bound ||
            a.metrics.avg_hops < b.metrics.avg_hops);
       EXPECT_FALSE(dominates);
+    }
+  }
+}
+
+/// The definition: a point is on the front unless some point is no worse
+/// in all three metrics and strictly better in one (all pairs compared),
+/// kept in input order, then sorted by area overhead.
+std::vector<ExploredPoint> brute_force_front(
+    const std::vector<ExploredPoint>& points) {
+  std::vector<ExploredPoint> front;
+  for (const auto& candidate : points) {
+    bool dominated = false;
+    for (const auto& other : points) {
+      const CandidateMetrics& a = other.metrics;
+      const CandidateMetrics& b = candidate.metrics;
+      if (a.area_overhead <= b.area_overhead &&
+          a.throughput_bound >= b.throughput_bound &&
+          a.avg_hops <= b.avg_hops &&
+          (a.area_overhead < b.area_overhead ||
+           a.throughput_bound > b.throughput_bound ||
+           a.avg_hops < b.avg_hops)) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) front.push_back(candidate);
+  }
+  std::sort(front.begin(), front.end(),
+            [](const ExploredPoint& a, const ExploredPoint& b) {
+              return a.metrics.area_overhead < b.metrics.area_overhead;
+            });
+  return front;
+}
+
+TEST(Explore, FrontMatchesBruteForceDefinition) {
+  // Metrics drawn from a few levels each, so ties in one or two metrics and
+  // whole duplicate points are common; unique labels pin the output order.
+  Prng prng(0xf207u);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = prng.range(0, 120);
+    const int levels = prng.range(1, 6);
+    std::vector<ExploredPoint> points(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      ExploredPoint& p = points[static_cast<std::size_t>(i)];
+      p.metrics.area_overhead = 0.05 * prng.range(0, levels);
+      p.metrics.throughput_bound = 0.25 * prng.range(0, levels);
+      p.metrics.avg_hops = 1.0 + 0.5 * prng.range(0, levels);
+      if (i > 0 && prng.chance(0.1)) {
+        p.metrics = points[static_cast<std::size_t>(prng.range(0, i - 1))]
+                        .metrics;
+      }
+      p.label = "p" + std::to_string(i);
+    }
+    const std::vector<ExploredPoint> want = brute_force_front(points);
+    const std::vector<ExploredPoint> got = trade_off_front(points);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].label, want[i].label) << "trial " << trial;
+      EXPECT_EQ(got[i].metrics, want[i].metrics) << "trial " << trial;
     }
   }
 }

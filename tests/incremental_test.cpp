@@ -1,7 +1,8 @@
-// Incremental-vs-full screening equivalence (customize/incremental.hpp):
-// context and batch screening must match per-candidate screening
-// bit-for-bit, and every search surface (greedy, exhaustive, explore) must
-// return what a reference loop over `screen_candidate` returns.
+// Product-form vs full screening equivalence (customize/incremental.hpp):
+// batch screening must match per-candidate screening bit-for-bit on square
+// and non-square grids, and every search surface (greedy, exhaustive,
+// explore) must return what a reference loop over `screen_candidate`
+// returns.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +16,7 @@
 #include "shg/model/cost_model.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
+#include "screening_oracle.hpp"
 
 namespace shg::customize {
 namespace {
@@ -58,7 +60,7 @@ model::CostReport full_cost(const ArchParams& arch,
 /// Reference greedy search: every neighborhood is screened candidate by
 /// candidate with `screen_candidate` and the winner is picked by
 /// `select_greedy_candidate` — customize_greedy's contract without its
-/// screening context.
+/// axis-summary memo.
 SearchResult reference_greedy(const ArchParams& arch, const Goal& goal) {
   SearchResult result;
   result.metrics = screen_candidate(arch, result.params);
@@ -140,7 +142,7 @@ std::vector<std::set<int>> skip_subsets_up_to_two(int limit) {
 }
 
 /// A seeded 200-candidate sample of the 16x16 explore_shg space (up to two
-/// skips per dimension) screened through the prefix forest must match the
+/// skips per dimension) screened in product form must match the
 /// per-candidate oracle bit for bit.
 TEST(ScreeningBatch, ExploreShgSampleMatchesOracle) {
   ArchParams arch = knc_scenario(KncScenario::kA);
@@ -163,91 +165,88 @@ TEST(ScreeningBatch, ExploreShgSampleMatchesOracle) {
   EXPECT_NO_THROW(verify_incremental_equivalence(arch, sample));
 }
 
-TEST(ScreeningContext, ChildMatchesScreenCandidate) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  const ScreeningContext mesh_ctx(arch, topo::ShgParams{});
-  expect_same_metrics(mesh_ctx.metrics(),
-                      screen_candidate(arch, topo::ShgParams{}));
-  for (const topo::ShgParams& child :
-       {topo::ShgParams{{2}, {}}, topo::ShgParams{{5}, {}},
-        topo::ShgParams{{}, {3}}, topo::ShgParams{{3, 4}, {2, 6}}}) {
-    expect_same_metrics(mesh_ctx.screen_child(child),
-                        screen_candidate(arch, child));
-  }
-  // Non-mesh parent, including derive() and rebase() chains.
-  const topo::ShgParams parent{{3}, {2}};
-  ScreeningContext ctx(arch, parent);
-  const topo::ShgParams step1{{3}, {2, 5}};
-  const topo::ShgParams step2{{3, 6}, {2, 5}};
-  const ScreeningContext derived = ctx.derive(step1);
-  expect_same_metrics(derived.metrics(), screen_candidate(arch, step1));
-  expect_same_metrics(derived.screen_child(step2),
-                      screen_candidate(arch, step2));
-  ctx.rebase(step1);
-  expect_same_metrics(ctx.metrics(), screen_candidate(arch, step1));
-  expect_same_metrics(ctx.screen_child(step2),
-                      screen_candidate(arch, step2));
+/// KNC scenario (a) parameters on a rows x cols grid.
+ArchParams grid_arch(int rows, int cols) {
+  ArchParams arch = knc_scenario(KncScenario::kA);
+  arch.rows = rows;
+  arch.cols = cols;
+  return arch;
 }
 
-TEST(ScreeningContext, RejectsNonSupersetChildren) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  const ScreeningContext ctx(arch, topo::ShgParams{{3}, {}});
-  // Removing a skip distance deletes edges, which the added-links routing
-  // replay cannot express — the context must refuse.
-  EXPECT_THROW(ctx.screen_child(topo::ShgParams{}), Error);
-  EXPECT_THROW(ctx.screen_child(topo::ShgParams{{4}, {}}), Error);
+/// Random skip sets on `arch`, each distance present with probability p.
+topo::ShgParams random_params(const ArchParams& arch, Prng& prng, double p) {
+  topo::ShgParams params;
+  for (int x = 2; x < arch.cols; ++x) {
+    if (prng.chance(p)) params.row_skips.insert(x);
+  }
+  for (int x = 2; x < arch.rows; ++x) {
+    if (prng.chance(p)) params.col_skips.insert(x);
+  }
+  return params;
 }
 
 TEST(ScreeningBatch, RandomBatchesMatchFullScreening) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  Prng prng(42);
-  std::vector<topo::ShgParams> batch;
-  batch.push_back(topo::ShgParams{});  // the mesh
-  for (int i = 0; i < 24; ++i) {
-    topo::ShgParams params;
-    for (int x = 2; x < arch.cols; ++x) {
-      if (prng.chance(0.3)) params.row_skips.insert(x);
-    }
-    for (int x = 2; x < arch.rows; ++x) {
-      if (prng.chance(0.3)) params.col_skips.insert(x);
-    }
-    batch.push_back(std::move(params));
-  }
-  batch.push_back(batch[3]);  // duplicates must screen consistently
+  // Non-square and single-line grids: an h/v axis swap anywhere in the
+  // product form changes the peaks, the radix or the hop totals there.
+  for (const ArchParams& arch :
+       {knc_scenario(KncScenario::kA), grid_arch(7, 13), grid_arch(13, 5),
+        grid_arch(1, 12), grid_arch(12, 1)}) {
+    SCOPED_TRACE(std::to_string(arch.rows) + "x" + std::to_string(arch.cols));
+    Prng prng(42);
+    std::vector<topo::ShgParams> batch;
+    batch.push_back(topo::ShgParams{});  // the mesh
+    for (int i = 0; i < 24; ++i) batch.push_back(random_params(arch, prng, 0.3));
+    batch.push_back(batch[3]);  // duplicates must screen consistently
 
-  const std::vector<CandidateMetrics> incremental =
-      screen_batch_incremental(arch, batch);
-  ASSERT_EQ(incremental.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_same_metrics(incremental[i], screen_candidate(arch, batch[i]));
+    const std::vector<CandidateMetrics> product =
+        screen_batch_incremental(arch, batch);
+    ASSERT_EQ(product.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_same_metrics(product[i], screen_candidate(arch, batch[i]));
+    }
+    // The oracle wraps exactly this comparison and must agree.
+    EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
   }
-  // The oracle wraps exactly this comparison and must agree.
-  EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
 }
 
-TEST(ScreeningContext, RoutingReuseBitIdenticalToMaterializedPath) {
-  // The topology-free path (routing context + product-form hop totals)
-  // must match screen_candidate on the materialized child, candidate by
-  // candidate.
-  const ArchParams arch = knc_scenario(KncScenario::kA);
-  const topo::ShgParams parent{{3}, {2}};
-  const ScreeningContext ctx(arch, parent);
-  expect_same_metrics(ctx.metrics(), screen_candidate(arch, parent));
-  ScreeningContext::Workspace ws;
-  model::TileGeometryCache tile_cache;
-  for (const topo::ShgParams& child :
-       {topo::ShgParams{{3, 4}, {2}}, topo::ShgParams{{3}, {2, 6}},
-        topo::ShgParams{{3, 5, 7}, {2, 4}}, parent}) {
-    expect_same_metrics(ctx.screen_child(child, &tile_cache, &ws),
-                        screen_candidate(arch, child));
+TEST(ProductScreen, MemoReusedAcrossBatches) {
+  // One screener over several batches, as the greedy search uses it: the
+  // later batches reuse memoized axes and must still match a fresh screen.
+  const ArchParams arch = grid_arch(7, 13);
+  ProductScreen screener(arch);
+  Prng prng(7);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<topo::ShgParams> batch;
+    for (int i = 0; i < 6; ++i) batch.push_back(random_params(arch, prng, 0.2));
+    batch.push_back(topo::ShgParams{});
+    const std::vector<CandidateMetrics> memoized = screener.screen(batch);
+    ASSERT_EQ(memoized.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_same_metrics(memoized[i], screen_candidate(arch, batch[i]));
+    }
   }
-  EXPECT_THROW(ctx.screen_child(topo::ShgParams{}), Error);
-  // Rebase keeps the routing context keyed to the new parent.
-  ScreeningContext rebased(arch, parent);
-  rebased.rebase(topo::ShgParams{{3, 4}, {2}});
-  expect_same_metrics(
-      rebased.screen_child(topo::ShgParams{{3, 4}, {2, 6}}),
-      screen_candidate(arch, topo::ShgParams{{3, 4}, {2, 6}}));
+  EXPECT_TRUE(screener.screen({}).empty());
+}
+
+TEST(ProductScreen, InvalidSkipsThrowAndLeaveTheMemoClean) {
+  const ArchParams arch = grid_arch(7, 13);
+  ProductScreen screener(arch);
+  // Row skips must lie in {2..12}, column skips in {2..6}. The valid sets
+  // of a failing batch must not stay memoized half-built.
+  EXPECT_THROW(screener.screen({topo::ShgParams{{3}, {}},
+                                topo::ShgParams{{13}, {}}}),
+               Error);
+  EXPECT_THROW(screener.screen({topo::ShgParams{{}, {4}},
+                                topo::ShgParams{{}, {7}}}),
+               Error);
+  EXPECT_THROW(screener.screen({topo::ShgParams{{1}, {}}}), Error);
+  const std::vector<topo::ShgParams> batch = {topo::ShgParams{{3}, {}},
+                                              topo::ShgParams{{}, {4}},
+                                              topo::ShgParams{{3}, {4}}};
+  const std::vector<CandidateMetrics> metrics = screener.screen(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_same_metrics(metrics[i], screen_candidate(arch, batch[i]));
+  }
 }
 
 TEST(Greedy, MatchesReferenceLoop) {
@@ -270,8 +269,10 @@ TEST(Exhaustive, MatchesBruteForce) {
       reference_exhaustive(arch, Goal{0.35}, {5, 2}, {4, 3}));
 }
 
-TEST(Explore, PointsMatchScreenCandidate) {
-  const ArchParams arch = knc_scenario(KncScenario::kA);
+/// explore_shg and explore_ruche on `arch` must enumerate in the expected
+/// order, label each point, and match screen_candidate on every point.
+void expect_explore_matches(const ArchParams& arch) {
+  SCOPED_TRACE(std::to_string(arch.rows) + "x" + std::to_string(arch.cols));
   const ExploreOptions options;
   // Expected enumerations: explore_shg nests SC subsets (up to two skips)
   // inside SR subsets; explore_ruche nests one-or-no column skips inside
@@ -311,6 +312,12 @@ TEST(Explore, PointsMatchScreenCandidate) {
       expect_same_metrics(point.metrics, screen_candidate(arch, params));
     }
   }
+}
+
+TEST(Explore, PointsMatchScreenCandidate) {
+  expect_explore_matches(knc_scenario(KncScenario::kA));
+  // Non-square, so an h/v axis swap in the product form cannot go unseen.
+  expect_explore_matches(grid_arch(7, 13));
 }
 
 }  // namespace
