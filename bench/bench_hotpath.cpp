@@ -345,7 +345,7 @@ bool product_screening_matches(const tech::ArchParams& arch,
 /// Reference greedy search: every neighborhood screened candidate by
 /// candidate with screen_candidate (in parallel), the winner picked by
 /// select_greedy_candidate, the final report from the full cost model —
-/// customize_greedy's contract without its axis-summary memo. History
+/// customize_greedy's contract without product-form screening. History
 /// notes are left empty.
 customize::SearchResult reference_greedy(const tech::ArchParams& arch,
                                          const customize::Goal& goal) {

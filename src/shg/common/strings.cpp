@@ -11,15 +11,16 @@ std::string fmt_double(double value, int decimals) {
 }
 
 std::string fmt_int_set(const std::set<int>& values) {
-  // Plain concatenation: exploration labels call this twice per point, and
-  // a stream costs more than the digits.
-  std::string out = "{";
+  std::ostringstream os;
+  os << "{";
+  bool first = true;
   for (int v : values) {
-    if (out.size() > 1) out += ", ";
-    out += std::to_string(v);
+    if (!first) os << ", ";
+    os << v;
+    first = false;
   }
-  out += "}";
-  return out;
+  os << "}";
+  return os.str();
 }
 
 std::string csv_field(const std::string& value) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <string>
+#include <sstream>
 
 #include "shg/common/strings.hpp"
 #include "shg/customize/incremental.hpp"
@@ -29,8 +29,10 @@ void for_each_skip_subset(int limit, int max_size,
 }
 
 std::string label_for(const topo::ShgParams& params, const char* family) {
-  return std::string(family) + " SR=" + fmt_int_set(params.row_skips) +
-         " SC=" + fmt_int_set(params.col_skips);
+  std::ostringstream os;
+  os << family << " SR=" << fmt_int_set(params.row_skips)
+     << " SC=" << fmt_int_set(params.col_skips);
+  return os.str();
 }
 
 /// Screens every enumerated parameterization in product form (through the

@@ -1,9 +1,14 @@
 #include "shg/customize/incremental.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
 
 #include "shg/common/parallel.hpp"
+#include "shg/model/cost_model.hpp"
 #include "shg/phys/global_route.hpp"
+#include "shg/topo/generators.hpp"
 
 namespace shg::customize {
 
@@ -32,64 +37,63 @@ CandidateMetrics make_metrics(const model::ScreeningCost& cost,
   return metrics;
 }
 
+/// What screening needs from one axis: the line and the peak load of each
+/// channel parallel to it.
+struct AxisSummary {
+  topo::ShgLine line;
+  std::vector<int> peaks;
+};
+
 }  // namespace
 
-std::vector<CandidateMetrics> ProductScreen::screen(
-    const std::vector<topo::ShgParams>& batch) {
-  const tech::ArchParams& arch = *arch_;
+std::vector<CandidateMetrics> screen_batch_incremental(
+    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
   std::vector<CandidateMetrics> out(batch.size());
   if (batch.empty()) return out;
 
-  // Step 1: every candidate's two summaries, with an empty slot in the
-  // memo for each skip set it does not hold yet. Map nodes are stable, so
-  // the pointers survive the insertions that follow.
-  using Memo = std::map<std::set<int>, AxisSummary>;
-  struct Pending {
-    Memo::iterator it;
-    bool horizontal;
-  };
-  std::vector<Pending> pending;
-  std::vector<const AxisSummary*> row_of(batch.size());
-  std::vector<const AxisSummary*> col_of(batch.size());
-  auto summary_slot = [&](Memo& memo, const std::set<int>& skips,
-                          bool horizontal) {
-    const auto [it, inserted] = memo.try_emplace(skips);
-    if (inserted) pending.push_back(Pending{it, horizontal});
-    return &it->second;
+  // Step 1: the distinct row-skip and column-skip sets, numbered in order
+  // of first appearance; summary k of `axes` belongs to axis task k.
+  std::map<std::set<int>, std::size_t> row_index;
+  std::map<std::set<int>, std::size_t> col_index;
+  std::vector<std::pair<const std::set<int>*, bool>> axes;  // skips, horizontal
+  std::vector<std::size_t> row_of(batch.size());
+  std::vector<std::size_t> col_of(batch.size());
+  auto summary_index = [&](std::map<std::set<int>, std::size_t>& index,
+                           const std::set<int>& skips, bool horizontal) {
+    const auto [it, inserted] = index.try_emplace(skips, axes.size());
+    if (inserted) axes.emplace_back(&it->first, horizontal);
+    return it->second;
   };
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    row_of[i] = summary_slot(rows_, batch[i].row_skips, true);
-    col_of[i] = summary_slot(cols_, batch[i].col_skips, false);
+    row_of[i] = summary_index(row_index, batch[i].row_skips, true);
+    col_of[i] = summary_index(col_index, batch[i].col_skips, false);
   }
 
-  // Step 2: one routed profile and one line per new skip set. Each task
-  // fills its own slot.
-  try {
-    parallel_for(pending.size(), [&](std::size_t k) {
-      auto& [skips, summary] = *pending[k].it;
-      const bool horizontal = pending[k].horizontal;
-      const std::vector<std::vector<int>> loads =
-          phys::axis_route_loads(arch.rows, arch.cols, horizontal, skips);
-      summary.peaks.reserve(loads.size());
-      for (const std::vector<int>& channel : loads) {
-        summary.peaks.push_back(
-            channel.empty() ? 0
-                            : *std::max_element(channel.begin(), channel.end()));
-      }
-      summary.line = topo::shg_line(horizontal ? arch.cols : arch.rows, skips);
-    });
-  } catch (...) {
-    for (const Pending& p : pending) (p.horizontal ? rows_ : cols_).erase(p.it);
-    throw;
-  }
+  // Step 2: one routed profile and one line per distinct skip set. Each
+  // task fills its own slot.
+  std::vector<AxisSummary> summaries(axes.size());
+  parallel_for(axes.size(), [&](std::size_t k) {
+    const auto [skips, horizontal] = axes[k];
+    AxisSummary& summary = summaries[k];
+    const std::vector<std::vector<int>> loads =
+        phys::axis_route_loads(arch.rows, arch.cols, horizontal, *skips);
+    summary.peaks.reserve(loads.size());
+    for (const std::vector<int>& channel : loads) {
+      summary.peaks.push_back(
+          channel.empty() ? 0
+                          : *std::max_element(channel.begin(), channel.end()));
+    }
+    summary.line = topo::shg_line(horizontal ? arch.cols : arch.rows, *skips);
+  });
 
   // Step 3: each candidate from its two summaries.
+  model::TileGeometryCache tile_cache;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const AxisSummary& row = *row_of[i];
-    const AxisSummary& col = *col_of[i];
+    const AxisSummary& row = summaries[row_of[i]];
+    const AxisSummary& col = summaries[col_of[i]];
     const model::ScreeningCost cost = model::evaluate_screening_cost(
         arch, row.line.max_degree + col.line.max_degree, row.peaks,
-        col.peaks, &tile_cache_);
+        col.peaks, &tile_cache);
     out[i] = make_metrics(
         cost,
         topo::product_hop_totals(arch.rows, arch.cols, row.line, col.line),
@@ -97,11 +101,6 @@ std::vector<CandidateMetrics> ProductScreen::screen(
         arch.rows * row.line.num_links + arch.cols * col.line.num_links);
   }
   return out;
-}
-
-std::vector<CandidateMetrics> screen_batch_incremental(
-    const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch) {
-  return ProductScreen(arch).screen(batch);
 }
 
 }  // namespace shg::customize

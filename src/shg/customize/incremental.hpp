@@ -40,55 +40,22 @@
 //    materialized graph: same integers for the hop totals, radix and link
 //    count, same peaks, same cost-model arithmetic. Nothing here has a
 //    bounded-error mode. tests/screening_oracle.hpp checks it per batch.
-//  * Concurrency. A ProductScreen is not thread-safe: call `screen` from
-//    one thread and let it own the fan-out. Results do not depend on the
-//    worker count: each routing task fills its own memo slot, and the
-//    candidates are combined serially.
+//  * Concurrency. All state lives in one call, so concurrent calls are
+//    safe. Results do not depend on the worker count: each routing task
+//    fills its own summary slot, and the candidates are combined serially.
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "shg/customize/search.hpp"
-#include "shg/model/cost_model.hpp"
-#include "shg/topo/generators.hpp"
 
 namespace shg::customize {
 
-/// Product-form screener over one ArchParams, with a memo of the axis
-/// summaries it has built. The memo only grows, so a caller that screens
-/// related batches (the greedy search: each neighbor changes one axis)
-/// routes each skip set once for the whole call. Keep one per call; it
-/// holds a pointer to `arch`, which must outlive it.
-class ProductScreen {
- public:
-  explicit ProductScreen(const tech::ArchParams& arch) : arch_(&arch) {}
-
-  /// Screens every parameterization of `batch` (any order, duplicates
-  /// allowed); the result is indexed like the input and bit-identical to
-  /// `screen_candidate` on each entry. Invalid skip sets throw shg::Error
-  /// and leave the memo as it was.
-  std::vector<CandidateMetrics> screen(
-      const std::vector<topo::ShgParams>& batch);
-
- private:
-  /// What screening needs from one axis: the line and the peak load of
-  /// each channel parallel to it.
-  struct AxisSummary {
-    topo::ShgLine line;
-    std::vector<int> peaks;
-  };
-
-  const tech::ArchParams* arch_;
-  std::map<std::set<int>, AxisSummary> rows_;  ///< keyed by SR
-  std::map<std::set<int>, AxisSummary> cols_;  ///< keyed by SC
-  model::TileGeometryCache tile_cache_;        ///< step-1 memo by radix
-};
-
-/// Screens `batch` with a fresh ProductScreen: any order, duplicates
-/// allowed, indexed like the input, bit-identical to `screen_candidate`
-/// per entry and deterministic at any worker count.
+/// Screens every parameterization of `batch` in product form: any order,
+/// duplicates allowed, indexed like the input, bit-identical to
+/// `screen_candidate` per entry and deterministic at any worker count.
+/// Each distinct skip set of the batch is routed once; nothing is kept
+/// between calls. Invalid skip sets throw shg::Error.
 std::vector<CandidateMetrics> screen_batch_incremental(
     const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "shg/common/strings.hpp"
@@ -135,33 +134,18 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
               "area budget must be a fraction in (0, 1)");
   SearchResult result;
   result.params = topo::ShgParams{};
-  Session* const session = options.session;
-  std::optional<Fingerprint> arch_fp;
-  if (session != nullptr) arch_fp = fingerprint_arch(arch);
+  // With a session attached, a candidate that hits the cache is never
+  // screened, and a fully warm re-invocation therefore runs no BFS sweep
+  // and no channel routing at all. Within one neighborhood the row
+  // neighbors share the current SC and the column neighbors the current
+  // SR, so each iteration routes every distinct skip set of its batch once.
+  auto screen = [&](const std::vector<topo::ShgParams>& batch) {
+    return options.session != nullptr
+               ? screen_batch_cached(arch, batch, *options.session)
+               : screen_batch_incremental(arch, batch);
+  };
 
-  // The axis-summary memo lives for this search: every neighbor changes
-  // one axis of the current parameterization, so it routes only that axis
-  // and reuses the other's summary. With a session attached, a candidate
-  // that hits the cache is never screened, and a fully warm re-invocation
-  // therefore runs no BFS sweep and no channel routing at all.
-  ProductScreen screener(arch);
-
-  bool have_metrics = false;
-  if (session != nullptr) {
-    if (const auto hit =
-            session->lookup(fingerprint_shg_candidate(*arch_fp,
-                                                      result.params))) {
-      result.metrics = *hit;
-      have_metrics = true;
-    }
-  }
-  if (!have_metrics) {
-    result.metrics = screener.screen({result.params}).front();
-    if (session != nullptr) {
-      session->store(fingerprint_shg_candidate(*arch_fp, result.params),
-                     result.metrics);
-    }
-  }
+  result.metrics = screen({result.params}).front();
   SHG_REQUIRE(result.metrics.area_overhead <= goal.max_area_overhead,
               "even the mesh exceeds the area budget");
   result.history.push_back(SearchStep{
@@ -187,32 +171,7 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
       batch.push_back(std::move(candidate));
     }
 
-    // Session lookups run serially on this thread (the cache is not
-    // thread-safe; serial traffic keeps LRU order deterministic); only
-    // cache misses are screened.
-    std::vector<CandidateMetrics> screened;
-    if (session == nullptr) {
-      screened = screener.screen(batch);
-    } else {
-      screened.resize(batch.size());
-      std::vector<Fingerprint> keys;
-      std::vector<topo::ShgParams> miss_batch;
-      std::vector<std::size_t> miss;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        keys.push_back(fingerprint_shg_candidate(*arch_fp, batch[i]));
-        if (const auto hit = session->lookup(keys[i])) {
-          screened[i] = *hit;
-        } else {
-          miss.push_back(i);
-          miss_batch.push_back(batch[i]);
-        }
-      }
-      const std::vector<CandidateMetrics> fresh = screener.screen(miss_batch);
-      for (std::size_t k = 0; k < miss.size(); ++k) {
-        screened[miss[k]] = fresh[k];
-        session->store(keys[miss[k]], fresh[k]);
-      }
-    }
+    const std::vector<CandidateMetrics> screened = screen(batch);
 
     const std::size_t pick =
         select_greedy_candidate(result.metrics, screened, goal);
@@ -229,7 +188,7 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
         SearchStep{result.params, result.metrics, note.str()});
   }
 
-  result.cost = final_cost_report(arch, result.params, session);
+  result.cost = final_cost_report(arch, result.params, options.session);
   return result;
 }
 

@@ -124,14 +124,10 @@ std::vector<std::vector<int>> axis_route_loads(int rows, int cols,
                                                bool horizontal,
                                                const std::set<int>& skips) {
   SHG_REQUIRE(rows >= 1 && cols >= 1, "grid must have positive dimensions");
+  const std::set<int> none;
+  topo::require_valid_skips(rows, cols, horizontal ? skips : none,
+                            horizontal ? none : skips);
   const int len = horizontal ? cols : rows;
-  for (int x : skips) {
-    SHG_REQUIRE(x >= 2 && x < len,
-                horizontal
-                    ? "row skip distances must lie in {2..C-1} (Section III-b)"
-                    : "column skip distances must lie in {2..R-1} (Section "
-                      "III-b)");
-  }
   const int lines = horizontal ? rows : cols;
   std::vector<std::vector<int>> loads(
       static_cast<std::size_t>(lines) + 1,
@@ -141,7 +137,6 @@ std::vector<std::vector<int>> axis_route_loads(int rows, int cols,
   std::vector<std::vector<int>> unused;
   auto& h_loads = horizontal ? loads : unused;
   auto& v_loads = horizontal ? unused : loads;
-  const std::set<int> none;
   // Length class x holds exactly this axis's skip-x links (unit links are
   // class 1, the other axis's links sit in the other profile), in edge-id
   // order, which is for_each_skip_link's order for the single skip x.

@@ -25,6 +25,8 @@ int log2_exact(int x) {
 /// Binary-reflected Gray code.
 unsigned gray(unsigned i) { return i ^ (i >> 1); }
 
+}  // namespace
+
 void require_valid_skips(int rows, int cols, const std::set<int>& row_skips,
                          const std::set<int>& col_skips) {
   for (int x : row_skips) {
@@ -36,8 +38,6 @@ void require_valid_skips(int rows, int cols, const std::set<int>& row_skips,
                 "column skip distances must lie in {2..R-1} (Section III-b)");
   }
 }
-
-}  // namespace
 
 Topology make_ring(int rows, int cols) {
   Topology topo(Kind::kRing, "ring", rows, cols);

@@ -41,6 +41,13 @@ void for_each_skip_link(int rows, int cols, const RowSkips& row_skips,
   }
 }
 
+/// Throws shg::Error unless every row skip lies in {2..C-1} and every
+/// column skip in {2..R-1} (Section III-b). The one skip-range rule of the
+/// library: the SHG generators, the line summaries and the per-axis
+/// channel router all check their skips through it.
+void require_valid_skips(int rows, int cols, const std::set<int>& row_skips,
+                         const std::set<int>& col_skips);
+
 /// One line of an SHG, the factor the product form works from: a row is
 /// C tiles linked at distances {1} u SR, a column R tiles at {1} u SC, and
 /// the grid is the Cartesian product of the row line and the column line.

@@ -59,8 +59,8 @@ model::CostReport full_cost(const ArchParams& arch,
 
 /// Reference greedy search: every neighborhood is screened candidate by
 /// candidate with `screen_candidate` and the winner is picked by
-/// `select_greedy_candidate` — customize_greedy's contract without its
-/// axis-summary memo.
+/// `select_greedy_candidate` — customize_greedy's contract without
+/// product-form screening.
 SearchResult reference_greedy(const ArchParams& arch, const Goal& goal) {
   SearchResult result;
   result.metrics = screen_candidate(arch, result.params);
@@ -197,6 +197,16 @@ TEST(ScreeningBatch, RandomBatchesMatchFullScreening) {
     batch.push_back(topo::ShgParams{});  // the mesh
     for (int i = 0; i < 24; ++i) batch.push_back(random_params(arch, prng, 0.3));
     batch.push_back(batch[3]);  // duplicates must screen consistently
+    // A greedy-style neighborhood: every candidate shares one axis with
+    // batch[1], so most summaries serve several candidates.
+    for (int x = 2; x < arch.cols; ++x) {
+      topo::ShgParams neighbor = batch[1];
+      if (neighbor.row_skips.insert(x).second) batch.push_back(neighbor);
+    }
+    for (int x = 2; x < arch.rows; ++x) {
+      topo::ShgParams neighbor = batch[1];
+      if (neighbor.col_skips.insert(x).second) batch.push_back(neighbor);
+    }
 
     const std::vector<CandidateMetrics> product =
         screen_batch_incremental(arch, batch);
@@ -206,46 +216,14 @@ TEST(ScreeningBatch, RandomBatchesMatchFullScreening) {
     }
     // The oracle wraps exactly this comparison and must agree.
     EXPECT_NO_THROW(verify_incremental_equivalence(arch, batch));
-  }
-}
-
-TEST(ProductScreen, MemoReusedAcrossBatches) {
-  // One screener over several batches, as the greedy search uses it: the
-  // later batches reuse memoized axes and must still match a fresh screen.
-  const ArchParams arch = grid_arch(7, 13);
-  ProductScreen screener(arch);
-  Prng prng(7);
-  for (int round = 0; round < 4; ++round) {
-    std::vector<topo::ShgParams> batch;
-    for (int i = 0; i < 6; ++i) batch.push_back(random_params(arch, prng, 0.2));
-    batch.push_back(topo::ShgParams{});
-    const std::vector<CandidateMetrics> memoized = screener.screen(batch);
-    ASSERT_EQ(memoized.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      expect_same_metrics(memoized[i], screen_candidate(arch, batch[i]));
-    }
-  }
-  EXPECT_TRUE(screener.screen({}).empty());
-}
-
-TEST(ProductScreen, InvalidSkipsThrowAndLeaveTheMemoClean) {
-  const ArchParams arch = grid_arch(7, 13);
-  ProductScreen screener(arch);
-  // Row skips must lie in {2..12}, column skips in {2..6}. The valid sets
-  // of a failing batch must not stay memoized half-built.
-  EXPECT_THROW(screener.screen({topo::ShgParams{{3}, {}},
-                                topo::ShgParams{{13}, {}}}),
-               Error);
-  EXPECT_THROW(screener.screen({topo::ShgParams{{}, {4}},
-                                topo::ShgParams{{}, {7}}}),
-               Error);
-  EXPECT_THROW(screener.screen({topo::ShgParams{{1}, {}}}), Error);
-  const std::vector<topo::ShgParams> batch = {topo::ShgParams{{3}, {}},
-                                              topo::ShgParams{{}, {4}},
-                                              topo::ShgParams{{3}, {4}}};
-  const std::vector<CandidateMetrics> metrics = screener.screen(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_same_metrics(metrics[i], screen_candidate(arch, batch[i]));
+    EXPECT_TRUE(screen_batch_incremental(arch, {}).empty());
+    // Skips must lie in {2..C-1} for rows and {2..R-1} for columns.
+    EXPECT_THROW(screen_batch_incremental(
+                     arch, {batch[1], topo::ShgParams{{arch.cols}, {}}}),
+                 Error);
+    EXPECT_THROW(screen_batch_incremental(
+                     arch, {batch[1], topo::ShgParams{{}, {arch.rows}}}),
+                 Error);
   }
 }
 
