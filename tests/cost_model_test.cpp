@@ -3,6 +3,12 @@
 // predict.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "golden.hpp"
+#include "shg/eval/scenario.hpp"
 #include "shg/model/cost_model.hpp"
 #include "shg/phys/global_route.hpp"
 #include "shg/tech/presets.hpp"
@@ -214,6 +220,109 @@ TEST(ScreeningCost, PeaksOverloadRejectsMismatchedProfiles) {
                 &v_peaks);
   EXPECT_NO_THROW(evaluate_screening_cost(arch, 4, h_peaks, v_peaks));
   EXPECT_THROW(evaluate_screening_cost(arch, 4, v_peaks, h_peaks), Error);
+}
+
+// ---- Golden cost reports ---------------------------------------------------
+// Every CostReport scalar of a set of topologies, kept as data in
+// tests/golden/cost_reports.txt (see tests/golden.hpp). One line per case:
+//
+//   <key> peak_h peak_v h_cells v_cells collision_cells links
+//         latency_digest length_digest <19 doubles>
+//
+// The digests are FNV-1a over link_latencies() and over the bit patterns of
+// every link's length_mm; the doubles follow CostReport's declaration order.
+
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xffu;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::string report_fields(const CostReport& r) {
+  std::uint64_t latency_digest = 0xcbf29ce484222325ull;
+  for (const int latency : r.link_latencies()) {
+    latency_digest = fnv1a(latency_digest, static_cast<std::uint64_t>(latency));
+  }
+  std::uint64_t length_digest = 0xcbf29ce484222325ull;
+  for (const LinkCost& link : r.links) {
+    length_digest =
+        fnv1a(length_digest, std::bit_cast<std::uint64_t>(link.length_mm));
+  }
+  std::ostringstream out;
+  out << r.peak_h_channel_load << ' ' << r.peak_v_channel_load << ' '
+      << r.h_cells << ' ' << r.v_cells << ' ' << r.collision_cells << ' '
+      << r.links.size() << ' ' << hex64(latency_digest) << ' '
+      << hex64(length_digest);
+  for (const double v :
+       {r.router_area_ge, r.tile_area_ge, r.tile_w_mm, r.tile_h_mm,
+        r.cell_w_mm, r.cell_h_mm, r.chip_width_mm, r.chip_height_mm,
+        r.total_area_mm2, r.base_area_mm2, r.noc_area_mm2, r.area_overhead,
+        r.total_power_w, r.base_power_w, r.noc_power_w, r.router_power_w,
+        r.wire_power_w, r.avg_link_latency_cycles,
+        r.max_link_latency_cycles}) {
+    out << ' ' << golden::bits(v);
+  }
+  return out.str();
+}
+
+void expect_golden_report(const std::string& label, const ArchParams& arch,
+                          const topo::Topology& topo) {
+  golden::expect_line("cost_reports.txt", label,
+                      report_fields(evaluate_cost(arch, topo)));
+}
+
+/// Scenario-a parameters on an n x n grid.
+ArchParams scenario_a_grid(int n) {
+  ArchParams arch = knc_scenario(KncScenario::kA);
+  arch.rows = n;
+  arch.cols = n;
+  return arch;
+}
+
+TEST(CostReportGolden, Figure6Topologies) {
+  for (const eval::Scenario& scenario : eval::figure6_scenarios()) {
+    for (const topo::Topology& topo : eval::scenario_topologies(scenario)) {
+      expect_golden_report(scenario.label + " " + golden::topo_label(topo),
+                           scenario.arch, topo);
+    }
+  }
+}
+
+TEST(CostReportGolden, LargerGrids) {
+  for (const int n : {16, 24}) {
+    const ArchParams arch = scenario_a_grid(n);
+    const topo::Topology topologies[] = {
+        topo::make_mesh(n, n),
+        n == 16 ? topo::make_sparse_hamming(n, n, {2, 6}, {3, 9})
+                : topo::make_sparse_hamming(n, n, {2, 5, 12}, {3, 11}),
+        topo::make_torus(n, n),
+        topo::make_flattened_butterfly(n, n),
+    };
+    for (const topo::Topology& topo : topologies) {
+      expect_golden_report(golden::topo_label(topo), arch, topo);
+    }
+  }
+}
+
+TEST(CostReportGolden, LargeCellGrids) {
+  // Unit-cell grids of 9.4M (48x48) and 18.2M (64x64) cells; the 24x24
+  // flattened butterfly above has 24.9M. Step 5 must count them exactly
+  // without holding state per cell.
+  expect_golden_report("48x48",
+                       scenario_a_grid(48),
+                       topo::make_sparse_hamming(48, 48, {2, 5, 24}, {3, 47}));
+  expect_golden_report("64x64",
+                       scenario_a_grid(64),
+                       topo::make_sparse_hamming(64, 64, {2, 5, 32}, {3, 63}));
 }
 
 }  // namespace
