@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace shg::phys {
 
@@ -156,153 +154,43 @@ TrackAssignment assign_tracks(const topo::Topology& topo,
   return result;
 }
 
-/// Accumulates unit-cell occupancy. Cells are deduplicated per link (a link
-/// visiting a cell twice — a jog corner — is counted once), and the three
-/// outputs are exact cardinalities: distinct occupied cells per direction
-/// and distinct cells holding >= 2 links.
-///
-/// Two interchangeable backends compute those cardinalities:
-///
-///  * a flat per-cell grid sized from the chip dimensions, with a per-link
-///    stamp array for the dedup — O(1) unhashed work per visited cell.
-///    Counting is folded into the visit (0->1 occupies a cell, 1->2 makes
-///    it a collision), so no final scan is needed either;
-///  * the original unordered hash containers, kept for chips whose cell
-///    grid would not reasonably fit in memory.
-///
-/// Both count the same cells, so the reported numbers are identical; only
-/// the constant factor differs (the hash path dominated the whole cost
-/// model's runtime — see PERF.md).
-class CellCounter {
- public:
-  CellCounter(double cell_w, double cell_h, double chip_w, double chip_h)
-      : cell_w_(cell_w), cell_h_(cell_h) {
-    const std::int64_t nx = cell_index(chip_w, cell_w) + 2;
-    const std::int64_t ny = cell_index(chip_h, cell_h) + 2;
-    if (nx > 0 && ny > 0 && nx * ny <= kMaxGridCells) {
-      nx_ = nx;
-      ny_ = ny;
-      const std::size_t cells = static_cast<std::size_t>(nx * ny);
-      h_grid_.assign(cells, 0);
-      v_grid_.assign(cells, 0);
-      h_stamp_.assign(cells, 0);
-      v_stamp_.assign(cells, 0);
-    }
-  }
+std::int64_t cell_index(double coord, double cell) {
+  return static_cast<std::int64_t>(std::floor(coord / cell));
+}
 
-  void begin_link() {
-    if (grid()) {
-      ++link_id_;
-    } else {
-      link_h_.clear();
-      link_v_.clear();
-    }
-  }
-
-  void add_segment(const Segment& seg) {
-    if (seg.length() <= 0.0) return;
-    if (seg.horizontal) {
-      const std::int64_t iy = cell_index(seg.a.y, cell_h_);
-      const std::int64_t x0 = cell_index(std::min(seg.a.x, seg.b.x), cell_w_);
-      const std::int64_t x1 = cell_index(std::max(seg.a.x, seg.b.x), cell_w_);
-      for (std::int64_t ix = x0; ix <= x1; ++ix) {
-        if (grid()) {
-          visit(ix, iy, h_grid_, h_stamp_, h_cells_);
-        } else {
-          link_h_.insert(key(ix, iy));
-        }
-      }
-    } else {
-      const std::int64_t ix = cell_index(seg.a.x, cell_w_);
-      const std::int64_t y0 = cell_index(std::min(seg.a.y, seg.b.y), cell_h_);
-      const std::int64_t y1 = cell_index(std::max(seg.a.y, seg.b.y), cell_h_);
-      for (std::int64_t iy = y0; iy <= y1; ++iy) {
-        if (grid()) {
-          visit(ix, iy, v_grid_, v_stamp_, v_cells_);
-        } else {
-          link_v_.insert(key(ix, iy));
-        }
-      }
-    }
-  }
-
-  void end_link() {
-    if (grid()) return;  // the grid path counts at visit time
-    for (std::int64_t k : link_h_) ++h_counts_[k];
-    for (std::int64_t k : link_v_) ++v_counts_[k];
-  }
-
-  long long h_cells() const {
-    return grid() ? h_cells_ : static_cast<long long>(h_counts_.size());
-  }
-  long long v_cells() const {
-    return grid() ? v_cells_ : static_cast<long long>(v_counts_.size());
-  }
-
-  long long collision_cells() const {
-    if (grid()) return collision_cells_;
-    long long collisions = 0;
-    for (const auto& [k, count] : h_counts_) {
-      if (count >= 2) ++collisions;
-    }
-    for (const auto& [k, count] : v_counts_) {
-      if (count >= 2) ++collisions;
-    }
-    return collisions;
-  }
-
- private:
-  /// Grid backend cap: ~16M cells (~256 MB of grids would be the next power
-  /// of two; at the cap the four arrays hold ~160 MB less — still far below
-  /// what the hash containers would consume for that many occupied cells,
-  /// but large fabrics with micron cells fall back to hashing).
-  static constexpr std::int64_t kMaxGridCells = std::int64_t{1} << 24;
-
-  bool grid() const { return nx_ > 0; }
-
-  void visit(std::int64_t ix, std::int64_t iy, std::vector<std::int32_t>& g,
-             std::vector<std::int32_t>& stamp, long long& cells) {
-    SHG_ASSERT(ix >= 0 && ix < nx_ && iy >= 0 && iy < ny_,
-               "detailed-route segment leaves the chip cell grid");
-    const std::size_t idx = static_cast<std::size_t>(iy * nx_ + ix);
-    if (stamp[idx] == link_id_) return;  // this link already counted it
-    stamp[idx] = link_id_;
-    const std::int32_t count = ++g[idx];
-    if (count == 1) {
-      ++cells;
-    } else if (count == 2) {
-      ++collision_cells_;
-    }
-  }
-
-  static std::int64_t cell_index(double coord, double cell) {
-    return static_cast<std::int64_t>(std::floor(coord / cell));
-  }
-  static std::int64_t key(std::int64_t ix, std::int64_t iy) {
-    return (iy << 24) ^ ix;
-  }
-
-  double cell_w_;
-  double cell_h_;
-
-  // Grid backend (active when nx_ > 0).
-  std::int64_t nx_ = 0;
-  std::int64_t ny_ = 0;
-  std::int32_t link_id_ = 0;  ///< 0 = "never visited" stamp
-  std::vector<std::int32_t> h_grid_;
-  std::vector<std::int32_t> v_grid_;
-  std::vector<std::int32_t> h_stamp_;
-  std::vector<std::int32_t> v_stamp_;
-  long long h_cells_ = 0;
-  long long v_cells_ = 0;
-  long long collision_cells_ = 0;
-
-  // Hash backend.
-  std::unordered_set<std::int64_t> link_h_;
-  std::unordered_set<std::int64_t> link_v_;
-  std::unordered_map<std::int64_t, int> h_counts_;
-  std::unordered_map<std::int64_t, int> v_counts_;
+/// The cells [lo, hi] one link occupies on one cell line: row `line` of a
+/// horizontal run (axis 0), column `line` of a vertical one (axis 1).
+struct CellRun {
+  int axis;
+  std::int64_t line, lo, hi;
+  auto operator<=>(const CellRun&) const = default;
 };
+
+/// Coverage change on a cell line: +1 at a run's first cell, -1 at the
+/// first cell past it.
+struct CellEvent {
+  int axis;
+  std::int64_t line, cell;
+  int delta;
+  auto operator<=>(const CellEvent&) const = default;
+};
+
+/// Merges one link's runs line by line (a link that revisits a cell, as at
+/// a jog corner, occupies it once) and appends the merged runs' events.
+void add_link_runs(std::vector<CellRun>& runs, std::vector<CellEvent>& events) {
+  std::sort(runs.begin(), runs.end());
+  for (std::size_t i = 0; i < runs.size();) {
+    CellRun merged = runs[i];
+    for (++i; i < runs.size() && runs[i].axis == merged.axis &&
+              runs[i].line == merged.line && runs[i].lo <= merged.hi + 1;
+         ++i) {
+      merged.hi = std::max(merged.hi, runs[i].hi);
+    }
+    events.push_back({merged.axis, merged.line, merged.lo, +1});
+    events.push_back({merged.axis, merged.line, merged.hi + 1, -1});
+  }
+  runs.clear();
+}
 
 double manhattan_to_center(const Floorplan& plan, const topo::TileCoord& tile,
                            PointMM port) {
@@ -323,8 +211,6 @@ DetailedRoutingResult detailed_route(const topo::Topology& topo,
 
   DetailedRoutingResult result;
   result.routes.resize(static_cast<std::size_t>(topo.graph().num_edges()));
-  CellCounter cells(plan.cell_w(), plan.cell_h(), plan.chip_width(),
-                    plan.chip_height());
 
   for (graph::EdgeId e = 0; e < topo.graph().num_edges(); ++e) {
     const auto& groute = global.routes[static_cast<std::size_t>(e)];
@@ -387,21 +273,66 @@ DetailedRoutingResult detailed_route(const topo::Topology& topo,
       add({xt, pv.y}, pv, true);        // jog into v's port
     }
 
-    cells.begin_link();
     for (const Segment& seg : route.segments) {
       route.channel_length_mm += seg.length();
-      cells.add_segment(seg);
     }
-    cells.end_link();
     route.total_length_mm = route.channel_length_mm +
                             manhattan_to_center(plan, cu, pu) +
                             manhattan_to_center(plan, cv, pv);
   }
 
-  result.h_cells = cells.h_cells();
-  result.v_cells = cells.v_cells();
-  result.collision_cells = cells.collision_cells();
+  count_unit_cells(plan, result);
   return result;
+}
+
+void count_unit_cells(const Floorplan& plan, DetailedRoutingResult& result) {
+  const double cw = plan.cell_w();
+  const double ch = plan.cell_h();
+  const std::int64_t nx = cell_index(plan.chip_width(), cw) + 2;
+  const std::int64_t ny = cell_index(plan.chip_height(), ch) + 2;
+  std::size_t segments = 0;
+  for (const DetailedRoute& route : result.routes) {
+    segments += route.segments.size();
+  }
+  std::vector<CellRun> runs;
+  std::vector<CellEvent> events;
+  events.reserve(2 * segments);
+  for (const DetailedRoute& route : result.routes) {
+    for (const Segment& seg : route.segments) {
+      if (seg.length() <= 0.0) continue;
+      const CellRun run =
+          seg.horizontal
+              ? CellRun{0, cell_index(seg.a.y, ch),
+                        cell_index(std::min(seg.a.x, seg.b.x), cw),
+                        cell_index(std::max(seg.a.x, seg.b.x), cw)}
+              : CellRun{1, cell_index(seg.a.x, cw),
+                        cell_index(std::min(seg.a.y, seg.b.y), ch),
+                        cell_index(std::max(seg.a.y, seg.b.y), ch)};
+      const std::int64_t lines = seg.horizontal ? ny : nx;
+      const std::int64_t cells = seg.horizontal ? nx : ny;
+      SHG_ASSERT(run.line >= 0 && run.line < lines && run.lo >= 0 &&
+                     run.hi < cells,
+                 "detailed-route segment leaves the chip cell grid");
+      runs.push_back(run);
+    }
+    add_link_runs(runs, events);
+  }
+  // One sweep over all cell lines: every line's events balance, so a
+  // positive depth always spans two events of the same line.
+  std::sort(events.begin(), events.end());
+  long long cells[2] = {0, 0};
+  long long collisions = 0;
+  int depth = 0;
+  std::int64_t prev = 0;
+  for (const CellEvent& event : events) {
+    if (depth >= 1) cells[event.axis] += event.cell - prev;
+    if (depth >= 2) collisions += event.cell - prev;
+    depth += event.delta;
+    prev = event.cell;
+  }
+  result.h_cells = cells[0];
+  result.v_cells = cells[1];
+  result.collision_cells = collisions;
 }
 
 }  // namespace shg::phys

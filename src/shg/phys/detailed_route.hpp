@@ -9,7 +9,11 @@
 //
 // The detailed route of every link is an axis-aligned polyline in chip
 // coordinates; its length drives the link latency estimate and its
-// unit-cell footprint drives the power estimate.
+// unit-cell footprint drives the power estimate. Only the footprint's size
+// is used, so it is counted, never rasterized: each segment is an interval
+// of cells on one cell line, and one sweep per direction over the
+// intervals' endpoints counts the covered and the shared cells in
+// O(segments log segments) time and memory, whatever the chip area.
 #pragma once
 
 #include <vector>
@@ -51,5 +55,13 @@ struct DetailedRoutingResult {
 DetailedRoutingResult detailed_route(const topo::Topology& topo,
                                      const Floorplan& plan,
                                      const GlobalRoutingResult& global);
+
+/// Sets `result`'s cell counts from the segments of `result.routes`. A
+/// segment of positive length occupies the cells from floor(start / cell)
+/// to floor(end / cell) along its cell line; each link occupies a cell at
+/// most once per direction, and a cell two or more links occupy in one
+/// direction is one collision of that direction. Throws if a segment
+/// leaves the chip's cell grid.
+void count_unit_cells(const Floorplan& plan, DetailedRoutingResult& result);
 
 }  // namespace shg::phys

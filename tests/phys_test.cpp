@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "shg/common/prng.hpp"
+#include "shg/model/cost_model.hpp"
 #include "shg/phys/detailed_route.hpp"
 #include "shg/phys/floorplan.hpp"
 #include "shg/phys/global_route.hpp"
+#include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
 
 namespace shg::phys {
@@ -436,6 +443,243 @@ TEST_F(DetailedRouteFixture, SegmentsStartAndEndAtPorts) {
       EXPECT_EQ(segs[i].b, segs[i + 1].a);
     }
   }
+}
+
+// ---- Unit-cell counts against a cell-by-cell raster ------------------------
+
+struct RasterCounts {
+  long long h_cells = 0;
+  long long v_cells = 0;
+  long long collision_cells = 0;
+};
+
+/// Reference for step 5's cell counts: rasterizes every segment cell by cell
+/// (cell (floor(x / cell_w), floor(y / cell_h)), zero-length segments
+/// occupy nothing), deduplicates each link's cells per direction, and
+/// counts a cell as a collision when >= 2 links occupy it in one direction.
+RasterCounts raster_counts(const std::vector<DetailedRoute>& routes,
+                           double cell_w, double cell_h) {
+  auto cell = [](double coord, double size) {
+    return static_cast<std::int64_t>(std::floor(coord / size));
+  };
+  auto key = [](std::int64_t ix, std::int64_t iy) {
+    return (iy << 32) ^ ix;
+  };
+  std::unordered_map<std::int64_t, int> h_links, v_links;
+  for (const DetailedRoute& route : routes) {
+    std::unordered_set<std::int64_t> h, v;
+    for (const Segment& seg : route.segments) {
+      if (seg.length() <= 0.0) continue;
+      if (seg.horizontal) {
+        const std::int64_t iy = cell(seg.a.y, cell_h);
+        for (std::int64_t ix = cell(std::min(seg.a.x, seg.b.x), cell_w);
+             ix <= cell(std::max(seg.a.x, seg.b.x), cell_w); ++ix) {
+          h.insert(key(ix, iy));
+        }
+      } else {
+        const std::int64_t ix = cell(seg.a.x, cell_w);
+        for (std::int64_t iy = cell(std::min(seg.a.y, seg.b.y), cell_h);
+             iy <= cell(std::max(seg.a.y, seg.b.y), cell_h); ++iy) {
+          v.insert(key(ix, iy));
+        }
+      }
+    }
+    for (const std::int64_t k : h) ++h_links[k];
+    for (const std::int64_t k : v) ++v_links[k];
+  }
+  RasterCounts counts;
+  counts.h_cells = static_cast<long long>(h_links.size());
+  counts.v_cells = static_cast<long long>(v_links.size());
+  for (const auto* links : {&h_links, &v_links}) {
+    for (const auto& [k, n] : *links) {
+      if (n >= 2) ++counts.collision_cells;
+    }
+  }
+  return counts;
+}
+
+void expect_raster_counts(const DetailedRoutingResult& detailed,
+                          const Floorplan& plan, const std::string& what) {
+  const RasterCounts raster =
+      raster_counts(detailed.routes, plan.cell_w(), plan.cell_h());
+  EXPECT_EQ(detailed.h_cells, raster.h_cells) << what;
+  EXPECT_EQ(detailed.v_cells, raster.v_cells) << what;
+  EXPECT_EQ(detailed.collision_cells, raster.collision_cells) << what;
+}
+
+/// The floorplan evaluate_cost builds for `topo` (steps 1, 3 and 4),
+/// rebuilt from the report's tile and cell geometry.
+Floorplan cost_model_plan(const tech::ArchParams& arch,
+                          const topo::Topology& topo,
+                          const GlobalRoutingResult& global,
+                          const model::CostReport& report) {
+  const double wires = arch.wires_per_link();
+  std::vector<double> h_spacing, v_spacing;
+  for (int i = 0; i <= topo.rows(); ++i) {
+    h_spacing.push_back(
+        arch.tech.wires.h_wires_to_mm(global.max_h_load(i) * wires));
+  }
+  for (int j = 0; j <= topo.cols(); ++j) {
+    v_spacing.push_back(
+        arch.tech.wires.v_wires_to_mm(global.max_v_load(j) * wires));
+  }
+  return Floorplan(topo.rows(), topo.cols(), report.tile_w_mm,
+                   report.tile_h_mm, std::move(h_spacing),
+                   std::move(v_spacing), report.cell_w_mm, report.cell_h_mm);
+}
+
+TEST_F(DetailedRouteFixture, CellCountsMatchRasterReference) {
+  const topo::Topology topologies[] = {
+      topo::make_mesh(5, 7),
+      topo::make_torus(6, 6),
+      topo::make_flattened_butterfly(5, 6),
+      topo::make_sparse_hamming(7, 9, {2, 5}, {3, 6}),
+      topo::make_ruche(8, 8, 3, 2),
+      topo::make_slim_noc(5, 10),
+  };
+  for (const topo::Topology& topo : topologies) {
+    const auto global = global_route(topo);
+    const auto plan = plan_for(topo, global);
+    expect_raster_counts(detailed_route(topo, plan, global), plan,
+                         topo.name());
+  }
+}
+
+TEST(DetailedRoute, CostModelCellCountsMatchRasterReference) {
+  using tech::KncScenario;
+  struct Case {
+    KncScenario scenario;
+    topo::Topology topo;
+  };
+  const Case cases[] = {
+      {KncScenario::kA, topo::make_mesh(8, 8)},
+      {KncScenario::kA, topo::make_torus(8, 8)},
+      {KncScenario::kB, topo::make_flattened_butterfly(8, 8)},
+      {KncScenario::kA, topo::make_sparse_hamming(8, 8, {4}, {2, 5})},
+      {KncScenario::kD, topo::make_sparse_hamming(8, 16, {2, 4}, {2, 4})},
+      {KncScenario::kA, topo::make_ruche(8, 8, 3, 3)},
+      {KncScenario::kC, topo::make_slim_noc(8, 16)},
+  };
+  for (const auto& [scenario, topo] : cases) {
+    const tech::ArchParams arch = tech::knc_scenario(scenario);
+    const model::CostReport report = model::evaluate_cost(arch, topo);
+    const auto global = global_route(topo);
+    const Floorplan plan = cost_model_plan(arch, topo, global, report);
+    ASSERT_EQ(plan.chip_width(), report.chip_width_mm) << topo.name();
+    ASSERT_EQ(plan.chip_height(), report.chip_height_mm) << topo.name();
+    const DetailedRoutingResult detailed = detailed_route(topo, plan, global);
+    EXPECT_EQ(detailed.h_cells, report.h_cells) << topo.name();
+    EXPECT_EQ(detailed.v_cells, report.v_cells) << topo.name();
+    EXPECT_EQ(detailed.collision_cells, report.collision_cells)
+        << topo.name();
+    expect_raster_counts(detailed, plan, topo.name());
+  }
+}
+
+// Hand-made routes on a 1 x 1 mm chip of 0.1 mm cells (a 1x1 grid of 0.8 mm
+// tiles between 0.1 mm channels): nx = ny = 12 cell lines.
+Floorplan cell_test_plan() {
+  return Floorplan(1, 1, 0.8, 0.8, {0.1, 0.1}, {0.1, 0.1}, 0.1, 0.1);
+}
+
+DetailedRoute link(std::vector<Segment> segments) {
+  DetailedRoute route;
+  route.segments = std::move(segments);
+  return route;
+}
+
+Segment h_seg(double x0, double x1, double y) {
+  return Segment{{x0, y}, {x1, y}, true};
+}
+Segment v_seg(double x, double y0, double y1) {
+  return Segment{{x, y0}, {x, y1}, false};
+}
+
+/// Counts `routes` with count_unit_cells, checks them against the raster
+/// reference, and returns them.
+RasterCounts counted(std::vector<DetailedRoute> routes) {
+  const Floorplan plan = cell_test_plan();
+  DetailedRoutingResult result;
+  result.routes = std::move(routes);
+  count_unit_cells(plan, result);
+  expect_raster_counts(result, plan, "hand-made routes");
+  return {result.h_cells, result.v_cells, result.collision_cells};
+}
+
+TEST(UnitCellCount, ZeroLengthJogsOccupyNothing) {
+  const RasterCounts c = counted({link({v_seg(0.05, 0.05, 0.05),
+                                        h_seg(0.05, 0.35, 0.05),
+                                        v_seg(0.35, 0.05, 0.05)}),
+                                  link({h_seg(0.55, 0.55, 0.15)})});
+  EXPECT_EQ(c.h_cells, 4);
+  EXPECT_EQ(c.v_cells, 0);
+  EXPECT_EQ(c.collision_cells, 0);
+}
+
+TEST(UnitCellCount, LinkRevisitingItsOwnCellCountsItOnce) {
+  // Down column 0, a short run inside one cell, back up column 0: the two
+  // vertical jogs cover the same three cells of one link.
+  const RasterCounts c = counted({link({v_seg(0.02, 0.05, 0.25),
+                                        h_seg(0.02, 0.08, 0.25),
+                                        v_seg(0.08, 0.25, 0.05)})});
+  EXPECT_EQ(c.h_cells, 1);
+  EXPECT_EQ(c.v_cells, 3);
+  EXPECT_EQ(c.collision_cells, 0);
+}
+
+TEST(UnitCellCount, TouchingRunsDoNotCollide) {
+  // Cells [0, 2] and [3, 5] on row 1 touch without sharing a cell; two runs
+  // that meet at one x coordinate share that coordinate's cell.
+  const RasterCounts touching = counted(
+      {link({h_seg(0.05, 0.25, 0.15)}), link({h_seg(0.35, 0.55, 0.15)})});
+  EXPECT_EQ(touching.h_cells, 6);
+  EXPECT_EQ(touching.collision_cells, 0);
+  const RasterCounts boundary = counted(
+      {link({h_seg(0.05, 0.3, 0.15)}), link({h_seg(0.3, 0.55, 0.15)})});
+  EXPECT_EQ(boundary.h_cells, 6);
+  EXPECT_EQ(boundary.collision_cells, 1);
+}
+
+TEST(UnitCellCount, CollisionsCountPerDirection) {
+  // Three links share cell (2, 2) horizontally: one collision. A vertical
+  // run through the same cell is another direction and collides with
+  // nothing; two vertical runs of column 7 that meet in cell 1 add one.
+  const RasterCounts c = counted({link({h_seg(0.05, 0.25, 0.25)}),
+                                  link({h_seg(0.25, 0.45, 0.25)}),
+                                  link({h_seg(0.21, 0.22, 0.28)}),
+                                  link({v_seg(0.25, 0.05, 0.35)}),
+                                  link({v_seg(0.75, 0.05, 0.15)}),
+                                  link({v_seg(0.75, 0.15, 0.55)})});
+  EXPECT_EQ(c.h_cells, 5);
+  EXPECT_EQ(c.v_cells, 4 + 6);
+  EXPECT_EQ(c.collision_cells, 1 + 1);
+}
+
+TEST(UnitCellCount, RandomRunsMatchRasterReference) {
+  Prng prng(0xce115u);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<DetailedRoute> routes(static_cast<std::size_t>(prng.range(1, 8)));
+    for (DetailedRoute& route : routes) {
+      for (int k = prng.range(0, 6); k > 0; --k) {
+        // Coordinates on a 0.05 mm lattice hit cell boundaries often.
+        const double a = 0.05 * prng.range(0, 22);
+        const double b = 0.05 * prng.range(0, 22);
+        const double at = 0.05 * prng.range(0, 22);
+        route.segments.push_back(prng.chance(0.5) ? h_seg(a, b, at)
+                                                  : v_seg(at, a, b));
+      }
+    }
+    counted(std::move(routes));
+  }
+}
+
+TEST(UnitCellCount, SegmentLeavingTheChipThrows) {
+  const Floorplan plan = cell_test_plan();
+  DetailedRoutingResult result;
+  result.routes = {link({h_seg(0.05, 1.5, 0.15)})};
+  EXPECT_THROW(count_unit_cells(plan, result), Error);
+  result.routes = {link({v_seg(0.15, -0.2, 0.5)})};
+  EXPECT_THROW(count_unit_cells(plan, result), Error);
 }
 
 }  // namespace
