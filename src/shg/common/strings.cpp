@@ -11,16 +11,12 @@ std::string fmt_double(double value, int decimals) {
 }
 
 std::string fmt_int_set(const std::set<int>& values) {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
+  std::string out = "{";
   for (int v : values) {
-    if (!first) os << ", ";
-    os << v;
-    first = false;
+    if (out.size() > 1) out += ", ";
+    out += std::to_string(v);
   }
-  os << "}";
-  return os.str();
+  return out + "}";
 }
 
 std::string csv_field(const std::string& value) {
