@@ -11,9 +11,10 @@
 // coordinates; its length drives the link latency estimate and its
 // unit-cell footprint drives the power estimate. Only the footprint's size
 // is used, so it is counted, never rasterized: each segment is an interval
-// of cells on one cell line, and one sweep per direction over the
-// intervals' endpoints counts the covered and the shared cells in
-// O(segments log segments) time and memory, whatever the chip area.
+// of cells on one cell line, and one sorted sweep over the intervals'
+// endpoints counts the covered and the shared cells in
+// O(segments log segments) time and O(segments) memory, whatever the chip
+// area.
 #pragma once
 
 #include <vector>

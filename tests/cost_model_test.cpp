@@ -3,6 +3,7 @@
 // predict.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -240,13 +241,6 @@ std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
   return hash;
 }
 
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
-
 std::string report_fields(const CostReport& r) {
   std::uint64_t latency_digest = 0xcbf29ce484222325ull;
   for (const int latency : r.link_latencies()) {
@@ -260,8 +254,8 @@ std::string report_fields(const CostReport& r) {
   std::ostringstream out;
   out << r.peak_h_channel_load << ' ' << r.peak_v_channel_load << ' '
       << r.h_cells << ' ' << r.v_cells << ' ' << r.collision_cells << ' '
-      << r.links.size() << ' ' << hex64(latency_digest) << ' '
-      << hex64(length_digest);
+      << r.links.size() << ' ' << golden::hex(latency_digest) << ' '
+      << golden::hex(length_digest);
   for (const double v :
        {r.router_area_ge, r.tile_area_ge, r.tile_w_mm, r.tile_h_mm,
         r.cell_w_mm, r.cell_h_mm, r.chip_width_mm, r.chip_height_mm,
@@ -317,11 +311,9 @@ TEST(CostReportGolden, LargeCellGrids) {
   // Unit-cell grids of 9.4M (48x48) and 18.2M (64x64) cells; the 24x24
   // flattened butterfly above has 24.9M. Step 5 must count them exactly
   // without holding state per cell.
-  expect_golden_report("48x48",
-                       scenario_a_grid(48),
+  expect_golden_report("48x48", scenario_a_grid(48),
                        topo::make_sparse_hamming(48, 48, {2, 5, 24}, {3, 47}));
-  expect_golden_report("64x64",
-                       scenario_a_grid(64),
+  expect_golden_report("64x64", scenario_a_grid(64),
                        topo::make_sparse_hamming(64, 64, {2, 5, 32}, {3, 63}));
 }
 

@@ -32,12 +32,17 @@
 
 namespace shg::golden {
 
-inline std::string bits(double value) {
+/// 16 hex digits.
+inline std::string hex(std::uint64_t value) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(
-                    std::bit_cast<std::uint64_t>(value)));
+                static_cast<unsigned long long>(value));
   return buf;
+}
+
+/// The IEEE-754 bit pattern of `value`.
+inline std::string bits(double value) {
+  return hex(std::bit_cast<std::uint64_t>(value));
 }
 
 /// "<family> <rows>x<cols>[ c<concentration>]".
