@@ -204,6 +204,76 @@ TEST(SoaBitIdentity, LinkLatenciesOneToNine) {
   expect_bit_identical(topo, latencies, config, "uniform", 1);
 }
 
+TEST(SoaBitIdentity, ShallowBuffersRunOutOfCredits) {
+  // 1- and 2-flit buffers under 4-flit packets: an output VC runs out of
+  // credits mid-packet, so its holder stalls until a credit returns.
+  SimConfig config = fast_config();
+  config.injection_rate = 0.15;
+  const topo::Topology topos[] = {topo::make_mesh(4, 4),
+                                  topo::make_flattened_butterfly(4, 4)};
+  for (const auto& topo : topos) {
+    for (const int depth : {1, 2}) {
+      config.buffer_depth_flits = depth;
+      expect_bit_identical(topo, unit_latencies(topo), config, "uniform", 1,
+                           false, "d" + std::to_string(depth));
+    }
+  }
+  config.buffer_depth_flits = 1;
+  const auto mesh = topo::make_mesh(4, 4);
+  expect_bit_identical(mesh, unit_latencies(mesh), config, "transpose", 1,
+                       /*live=*/true, "d1");
+}
+
+TEST(SoaBitIdentity, SaturatedOneAndTwoVcs) {
+  // Past saturation on 1 and 2 VCs: most waiting heads find every
+  // candidate output VC held and wait many cycles for one to free.
+  SimConfig config = fast_config();
+  config.injection_rate = 0.5;
+  config.drain_cycles = 3000;
+  const topo::Topology topos[] = {
+      topo::make_mesh(4, 4), topo::make_sparse_hamming(4, 4, {2}, {2, 3})};
+  for (const auto& topo : topos) {
+    for (const int vcs : {1, 2}) {
+      config.num_vcs = vcs;
+      for (const char* spec : {"uniform", "transpose"}) {
+        expect_bit_identical(topo, unit_latencies(topo), config, spec, 1,
+                             false, "vc" + std::to_string(vcs));
+      }
+    }
+  }
+}
+
+TEST(SoaBitIdentity, NineCycleLinksAtSaturation) {
+  // 9-cycle links past saturation: flits and credits spend many cycles on
+  // channels while the routers at both ends are full.
+  const topo::Topology topos[] = {topo::make_torus(4, 4),
+                                  topo::make_flattened_butterfly(4, 4)};
+  SimConfig config = fast_config();
+  config.injection_rate = 0.5;
+  config.drain_cycles = 3000;
+  for (const auto& topo : topos) {
+    const std::vector<int> latencies(
+        static_cast<std::size_t>(topo.graph().num_edges()), 9);
+    expect_bit_identical(topo, latencies, config, "uniform", 1, false,
+                         "lat9");
+  }
+}
+
+TEST(SoaBitIdentity, MoreThanSixtyFourPortsPerRouter) {
+  // Routers with 65 ports: a 2x64 flattened butterfly (64 network ports and
+  // one endpoint port) and a 4x4 mesh with 61 endpoints per tile.
+  SimConfig config = fast_config();
+  config.injection_rate = 0.2;
+  const auto fbfly = topo::make_flattened_butterfly(2, 64);
+  expect_bit_identical(fbfly, unit_latencies(fbfly), config, "uniform", 1,
+                       /*live=*/true);
+  config.injection_rate = 0.01;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 300;
+  const auto mesh = topo::make_mesh(4, 4);
+  expect_bit_identical(mesh, unit_latencies(mesh), config, "uniform", 61);
+}
+
 TEST(SoaBitIdentity, LiveRoutingWithoutTable) {
   // No route table: the engine calls the routing function per head flit.
   const auto topo = topo::make_mesh(5, 5);

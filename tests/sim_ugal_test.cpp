@@ -421,6 +421,20 @@ TEST(UgalBitIdentity, SaturatedAdversarialAndLiveRouting) {
   expect_engines_identical(topo, config, "hotspot:0,15:0.5", /*live=*/true);
 }
 
+TEST(UgalBitIdentity, SaturatedTwoFlitBuffers) {
+  // 2-flit buffers past saturation: adaptive output VCs run out of credits,
+  // so a waiting head's adaptive candidates open and close as credits
+  // return.
+  SimConfig config = ugal_config();
+  config.buffer_depth_flits = 2;
+  config.injection_rate = 0.5;
+  config.drain_cycles = 40000;
+  expect_engines_identical(topo::make_mesh(4, 4), config, "transpose");
+  expect_engines_identical(topo::make_torus(4, 4), config, "uniform");
+  expect_engines_identical(topo::make_mesh(4, 4), config, "hotspot:0,15:0.5",
+                           /*live=*/true);
+}
+
 TEST(UgalBitIdentity, NonminimalChoicesFireUnderAdversarialLoad) {
   // The machinery must actually engage: under a saturating permutation
   // with the default bias, some packets must take the Valiant leg.
