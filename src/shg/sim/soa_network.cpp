@@ -13,6 +13,25 @@ namespace shg::sim {
 namespace {
 // Local output ports model the tile's endpoints as an infinite sink.
 constexpr int kSinkCredits = std::numeric_limits<int>::max() / 2;
+
+/// The member of a non-empty port set held in `words` 64-bit words that
+/// comes first round-robin from `from`: the first at or above it, else the
+/// first overall.
+int round_robin_first(const std::uint64_t* set, int words, int from) {
+  // Rotating a word right by `from` lists its members in that order.
+  if (words == 1) {
+    return (std::countr_zero(std::rotr(set[0], from)) + from) & 63;
+  }
+  const int fw = from >> 6;
+  const std::uint64_t at_or_above = ~std::uint64_t{0} << (from & 63);
+  for (int i = 0; i < words; ++i) {
+    const int w = (fw + i) % words;
+    const std::uint64_t m =
+        set[w] & (i == 0 ? at_or_above : ~std::uint64_t{0});
+    if (m != 0) return w * 64 + std::countr_zero(m);
+  }
+  return fw * 64 + std::countr_zero(set[fw]);
+}
 }  // namespace
 
 void SoaEngine::PktRing::push(std::int32_t id) {
@@ -88,14 +107,9 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
 
   // Two directed channels per edge: 2e carries u -> v (with u the edge's
   // stored u), 2e + 1 carries v -> u. A flit entering channel c lands on
-  // chan_dst_port_[c]; a credit sent back over c returns to
-  // chan_src_port_[c].
+  // its dst_port; a credit sent back over c returns to its src_port.
   const int num_chans = 2 * g.num_edges();
-  chan_src_.resize(static_cast<std::size_t>(num_chans));
-  chan_dst_.resize(static_cast<std::size_t>(num_chans));
-  chan_lat_.resize(static_cast<std::size_t>(num_chans));
-  chan_src_port_.resize(static_cast<std::size_t>(num_chans));
-  chan_dst_port_.resize(static_cast<std::size_t>(num_chans));
+  chans_.resize(static_cast<std::size_t>(num_chans));
   int max_lat = 0;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& edge = g.edge(e);
@@ -103,16 +117,17 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
     SHG_REQUIRE(lat >= 1, "every link has at least one cycle of latency");
     max_lat = std::max(max_lat, lat);
     for (int dir = 0; dir < 2; ++dir) {
-      const std::size_t c = static_cast<std::size_t>(2 * e + dir);
-      chan_src_[c] = dir == 0 ? edge.u : edge.v;
-      chan_dst_[c] = dir == 0 ? edge.v : edge.u;
-      chan_lat_[c] = lat;
+      Channel& c = chans_[static_cast<std::size_t>(2 * e + dir)];
+      c.src = dir == 0 ? edge.u : edge.v;
+      c.dst = dir == 0 ? edge.v : edge.u;
+      c.lat = lat;
     }
   }
   // Arrivals land at most max_lat cycles after they are sent, so max_lat + 1
   // buckets keep every pending arrival cycle in its own bucket.
-  wheel_.resize(static_cast<std::size_t>(max_lat) + 1);
+  wheel_len_.assign(static_cast<std::size_t>(max_lat) + 1, 0);
   bucket_cap_ = 2 * static_cast<std::size_t>(num_chans);
+  wheel_.resize(wheel_len_.size() * bucket_cap_);
 
   in_chan_.assign(ports, -1);
   out_chan_.assign(ports, -1);
@@ -126,48 +141,55 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
       const int in = 2 * nbrs[i].edge + (is_forward ? 1 : 0);   // nbr -> u
       out_chan_[pidx] = out;
       in_chan_[pidx] = in;
-      chan_src_port_[static_cast<std::size_t>(out)] =
+      chans_[static_cast<std::size_t>(out)].src_port =
           static_cast<std::int32_t>(pidx);
-      chan_dst_port_[static_cast<std::size_t>(in)] =
+      chans_[static_cast<std::size_t>(in)].dst_port =
           static_cast<std::int32_t>(pidx);
     }
   }
 
   // Buffers and allocation state.
+  SHG_REQUIRE(slots <= static_cast<std::size_t>(
+                           std::numeric_limits<std::int32_t>::max()),
+              "too many (router, port, VC) slots");
   buf_.resize(slots * static_cast<std::size_t>(depth_));
-  buf_head_.assign(slots, 0);
-  buf_count_.assign(slots, 0);
-  ivc_state_.assign(slots, kIdle);
-  ivc_out_port_.assign(slots, -1);
-  ivc_out_vc_.assign(slots, -1);
-  ivc_routes_.assign(slots, nullptr);
-  ivc_routes_len_.assign(slots, 0);
-  ivc_eject_.assign(slots, RouteCandidate{});
-  // Live-routing mode stores its per-slot candidate vectors here; UGAL mode
-  // needs them even with a table, because a spliced via-leg row is not a
-  // contiguous arena range.
-  if (table_ == nullptr || ugal_mode_) ivc_live_.resize(slots);
-  ovc_busy_.assign(slots, 0);
-  ovc_credits_.resize(slots);
+  ivc_.resize(slots);
+  ovc_.resize(slots);
   for (int r = 0; r < num_routers_; ++r) {
     const int np = net_ports_[static_cast<std::size_t>(r)];
     for (int p = 0; p < np + local_ports_; ++p) {
       for (int v = 0; v < vcs_; ++v) {
-        ovc_credits_[slot(r, p, v)] = p >= np ? kSinkCredits : depth_;
+        const std::size_t s = slot(r, p, v);
+        ivc_[s].port = static_cast<std::int32_t>(
+            port_base_[static_cast<std::size_t>(r)] +
+            static_cast<std::size_t>(p));
+        ivc_[s].vc = static_cast<std::uint8_t>(v);
+        ovc_[s].credits = p >= np ? kSinkCredits : depth_;
       }
     }
+    for (int e = 0; e < local_ports_; ++e) {
+      eject_.push_back(RouteCandidate{np + e, 0, vcs_});
+    }
   }
-  va_rr_.assign(slots, 0);
+  // Live-routing mode stores its per-slot candidate vectors here; UGAL mode
+  // needs them even with a table, because a spliced via-leg row is not a
+  // contiguous arena range.
+  if (table_ == nullptr || ugal_mode_) ivc_live_.resize(slots);
   sa_in_rr_.assign(ports, 0);
   sa_out_rr_.assign(ports, 0);
-  sa_request_port_.assign(static_cast<std::size_t>(max_ports_), -1);
   sa_request_vc_.assign(static_cast<std::size_t>(max_ports_), -1);
   route_pending_.assign(nr, 0);
   va_pending_.assign(nr, 0);
-  active_ivcs_.assign(nr, 0);
+  va_parked_.assign(nr, 0);
   fresh_.assign(ports, 0);
   waiting_.assign(ports, 0);
+  parked_.assign(ports, 0);
   sendable_.assign(ports, 0);
+  port_words_ = (max_ports_ + 63) / 64;
+  const std::size_t words = static_cast<std::size_t>(port_words_);
+  send_ports_.assign(nr * words, 0);
+  sa_want_.assign(static_cast<std::size_t>(max_ports_) * words, 0);
+  sa_outs_.assign(words, 0);
 
   const std::size_t queues = nr * static_cast<std::size_t>(local_ports_);
   ni_queue_.resize(queues);
@@ -175,8 +197,8 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   ni_open_vc_.assign(queues, -1);
   ni_next_vc_.assign(queues, 0);
 
-  work_.assign(nr, 0);
   buffered_.assign(nr, 0);
+  ni_packets_.assign(nr, 0);
   queued_.assign(nr, 0);
 }
 
@@ -237,68 +259,109 @@ void SoaEngine::pregenerate(const topo::Topology& topo) {
   pk_done_.assign(pk_create_.size(), 0);
 }
 
-void SoaEngine::buffer_flit(int r, std::size_t port, int vc, Cycle ready,
-                            std::int32_t pkt, std::uint8_t flags) {
+inline void SoaEngine::buffer_flit(int r, std::size_t port, int vc,
+                                   Cycle ready, std::int32_t pkt,
+                                   std::uint8_t flags) {
   const std::size_t s =
       port * static_cast<std::size_t>(vcs_) + static_cast<std::size_t>(vc);
-  SHG_ASSERT(buf_count_[s] < depth_,
-             "credit protocol violated: buffer overflow");
+  InVc& in = ivc_[s];
+  SHG_ASSERT(in.count < depth_, "credit protocol violated: buffer overflow");
   const std::uint64_t bit = std::uint64_t{1} << vc;
-  if (ivc_state_[s] == kIdle) {
+  if (in.state == kIdle) {
     // A flit landing in an empty idle slot is a fresh head awaiting route
     // computation (state only returns to idle after a tail departs).
     if ((fresh_[port] & bit) == 0) {
       fresh_[port] |= bit;
       ++route_pending_[static_cast<std::size_t>(r)];
     }
-  } else if (ivc_state_[s] == kActive) {
-    sendable_[port] |= bit;
+  } else if (in.state == kActive &&
+             ovc_[static_cast<std::size_t>(in.out_slot)].credits > 0) {
+    mark_sendable(r, port, bit);
   }
-  std::size_t idx = static_cast<std::size_t>(buf_head_[s]) + buf_count_[s];
+  std::size_t idx = static_cast<std::size_t>(in.head) + in.count;
   if (idx >= static_cast<std::size_t>(depth_)) {
     idx -= static_cast<std::size_t>(depth_);
   }
   buf_[s * static_cast<std::size_t>(depth_) + idx] = {ready, pkt, flags};
-  ++buf_count_[s];
+  ++in.count;
   ++buffered_[static_cast<std::size_t>(r)];
 }
 
-void SoaEngine::send(int c, std::int32_t pkt, int vc, std::uint8_t flags,
-                     bool credit) {
-  const std::size_t ci = static_cast<std::size_t>(c);
-  std::size_t b = due_bucket_ + static_cast<std::size_t>(chan_lat_[ci]);
-  if (b >= wheel_.size()) b -= wheel_.size();
-  std::vector<Arrival>& bucket = wheel_[b];
+inline void SoaEngine::mark_sendable(int r, std::size_t pf,
+                                     std::uint64_t bit) {
+  if (sendable_[pf] == 0) {
+    const std::size_t p = pf - port_base_[static_cast<std::size_t>(r)];
+    send_ports_[static_cast<std::size_t>(r * port_words_) + (p >> 6)] |=
+        std::uint64_t{1} << (p & 63);
+  }
+  sendable_[pf] |= bit;
+}
+
+inline void SoaEngine::clear_sendable(int r, std::size_t pf,
+                                      std::uint64_t bit) {
+  sendable_[pf] &= ~bit;
+  if (sendable_[pf] == 0) {
+    const std::size_t p = pf - port_base_[static_cast<std::size_t>(r)];
+    send_ports_[static_cast<std::size_t>(r * port_words_) + (p >> 6)] &=
+        ~(std::uint64_t{1} << (p & 63));
+  }
+}
+
+void SoaEngine::wake_parked(int r) {
+  const std::size_t ri = static_cast<std::size_t>(r);
+  if (va_parked_[ri] == 0) return;
+  for (std::size_t pf = port_base_[ri]; pf < port_base_[ri + 1]; ++pf) {
+    waiting_[pf] |= parked_[pf];
+    parked_[pf] = 0;
+  }
+  va_pending_[ri] += va_parked_[ri];
+  va_parked_[ri] = 0;
+}
+
+inline void SoaEngine::send(int c, std::int32_t pkt, int vc,
+                            std::uint8_t flags, bool credit) {
+  const Channel& ch = chans_[static_cast<std::size_t>(c)];
+  std::size_t b = due_bucket_ + static_cast<std::size_t>(ch.lat);
+  if (b >= wheel_len_.size()) b -= wheel_len_.size();
   // One flit and one credit per channel and cycle, and a bucket holds one
   // arrival cycle.
-  SHG_ASSERT(bucket.size() < bucket_cap_, "arrival bucket overflow");
+  SHG_ASSERT(wheel_len_[b] < bucket_cap_, "arrival bucket overflow");
+  Arrival& a = wheel_[b * bucket_cap_ + wheel_len_[b]++];
   if (credit) {
-    bucket.push_back(
-        {chan_src_[ci], chan_src_port_[ci], pkt, static_cast<std::int16_t>(vc),
-         flags, 1});
+    a = {ch.src, ch.src_port, pkt, static_cast<std::int16_t>(vc), flags, 1};
   } else {
-    bucket.push_back(
-        {chan_dst_[ci], chan_dst_port_[ci], pkt, static_cast<std::int16_t>(vc),
-         flags, 0});
+    a = {ch.dst, ch.dst_port, pkt, static_cast<std::int16_t>(vc), flags, 0};
   }
 }
 
 void SoaEngine::deliver_due(Cycle now) {
   due_bucket_ =
-      static_cast<std::size_t>(now % static_cast<Cycle>(wheel_.size()));
-  std::vector<Arrival>& due = wheel_[due_bucket_];
+      static_cast<std::size_t>(now % static_cast<Cycle>(wheel_len_.size()));
+  const std::span<const Arrival> due(&wheel_[due_bucket_ * bucket_cap_],
+                                     wheel_len_[due_bucket_]);
   for (const Arrival& a : due) {
     const std::size_t port = static_cast<std::size_t>(a.port);
-    if (a.credit) {
-      ++ovc_credits_[port * static_cast<std::size_t>(vcs_) +
-                     static_cast<std::size_t>(a.vc)];
-      --total_credits_;
-      --work_[static_cast<std::size_t>(a.router)];
-    } else {
+    if (!a.credit) {
       buffer_flit(a.router, port, a.vc, now + delay_, a.pkt, a.flags);
+      activate(a.router);
+      continue;
+    }
+    --total_credits_;
+    OutVc& out = ovc_[port * static_cast<std::size_t>(vcs_) +
+                      static_cast<std::size_t>(a.vc)];
+    if (out.credits++ > 0) continue;
+    // The output VC had run dry: its holder can send again, or, when it is
+    // free, a UGAL head parked for want of a credited adaptive VC may now
+    // request it.
+    if (out.owner < 0) {
+      if (ugal_mode_) wake_parked(a.router);
+    } else if (const InVc& holder = ivc_[static_cast<std::size_t>(out.owner)];
+               holder.count > 0) {
+      mark_sendable(a.router, static_cast<std::size_t>(holder.port),
+                    std::uint64_t{1} << holder.vc);
     }
   }
-  due.clear();
+  wheel_len_[due_bucket_] = 0;
 }
 
 void SoaEngine::ni_inject(int r, Cycle now) {
@@ -315,31 +378,28 @@ void SoaEngine::ni_inject(int r, Cycle now) {
     const bool head = fi == 0;
     const bool tail = fi == pkt_flits_ - 1;
     const std::size_t pidx = pbase + static_cast<std::size_t>(net + l);
+    const InVc* const local = &ivc_[pidx * static_cast<std::size_t>(vcs_)];
     int chosen;
     if (head) {
       SHG_ASSERT(ni_open_vc_[q] < 0, "head flit while another packet is open");
       // Pick an input VC with space, round-robin (the routing constraints
       // bind at the router's output, not at the local input buffer).
       chosen = -1;
-      for (int off = 0; off < vcs_; ++off) {
-        const int v = (ni_next_vc_[q] + off) % vcs_;
-        if (buf_count_[pidx * static_cast<std::size_t>(vcs_) +
-                       static_cast<std::size_t>(v)] < depth_) {
+      for (int off = 0, v = ni_next_vc_[q]; off < vcs_; ++off) {
+        if (local[v].count < depth_) {
           chosen = v;
           break;
         }
+        if (++v == vcs_) v = 0;
       }
       if (chosen < 0) continue;  // all local VCs full; retry next cycle
-      ni_next_vc_[q] = (chosen + 1) % vcs_;
+      ni_next_vc_[q] = chosen + 1 == vcs_ ? 0 : chosen + 1;
       if (!tail) ni_open_vc_[q] = chosen;
     } else {
       // Body/tail flit: must continue on the head's VC.
       SHG_ASSERT(ni_open_vc_[q] >= 0, "body flit without an open packet");
       chosen = ni_open_vc_[q];
-      if (buf_count_[pidx * static_cast<std::size_t>(vcs_) +
-                     static_cast<std::size_t>(chosen)] >= depth_) {
-        continue;
-      }
+      if (local[chosen].count >= depth_) continue;
       if (tail) ni_open_vc_[q] = -1;
     }
     std::uint8_t flags = 0;
@@ -348,6 +408,7 @@ void SoaEngine::ni_inject(int r, Cycle now) {
     buffer_flit(r, pidx, chosen, now + delay_, pkt, flags);
     if (fi + 1 == pkt_flits_) {
       ring.pop();
+      --ni_packets_[static_cast<std::size_t>(r)];
       ni_front_flit_[q] = 0;
     } else {
       ni_front_flit_[q] = fi + 1;
@@ -365,7 +426,7 @@ std::span<const RouteCandidate> SoaEngine::candidates(int r, int in_port,
 
 void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
   const BufFlit& head = buf_[s * static_cast<std::size_t>(depth_) +
-                             static_cast<std::size_t>(buf_head_[s])];
+                             static_cast<std::size_t>(ivc_[s].head)];
   SHG_ASSERT((head.flags & kHead) != 0,
              "route computation requires a head flit");
   const int net = net_ports_[static_cast<std::size_t>(r)];
@@ -375,9 +436,10 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     // (concentrated fabrics), otherwise pick the endpoint port by packet id.
     const int ep = pk_eject_port_[static_cast<std::size_t>(head.pkt)];
     SHG_ASSERT(ep < local_ports_, "eject port beyond the tile's endpoints");
-    const int local = net + (ep >= 0 ? ep : head.pkt % local_ports_);
-    ivc_eject_[s] = RouteCandidate{local, 0, vcs_};
-    set_routes(s, {&ivc_eject_[s], 1});
+    const int endpoint = ep >= 0 ? ep : head.pkt % local_ports_;
+    const std::size_t e =
+        static_cast<std::size_t>(r * local_ports_ + endpoint);
+    set_routes(s, {&eject_[e], 1});
   } else {
     // Local input ports report in_port == -1 AND in_vc == -1: the local
     // buffer VC an injected packet happens to sit in carries no routing
@@ -394,9 +456,9 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     } else {
       set_routes(s, candidates(r, in_port, in_vc, dest, s));
     }
-    SHG_ASSERT(ivc_routes_len_[s] > 0, "routing returned no candidates");
+    SHG_ASSERT(ivc_[s].routes_len > 0, "routing returned no candidates");
   }
-  ivc_state_[s] = kVcAlloc;
+  ivc_[s].state = kVcAlloc;
 }
 
 int SoaEngine::first_port(int r, int to, std::size_t s) {
@@ -407,7 +469,7 @@ int SoaEngine::adaptive_occupancy(int r, int port) const {
   const std::size_t base = slot(r, port, 0);
   int occ = 0;
   for (int v = kUgalEscapeVcs; v < vcs_; ++v) {
-    occ += depth_ - ovc_credits_[base + static_cast<std::size_t>(v)];
+    occ += depth_ - ovc_[base + static_cast<std::size_t>(v)].credits;
   }
   return occ;
 }
@@ -473,20 +535,22 @@ void SoaEngine::allocate(int r, Cycle now) {
   // Empty router fast path: the round-robin pointers only advance on
   // grants, so skipping a router with nothing buffered is bit-identical to
   // scanning it.
-  if (buffered_[static_cast<std::size_t>(r)] == 0) return;
-  const std::size_t pbase = port_base_[static_cast<std::size_t>(r)];
-  const int net = net_ports_[static_cast<std::size_t>(r)];
+  const std::size_t ri = static_cast<std::size_t>(r);
+  if (buffered_[ri] == 0) return;
+  const std::size_t pbase = port_base_[ri];
+  const int net = net_ports_[ri];
   const int ports = net + local_ports_;
   const int vcs = vcs_;
   const std::size_t sbase = pbase * static_cast<std::size_t>(vcs);
 
   // --- Route computation for fresh heads --------------------------------
   // Every fresh head is routed, in ascending (port, VC) order; each then
-  // waits for VC allocation.
-  if (route_pending_[static_cast<std::size_t>(r)] > 0) {
-    for (int p = 0; p < ports; ++p) {
+  // waits for VC allocation. This and the VC allocation scan stop at the
+  // port holding the last pending slot.
+  if (route_pending_[ri] > 0) {
+    for (int p = 0, left = route_pending_[ri]; left > 0; ++p) {
       const std::size_t pf = pbase + static_cast<std::size_t>(p);
-      for (std::uint64_t m = fresh_[pf]; m != 0; m &= m - 1) {
+      for (std::uint64_t m = fresh_[pf]; m != 0; m &= m - 1, --left) {
         const int v = std::countr_zero(m);
         compute_route(r, p, v,
                       sbase + static_cast<std::size_t>(p * vcs + v));
@@ -494,200 +558,180 @@ void SoaEngine::allocate(int r, Cycle now) {
       waiting_[pf] |= fresh_[pf];
       fresh_[pf] = 0;
     }
-    va_pending_[static_cast<std::size_t>(r)] +=
-        route_pending_[static_cast<std::size_t>(r)];
-    route_pending_[static_cast<std::size_t>(r)] = 0;
+    va_pending_[ri] += route_pending_[ri];
+    route_pending_[ri] = 0;
   }
 
   // --- VC allocation ------------------------------------------------------
-  // Each waiting input VC requests its most-preferred candidate with a free
-  // output VC; requests are grouped per output VC and granted round-robin.
-  if (va_pending_[static_cast<std::size_t>(r)] > 0) {
-    va_requests_.clear();
-    for (int p = 0; p < ports; ++p) {
-      for (std::uint64_t m = waiting_[pbase + static_cast<std::size_t>(p)];
-           m != 0; m &= m - 1) {
+  // Each waiting input VC requests its most-preferred free candidate output
+  // VC (unowned; in UGAL mode an adaptive one must also hold a credit). A
+  // head with none parks until an output VC of this router frees or, in
+  // UGAL mode, regains a credit (wake_parked), the only events that can
+  // change its request. Each requested output VC grants the first requester
+  // round-robin from its va_rr: requesters arrive in ascending order, so the
+  // first at or above the pointer, else the first. One request per waiting
+  // VC makes grants to different output VCs independent.
+  if (va_pending_[ri] > 0) {
+    va_claims_.clear();
+    for (int p = 0, left = va_pending_[ri]; left > 0; ++p) {
+      const std::size_t pf = pbase + static_cast<std::size_t>(p);
+      for (std::uint64_t m = waiting_[pf]; m != 0; m &= m - 1, --left) {
         const int v = std::countr_zero(m);
-        const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-        int request = -1;
-        const RouteCandidate* cands = ivc_routes_[s];
-        const int len = ivc_routes_len_[s];
-        for (int ci = 0; ci < len; ++ci) {
-          const RouteCandidate& cand = cands[ci];
-          // UGAL mode: adaptive-band candidates additionally require a
-          // credit, so a stuck head can always fall through to the escape
-          // candidate instead of camping on a starved adaptive VC.
+        const int in_key = p * vcs + v;
+        const InVc& in = ivc_[sbase + static_cast<std::size_t>(in_key)];
+        int req_port = -1;
+        int req_vc = -1;
+        for (int ci = 0; ci < in.routes_len && req_vc < 0; ++ci) {
+          const RouteCandidate& cand = in.routes[ci];
           const bool needs_credit =
               ugal_mode_ && cand.vc_begin >= kUgalEscapeVcs;
+          const OutVc* const out =
+              &ovc_[sbase + static_cast<std::size_t>(cand.out_port * vcs)];
           for (int ov = cand.vc_begin; ov < cand.vc_end; ++ov) {
-            const std::size_t o =
-                sbase + static_cast<std::size_t>(cand.out_port * vcs + ov);
-            if (!ovc_busy_[o] && (!needs_credit || ovc_credits_[o] > 0)) {
-              request = cand.out_port * vcs + ov;
+            if (out[ov].owner < 0 && (!needs_credit || out[ov].credits > 0)) {
+              req_port = cand.out_port;
+              req_vc = ov;
               break;
             }
           }
-          if (request >= 0) break;
         }
-        if (request >= 0) {
-          va_requests_.emplace_back(request, p * vcs + v);
+        if (req_vc < 0) {
+          const std::uint64_t bit = std::uint64_t{1} << v;
+          waiting_[pf] &= ~bit;
+          parked_[pf] |= bit;
+          --va_pending_[ri];
+          ++va_parked_[ri];
+          continue;
+        }
+        OutVc& out =
+            ovc_[sbase + static_cast<std::size_t>(req_port * vcs + req_vc)];
+        if (out.va_claim < 0) {
+          out.va_claim = in_key;
+          va_claims_.emplace_back(req_port, req_vc);
+        } else if (out.va_claim < out.va_rr && in_key >= out.va_rr) {
+          out.va_claim = in_key;
         }
       }
     }
-    std::sort(va_requests_.begin(), va_requests_.end());
-    for (std::size_t i = 0; i < va_requests_.size();) {
-      const int out_key = va_requests_[i].first;
-      std::size_t j = i;
-      while (j < va_requests_.size() && va_requests_[j].first == out_key) ++j;
-      // Round-robin among requesters [i, j).
-      const int rr = va_rr_[sbase + static_cast<std::size_t>(out_key)];
-      std::size_t winner = i;
-      int best = std::numeric_limits<int>::max();
-      for (std::size_t k = i; k < j; ++k) {
-        const int in_key = va_requests_[k].second;
-        const int rank = (in_key - rr + ports * vcs) % (ports * vcs);
-        if (rank < best) {
-          best = rank;
-          winner = k;
-        }
-      }
-      const int in_key = va_requests_[winner].second;
+    for (const auto& [out_port, out_vc] : va_claims_) {
+      const std::size_t o =
+          sbase + static_cast<std::size_t>(out_port * vcs + out_vc);
+      OutVc& out = ovc_[o];
+      const int in_key = out.va_claim;
+      out.va_claim = -1;
       const std::size_t s = sbase + static_cast<std::size_t>(in_key);
-      ivc_state_[s] = kActive;
-      ivc_out_port_[s] = out_key / vcs;
-      ivc_out_vc_[s] = out_key % vcs;
-      ovc_busy_[sbase + static_cast<std::size_t>(out_key)] = 1;
-      va_rr_[sbase + static_cast<std::size_t>(out_key)] =
-          (in_key + 1) % (ports * vcs);
-      --va_pending_[static_cast<std::size_t>(r)];
-      ++active_ivcs_[static_cast<std::size_t>(r)];
-      // The head is still buffered, so the granted VC can send.
-      const std::size_t pf = pbase + static_cast<std::size_t>(in_key / vcs);
-      const std::uint64_t bit = std::uint64_t{1} << (in_key % vcs);
+      InVc& in = ivc_[s];
+      in.state = kActive;
+      in.out_port = out_port;
+      in.out_vc = static_cast<std::uint8_t>(out_vc);
+      in.out_slot = static_cast<std::int32_t>(o);
+      out.owner = static_cast<std::int32_t>(s);
+      out.va_rr = in_key + 1 == ports * vcs ? 0 : in_key + 1;
+      --va_pending_[ri];
+      const std::size_t pf = static_cast<std::size_t>(in.port);
+      const std::uint64_t bit = std::uint64_t{1} << in.vc;
       waiting_[pf] &= ~bit;
-      sendable_[pf] |= bit;
-      i = j;
+      // The head is still buffered, so the VC can send once it has a credit.
+      if (out.credits > 0) mark_sendable(r, pf, bit);
     }
   }
 
   // --- Switch allocation ---------------------------------------------------
-  // Input-first: every input port with a sendable VC nominates one ready VC
-  // (round-robin from sa_in_rr_), then every requested output port grants
-  // one input port (round-robin). Ports with nothing to send cannot
-  // nominate and outputs without requests grant nothing, so restricting
-  // both scans to the occupied entries decides identically to a full port
-  // sweep.
-  if (active_ivcs_[static_cast<std::size_t>(r)] == 0) return;
-  sa_req_in_.clear();
-  sa_req_ops_.clear();
-  for (int p = 0; p < ports; ++p) {
-    const std::size_t pf = pbase + static_cast<std::size_t>(p);
-    const std::uint64_t m = sendable_[pf];
-    if (m == 0) continue;
-    // Round-robin order from the pointer: the VCs at or above it, then the
-    // ones below, each ascending — the (start + off) % vcs walk.
-    const std::uint64_t from_start = ~std::uint64_t{0} << sa_in_rr_[pf];
-    int nominee = -1;
-    for (std::uint64_t part : {m & from_start, m & ~from_start}) {
-      for (; part != 0 && nominee < 0; part &= part - 1) {
-        const int v = std::countr_zero(part);
+  // Input-first: every port in the router's sendable-port set nominates its
+  // first ready VC round-robin from sa_in_rr_ (a sendable VC holds a flit and
+  // a credit, so readiness is the one test left), then every requested
+  // output port, ascending, grants one requester round-robin from
+  // sa_out_rr_. Ports with nothing to send cannot nominate and outputs
+  // without requests grant nothing, so this equals a full port sweep.
+  const std::uint64_t* const send_ports =
+      &send_ports_[ri * static_cast<std::size_t>(port_words_)];
+  for (int w = 0; w < port_words_; ++w) {
+    for (std::uint64_t pm = send_ports[w]; pm != 0; pm &= pm - 1) {
+      const int p = w * 64 + std::countr_zero(pm);
+      const std::size_t pf = pbase + static_cast<std::size_t>(p);
+      // Rotated right by the pointer, the mask lists the VCs in round-robin
+      // order: those at or above the pointer, then those below.
+      const int rr = sa_in_rr_[pf];
+      int nominee = -1;
+      for (std::uint64_t m = std::rotr(sendable_[pf], rr); m != 0; m &= m - 1) {
+        const int v = (std::countr_zero(m) + rr) & 63;
         const std::size_t s = sbase + static_cast<std::size_t>(p * vcs + v);
-        const BufFlit& front = buf_[s * static_cast<std::size_t>(depth_) +
-                                    static_cast<std::size_t>(buf_head_[s])];
-        const std::size_t os =
-            sbase +
-            static_cast<std::size_t>(ivc_out_port_[s] * vcs + ivc_out_vc_[s]);
-        if (front.ready <= now && ovc_credits_[os] > 0) nominee = v;
+        if (buf_[s * static_cast<std::size_t>(depth_) + ivc_[s].head].ready <=
+            now) {
+          nominee = v;
+          break;
+        }
       }
+      if (nominee < 0) continue;
+      const int op =
+          ivc_[sbase + static_cast<std::size_t>(p * vcs + nominee)].out_port;
+      sa_request_vc_[static_cast<std::size_t>(p)] = nominee;
+      sa_want_[static_cast<std::size_t>(op * port_words_ + w)] |=
+          std::uint64_t{1} << (p & 63);
+      sa_outs_[static_cast<std::size_t>(op >> 6)] |= std::uint64_t{1}
+                                                     << (op & 63);
     }
-    if (nominee < 0) continue;
-    const int op =
-        ivc_out_port_[sbase + static_cast<std::size_t>(p * vcs + nominee)];
-    sa_request_port_[static_cast<std::size_t>(p)] = op;
-    sa_request_vc_[static_cast<std::size_t>(p)] = nominee;
-    sa_req_in_.push_back(p);
-    const auto it =
-        std::lower_bound(sa_req_ops_.begin(), sa_req_ops_.end(), op);
-    if (it == sa_req_ops_.end() || *it != op) sa_req_ops_.insert(it, op);
   }
-  // Grants processed in ascending output-port order (this fixes the
-  // within-router ejection order).
-  for (const int op : sa_req_ops_) {
-    int winner = -1;
-    int best = std::numeric_limits<int>::max();
-    const int rr = sa_out_rr_[pbase + static_cast<std::size_t>(op)];
-    for (const int p : sa_req_in_) {
-      if (sa_request_port_[static_cast<std::size_t>(p)] != op) continue;
-      const int rank = (p - rr + ports) % ports;
-      if (rank < best) {
-        best = rank;
-        winner = p;
-      }
-    }
-    if (winner < 0) continue;
-    sa_out_rr_[pbase + static_cast<std::size_t>(op)] = (winner + 1) % ports;
-    sa_in_rr_[pbase + static_cast<std::size_t>(winner)] =
-        (sa_request_vc_[static_cast<std::size_t>(winner)] + 1) % vcs;
+  // Grants in ascending output-port order (this fixes the within-router
+  // ejection order).
+  for (int ow = 0; ow < port_words_; ++ow) {
+    const std::uint64_t outs = sa_outs_[static_cast<std::size_t>(ow)];
+    sa_outs_[static_cast<std::size_t>(ow)] = 0;
+    for (std::uint64_t om = outs; om != 0; om &= om - 1) {
+      const int op = ow * 64 + std::countr_zero(om);
+      std::uint64_t* const want =
+          &sa_want_[static_cast<std::size_t>(op * port_words_)];
+      const std::size_t of = pbase + static_cast<std::size_t>(op);
+      const int winner = round_robin_first(want, port_words_, sa_out_rr_[of]);
+      std::fill_n(want, port_words_, 0);
+      sa_out_rr_[of] = winner + 1 == ports ? 0 : winner + 1;
+      const int iv = sa_request_vc_[static_cast<std::size_t>(winner)];
+      const std::size_t wf = pbase + static_cast<std::size_t>(winner);
+      sa_in_rr_[wf] = iv + 1 == vcs ? 0 : iv + 1;
 
-    // --- Switch traversal --------------------------------------------------
-    const int iv = sa_request_vc_[static_cast<std::size_t>(winner)];
-    const std::size_t s = sbase + static_cast<std::size_t>(winner * vcs + iv);
-    const std::size_t wf = pbase + static_cast<std::size_t>(winner);
-    const std::uint64_t bit = std::uint64_t{1} << iv;
-    const BufFlit flit = buf_[s * static_cast<std::size_t>(depth_) +
-                              static_cast<std::size_t>(buf_head_[s])];
-    buf_head_[s] = static_cast<std::uint16_t>(
-        buf_head_[s] + 1 == depth_ ? 0 : buf_head_[s] + 1);
-    --buf_count_[s];
-    --buffered_[static_cast<std::size_t>(r)];
-    if (buf_count_[s] == 0) sendable_[wf] &= ~bit;
-    const int out_port = ivc_out_port_[s];
-    const int out_v = ivc_out_vc_[s];
-    const std::size_t os = sbase + static_cast<std::size_t>(out_port * vcs +
-                                                            out_v);
-    // Hop counting: in wormhole switching the tail crosses exactly the
-    // routers the head crossed, so counting head traversals into the
-    // per-packet array gives the packet's hop count.
-    if (flit.flags & kHead) ++pk_hops_[static_cast<std::size_t>(flit.pkt)];
-    if (out_port >= net) {
-      // Ejection; the endpoint sink consumes immediately (credit net zero).
-      eject_buf_.push_back(EjectRec{r, flit.pkt, flit.flags});
-      --work_[static_cast<std::size_t>(r)];
-      --total_flits_;
-    } else {
-      --ovc_credits_[os];
-      const int c = out_chan_[pbase + static_cast<std::size_t>(out_port)];
-      send(c, flit.pkt, out_v, flit.flags, /*credit=*/false);
-      const int nbr = chan_dst_[static_cast<std::size_t>(c)];
-      --work_[static_cast<std::size_t>(r)];
-      ++work_[static_cast<std::size_t>(nbr)];
-      activate(nbr);
-    }
-    // Return the freed buffer slot upstream (network inputs only; the NI
-    // observes local buffer occupancy directly).
-    if (winner < net) {
-      const int c = in_chan_[wf];
-      send(c, 0, iv, 0, /*credit=*/true);
-      ++total_credits_;
-      const int up = chan_src_[static_cast<std::size_t>(c)];
-      ++work_[static_cast<std::size_t>(up)];
-      activate(up);
-    }
-    if (flit.flags & kTail) {
-      ovc_busy_[os] = 0;
-      ivc_state_[s] = kIdle;
-      ivc_out_port_[s] = -1;
-      ivc_out_vc_[s] = -1;
-      ivc_routes_[s] = nullptr;
-      ivc_routes_len_[s] = 0;
-      --active_ivcs_[static_cast<std::size_t>(r)];
-      sendable_[wf] &= ~bit;
-      // The next packet's head may already be buffered behind the departed
-      // tail; it becomes route-pending now that the slot is idle again.
-      if (buf_count_[s] > 0) {
-        fresh_[wf] |= bit;
-        ++route_pending_[static_cast<std::size_t>(r)];
+      // --- Switch traversal ------------------------------------------------
+      const std::size_t s = sbase + static_cast<std::size_t>(winner * vcs + iv);
+      InVc& in = ivc_[s];
+      const std::uint64_t bit = std::uint64_t{1} << iv;
+      const BufFlit flit = buf_[s * static_cast<std::size_t>(depth_) + in.head];
+      in.head = static_cast<std::uint16_t>(in.head + 1 == depth_ ? 0
+                                                                 : in.head + 1);
+      --in.count;
+      --buffered_[ri];
+      // The VC stays sendable while it still holds a flit and a credit.
+      bool stays = in.count > 0;
+      OutVc& out = ovc_[static_cast<std::size_t>(in.out_slot)];
+      // Hop counting: in wormhole switching the tail crosses exactly the
+      // routers the head crossed, so counting head traversals into the
+      // per-packet array gives the packet's hop count.
+      if (flit.flags & kHead) ++pk_hops_[static_cast<std::size_t>(flit.pkt)];
+      if (op >= net) {
+        // Ejection; the endpoint sink consumes immediately (credit net zero).
+        eject_buf_.push_back(EjectRec{r, flit.pkt, flit.flags});
+        --total_flits_;
+      } else {
+        if (--out.credits == 0) stays = false;
+        send(out_chan_[of], flit.pkt, in.out_vc, flit.flags, /*credit=*/false);
       }
+      // Return the freed buffer slot upstream (network inputs only; the NI
+      // observes local buffer occupancy directly).
+      if (winner < net) {
+        send(in_chan_[wf], 0, iv, 0, /*credit=*/true);
+        ++total_credits_;
+      }
+      if (flit.flags & kTail) {
+        out.owner = -1;
+        in.state = kIdle;
+        stays = false;
+        // The next packet's head may already be buffered behind the departed
+        // tail; it becomes route-pending now that the slot is idle again.
+        if (in.count > 0) {
+          fresh_[wf] |= bit;
+          ++route_pending_[ri];
+        }
+        wake_parked(r);
+      }
+      if (!stays) clear_sendable(r, wf, bit);
     }
   }
 }
@@ -738,31 +782,28 @@ SimResult SoaEngine::run() {
                 static_cast<std::size_t>(
                     pk_port_[static_cast<std::size_t>(pkt)])]
           .push(pkt);
-      work_[static_cast<std::size_t>(tile)] += pkt_flits_;
+      ++ni_packets_[static_cast<std::size_t>(tile)];
       total_flits_ += pkt_flits_;
       activate(tile);
     }
 
     // --- One network cycle over the active routers ------------------------
-    // Everything due this cycle lands first; then inject/allocate fuse per
-    // router. Phases commute across routers (arrivals are filed at
+    // Everything due this cycle lands first (putting the routers that
+    // receive flits on the worklist); then inject/allocate fuse per router.
+    // Phases commute across routers (arrivals are filed at
     // now + latency >= now + 1, so nothing sent this cycle is visible this
-    // cycle). Routers activated during the pass (flits or credits sent
-    // their way) are appended beyond the snapshot and start next cycle.
+    // cycle), and nothing joins the worklist during the pass.
     deliver_due(now);
-    const std::size_t n_active = active_.size();
-    for (std::size_t i = 0; i < n_active; ++i) {
-      const int r = active_[i];
-      ni_inject(r, now);
+    for (const int r : active_) {
+      if (ni_packets_[static_cast<std::size_t>(r)] > 0) ni_inject(r, now);
       allocate(r, now);
     }
 
-    // --- Harvest ejected flits (tile-ascending order) ---------------------
+    // --- Harvest ejected flits ----------------------------------------------
+    // Every sample folded here is an integer (cycle counts and hop counts)
+    // and every sum stays far below 2^53, so the double sums are exact and
+    // the harvest order cannot change a result bit.
     if (!eject_buf_.empty()) {
-      std::stable_sort(eject_buf_.begin(), eject_buf_.end(),
-                       [](const EjectRec& a, const EjectRec& b) {
-                         return a.tile < b.tile;
-                       });
       for (const EjectRec& e : eject_buf_) {
         last_ejection = now;
         if (now >= config_.warmup_cycles && now < generation_end) {
@@ -790,7 +831,8 @@ SimResult SoaEngine::run() {
     std::size_t w = 0;
     for (std::size_t i = 0; i < active_.size(); ++i) {
       const int r = active_[i];
-      if (work_[static_cast<std::size_t>(r)] > 0) {
+      const std::size_t ri = static_cast<std::size_t>(r);
+      if (buffered_[ri] > 0 || ni_packets_[ri] > 0) {
         active_[w++] = r;
       } else {
         queued_[static_cast<std::size_t>(r)] = 0;

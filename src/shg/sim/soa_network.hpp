@@ -3,16 +3,17 @@
 // Its results are pinned bit for bit by the golden corpus
 // (tests/golden/sim_results.txt), recorded while an object-per-router
 // reference engine still ran alongside it. The corpus fixes the PRNG draw
-// order, the allocator decisions, the floating-point accumulation order
-// and the cycle count. Four design choices keep the engine fast without
-// changing any of them:
+// order, the allocator decisions and the cycle count. Four design choices
+// keep the engine fast without changing any of them:
 //
 //  * Flat slabs instead of per-object deques. Input-VC buffers live in
 //    fixed-capacity ring buffers inside a network-owned arena indexed by
-//    (router, port, vc); a flit is a 16-byte {cycle, packet, flags} entry
-//    and per-packet metadata (src, dest, eject port, hop count) lives in
-//    packet-indexed arrays filled once at generation. No push_back/pop_front
-//    churn, no pointer chasing, no per-flit copies of cold fields.
+//    (router, port, vc); a flit is a 16-byte {cycle, packet, flags} entry.
+//    Each (router, port, vc) slot keeps its input-VC state in one record
+//    and its output-VC state in another, and per-packet metadata (src,
+//    dest, eject port, hop count) lives in packet-indexed arrays filled
+//    once at generation. No push_back/pop_front churn, no pointer chasing,
+//    no per-flit copies of cold fields.
 //
 //  * An arrival wheel instead of channel polling. A flit or credit sent
 //    over a channel of latency L at cycle t is filed into the bucket of
@@ -21,16 +22,20 @@
 //    touches only its own slot or credit counter, so this equals landing
 //    each arrival just before its router runs.
 //
-//  * Work sets instead of sweeps. Every router carries a work counter
-//    (buffered flits + NI-queued flits + flits and credits on the wheel
-//    bound for it); only routers with work are processed. Inside a router,
-//    per-port VC bitmasks (fresh heads, VCs waiting for an output VC, active
-//    VCs holding a flit) let route computation and VC and switch allocation
-//    visit only their eligible slots, in the order a full scan would.
-//    Router phases commute across routers, except that ejection statistics
-//    must accumulate in ascending tile order — ejections therefore collect
-//    into a per-cycle buffer that is stable-sorted by tile before the
-//    statistics pass.
+//  * Wake on events instead of sweeps. A router is processed only while a
+//    flit is buffered at it or queued at its NI; a landing flit puts it on
+//    the worklist, and credits are applied by the wheel alone. Inside a
+//    router, per-port VC bitmasks (fresh heads, heads waiting for an output
+//    VC, sendable VCs: active, holding a flit and a credit) and a set of
+//    the ports holding a sendable VC (ceil(ports / 64) words) let route
+//    computation and VC and switch allocation visit only their eligible
+//    slots, in the order a full scan would. A waiting head that finds no
+//    free output VC parks until an event at its router could free one (a
+//    tail leaving, or in UGAL mode a credit reaching an idle output VC), and
+//    a VC whose output VC runs dry leaves the sendable set until a credit
+//    returns. Router phases commute across routers, and the ejection
+//    harvest folds only integer-valued samples, which makes its sums exact
+//    in any order.
 //
 //  * Whole-network quiescence fast-forward. The injection schedule is a
 //    pure function of the seed (no draw depends on network state, source
@@ -102,12 +107,40 @@ class SoaEngine {
     std::uint8_t flags = 0;
     std::uint8_t credit = 0;  ///< 1 = credit for output VC (port, vc)
   };
-  /// One ejected flit, buffered per cycle and sorted by tile so statistics
-  /// accumulate in the order the golden corpus pins.
+  /// One ejected flit, buffered until the cycle's statistics pass.
   struct EjectRec {
     std::int32_t tile = 0;
     std::int32_t pkt = 0;
     std::uint8_t flags = 0;
+  };
+  /// The input VC of one (router, port, vc) slot; its buffer ring lives in
+  /// buf_ at slot * depth.
+  struct InVc {
+    const RouteCandidate* routes = nullptr;  ///< candidates (kVcAlloc)
+    std::int32_t routes_len = 0;
+    std::int32_t out_port = -1;  ///< granted output port (kActive)
+    std::int32_t out_slot = -1;  ///< granted output VC's slot (kActive)
+    std::int32_t port = 0;       ///< this slot's flat port
+    std::uint16_t head = 0;      ///< buffer ring head
+    std::uint16_t count = 0;     ///< buffer ring occupancy
+    std::uint8_t vc = 0;         ///< this slot's VC
+    std::uint8_t out_vc = 0;     ///< granted output VC (kActive)
+    std::uint8_t state = kIdle;  ///< kIdle, kVcAlloc or kActive
+  };
+  /// The output VC of one (router, port, vc) slot.
+  struct OutVc {
+    std::int32_t owner = -1;     ///< input slot holding it, or -1
+    std::int32_t credits = 0;
+    std::int32_t va_rr = 0;      ///< VC-allocation round-robin pointer
+    std::int32_t va_claim = -1;  ///< this cycle's leading requester, or -1
+  };
+  /// A directed channel.
+  struct Channel {
+    std::int32_t src = 0;       ///< producing router
+    std::int32_t dst = 0;       ///< consuming router
+    std::int32_t src_port = 0;  ///< flat output port at src
+    std::int32_t dst_port = 0;  ///< flat input port at dst
+    std::int32_t lat = 0;       ///< latency, cycles
   };
   /// Growable ring of packet ids (an NI source queue; unbounded, one entry
   /// per packet).
@@ -156,8 +189,8 @@ class SoaEngine {
   std::span<const RouteCandidate> candidates(int r, int in_port, int in_vc,
                                              int dest, std::size_t s);
   void set_routes(std::size_t s, std::span<const RouteCandidate> routes) {
-    ivc_routes_[s] = routes.data();
-    ivc_routes_len_[s] = static_cast<std::int32_t>(routes.size());
+    ivc_[s].routes = routes.data();
+    ivc_[s].routes_len = static_cast<std::int32_t>(routes.size());
   }
 
   /// UGAL-mode route computation: injection-time minimal/non-minimal
@@ -178,6 +211,12 @@ class SoaEngine {
   /// the slot's allocator masks.
   void buffer_flit(int r, std::size_t port, int vc, Cycle ready,
                    std::int32_t pkt, std::uint8_t flags);
+  /// Sets or clears VC `bit` of router r's flat input port `pf` in
+  /// sendable_, keeping the router's sendable-port set in step.
+  void mark_sendable(int r, std::size_t pf, std::uint64_t bit);
+  void clear_sendable(int r, std::size_t pf, std::uint64_t bit);
+  /// Returns every parked head of router r to VC allocation.
+  void wake_parked(int r);
   /// Files a flit (downstream) or credit (upstream) on channel c into the
   /// bucket of the cycle it lands in.
   void send(int c, std::int32_t pkt, int vc, std::uint8_t flags, bool credit);
@@ -195,6 +234,7 @@ class SoaEngine {
   int pkt_flits_ = 0;    ///< flits per packet
   int delay_ = 0;        ///< router pipeline delay, cycles
   int max_ports_ = 0;
+  int port_words_ = 0;   ///< words of a port set: ceil(max_ports_ / 64)
   bool ugal_mode_ = false;
   const UgalInfo* ugal_info_ = nullptr;
   long long ugal_nonminimal_ = 0;
@@ -204,50 +244,43 @@ class SoaEngine {
   std::vector<std::size_t> port_base_;  ///< per router: first flat port id
   std::vector<int> in_chan_;            ///< per flat net port: channel in
   std::vector<int> out_chan_;           ///< per flat net port: channel out
-  std::vector<int> chan_src_;           ///< per channel: producing router
-  std::vector<int> chan_dst_;           ///< per channel: consuming router
-  std::vector<int> chan_lat_;           ///< per channel: latency, cycles
-  std::vector<std::int32_t> chan_src_port_;  ///< per channel: flat out port
-  std::vector<std::int32_t> chan_dst_port_;  ///< per channel: flat in port
+  std::vector<Channel> chans_;
 
   // --- Hot state slabs ----------------------------------------------------
-  std::vector<BufFlit> buf_;              ///< input VC buffers, slot * depth
-  std::vector<std::uint16_t> buf_head_;   ///< per slot: ring head
-  std::vector<std::uint16_t> buf_count_;  ///< per slot: occupancy
-  /// Arrival wheel: bucket b holds what lands in the cycle t with
-  /// t % wheel_.size() == b; wheel_.size() is the longest latency + 1.
-  std::vector<std::vector<Arrival>> wheel_;
+  std::vector<BufFlit> buf_;  ///< input VC buffers, slot * depth
+  std::vector<InVc> ivc_;
+  std::vector<OutVc> ovc_;
+  /// Arrival wheel: bucket b (bucket_cap_ entries from b * bucket_cap_,
+  /// wheel_len_[b] of them filed) holds what lands in the cycle t with
+  /// t % wheel_len_.size() == b; there are longest latency + 1 buckets.
+  std::vector<Arrival> wheel_;
+  std::vector<std::size_t> wheel_len_;
   std::size_t due_bucket_ = 0;  ///< bucket of the current cycle
   std::size_t bucket_cap_ = 0;  ///< two entries per channel
 
-  // Input-VC allocation state (per slot).
-  std::vector<std::uint8_t> ivc_state_;
-  std::vector<std::int32_t> ivc_out_port_;
-  std::vector<std::int32_t> ivc_out_vc_;
-  std::vector<const RouteCandidate*> ivc_routes_;
-  std::vector<std::int32_t> ivc_routes_len_;
-  std::vector<RouteCandidate> ivc_eject_;  ///< per slot: ejection candidate
+  /// Per (router, endpoint port): the ejection candidate.
+  std::vector<RouteCandidate> eject_;
   std::vector<std::vector<RouteCandidate>> ivc_live_;  ///< live-routing mode
   std::vector<RouteCandidate> splice_;  ///< UGAL via-leg row under assembly
 
-  // Output-VC state (per slot) and rotating allocator priorities.
-  std::vector<std::uint8_t> ovc_busy_;
-  std::vector<std::int32_t> ovc_credits_;
-  std::vector<std::int32_t> va_rr_;      ///< per slot
+  // Switch-allocation round-robin pointers.
   std::vector<std::int32_t> sa_in_rr_;   ///< per flat port
   std::vector<std::int32_t> sa_out_rr_;  ///< per flat port
 
   // Allocator work sets, one bit per VC of a flat port, so each phase
   // visits exactly its eligible slots in ascending (port, VC) order.
   std::vector<std::uint64_t> fresh_;     ///< idle slot holding a head
-  std::vector<std::uint64_t> waiting_;   ///< slot in kVcAlloc
-  std::vector<std::uint64_t> sendable_;  ///< kActive slot with a flit
+  std::vector<std::uint64_t> waiting_;   ///< kVcAlloc slot to try this cycle
+  std::vector<std::uint64_t> parked_;    ///< kVcAlloc slot with no free VC
+  std::vector<std::uint64_t> sendable_;  ///< kActive slot, flit and credit
   // Router-level skip gates: a phase with zero eligible slots grants
   // nothing and moves no round-robin pointer, so skipping it is
   // bit-identical to running it.
   std::vector<std::int32_t> route_pending_;  ///< per router: fresh slots
-  std::vector<std::int32_t> va_pending_;     ///< per router: slots in kVcAlloc
-  std::vector<std::int32_t> active_ivcs_;    ///< per router: slots in kActive
+  std::vector<std::int32_t> va_pending_;     ///< per router: waiting slots
+  std::vector<std::int32_t> va_parked_;      ///< per router: parked slots
+  /// Per router, port_words_ words: ports with a sendable VC.
+  std::vector<std::uint64_t> send_ports_;
 
   // Network interfaces (per tile * local port).
   std::vector<PktRing> ni_queue_;
@@ -255,9 +288,9 @@ class SoaEngine {
   std::vector<std::int32_t> ni_open_vc_;
   std::vector<std::int32_t> ni_next_vc_;
 
-  // Worklist.
-  std::vector<long long> work_;      ///< per router: flits + credits pending
-  std::vector<long long> buffered_;  ///< per router: flits in input VCs
+  // Worklist: a router stays on it while buffered_ or ni_packets_ > 0.
+  std::vector<long long> buffered_;     ///< per router: flits in input VCs
+  std::vector<long long> ni_packets_;   ///< per router: NI-queued packets
   std::vector<std::uint8_t> queued_;
   std::vector<int> active_;
   long long total_flits_ = 0;    ///< NI queues + buffers + channels
@@ -282,11 +315,12 @@ class SoaEngine {
 
   // Per-cycle scratch.
   std::vector<EjectRec> eject_buf_;
-  std::vector<std::pair<int, int>> va_requests_;
-  std::vector<int> sa_request_port_;
-  std::vector<int> sa_request_vc_;
-  std::vector<int> sa_req_in_;   ///< input ports that nominated this cycle
-  std::vector<int> sa_req_ops_;  ///< distinct requested out ports, ascending
+  /// Output VCs with a requester this cycle: (output port, VC).
+  std::vector<std::pair<int, int>> va_claims_;
+  std::vector<int> sa_request_vc_;      ///< per port: nominated VC
+  /// Per output port, port_words_ words: the input ports requesting it.
+  std::vector<std::uint64_t> sa_want_;
+  std::vector<std::uint64_t> sa_outs_;  ///< output ports requested
 };
 
 }  // namespace shg::sim
