@@ -19,18 +19,22 @@
 //
 //  3. warm campaign — the same campaign run cold into a fresh session,
 //     then re-run warm against it. Gates: the warm run performs ZERO
-//     simulations, its JSON and CSV reports are byte-identical to the
-//     session-free run's, and it is >= 5x faster than the cold run;
+//     simulations and adds ZERO session artifact misses (every route table
+//     is a hit), and its JSON and CSV reports are byte-identical to the
+//     session-free run's. The cold/warm speedup is printed and kept in the
+//     JSON, but not gated: a wall-clock ratio depends on the machine and
+//     shrinks whenever the simulator gets faster;
 //  4. shard merge — the campaign split across two `run_experiment_shard`
 //     workers exchanging `shg.cache.v1` shard files, then merged into one
 //     session. Gates: the merge run performs zero simulations and its
 //     reports are byte-identical to the single-process run's.
 //
 // Output: a table on stdout + machine-readable JSON (schema
-// "shg.bench_workloads.v3", default BENCH_workloads.json; see --out).
+// "shg.bench_workloads.v4", default BENCH_workloads.json; see --out).
 // `--smoke` shrinks the simulated cycle counts for CI; ratios stay
 // meaningful.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -139,11 +143,17 @@ int main(int argc, char** argv) {
   std::printf("campaign_cold   %8.3f s  (fresh session, %zu simulated)\n",
               cold_seconds, cold_report.sim_simulated);
 
+  const std::uint64_t misses_before_warm = session.artifact_misses();
   t0 = Clock::now();
   const eval::ExperimentReport warm_report = eval::run_experiment(warm_spec);
   const double warm_seconds = seconds_since(t0);
-  std::printf("campaign_warm   %8.3f s  (result tier, %zu simulated)\n",
-              warm_seconds, warm_report.sim_simulated);
+  const std::uint64_t warm_misses =
+      session.artifact_misses() - misses_before_warm;
+  std::printf(
+      "campaign_warm   %8.3f s  (result tier, %zu simulated, %llu artifact "
+      "misses)\n",
+      warm_seconds, warm_report.sim_simulated,
+      static_cast<unsigned long long>(warm_misses));
 
   const bool warm_zero_sims = warm_report.sim_simulated == 0;
   // The session-attached reports (cold AND warm) must match the
@@ -155,7 +165,7 @@ int main(int argc, char** argv) {
       warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0;
   std::printf("warm == cold == session-free reports: %s\n",
               warm_identical ? "yes" : "NO — BUG");
-  std::printf("warm-campaign speedup (cold/warm):        %.2fx (gate: 5x)\n",
+  std::printf("warm-campaign speedup (cold/warm):        %.2fx (not gated)\n",
               warm_speedup);
 
   // -- Shard merge: two workers exchanging shard files, then a merge. --
@@ -189,7 +199,7 @@ int main(int argc, char** argv) {
       merge_identical ? "yes" : "NO — BUG");
 
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_workloads.v3\",\n"
+  out << "{\n  \"schema\": \"shg.bench_workloads.v4\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"threads\": " << threads << ",\n"
       << "  \"sims\": " << sims << ",\n"
@@ -202,6 +212,7 @@ int main(int argc, char** argv) {
       << "  \"campaign_warm_seconds\": " << warm_seconds << ",\n"
       << "  \"warm_speedup\": " << warm_speedup << ",\n"
       << "  \"warm_simulated\": " << warm_report.sim_simulated << ",\n"
+      << "  \"warm_artifact_misses\": " << warm_misses << ",\n"
       << "  \"warm_identical\": " << (warm_identical ? "true" : "false")
       << ",\n"
       << "  \"shard_merge_simulated\": " << merge_report.sim_simulated
@@ -218,18 +229,13 @@ int main(int argc, char** argv) {
   // Exit non-zero when any invariant is violated so CI can gate on the
   // smoke run.
   if (!identical) return 1;
-  if (!warm_zero_sims || !warm_identical) {
+  if (!warm_zero_sims || warm_misses != 0 || !warm_identical) {
     std::fprintf(stderr,
-                 "FAIL: warm campaign simulated %zu cells (want 0) or "
-                 "diverged from the cold report\n",
-                 warm_report.sim_simulated);
-    return 1;
-  }
-  if (warm_speedup < 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: warm-campaign speedup %.2fx below the 5x acceptance "
-                 "bar\n",
-                 warm_speedup);
+                 "FAIL: warm campaign simulated %zu cells and missed %llu "
+                 "session artifacts (want 0 and 0) or diverged from the cold "
+                 "report\n",
+                 warm_report.sim_simulated,
+                 static_cast<unsigned long long>(warm_misses));
     return 1;
   }
   if (!merge_zero_sims || !merge_identical) {
