@@ -54,29 +54,58 @@ RouteTable::RouteTable(const topo::Topology& topo,
   }
   slot_base_[n] = slots;
 
-  const std::size_t rows = slots * n;
-  row_ids_.assign(rows, 0);
-  offsets_.clear();
-  offsets_.push_back(0);
-
-  // One pass over the state space (a second pass would double the
-  // routing-function work), hash-consing candidate lists as we go: a row
-  // whose list matches an earlier one points at the existing arena range,
-  // only novel lists extend the arena. Rows are visited in node-major,
-  // slot, dest order, so unique rows keep first-appearance order.
-  std::unordered_map<std::string, std::uint32_t, RowKeyHash, std::equal_to<>>
-      unique_rows;
+  // Per node, each slot gets the dense class of its input_class() key
+  // (first-appearance order), and the first slot of a class represents it.
+  SHG_REQUIRE(slots <= std::numeric_limits<std::uint32_t>::max(),
+              "route table slots exceed 32-bit class indices");
+  slot_class_.resize(slots);
+  std::vector<std::size_t> class_begin(n + 1, 0);  // per node: first class
+  std::vector<int> representative;  // per class: its first slot
+  std::vector<std::size_t> members;  // per class: slot count
+  std::vector<int> keys;             // per class of the current node: key
   for (graph::NodeId node = 0; node < num_nodes_; ++node) {
     const int degree = degree_[static_cast<std::size_t>(node)];
+    const std::size_t first_class = representative.size();
+    class_begin[static_cast<std::size_t>(node)] = first_class;
+    keys.clear();
     for (int slot = 0; slot < 1 + degree * num_vcs; ++slot) {
       const int in_port = slot == 0 ? -1 : (slot - 1) / num_vcs;
       const int in_vc = slot == 0 ? -1 : (slot - 1) % num_vcs;
+      const int key = routing.input_class(node, in_port, in_vc);
+      const auto found = std::find(keys.begin(), keys.end(), key);
+      const std::size_t cls =
+          first_class + static_cast<std::size_t>(found - keys.begin());
+      if (found == keys.end()) {
+        keys.push_back(key);
+        representative.push_back(slot);
+        members.push_back(0);
+      }
+      ++members[cls];
+      slot_class_[slot_base_[static_cast<std::size_t>(node)] +
+                  static_cast<std::size_t>(slot)] =
+          static_cast<std::uint32_t>(cls);
+    }
+  }
+  class_begin[n] = representative.size();
+  row_ids_.assign(representative.size() * n, 0);
+  offsets_.push_back(0);
+
+  // Each class is routed once per dest, hash-consing candidate lists as we
+  // go: a row whose list matches an earlier one points at the existing
+  // arena range, only novel lists extend the arena. Classes are visited
+  // node-major in first-appearance slot order, and a later slot of a class
+  // meets exactly the rows its representative met, so unique rows come out
+  // in the order a node-major, slot, dest sweep of every routing state
+  // would first meet them.
+  std::unordered_map<std::string, std::uint32_t, RowKeyHash, std::equal_to<>>
+      unique_rows;
+  for (graph::NodeId node = 0; node < num_nodes_; ++node) {
+    for (std::size_t cls = class_begin[static_cast<std::size_t>(node)];
+         cls < class_begin[static_cast<std::size_t>(node) + 1]; ++cls) {
+      const int slot = representative[cls];
+      const int in_port = slot == 0 ? -1 : (slot - 1) / num_vcs;
+      const int in_vc = slot == 0 ? -1 : (slot - 1) % num_vcs;
       for (graph::NodeId dest = 0; dest < num_nodes_; ++dest) {
-        const std::size_t row =
-            (slot_base_[static_cast<std::size_t>(node)] +
-             static_cast<std::size_t>(slot)) *
-                n +
-            static_cast<std::size_t>(dest);
         // Ejection states (dest == node) bypass routing entirely; routing
         // functions may also reject states their own invariants make
         // unreachable (e.g. the up*/down* escape has no continuation for an
@@ -91,7 +120,7 @@ RouteTable::RouteTable(const topo::Topology& topo,
             candidates.clear();
           }
         }
-        num_candidates_undeduped_ += candidates.size();
+        num_candidates_undeduped_ += candidates.size() * members[cls];
         const std::string_view key = row_key(candidates);
         auto it = unique_rows.find(key);
         if (it == unique_rows.end()) {
@@ -105,50 +134,12 @@ RouteTable::RouteTable(const topo::Topology& topo,
                      "route table arena exceeds 32-bit offsets");
           offsets_.push_back(static_cast<std::uint32_t>(arena_.size()));
         }
-        row_ids_[row] = it->second;
+        row_ids_[cls * n + static_cast<std::size_t>(dest)] = it->second;
       }
     }
   }
   arena_.shrink_to_fit();
   offsets_.shrink_to_fit();
-}
-
-void RouteTable::verify_against(const RoutingFunction& routing) const {
-  for (graph::NodeId node = 0; node < num_nodes_; ++node) {
-    const int degree = degree_[static_cast<std::size_t>(node)];
-    for (int slot = 0; slot < 1 + degree * num_vcs_; ++slot) {
-      const int in_port = slot == 0 ? -1 : (slot - 1) / num_vcs_;
-      const int in_vc = slot == 0 ? -1 : (slot - 1) % num_vcs_;
-      for (graph::NodeId dest = 0; dest < num_nodes_; ++dest) {
-        if (dest == node) continue;
-        std::vector<RouteCandidate> expected;
-        try {
-          expected = routing.route(node, in_port, in_vc, dest);
-        } catch (const Error&) {
-          // The reference function rejects this state as unreachable; the
-          // table must agree by having stored nothing for it.
-          SHG_REQUIRE(lookup(node, in_port, in_vc, dest).empty(),
-                      "route table has candidates for a state the routing "
-                      "function rejects");
-          continue;
-        }
-        const auto actual = lookup(node, in_port, in_vc, dest);
-        const bool match =
-            expected.size() == actual.size() &&
-            std::equal(expected.begin(), expected.end(), actual.begin(),
-                       [](const RouteCandidate& a, const RouteCandidate& b) {
-                         return a.out_port == b.out_port &&
-                                a.vc_begin == b.vc_begin &&
-                                a.vc_end == b.vc_end;
-                       });
-        SHG_REQUIRE(match, "route table mismatch vs " + routing.name() +
-                               " at node " + std::to_string(node) +
-                               " in_port " + std::to_string(in_port) +
-                               " in_vc " + std::to_string(in_vc) + " dest " +
-                               std::to_string(dest));
-      }
-    }
-  }
 }
 
 }  // namespace shg::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "shg/common/prng.hpp"
 #include "shg/graph/shortest_paths.hpp"
@@ -12,22 +13,48 @@ namespace shg::sim {
 
 namespace {
 
-/// (u, v) -> output port of u toward v; -1 when not adjacent. Port i of
-/// router u corresponds to graph().neighbors(u)[i] (network convention).
-std::vector<std::vector<int>> build_port_lookup(const topo::Topology& topo) {
-  const auto& g = topo.graph();
-  std::vector<std::vector<int>> lookup(
-      static_cast<std::size_t>(g.num_nodes()),
-      std::vector<int>(static_cast<std::size_t>(g.num_nodes()), -1));
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& nbrs = g.neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      lookup[static_cast<std::size_t>(u)]
-            [static_cast<std::size_t>(nbrs[i].node)] = static_cast<int>(i);
+/// Output port of router u toward each neighbour v: port i of router u
+/// corresponds to graph().neighbors(u)[i] (network convention). Stored as
+/// per-node (neighbour, port) lists sorted by neighbour and searched by
+/// bisection: O(edges) memory, where an N x N matrix would take 64 MiB at
+/// 64x64 and be rebuilt by every routing function UGAL's escape network
+/// nests.
+class PortLookup {
+ public:
+  explicit PortLookup(const graph::Graph& g) {
+    begin_.reserve(static_cast<std::size_t>(g.num_nodes()) + 1);
+    begin_.push_back(0);
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto& nbrs = g.neighbors(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        entries_.emplace_back(nbrs[i].node, static_cast<int>(i));
+      }
+      std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin_.back()),
+                entries_.end());
+      begin_.push_back(entries_.size());
     }
   }
-  return lookup;
-}
+
+  /// Output port of u toward v; throws when the two are not adjacent.
+  int toward(int u, int v) const {
+    const auto first =
+        entries_.begin() +
+        static_cast<std::ptrdiff_t>(begin_[static_cast<std::size_t>(u)]);
+    const auto last =
+        entries_.begin() +
+        static_cast<std::ptrdiff_t>(begin_[static_cast<std::size_t>(u) + 1]);
+    const auto it = std::lower_bound(
+        first, last, v,
+        [](const std::pair<int, int>& e, int node) { return e.first < node; });
+    SHG_ASSERT(it != last && it->first == v,
+               "route stepped to a non-neighbor");
+    return it->second;
+  }
+
+ private:
+  std::vector<std::size_t> begin_;  ///< per node: first entry, plus the end
+  std::vector<std::pair<int, int>> entries_;  ///< (neighbour, port)
+};
 
 /// A 1D "line": the sub-topology within one row (positions = columns) or
 /// one column (positions = rows), or the whole ring. Lines are either paths
@@ -147,7 +174,7 @@ struct VcClasses {
 class XYHammingRouting final : public RoutingFunction {
  public:
   XYHammingRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), ports_(build_port_lookup(topo)) {
+      : topo_(&topo), ports_(topo.graph()) {
     const int rows = topo.rows();
     const int cols = topo.cols();
     // Row lines: positions are columns.
@@ -210,17 +237,13 @@ class XYHammingRouting final : public RoutingFunction {
     // have disjoint channel sets, so each starts at class 0).
     const auto at = topo_->coord(node);
     const auto to = topo_->coord(dest);
-    int cls = classes_.class_of_vc(in_vc);
     const bool column_phase = at.col == to.col;
-    if (in_port >= 0) {
-      const auto from =
-          topo_->coord(topo_->graph().neighbors(node)[static_cast<std::size_t>(
-              in_port)].node);
-      const bool arrived_via_row = from.row == at.row;
-      if (column_phase && arrived_via_row) cls = 0;  // fresh dimension
-    } else {
-      cls = 0;
-    }
+    // Injected packets, and packets turning into the column phase (a fresh
+    // dimension), start at class 0.
+    const int cls =
+        in_port < 0 || (column_phase && arrived_via_row(node, in_port))
+            ? 0
+            : classes_.class_of_vc(in_vc);
 
     std::vector<int> steps;
     bool crosses = false;
@@ -230,17 +253,26 @@ class XYHammingRouting final : public RoutingFunction {
       line.candidates(at.row, to.row, &steps, &crosses);
       for (int r : steps) {
         result.push_back(classes_.candidate(
-            port(node, topo_->node(r, at.col)), crosses ? 1 : cls));
+            ports_.toward(node, topo_->node(r, at.col)), crosses ? 1 : cls));
       }
     } else {
       const Line& line = row_lines_[static_cast<std::size_t>(at.row)];
       line.candidates(at.col, to.col, &steps, &crosses);
       for (int c : steps) {
         result.push_back(classes_.candidate(
-            port(node, topo_->node(at.row, c)), crosses ? 1 : cls));
+            ports_.toward(node, topo_->node(at.row, c)), crosses ? 1 : cls));
       }
     }
     return result;
+  }
+
+  // O1TURN reads injection or the VC class (the dimension order); dateline
+  // mode reads injection or the arrival axis and the VC class.
+  int input_class(int node, int in_port, int in_vc) const override {
+    if (in_port < 0) return 0;
+    const int cls = classes_.class_of_vc(in_vc);
+    if (o1turn_) return 1 + cls;
+    return 1 + 2 * (arrived_via_row(node, in_port) ? 1 : 0) + cls;
   }
 
   std::string name() const override {
@@ -248,10 +280,10 @@ class XYHammingRouting final : public RoutingFunction {
   }
 
  private:
-  int port(int u, int v) const {
-    const int p = ports_[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
-    SHG_ASSERT(p >= 0, "route stepped to a non-neighbor");
-    return p;
+  bool arrived_via_row(int node, int in_port) const {
+    const auto& nbrs = topo_->graph().neighbors(node);
+    return topo_->coord(nbrs[static_cast<std::size_t>(in_port)].node).row ==
+           topo_->coord(node).row;
   }
 
   /// Monotone candidates for one dimension order (row-first or
@@ -270,22 +302,22 @@ class XYHammingRouting final : public RoutingFunction {
       const Line& line = row_lines_[static_cast<std::size_t>(at.row)];
       line.candidates(at.col, to.col, &steps, &crosses);
       for (int c : steps) {
-        result.push_back(
-            classes_.candidate(port(node, topo_->node(at.row, c)), cls));
+        result.push_back(classes_.candidate(
+            ports_.toward(node, topo_->node(at.row, c)), cls));
       }
     } else {
       const Line& line = col_lines_[static_cast<std::size_t>(at.col)];
       line.candidates(at.row, to.row, &steps, &crosses);
       for (int r : steps) {
-        result.push_back(
-            classes_.candidate(port(node, topo_->node(r, at.col)), cls));
+        result.push_back(classes_.candidate(
+            ports_.toward(node, topo_->node(r, at.col)), cls));
       }
     }
     return result;
   }
 
   const topo::Topology* topo_;
-  std::vector<std::vector<int>> ports_;
+  PortLookup ports_;
   std::vector<Line> row_lines_;
   std::vector<Line> col_lines_;
   VcClasses classes_;
@@ -299,7 +331,7 @@ class XYHammingRouting final : public RoutingFunction {
 class RingRouting final : public RoutingFunction {
  public:
   RingRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), ports_(build_port_lookup(topo)) {
+      : topo_(&topo), ports_(topo.graph()) {
     const auto& g = topo.graph();
     std::vector<std::vector<int>> nbrs(
         static_cast<std::size_t>(g.num_nodes()));
@@ -322,19 +354,20 @@ class RingRouting final : public RoutingFunction {
     const int cls = crosses ? 1 : classes_.class_of_vc(in_vc);
     std::vector<RouteCandidate> result;
     for (int next : steps) {
-      const int p =
-          ports_[static_cast<std::size_t>(node)][static_cast<std::size_t>(next)];
-      SHG_ASSERT(p >= 0, "ring step to non-neighbor");
-      result.push_back(classes_.candidate(p, cls));
+      result.push_back(classes_.candidate(ports_.toward(node, next), cls));
     }
     return result;
+  }
+
+  int input_class(int /*node*/, int /*in_port*/, int in_vc) const override {
+    return classes_.class_of_vc(in_vc);
   }
 
   std::string name() const override { return "ring-dateline"; }
 
  private:
   const topo::Topology* topo_;
-  std::vector<std::vector<int>> ports_;
+  PortLookup ports_;
   Line line_;
   VcClasses classes_;
 };
@@ -346,7 +379,7 @@ class RingRouting final : public RoutingFunction {
 class EcubeRouting final : public RoutingFunction {
  public:
   EcubeRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), num_vcs_(num_vcs), ports_(build_port_lookup(topo)) {
+      : topo_(&topo), num_vcs_(num_vcs), ports_(topo.graph()) {
     const int n = topo.num_tiles();
     SHG_REQUIRE((n & (n - 1)) == 0, "hypercube needs a power-of-two size");
     int col_bits = 0;
@@ -373,10 +406,12 @@ class EcubeRouting final : public RoutingFunction {
     const int bit = diff & -diff;  // lowest differing dimension
     const int next_label = label_of_[static_cast<std::size_t>(node)] ^ bit;
     const int next = node_of_[static_cast<std::size_t>(next_label)];
-    const int p =
-        ports_[static_cast<std::size_t>(node)][static_cast<std::size_t>(next)];
-    SHG_ASSERT(p >= 0, "e-cube step to non-neighbor");
-    return {RouteCandidate{p, 0, num_vcs_}};
+    return {RouteCandidate{ports_.toward(node, next), 0, num_vcs_}};
+  }
+
+  int input_class(int /*node*/, int /*in_port*/,
+                  int /*in_vc*/) const override {
+    return 0;
   }
 
   std::string name() const override { return "e-cube"; }
@@ -386,7 +421,7 @@ class EcubeRouting final : public RoutingFunction {
 
   const topo::Topology* topo_;
   int num_vcs_;
-  std::vector<std::vector<int>> ports_;
+  PortLookup ports_;
   std::vector<int> label_of_;
   std::vector<int> node_of_;
 };
@@ -398,7 +433,7 @@ class EcubeRouting final : public RoutingFunction {
 class TableEscapeRouting final : public RoutingFunction {
  public:
   TableEscapeRouting(const topo::Topology& topo, int num_vcs)
-      : topo_(&topo), num_vcs_(num_vcs), ports_(build_port_lookup(topo)) {
+      : topo_(&topo), num_vcs_(num_vcs), ports_(topo.graph()) {
     SHG_REQUIRE(num_vcs >= 2,
                 "escape-VC routing requires at least 2 VCs (VC0 = escape)");
     hops_ = graph::all_pairs_hops(topo.graph());
@@ -409,11 +444,8 @@ class TableEscapeRouting final : public RoutingFunction {
   std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
                                     int dest) const override {
     std::vector<RouteCandidate> result;
-    // Freshly injected packets sit in an arbitrary local-port VC; only
-    // packets that traveled a network channel on VC 0 are on the escape
-    // class.
-    const bool on_escape = in_vc == 0 && in_port >= 0;
-    if (!on_escape) {
+    const int cls = input_class(node, in_port, in_vc);
+    if (cls == kAdaptive) {
       // Fully adaptive minimal hops on the adaptive VC class [1, V).
       const int d = hops_[static_cast<std::size_t>(node)]
                          [static_cast<std::size_t>(dest)];
@@ -429,35 +461,35 @@ class TableEscapeRouting final : public RoutingFunction {
     // Escape hop: a fresh up*/down* path when joining from an adaptive VC
     // (phase 0), or the continuation of the current escape path (phase
     // derived from the direction of the arrival move).
-    int escape_next;
-    if (on_escape && in_port >= 0) {
-      const int from =
-          topo_->graph().neighbors(node)[static_cast<std::size_t>(in_port)]
-              .node;
-      const bool went_down = !tree_.is_up(from, node);
-      escape_next = went_down
-                        ? tables_.phase1[static_cast<std::size_t>(node)]
-                                        [static_cast<std::size_t>(dest)]
-                        : tables_.phase0[static_cast<std::size_t>(node)]
-                                        [static_cast<std::size_t>(dest)];
-    } else {
-      escape_next = tables_.phase0[static_cast<std::size_t>(node)]
-                                  [static_cast<std::size_t>(dest)];
-    }
+    const auto& phase = cls == kEscapeAfterDown ? tables_.phase1
+                                                : tables_.phase0;
+    const int escape_next =
+        phase[static_cast<std::size_t>(node)][static_cast<std::size_t>(dest)];
     SHG_ASSERT(escape_next >= 0, "escape path must always exist");
-    const int p = ports_[static_cast<std::size_t>(node)]
-                        [static_cast<std::size_t>(escape_next)];
-    SHG_ASSERT(p >= 0, "escape step to non-neighbor");
-    result.push_back(RouteCandidate{p, 0, 1});
+    result.push_back(RouteCandidate{ports_.toward(node, escape_next), 0, 1});
     return result;
+  }
+
+  // Freshly injected packets sit in an arbitrary local-port VC; only
+  // packets that traveled a network channel on VC 0 are on the escape
+  // class, and the direction of that move picks the escape phase.
+  int input_class(int node, int in_port, int in_vc) const override {
+    if (in_vc != 0 || in_port < 0) return kAdaptive;
+    const int from =
+        topo_->graph().neighbors(node)[static_cast<std::size_t>(in_port)].node;
+    return tree_.is_up(from, node) ? kEscapeAfterUp : kEscapeAfterDown;
   }
 
   std::string name() const override { return "minimal-adaptive+escape"; }
 
  private:
+  static constexpr int kAdaptive = 0;
+  static constexpr int kEscapeAfterUp = 1;
+  static constexpr int kEscapeAfterDown = 2;
+
   const topo::Topology* topo_;
   int num_vcs_;
-  std::vector<std::vector<int>> ports_;
+  PortLookup ports_;
   std::vector<std::vector<int>> hops_;
   graph::SpanningTree tree_;
   graph::UpDownTables tables_;
@@ -549,6 +581,17 @@ class UgalRouting final : public RoutingFunction {
     auto escape = escape_->route(node, in_port, -1, dest);
     result.insert(result.end(), escape.begin(), escape.end());
     return result;
+  }
+
+  // The band, composed with the escape routing's key for the state route()
+  // passes it: the arrival itself on the escape band, the escape-entry
+  // state (in_vc == -1) on the adaptive band.
+  int input_class(int node, int in_port, int in_vc) const override {
+    const bool on_escape =
+        in_port >= 0 && in_vc >= 0 && in_vc < kUgalEscapeVcs;
+    const int key =
+        escape_->input_class(node, in_port, on_escape ? in_vc : -1);
+    return 2 * key + (on_escape ? 1 : 0);
   }
 
   std::string name() const override { return "ugal+" + escape_->name(); }

@@ -82,6 +82,15 @@ class RoutingFunction {
   virtual std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
                                             int dest) const = 0;
 
+  /// Input class of the state (node, in_port, in_vc), in_port == -1 and
+  /// in_vc == -1 for injection: a small non-negative key computed from
+  /// exactly the inputs route() reads besides `dest`. Contract: two states
+  /// at the same node with the same key return the same candidates from
+  /// route() for every dest, or both throw. A key may be finer than needed
+  /// (it only costs table rows), never coarser. RouteTable stores one row
+  /// per (node, class, dest) on the strength of this contract.
+  virtual int input_class(int node, int in_port, int in_vc) const = 0;
+
   /// Human-readable name for reports.
   virtual std::string name() const = 0;
 

@@ -1,9 +1,16 @@
-// Route-table correctness: the precomputed table must agree with the live
-// routing function on every reachable (node, in_port, in_vc, dest) state of
-// every topology family, the simulator must produce bit-identical results
-// with the table and with live routing, and the row budgets must pick the
-// table exactly where the simulator's callers can afford it.
+// Route-table correctness: the table, which routes one representative state
+// per (node, input class, dest), must agree with the live routing function
+// on every reachable (node, in_port, in_vc, dest) state of every topology
+// family, the simulator must produce bit-identical results with the table
+// and with live routing, and the row budgets must pick the table exactly
+// where the simulator's callers can afford it.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "shg/eval/perf.hpp"
 #include "shg/eval/scenario.hpp"
@@ -20,89 +27,200 @@ namespace {
 
 constexpr int kVcs = 4;
 
-/// Exhaustive element-wise comparison of table lookups against live route()
-/// calls, mirroring the lookup index logic independently of verify_against.
-void expect_table_matches_live(const topo::Topology& topo,
-                               const RoutingFunction& routing, int num_vcs) {
-  const RouteTable table(topo, routing, num_vcs);
-  EXPECT_EQ(table.num_vcs(), num_vcs);
-  EXPECT_EQ(table.routing_name(), routing.name());
-  long long states_checked = 0;
+std::string describe(int node, int in_port, int in_vc, int dest) {
+  return "node " + std::to_string(node) + " in_port " +
+         std::to_string(in_port) + " in_vc " + std::to_string(in_vc) +
+         " dest " + std::to_string(dest);
+}
+
+/// Sweeps every (node, in_port, in_vc, dest) routing state of `topo` and
+/// returns the first where `table` disagrees with live `routing` (candidate
+/// count, order, out port or VC range, or candidates stored for a state the
+/// routing function rejects), or "" when every state agrees. The sweep also
+/// recounts the states and the undeduplicated candidates the table reports.
+std::string table_mismatch(const topo::Topology& topo, const RouteTable& table,
+                           const RoutingFunction& routing) {
+  const int num_vcs = table.num_vcs();
+  std::size_t states = 0;
+  std::size_t candidates = 0;
   for (int node = 0; node < topo.num_tiles(); ++node) {
     const int degree = topo.graph().degree(node);
     for (int slot = 0; slot < 1 + degree * num_vcs; ++slot) {
       const int in_port = slot == 0 ? -1 : (slot - 1) / num_vcs;
       const int in_vc = slot == 0 ? -1 : (slot - 1) % num_vcs;
+      states += static_cast<std::size_t>(topo.num_tiles());
       for (int dest = 0; dest < topo.num_tiles(); ++dest) {
         if (dest == node) continue;
+        const auto actual = table.lookup(node, in_port, in_vc, dest);
         std::vector<RouteCandidate> expected;
         try {
           expected = routing.route(node, in_port, in_vc, dest);
         } catch (const Error&) {
           // State unreachable under the routing function's invariants: the
           // table must have stored an empty row.
-          EXPECT_TRUE(table.lookup(node, in_port, in_vc, dest).empty())
-              << topo.name() << " node " << node << " in_port " << in_port
-              << " in_vc " << in_vc << " dest " << dest;
+          if (!actual.empty()) {
+            return "candidates for a rejected state at " +
+                   describe(node, in_port, in_vc, dest);
+          }
           continue;
         }
-        const auto actual = table.lookup(node, in_port, in_vc, dest);
-        ASSERT_EQ(actual.size(), expected.size())
-            << topo.name() << " node " << node << " in_port " << in_port
-            << " in_vc " << in_vc << " dest " << dest;
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(actual[i].out_port, expected[i].out_port);
-          EXPECT_EQ(actual[i].vc_begin, expected[i].vc_begin);
-          EXPECT_EQ(actual[i].vc_end, expected[i].vc_end);
+        candidates += expected.size();
+        const bool match =
+            std::equal(expected.begin(), expected.end(), actual.begin(),
+                       actual.end(),
+                       [](const RouteCandidate& a, const RouteCandidate& b) {
+                         return a.out_port == b.out_port &&
+                                a.vc_begin == b.vc_begin &&
+                                a.vc_end == b.vc_end;
+                       });
+        if (!match) {
+          return "mismatch vs " + routing.name() + " at " +
+                 describe(node, in_port, in_vc, dest);
         }
-        ++states_checked;
       }
     }
   }
-  EXPECT_GT(states_checked, 0);
-  // The built-in equivalence checker must agree with the manual sweep.
-  EXPECT_NO_THROW(table.verify_against(routing));
+  if (states != table.num_rows()) return "routing state count differs";
+  if (candidates != table.num_candidates_undeduped()) {
+    return "undeduplicated candidate count differs";
+  }
+  return "";
+}
+
+void expect_table_matches_live(const topo::Topology& topo,
+                               const RoutingFunction& routing, int num_vcs) {
+  const RouteTable table(topo, routing, num_vcs);
+  EXPECT_EQ(table.num_vcs(), num_vcs);
+  EXPECT_EQ(table.routing_name(), routing.name());
+  EXPECT_EQ(table.num_rows(), RouteTable::rows_for(topo, num_vcs));
+  EXPECT_LT(table.num_stored_rows(), table.num_rows());
+  EXPECT_EQ(table_mismatch(topo, table, routing), "")
+      << topo.name() << " at " << num_vcs << " VCs";
+}
+
+/// The family's default routing at 1 (where legal), 2 and 4 VCs; the
+/// dateline and escape families reject 1 VC.
+void expect_default_routing_matches_live(const topo::Topology& topo,
+                                         bool one_vc_legal) {
+  for (const int vcs : {1, 2, 4}) {
+    if (vcs == 1 && !one_vc_legal) {
+      EXPECT_THROW(make_default_routing(topo, vcs), Error) << topo.name();
+      continue;
+    }
+    expect_table_matches_live(topo, *make_default_routing(topo, vcs), vcs);
+  }
 }
 
 TEST(RouteTable, MatchesLiveRoutingOnMesh) {
-  const auto topo = topo::make_mesh(4, 5);
-  const auto routing = make_xy_hamming_routing(topo, kVcs);
-  expect_table_matches_live(topo, *routing, kVcs);
+  expect_default_routing_matches_live(topo::make_mesh(4, 5), true);
 }
 
 TEST(RouteTable, MatchesLiveRoutingOnTorus) {
-  const auto topo = topo::make_torus(4, 4);
-  const auto routing = make_xy_hamming_routing(topo, kVcs);
-  expect_table_matches_live(topo, *routing, kVcs);
+  expect_default_routing_matches_live(topo::make_torus(4, 4), false);
+}
+
+TEST(RouteTable, MatchesLiveRoutingOnFoldedTorus) {
+  expect_default_routing_matches_live(topo::make_folded_torus(4, 5), false);
+}
+
+TEST(RouteTable, MatchesLiveRoutingOnFlattenedButterfly) {
+  expect_default_routing_matches_live(topo::make_flattened_butterfly(4, 4),
+                                      true);
 }
 
 TEST(RouteTable, MatchesLiveRoutingOnShg) {
-  const auto topo = topo::make_sparse_hamming(5, 5, {2, 3}, {2, 4});
-  const auto routing = make_xy_hamming_routing(topo, kVcs);
-  expect_table_matches_live(topo, *routing, kVcs);
+  expect_default_routing_matches_live(
+      topo::make_sparse_hamming(5, 5, {2, 3}, {2, 4}), true);
 }
 
-TEST(RouteTable, MatchesLiveRoutingOnSlimNoc) {
-  const auto topo = topo::make_slim_noc(5, 10);
-  const auto routing = make_table_escape_routing(topo, kVcs);
-  expect_table_matches_live(topo, *routing, kVcs);
+TEST(RouteTable, MatchesLiveRoutingOnRuche) {
+  expect_default_routing_matches_live(topo::make_ruche(6, 5, 3, 2), true);
 }
 
 TEST(RouteTable, MatchesLiveRoutingOnRing) {
-  const auto topo = topo::make_ring(4, 4);
-  const auto routing = make_ring_routing(topo, 2);
-  expect_table_matches_live(topo, *routing, 2);
+  expect_default_routing_matches_live(topo::make_ring(4, 4), false);
 }
 
-TEST(RouteTable, VerifyAgainstRejectsDifferentRouting) {
-  // A table built for a 4x4 mesh's XY routing must fail verification
-  // against the escape-table routing of the same topology (different
-  // candidate sets for most states).
+TEST(RouteTable, MatchesLiveRoutingOnHypercube) {
+  expect_default_routing_matches_live(topo::make_hypercube(4, 4), true);
+}
+
+TEST(RouteTable, MatchesLiveRoutingOnSlimNoc) {
+  expect_default_routing_matches_live(topo::make_slim_noc(5, 10), false);
+}
+
+TEST(RouteTable, MatchesLiveRoutingOnConcentratedMesh) {
+  expect_default_routing_matches_live(topo::make_concentrated_mesh(3, 4, 4),
+                                      true);
+}
+
+TEST(RouteTable, MatchesLiveUgalRouting) {
+  // UGAL keys its band and the escape routing's own class: dateline
+  // (torus, ring), O1TURN (mesh) and up*/down* (SlimNoC) escapes.
+  for (const topo::Topology& topo :
+       {topo::make_mesh(4, 4), topo::make_torus(4, 4), topo::make_ring(4, 4),
+        topo::make_slim_noc(5, 10)}) {
+    for (const int vcs : {3, 4}) {
+      expect_table_matches_live(
+          topo, *make_ugal_routing(topo, vcs, kUgalViaSeed), vcs);
+    }
+  }
+}
+
+TEST(RouteTable, StoresOneRowPerInputClass) {
+  // An 8x8 flattened butterfly at the campaign's 8 VCs: 14 ports, so 113
+  // slots per router, but O1TURN routes on injection or the VC class, so
+  // 3 classes per router.
+  const auto fb = topo::make_flattened_butterfly(8, 8);
+  const RouteTable fb_table(fb, *make_default_routing(fb, 8), 8);
+  EXPECT_EQ(fb_table.num_rows(), 462848u);
+  EXPECT_EQ(fb_table.num_stored_rows(), 3u * 64u * 64u);
+  // Dateline torus: injection plus arrival axis x VC class, 5 classes.
+  const auto torus = topo::make_torus(4, 4);
+  const RouteTable torus_table(torus, *make_default_routing(torus, kVcs),
+                               kVcs);
+  EXPECT_EQ(torus_table.num_stored_rows(), 5u * 16u * 16u);
+  // E-cube reads neither port nor VC: one class.
+  const auto cube = topo::make_hypercube(4, 4);
+  const RouteTable cube_table(cube, *make_default_routing(cube, kVcs), kVcs);
+  EXPECT_EQ(cube_table.num_stored_rows(), 16u * 16u);
+}
+
+/// Torus routing behind a key too coarse for it: every state of a node
+/// gets class 0, so the table stores only each router's injection rows.
+class ConstantKeyRouting final : public RoutingFunction {
+ public:
+  explicit ConstantKeyRouting(std::unique_ptr<RoutingFunction> inner)
+      : inner_(std::move(inner)) {}
+  std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
+                                    int dest) const override {
+    return inner_->route(node, in_port, in_vc, dest);
+  }
+  int input_class(int, int, int) const override { return 0; }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<RoutingFunction> inner_;
+};
+
+TEST(RouteTable, SweepCatchesTooCoarseInputClass) {
+  const auto topo = topo::make_torus(4, 4);
+  const ConstantKeyRouting routing(make_default_routing(topo, kVcs));
+  const RouteTable table(topo, routing, kVcs);
+  EXPECT_EQ(table.num_stored_rows(), 16u * 16u);
+  EXPECT_NE(table_mismatch(topo, table, routing), "");
+}
+
+TEST(RouteTable, SweepRejectsDifferentRouting) {
+  // A table built for a 4x4 mesh's XY routing must fail the sweep against
+  // the escape-table routing of the same topology (different candidate
+  // sets for most states).
   const auto topo = topo::make_mesh(4, 4);
   const auto xy = make_xy_hamming_routing(topo, kVcs);
   const auto escape = make_table_escape_routing(topo, kVcs);
   const RouteTable table(topo, *xy, kVcs);
-  EXPECT_THROW(table.verify_against(*escape), Error);
+  EXPECT_EQ(table_mismatch(topo, table, *xy), "");
+  EXPECT_NE(table_mismatch(topo, table, *escape), "");
 }
 
 TEST(RouteTable, RejectsVcMismatchInRouter) {
@@ -156,8 +274,9 @@ void expect_bit_identical_sim(const topo::Topology& topo) {
       run_live(topo, unit_latencies(topo), config, *pattern, 1).result;
   Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
   ASSERT_NE(simulator.route_table(), nullptr);
-  EXPECT_NO_THROW(simulator.route_table()->verify_against(
-      *make_policy_routing(topo, config)));
+  EXPECT_EQ(table_mismatch(topo, *simulator.route_table(),
+                           *make_policy_routing(topo, config)),
+            "");
   const SimResult tabled = simulator.run();
 
   EXPECT_EQ(live.offered_rate, tabled.offered_rate);
@@ -200,17 +319,6 @@ TEST(RouteTable, DedupCollapsesVcInsensitiveRows) {
   EXPECT_LT(table.num_unique_rows(), table.num_rows() / 2);
   EXPECT_LT(table.num_candidates(), table.num_candidates_undeduped());
   EXPECT_LT(table.memory_bytes(), table.undeduped_memory_bytes());
-}
-
-TEST(RouteTable, DedupPreservesEveryLookup) {
-  // Dedup is content-addressed, so it must be invisible through lookup():
-  // already covered family by family above, re-asserted here on the escape
-  // routing whose rows are the least regular.
-  const auto topo = topo::make_slim_noc(5, 10);
-  const auto routing = make_table_escape_routing(topo, kVcs);
-  const RouteTable table(topo, *routing, kVcs);
-  EXPECT_NO_THROW(table.verify_against(*routing));
-  EXPECT_GE(table.num_candidates_undeduped(), table.num_candidates());
 }
 
 TEST(RouteTable, RowBudget) {
