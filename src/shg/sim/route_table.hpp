@@ -17,15 +17,13 @@
 // each slot to a key with the contract that equal keys at a node route
 // identically for every dest; the table gives each node's distinct keys a
 // dense class number in first-appearance slot order and stores one row per
-// (node, class, dest). The minimal routings key on injection, the VC class
-// and (dateline, escape) the arrival axis or direction, so an 8-VC router
-// with 14 ports keeps 3 rows per dest instead of 113. Rows with dest ==
-// node are empty (ejection is handled by the router directly and never
-// consults routing). Rows whose state the routing function itself rejects
-// as unreachable (it throws — e.g. an escape-path continuation for an
-// arrival direction the escape path never produces) are also stored empty;
-// the simulator never queries them, and the router's non-empty assertion
-// reproduces live-mode failure if it ever does.
+// (node, class, dest). Rows with dest == node are empty (ejection is
+// handled by the router directly and never consults routing). Rows whose
+// state the routing function itself rejects as unreachable (it throws —
+// e.g. an escape-path continuation for an arrival direction the escape
+// path never produces) are also stored empty; the simulator never queries
+// them, and the router's non-empty assertion reproduces live-mode failure
+// if it ever does.
 //
 // Arena layout (deduplicated CSR):
 //   global slot  g = slot_base_[node] + slot,

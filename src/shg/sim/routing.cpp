@@ -444,8 +444,11 @@ class TableEscapeRouting final : public RoutingFunction {
   std::vector<RouteCandidate> route(int node, int in_port, int in_vc,
                                     int dest) const override {
     std::vector<RouteCandidate> result;
-    const int cls = input_class(node, in_port, in_vc);
-    if (cls == kAdaptive) {
+    // Freshly injected packets sit in an arbitrary local-port VC; only
+    // packets that traveled a network channel on VC 0 are on the escape
+    // class.
+    const bool on_escape = in_vc == 0 && in_port >= 0;
+    if (!on_escape) {
       // Fully adaptive minimal hops on the adaptive VC class [1, V).
       const int d = hops_[static_cast<std::size_t>(node)]
                          [static_cast<std::size_t>(dest)];
@@ -461,8 +464,14 @@ class TableEscapeRouting final : public RoutingFunction {
     // Escape hop: a fresh up*/down* path when joining from an adaptive VC
     // (phase 0), or the continuation of the current escape path (phase
     // derived from the direction of the arrival move).
-    const auto& phase = cls == kEscapeAfterDown ? tables_.phase1
-                                                : tables_.phase0;
+    bool went_down = false;
+    if (on_escape) {
+      const int from =
+          topo_->graph().neighbors(node)[static_cast<std::size_t>(in_port)]
+              .node;
+      went_down = !tree_.is_up(from, node);
+    }
+    const auto& phase = went_down ? tables_.phase1 : tables_.phase0;
     const int escape_next =
         phase[static_cast<std::size_t>(node)][static_cast<std::size_t>(dest)];
     SHG_ASSERT(escape_next >= 0, "escape path must always exist");
@@ -470,23 +479,18 @@ class TableEscapeRouting final : public RoutingFunction {
     return result;
   }
 
-  // Freshly injected packets sit in an arbitrary local-port VC; only
-  // packets that traveled a network channel on VC 0 are on the escape
-  // class, and the direction of that move picks the escape phase.
+  // Adaptive (0), or on the escape path after an up move (1, phase 0
+  // continues) or a down move (2, phase 1 continues).
   int input_class(int node, int in_port, int in_vc) const override {
-    if (in_vc != 0 || in_port < 0) return kAdaptive;
+    if (in_vc != 0 || in_port < 0) return 0;
     const int from =
         topo_->graph().neighbors(node)[static_cast<std::size_t>(in_port)].node;
-    return tree_.is_up(from, node) ? kEscapeAfterUp : kEscapeAfterDown;
+    return tree_.is_up(from, node) ? 1 : 2;
   }
 
   std::string name() const override { return "minimal-adaptive+escape"; }
 
  private:
-  static constexpr int kAdaptive = 0;
-  static constexpr int kEscapeAfterUp = 1;
-  static constexpr int kEscapeAfterDown = 2;
-
   const topo::Topology* topo_;
   int num_vcs_;
   PortLookup ports_;
