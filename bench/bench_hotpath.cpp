@@ -18,10 +18,10 @@
 //     bench-local reference loop (every neighbor screened with
 //     screen_candidate in a parallel_for, the winner picked by
 //     select_greedy_candidate) vs customize_greedy's product-form
-//     screening (one routed profile per row-skip and column-skip set,
-//     memoized for the search), asserting bit-identical winners, per-step
-//     metrics and final report areas and running the product-vs-full
-//     screening comparison. Acceptance bar: >= 1.5x;
+//     screening (each neighborhood batch routes one profile per distinct
+//     row-skip and column-skip set), asserting bit-identical winners,
+//     per-step metrics and final report areas and running the
+//     product-vs-full screening comparison. Acceptance bar: >= 1.5x;
 //  6. route_table_dedup — bytes of the class-keyed, deduplicated route
 //     table vs a state-keyed layout without dedup (sim equivalence is
 //     covered by the sim_cycle gate, which runs with the table);
@@ -34,7 +34,7 @@
 //     over 8 seeded random skip sets); the product-vs-full screening
 //     comparison on a mixed batch.
 //  8. dse_session_warm — the full greedy customization against a fresh
-//     persistent session (cold: every candidate is a cache miss and gets
+//     in-memory session (cold: every candidate is a cache miss and gets
 //     screened + stored) vs re-invoking it against the now-populated
 //     session (warm: every candidate hits the cache, no BFS sweep and no
 //     channel routing runs, and the final cost report comes from the
@@ -519,7 +519,7 @@ bool screening_gates(bool* hop_totals_match) {
          oracle_ok;
 }
 
-// 8. Persistent-session warm re-invocation: the full greedy search against
+// 8. Session warm re-invocation: the full greedy search against
 // a fresh (cold, populating) session vs against the already-populated one.
 BenchResult bench_dse_session_warm(bool* equivalent) {
   const tech::ArchParams arch = fabric_10x10();

@@ -5,18 +5,13 @@
 // prediction toolchain enables (Section IV).
 //
 //   $ ./design_space_explorer [a|b|c|d] [max_skips_per_dim] [--refine]
-//                             [--session FILE]
 //
-// --refine demonstrates the persistent-session two-pass refine loop of the
-// customization methodology (Section V): pass 1 explores the requested
+// --refine demonstrates the in-memory session's two-pass refine loop of
+// the customization methodology (Section V): pass 1 explores the requested
 // space against a session, pass 2 re-explores with the per-dimension bound
 // raised by one — the session serves every configuration pass 1 already
 // screened from its cache, so pass 2 pays only for the newly reachable
 // ones (the hit/miss counters printed after each pass show it).
-// --session FILE persists the candidate cache across program runs in the
-// checksummed `shg.cache.v1` format: re-running the same exploration is
-// warm, and a corrupt or version-mismatched file is discarded with a
-// warning (the run degrades to cold screening, results unchanged).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,13 +58,10 @@ int main(int argc, char** argv) {
   tech::KncScenario which = tech::KncScenario::kA;
   int max_skips = 2;
   bool refine = false;
-  std::string session_path;
   bool positional_seen = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--refine") == 0) {
       refine = true;
-    } else if (std::strcmp(argv[i], "--session") == 0 && i + 1 < argc) {
-      session_path = argv[++i];
     } else if (!positional_seen && std::strlen(argv[i]) == 1 &&
                argv[i][0] >= 'a' && argv[i][0] <= 'd') {
       which = static_cast<tech::KncScenario>(argv[i][0] - 'a');
@@ -78,16 +70,13 @@ int main(int argc, char** argv) {
       max_skips = std::atoi(argv[i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [a|b|c|d] [max_skips_per_dim] [--refine] "
-                   "[--session FILE]\n",
+                   "usage: %s [a|b|c|d] [max_skips_per_dim] [--refine]\n",
                    argv[0]);
       return 1;
     }
   }
 
-  customize::SessionOptions session_options;
-  session_options.cache_path = session_path;
-  customize::Session session(session_options);
+  customize::Session session;
 
   customize::ExploreOptions options;
   options.max_row_skips = max_skips;

@@ -12,19 +12,16 @@ namespace {
 // On-disk layout of `shg.cache.v1` (all integers little-endian):
 //   [0, 8)    magic "SHGCACHE"
 //   [8, 12)   format version (1)
-//   [12, 16)  payload kind (0 = candidate metrics, 1 = simulation results;
-//             the field reuses bytes every pre-kind writer left zero, so
-//             old candidate files load unchanged)
+//   [12, 16)  payload kind (1 = simulation results; kind 0 was the retired
+//             candidate-metrics payload, and is discarded like any other
+//             mismatch)
 //   [16, 24)  entry count
 //   [24, 32)  FNV-1a 64 checksum of the payload bytes
-//   [32, ...) payload: count fixed-size entries of (hi, lo, kind-specific
-//             fields); 48 B for candidate metrics, 112 B for sim results
+//   [32, ...) payload: count 112-byte entries of (hi, lo, SimResult fields)
 constexpr char kMagic[8] = {'S', 'H', 'G', 'C', 'A', 'C', 'H', 'E'};
 constexpr std::uint32_t kFormatVersion = 1;
-constexpr std::uint32_t kKindCandidate = 0;
 constexpr std::uint32_t kKindSimResult = 1;
 constexpr std::size_t kHeaderBytes = 32;
-constexpr std::size_t kCandidateEntryBytes = 48;
 constexpr std::size_t kSimResultEntryBytes = 112;
 
 void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
@@ -81,14 +78,14 @@ void warn_discard(const std::string& path, const char* reason) {
 }
 
 /// Writes header + payload; warns and returns false on I/O failure.
-bool write_cache_file(const std::string& path, std::uint32_t kind,
+bool write_cache_file(const std::string& path,
                       const std::vector<unsigned char>& payload,
                       std::uint64_t count) {
   std::vector<unsigned char> header;
   header.reserve(kHeaderBytes);
   header.insert(header.end(), kMagic, kMagic + sizeof(kMagic));
   put_u32(header, kFormatVersion);
-  put_u32(header, kind);
+  put_u32(header, kKindSimResult);
   put_u64(header, count);
   put_u64(header, fnv1a(payload.data(), payload.size()));
 
@@ -111,13 +108,11 @@ bool write_cache_file(const std::string& path, std::uint32_t kind,
 
 enum class ReadStatus { kOk, kAbsent, kDiscarded };
 
-/// Reads and fully validates one cache file of the expected kind. On
-/// success fills `data` (whole file) and `count`; an absent file is a
-/// silent normal cold start; any validation failure warns through the
-/// shg::log sink and reports kDiscarded so the caller can bump its
-/// disk-discarded counter.
-ReadStatus read_cache_file(const std::string& path, std::uint32_t kind,
-                           std::size_t entry_bytes,
+/// Reads and fully validates one result-tier cache file. On success fills
+/// `data` (whole file) and `count`; an absent file is a silent normal cold
+/// start; any validation failure warns through the shg::log sink and
+/// reports kDiscarded so the caller can bump its disk-discarded counter.
+ReadStatus read_cache_file(const std::string& path,
                            std::vector<unsigned char>& data,
                            std::uint64_t& count) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -142,17 +137,18 @@ ReadStatus read_cache_file(const std::string& path, std::uint32_t kind,
     reason = "has a wrong magic (not an shg.cache file)";
   } else if (get_u32(data.data() + 8) != kFormatVersion) {
     reason = "has an unsupported format version";
-  } else if (get_u32(data.data() + 12) != kind) {
+  } else if (get_u32(data.data() + 12) != kKindSimResult) {
     reason = "holds a different payload kind";
   } else {
     count = get_u64(data.data() + 16);
     // Guard the size arithmetic against absurd counts before multiplying.
-    if (count > (data.size() / entry_bytes) + 1) {
+    if (count > (data.size() / kSimResultEntryBytes) + 1) {
       reason = "is truncated (entry count exceeds the file size)";
-    } else if (data.size() != kHeaderBytes + count * entry_bytes) {
+    } else if (data.size() != kHeaderBytes + count * kSimResultEntryBytes) {
       reason = "is truncated (size does not match the entry count)";
     } else if (get_u64(data.data() + 24) !=
-               fnv1a(data.data() + kHeaderBytes, count * entry_bytes)) {
+               fnv1a(data.data() + kHeaderBytes,
+                     count * kSimResultEntryBytes)) {
       reason = "fails its payload checksum";
     }
   }
@@ -339,52 +335,11 @@ Fingerprint fingerprint_sim_cell(const Fingerprint& sim_topo_fp,
   return b.done();
 }
 
-std::size_t CandidateCache::save_file(const std::string& path) const {
-  std::vector<unsigned char> payload;
-  payload.reserve(size() * kCandidateEntryBytes);
-  std::size_t count = 0;
-  for_each_serialized([&](const Fingerprint& key, const CandidateMetrics& m) {
-    put_u64(payload, key.hi);
-    put_u64(payload, key.lo);
-    put_f64(payload, m.area_overhead);
-    put_f64(payload, m.avg_hops);
-    put_f64(payload, m.diameter);
-    put_f64(payload, m.throughput_bound);
-    ++count;
-  });
-  return write_cache_file(path, kKindCandidate, payload, count) ? count : 0;
-}
-
-std::size_t CandidateCache::load_file(const std::string& path) {
-  std::vector<unsigned char> data;
-  std::uint64_t count = 0;
-  const ReadStatus status =
-      read_cache_file(path, kKindCandidate, kCandidateEntryBytes, data, count);
-  if (status != ReadStatus::kOk) {
-    if (status == ReadStatus::kDiscarded) note_disk_discarded();
-    return 0;
-  }
-  const unsigned char* p = data.data() + kHeaderBytes;
-  for (std::uint64_t i = 0; i < count; ++i, p += kCandidateEntryBytes) {
-    Fingerprint key;
-    key.hi = get_u64(p);
-    key.lo = get_u64(p + 8);
-    CandidateMetrics metrics;
-    metrics.area_overhead = get_f64(p + 16);
-    metrics.avg_hops = get_f64(p + 24);
-    metrics.diameter = get_f64(p + 32);
-    metrics.throughput_bound = get_f64(p + 40);
-    insert(key, metrics);
-  }
-  note_disk_loaded(count);
-  return static_cast<std::size_t>(count);
-}
-
 std::size_t SimResultCache::save_file(const std::string& path) const {
+  const auto entries = sorted_entries();
   std::vector<unsigned char> payload;
-  payload.reserve(size() * kSimResultEntryBytes);
-  std::size_t count = 0;
-  for_each_serialized([&](const Fingerprint& key, const sim::SimResult& r) {
+  payload.reserve(entries.size() * kSimResultEntryBytes);
+  for (const auto& [key, r] : entries) {
     put_u64(payload, key.hi);
     put_u64(payload, key.lo);
     put_f64(payload, r.offered_rate);
@@ -399,16 +354,14 @@ std::size_t SimResultCache::save_file(const std::string& path) const {
     put_u64(payload, static_cast<std::uint64_t>(r.measured_packets));
     put_u64(payload, r.drained ? 1 : 0);
     put_u64(payload, static_cast<std::uint64_t>(r.cycles_run));
-    ++count;
-  });
-  return write_cache_file(path, kKindSimResult, payload, count) ? count : 0;
+  }
+  return write_cache_file(path, payload, entries.size()) ? entries.size() : 0;
 }
 
 std::size_t SimResultCache::load_file(const std::string& path) {
   std::vector<unsigned char> data;
   std::uint64_t count = 0;
-  const ReadStatus status =
-      read_cache_file(path, kKindSimResult, kSimResultEntryBytes, data, count);
+  const ReadStatus status = read_cache_file(path, data, count);
   if (status != ReadStatus::kOk) {
     if (status == ReadStatus::kDiscarded) note_disk_discarded();
     return 0;

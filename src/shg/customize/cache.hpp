@@ -53,39 +53,30 @@
 //
 // `FingerprintLruCache<Value>` is the store itself: an LRU-bounded hash map
 // from fingerprint to a fixed-size value. `CandidateCache` (screening
-// metrics) and `SimResultCache` (complete per-cell `sim::SimResult`s,
-// every double by bit pattern) instantiate it and add an on-disk tier in
-// the versioned binary format `shg.cache.v1` (magic + version + payload
-// kind + entry count + payload checksum). The payload-kind field keeps the
-// two tiers' files mutually unloadable: a sim-result file handed to the
-// candidate loader (or vice versa) is rejected like any other corrupt
-// file. Loading validates magic, version, kind, size and checksum and
-// DISCARDS the file on any mismatch — a corrupt, truncated or
-// future-version cache file degrades to cold screening/simulation with a
-// warning on stderr, never to a crash or a stale result.
+// metrics, memory-only) and `SimResultCache` (complete per-cell
+// `sim::SimResult`s, every double by bit pattern) instantiate it; the
+// result tier adds an on-disk form in the versioned binary format
+// `shg.cache.v1` (magic + version + payload kind + entry count + payload
+// checksum). Loading validates magic, version, kind, size and checksum and
+// DISCARDS the file on any mismatch — a corrupt, truncated, future-version
+// or wrong-kind file (kind 0 is the retired candidate-metrics payload)
+// degrades to cold simulation with a warning on stderr, never to a crash
+// or a stale result.
 //
 // Exactness & concurrency: cached values are the bits a cold
 // screen/simulation produced, so hits are bit-identical to recomputing by
 // construction. The store is split into `shards` independent LRU shards
-// selected by a fingerprint prefix (`(hi >> 48) % shards`), each with its
-// own mutex when there is more than one:
-//  * shards = 1 (the default) is the single-threaded mode every batch
-//    caller uses — one LRU list, no mutex acquisition, bit-identical to
-//    the pre-sharding cache in every observable (hit/miss sequence,
-//    eviction order, on-disk bytes);
-//  * shards > 1 (locked) serves concurrent readers/writers: a
-//    lookup or insert locks only its key's shard. Values are exact bits
-//    either way, so concurrency can only reorder RECENCY (and therefore
-//    eviction victims) across interleavings — never change a returned
-//    value. Eviction is per shard (capacity is split evenly), so one hot
-//    shard cannot evict another shard's entries.
-// On-disk files stay canonical across all of this: save_file serializes in
-// ascending fingerprint order whenever shards > 1, so equal contents
-// produce equal bytes regardless of shard count or the interleaving that
-// built them; shards = 1 keeps the legacy least-recent-first order (the
-// bytes every pre-sharding file and oracle pinned). Loaders accept either
-// order — entries are re-inserted in file order, which reconstructs the
-// recency order deterministically.
+// selected by a fingerprint prefix (`(hi >> 48) % shards`), each behind
+// its own mutex, so concurrent readers/writers lock only their key's
+// shard. Values are exact bits either way, so concurrency can only reorder
+// RECENCY (and therefore eviction victims) across interleavings — never
+// change a returned value. Eviction is per shard (capacity is split
+// evenly), so one hot shard cannot evict another shard's entries.
+// Files are canonical: save_file serializes in ascending fingerprint order,
+// so equal contents produce equal bytes regardless of shard count or the
+// interleaving that built them. Loaders accept any order (files written
+// in least-recent-first order by older builds included); entries are
+// re-inserted in file order.
 #pragma once
 
 #include <algorithm>
@@ -201,8 +192,8 @@ struct CacheStats {
 };
 
 /// LRU-bounded fingerprint -> Value store: the in-memory tier shared by the
-/// candidate and simulation-result caches, split into independent shards
-/// keyed by a fingerprint prefix (see the file comment's concurrency
+/// candidate and simulation-result caches, split into independent locked
+/// shards keyed by a fingerprint prefix (see the file comment's concurrency
 /// section). Values are small fixed-size structs stored by value in a slab
 /// per shard; each shard's recency list is intrusive (indices, no
 /// allocation per touch) and deterministic on its own.
@@ -210,13 +201,9 @@ template <class Value>
 class FingerprintLruCache {
  public:
   /// `capacity` is the total entry budget, split evenly over `shards`
-  /// independent LRU shards. The per-shard mutexes are armed exactly when
-  /// shards > 1; the single-shard mode is single-threaded (bit-identical
-  /// to the pre-sharding cache, no lock acquisition).
+  /// independent LRU shards.
   explicit FingerprintLruCache(std::size_t capacity, std::size_t shards = 1)
-      : capacity_(capacity),
-        locking_(shards > 1),
-        shards_(shards == 0 ? 1 : shards) {
+      : capacity_(capacity), shards_(shards == 0 ? 1 : shards) {
     SHG_REQUIRE(capacity_ > 0, "cache capacity must be positive");
     SHG_REQUIRE(shards > 0, "shard count must be positive");
     // Even split, rounded up so the total never drops below `capacity`.
@@ -225,13 +212,11 @@ class FingerprintLruCache {
   }
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
-  bool locking() const { return locking_; }
 
   std::size_t size() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
-      const auto lock = guard(shard);
+      const std::lock_guard lock(shard.mutex);
       total += shard.index.size();
     }
     return total;
@@ -242,11 +227,11 @@ class FingerprintLruCache {
   CacheStats stats() const {
     CacheStats total;
     {
-      const auto lock = guard_disk();
+      const std::lock_guard lock(disk_mutex_);
       total = disk_stats_;
     }
     for (const Shard& shard : shards_) {
-      const auto lock = guard(shard);
+      const std::lock_guard lock(shard.mutex);
       total.hits += shard.stats.hits;
       total.misses += shard.stats.misses;
       total.insertions += shard.stats.insertions;
@@ -259,7 +244,7 @@ class FingerprintLruCache {
   /// shard, or nullopt on a miss.
   std::optional<Value> lookup(const Fingerprint& key) {
     Shard& shard = shard_of(key);
-    const auto lock = guard(shard);
+    const std::lock_guard lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it == shard.index.end()) {
       ++shard.stats.misses;
@@ -275,7 +260,7 @@ class FingerprintLruCache {
   /// entries of its shard beyond the shard capacity.
   void insert(const Fingerprint& key, const Value& value) {
     Shard& shard = shard_of(key);
-    const auto lock = guard(shard);
+    const std::lock_guard lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.entries[it->second].value = value;
@@ -299,63 +284,32 @@ class FingerprintLruCache {
     shard.evict_to_capacity();
   }
 
-  void clear() {
-    for (Shard& shard : shards_) {
-      const auto lock = guard(shard);
-      shard.entries.clear();
-      shard.free.clear();
-      shard.index.clear();
-      shard.head = shard.tail = npos;
-    }
-  }
-
-  /// Visits every (key, value) shard by shard, least-recent first within
-  /// each shard. With one shard this is the legacy whole-cache LRU order —
-  /// the save order whose loader reconstructs the same recency (and thus
-  /// eviction) order by re-inserting in visit order. Not synchronized
-  /// against concurrent writers beyond per-shard locking; snapshot callers
-  /// quiesce writers first (save paths run on one thread).
-  template <class Fn>
-  void for_each_lru(Fn&& fn) const {
+ protected:
+  /// Every (key, value) in ascending fingerprint order: the canonical
+  /// serialization order of save_file (equal contents give equal bytes
+  /// regardless of shard count or interleaving). Snapshot callers quiesce
+  /// writers first (save paths run on one thread).
+  std::vector<std::pair<Fingerprint, Value>> sorted_entries() const {
+    std::vector<std::pair<Fingerprint, Value>> all;
     for (const Shard& shard : shards_) {
-      const auto lock = guard(shard);
-      for (std::size_t idx = shard.tail; idx != npos;
-           idx = shard.entries[idx].newer) {
-        fn(shard.entries[idx].key, shard.entries[idx].value);
+      const std::lock_guard lock(shard.mutex);
+      for (const auto& [key, idx] : shard.index) {
+        all.emplace_back(key, shard.entries[idx].value);
       }
     }
-  }
-
- protected:
-  /// Visit order of save_file: the legacy LRU order for a single shard
-  /// (byte-identical files to the pre-sharding cache), ascending
-  /// fingerprint order otherwise (canonical bytes for equal contents
-  /// regardless of shard count or interleaving).
-  template <class Fn>
-  void for_each_serialized(Fn&& fn) const {
-    if (shards_.size() == 1) {
-      for_each_lru(fn);
-      return;
-    }
-    std::vector<std::pair<Fingerprint, Value>> all;
-    all.reserve(size());
-    for_each_lru([&](const Fingerprint& key, const Value& value) {
-      all.emplace_back(key, value);
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      return a.first.hi != b.first.hi ? a.first.hi < b.first.hi
+                                      : a.first.lo < b.first.lo;
     });
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) {
-                return a.first.hi != b.first.hi ? a.first.hi < b.first.hi
-                                                : a.first.lo < b.first.lo;
-              });
-    for (const auto& [key, value] : all) fn(key, value);
+    return all;
   }
 
   void note_disk_loaded(std::uint64_t count) {
-    const auto lock = guard_disk();
+    const std::lock_guard lock(disk_mutex_);
     disk_stats_.disk_loaded += count;
   }
   void note_disk_discarded() {
-    const auto lock = guard_disk();
+    const std::lock_guard lock(disk_mutex_);
     ++disk_stats_.disk_discarded;
   }
 
@@ -423,45 +377,14 @@ class FingerprintLruCache {
     return shards_[static_cast<std::size_t>(key.hi >> 48) % shards_.size()];
   }
 
-  std::unique_lock<std::mutex> guard(const Shard& shard) const {
-    return locking_ ? std::unique_lock<std::mutex>(shard.mutex)
-                    : std::unique_lock<std::mutex>();
-  }
-  std::unique_lock<std::mutex> guard_disk() const {
-    return locking_ ? std::unique_lock<std::mutex>(disk_mutex_)
-                    : std::unique_lock<std::mutex>();
-  }
-
   std::size_t capacity_;
-  bool locking_;
   std::vector<Shard> shards_;
   CacheStats disk_stats_;  ///< disk_loaded / disk_discarded only
   mutable std::mutex disk_mutex_;
 };
 
-/// Screening-metrics store (48 B/entry on disk, payload kind 0 — the
-/// original `shg.cache.v1` layout, byte-compatible with files written
-/// before the kind field existed).
-class CandidateCache : public FingerprintLruCache<CandidateMetrics> {
- public:
-  using FingerprintLruCache::FingerprintLruCache;
-
-  /// Writes every entry to `path` in the canonical serialization order
-  /// (legacy least-recent first for a single shard — byte-identical to
-  /// pre-sharding files, and a later load_file reconstructs the same
-  /// recency order; ascending fingerprint order when sharded, so equal
-  /// contents give equal bytes at any shard count). Returns the number of
-  /// entries written; on I/O failure warns through shg::log and returns 0.
-  std::size_t save_file(const std::string& path) const;
-
-  /// Merges the entries of a `shg.cache.v1` candidate file into the cache
-  /// (insert semantics: capacity and recency apply). Validation failures —
-  /// missing file, bad magic, version or payload-kind mismatch,
-  /// truncation, checksum mismatch — discard the file with a warning
-  /// through the shg::log sink (stderr by default) and return 0, leaving
-  /// the cache untouched. Returns the number of entries adopted.
-  std::size_t load_file(const std::string& path);
-};
+/// Screening-metrics store (memory-only).
+using CandidateCache = FingerprintLruCache<CandidateMetrics>;
 
 /// Simulation-result store: complete per-cell `sim::SimResult`s (every
 /// double by bit pattern, so a hit reproduces the cold report bytes).
@@ -472,11 +395,19 @@ class SimResultCache : public FingerprintLruCache<sim::SimResult> {
  public:
   using FingerprintLruCache::FingerprintLruCache;
 
-  /// Same contract as CandidateCache::save_file.
+  /// Writes every entry to `path` in ascending fingerprint order. Returns
+  /// the number of entries written; on I/O failure warns through shg::log
+  /// and returns 0.
   std::size_t save_file(const std::string& path) const;
 
-  /// Same contract as CandidateCache::load_file, for payload kind 1 —
-  /// repeated calls with different shard files merge them into one tier.
+  /// Merges the entries of a `shg.cache.v1` result file into the cache
+  /// (insert semantics: capacity and recency apply), so repeated calls
+  /// with different shard files merge them into one tier. Validation
+  /// failures — bad magic, version or payload-kind mismatch, truncation,
+  /// checksum mismatch — discard the file with a warning through the
+  /// shg::log sink (stderr by default) and return 0, leaving the cache
+  /// untouched; a missing file is a silent cold start. Returns the number
+  /// of entries adopted.
   std::size_t load_file(const std::string& path);
 };
 

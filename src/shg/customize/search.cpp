@@ -1,6 +1,5 @@
 #include "shg/customize/search.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 
@@ -13,15 +12,6 @@
 namespace shg::customize {
 
 namespace {
-
-/// Lexicographic objective: higher throughput bound first, then lower
-/// average hop count (throughput priority 1, latency priority 2).
-bool better(const CandidateMetrics& a, const CandidateMetrics& b) {
-  if (a.throughput_bound != b.throughput_bound) {
-    return a.throughput_bound > b.throughput_bound;
-  }
-  return a.avg_hops < b.avg_hops;
-}
 
 /// Final cost report of a search winner, through the session's artifact
 /// tier when one is attached: the full five-step model is deterministic,
@@ -190,57 +180,6 @@ SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
 
   result.cost = final_cost_report(arch, result.params, options.session);
   return result;
-}
-
-SearchResult customize_exhaustive(const tech::ArchParams& arch,
-                                  const Goal& goal,
-                                  const std::vector<int>& row_candidates,
-                                  const std::vector<int>& col_candidates,
-                                  const SearchOptions& options) {
-  SHG_REQUIRE(row_candidates.size() + col_candidates.size() <= 20,
-              "exhaustive search is exponential; use fewer candidates");
-  SearchResult best;
-  bool have_best = false;
-
-  const std::size_t row_masks = std::size_t{1} << row_candidates.size();
-  const std::size_t col_masks = std::size_t{1} << col_candidates.size();
-  std::vector<topo::ShgParams> batch;
-  batch.reserve(row_masks * col_masks);
-  for (std::size_t rm = 0; rm < row_masks; ++rm) {
-    for (std::size_t cm = 0; cm < col_masks; ++cm) {
-      topo::ShgParams params;
-      for (std::size_t i = 0; i < row_candidates.size(); ++i) {
-        if ((rm >> i) & 1) params.row_skips.insert(row_candidates[i]);
-      }
-      for (std::size_t i = 0; i < col_candidates.size(); ++i) {
-        if ((cm >> i) & 1) params.col_skips.insert(col_candidates[i]);
-      }
-      batch.push_back(std::move(params));
-    }
-  }
-  // The enumeration holds 2^|rows| row-skip sets and 2^|cols| column-skip
-  // sets, so product-form screening routes that many axes for the whole
-  // lattice; an attached session additionally serves repeated invocations
-  // from its cache and screens only the misses.
-  // Either way the serial reduction below sees bit-identical metrics in
-  // the same order.
-  const std::vector<CandidateMetrics> screened =
-      options.session != nullptr
-          ? screen_batch_cached(arch, batch, *options.session)
-          : screen_batch_incremental(arch, batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const CandidateMetrics& metrics = screened[i];
-    if (metrics.area_overhead > goal.max_area_overhead) continue;
-    if (!have_best || better(metrics, best.metrics)) {
-      have_best = true;
-      best.params = std::move(batch[i]);
-      best.metrics = metrics;
-    }
-  }
-  SHG_REQUIRE(have_best, "no parameterization fits the area budget");
-  best.cost = final_cost_report(arch, best.params, options.session);
-  best.history.push_back(SearchStep{best.params, best.metrics, "exhaustive"});
-  return best;
 }
 
 }  // namespace shg::customize

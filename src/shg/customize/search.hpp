@@ -62,7 +62,7 @@ struct SearchResult {
   std::vector<SearchStep> history;
 };
 
-/// Knobs of the search engines. Both engines screen in product form
+/// Knobs of the greedy search. It screens in product form
 /// (customize/incremental.hpp): one routed profile per distinct row-skip
 /// set and per column-skip set, and no candidate topology is materialized
 /// — bit-identical to `screen_candidate` per candidate (oracle-tested).
@@ -124,14 +124,5 @@ std::size_t select_greedy_candidate(const CandidateMetrics& parent,
 /// fits the budget.
 SearchResult customize_greedy(const tech::ArchParams& arch, const Goal& goal,
                               const SearchOptions& options = {});
-
-/// Exhaustive customization over all subsets of the given candidate skip
-/// distances (exponential; intended for small grids and for validating the
-/// greedy strategy in tests).
-SearchResult customize_exhaustive(const tech::ArchParams& arch,
-                                  const Goal& goal,
-                                  const std::vector<int>& row_candidates,
-                                  const std::vector<int>& col_candidates,
-                                  const SearchOptions& options = {});
 
 }  // namespace shg::customize

@@ -16,41 +16,23 @@ namespace {
 constexpr std::size_t kCandidateCapacity = std::size_t{1} << 16;
 constexpr std::size_t kSimCapacity = std::size_t{1} << 16;
 constexpr std::size_t kArtifactCapacity = 64;
-/// Shards per tier under kSharded; more shards mean less lock contention,
-/// and the fingerprint-prefix mapping spreads keys uniformly.
+/// Shards of the candidate and result tiers; more shards mean less lock
+/// contention, and the fingerprint-prefix mapping spreads keys uniformly.
 constexpr std::size_t kShards = 8;
-
-/// Tier shard count for the selected concurrency mode: kSingleThread is
-/// pinned to one unlocked shard (the bit-identical legacy layout).
-std::size_t tier_shards(const SessionOptions& options) {
-  return options.concurrency == ConcurrencyMode::kSharded ? kShards : 1;
-}
 
 }  // namespace
 
 Session::Session(SessionOptions options)
     : options_(std::move(options)),
-      cache_(kCandidateCapacity, tier_shards(options_)),
-      sim_results_(kSimCapacity, tier_shards(options_)) {
-  load();
+      cache_(kCandidateCapacity, kShards),
+      sim_results_(kSimCapacity, kShards) {
   load_sim();
 }
 
 Session::~Session() {
   // Best effort: destructors must not throw, and save_file reports its
   // own failures on stderr.
-  save();
   save_sim();
-}
-
-std::size_t Session::load() {
-  if (options_.cache_path.empty()) return 0;
-  return cache_.load_file(options_.cache_path);
-}
-
-std::size_t Session::save() {
-  if (options_.cache_path.empty()) return 0;
-  return cache_.save_file(options_.cache_path);
 }
 
 std::size_t Session::load_sim() {
@@ -63,26 +45,18 @@ std::size_t Session::save_sim() {
   return sim_results_.save_file(options_.sim_cache_path);
 }
 
-std::unique_lock<std::mutex> Session::artifact_guard() const {
-  // kSingleThread keeps the legacy lock-free path; kSharded serializes the
-  // (tiny, linear-scan) artifact tier behind one mutex.
-  return options_.concurrency == ConcurrencyMode::kSharded
-             ? std::unique_lock<std::mutex>(artifact_mutex_)
-             : std::unique_lock<std::mutex>();
-}
-
 std::uint64_t Session::artifact_hits() const {
-  const auto lock = artifact_guard();
+  const std::lock_guard lock(artifact_mutex_);
   return artifact_hits_;
 }
 
 std::uint64_t Session::artifact_misses() const {
-  const auto lock = artifact_guard();
+  const std::lock_guard lock(artifact_mutex_);
   return artifact_misses_;
 }
 
 std::shared_ptr<const void> Session::find_artifact(const Fingerprint& key) {
-  const auto lock = artifact_guard();
+  const std::lock_guard lock(artifact_mutex_);
   for (Artifact& a : artifacts_) {
     if (a.key == key) {
       a.last_used = ++artifact_tick_;
@@ -97,7 +71,7 @@ std::shared_ptr<const void> Session::find_artifact(const Fingerprint& key) {
 void Session::store_artifact(const Fingerprint& key,
                              std::shared_ptr<const void> artifact) {
   SHG_REQUIRE(artifact != nullptr, "cannot store a null artifact");
-  const auto lock = artifact_guard();
+  const std::lock_guard lock(artifact_mutex_);
   for (Artifact& a : artifacts_) {
     if (a.key == key) {
       a.value = std::move(artifact);
@@ -124,10 +98,8 @@ std::vector<CandidateMetrics> screen_batch_cached(
   if (stats != nullptr) *stats = ScreenBatchStats{};
   if (batch.empty()) return out;
 
-  // All session traffic on this thread (under kSingleThread the cache is
-  // not locked and serial access keeps LRU order deterministic; under
-  // kSharded the tiers lock per shard); only the miss screening fans out,
-  // inside screen_batch_incremental.
+  // All session traffic on this thread (the tiers lock per shard); only
+  // the miss screening fans out, inside screen_batch_incremental.
   const Fingerprint arch_fp = fingerprint_arch(arch);
   std::vector<Fingerprint> keys(batch.size());
   std::vector<std::size_t> miss;

@@ -1,4 +1,5 @@
-// Persistent DSE sessions: cross-invocation reuse of screening work.
+// DSE and experiment sessions: in-process reuse of screening and
+// simulation work.
 //
 // The paper's customization methodology (Section V) is iterative — the
 // designer re-runs DSE with tweaked budgets, enumeration bounds or traffic
@@ -6,10 +7,8 @@
 // everything reusable across those invocations:
 //
 //  * a content-addressed candidate tier (customize/cache.hpp): screening
-//    metrics keyed by canonical fingerprints, in-memory LRU plus an
-//    optional on-disk tier (`shg.cache.v1`, checksummed; corrupt or
-//    version-mismatched files are discarded with a warning — the session
-//    degrades to cold screening, it never trusts a bad file);
+//    metrics keyed by canonical fingerprints, memory-only (it dies with
+//    the process);
 //  * an artifact tier: shared immutable in-memory objects too large or too
 //    structured for the serialized tier — final `model::CostReport`s of
 //    accepted search winners, `sim::RouteTable`s the experiment engine
@@ -17,15 +16,17 @@
 //    `shared_ptr<const void>`; type safety comes from the keying
 //    convention (every artifact kind mixes its own domain tag into the
 //    fingerprint, so keys of different kinds can never collide). This tier
-//    is memory-only: it dies with the process.
+//    is memory-only too.
 //  * a simulation-result tier (SimResultCache): complete per-cell
 //    `sim::SimResult`s keyed by `fingerprint_sim_cell` — (topology, link
 //    latencies, endpoint count, canonical traffic spec, full SimConfig
 //    with rate and seed). `eval::run_experiment` consults it before
 //    simulating, so overlapping campaigns (added seeds, widened rate
-//    grids, refined sweeps) only simulate the new cells, and its per-shard
-//    `shg.cache.v1` files (payload kind 1) are the exchange medium of
-//    sharded campaigns (`eval::run_experiment_shard` + a merge load).
+//    grids, refined sweeps) only simulate the new cells. It is the one
+//    tier with an on-disk form: `SessionOptions::sim_cache_path` loads on
+//    construction and saves on destruction, and per-shard `shg.cache.v1`
+//    files are the exchange medium of sharded campaigns
+//    (`eval::run_experiment_shard` + a merge load).
 //
 // Wiring: pass a Session through `SearchOptions::session` /
 // `ExploreOptions::session` (default off) or `eval::ExperimentSpec::
@@ -36,27 +37,18 @@
 // produced (inserted from the same oracle-tested screening paths), so a
 // warm search's history is bit-identical to a cold run's — the randomized
 // oracle in tests/session_test.cpp and the `dse_session_warm` bench gate
-// assert this end to end. Thread safety is selected by
-// `SessionOptions::concurrency` (the `Session::ConcurrencyMode` contract):
-//
-//  * kSingleThread (default): exactly the pre-concurrency session — one
-//    LRU per tier, no locking, all traffic on one thread of control. The
-//    DSE engines do session traffic on the calling thread and fan out only
-//    the cache-miss screening work (whose outputs land in index-addressed
-//    slots per the parallel_for contract), which keeps LRU eviction order
-//    — and therefore warm-run behavior — bit-for-bit deterministic.
-//  * kSharded: every tier is safe for concurrent readers AND writers — the
-//    candidate and simulation-result tiers become 8 independent
-//    lock-protected LRU shards keyed by fingerprint prefix, and the
-//    artifact tier takes a mutex per operation. The determinism contract
-//    under concurrency: any individual request's RESULT is byte-identical
-//    whether served solo or interleaved with others (cached values are the
-//    exact bits a cold computation produced, and misses recompute them
-//    from scratch — cache state can change WHICH work runs, never its
-//    outcome). Only LRU recency — and therefore which entries an eviction
-//    removes, and hit/miss counter values — may vary across interleavings.
-//    tests/concurrent_session_test.cpp pins this contract under
-//    ThreadSanitizer.
+// assert this end to end. Every session has one layout, safe for
+// concurrent readers AND writers: the candidate and simulation-result
+// tiers are 8 independent lock-protected LRU shards keyed by fingerprint
+// prefix, and the artifact tier takes a mutex per operation. The
+// determinism contract under concurrency: any individual request's RESULT
+// is byte-identical whether served solo or interleaved with others (cached
+// values are the exact bits a cold computation produced, and misses
+// recompute them from scratch — cache state can change WHICH work runs,
+// never its outcome). Only LRU recency — and therefore which entries an
+// eviction removes, and hit/miss counter values — may vary across
+// interleavings. tests/concurrent_session_test.cpp pins this contract
+// under ThreadSanitizer.
 #pragma once
 
 #include <memory>
@@ -66,28 +58,12 @@
 
 namespace shg::customize {
 
-/// Threading contract of one session (see the file comment for the full
-/// determinism argument). Referenced as `Session::ConcurrencyMode`.
-enum class ConcurrencyMode {
-  /// One thread of control, no locking, one LRU per tier — bit-identical
-  /// to the pre-concurrency session (eviction order included).
-  kSingleThread,
-  /// Concurrent readers/writers over sharded lock-protected tiers. Request
-  /// results stay byte-identical to their solo runs; only LRU recency (and
-  /// thus eviction victims and counter values) may vary with interleaving.
-  kSharded,
-};
-
 /// Knobs of one session. Tier sizes are fixed (session.cpp): 2^16
-/// candidates, 2^16 simulated cells and 64 artifacts, with 8 shards per
-/// tier under kSharded. A configured path is loaded on construction (a
-/// no-op when the file is absent; corrupt files are discarded with a
-/// warning) and saved on destruction (best effort; never throws).
+/// candidates, 2^16 simulated cells and 64 artifacts, with 8 shards in
+/// each of the candidate and result tiers. A configured path is loaded on construction (a no-op
+/// when the file is absent; corrupt files are discarded with a warning)
+/// and saved on destruction (best effort; never throws).
 struct SessionOptions {
-  /// Threading contract; kSharded makes every tier concurrency-safe.
-  ConcurrencyMode concurrency = ConcurrencyMode::kSingleThread;
-  /// On-disk tier for the candidate cache; empty = memory-only.
-  std::string cache_path;
   /// On-disk tier for the simulation-result cache (a campaign's cache
   /// file, or one worker's shard file); empty = memory-only.
   std::string sim_cache_path;
@@ -96,16 +72,12 @@ struct SessionOptions {
 /// Cross-invocation reuse state. See the file comment.
 class Session {
  public:
-  /// The session's threading contract (customize::ConcurrencyMode).
-  using ConcurrencyMode = customize::ConcurrencyMode;
-
   explicit Session(SessionOptions options = {});
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   const SessionOptions& options() const { return options_; }
-  ConcurrencyMode concurrency() const { return options_.concurrency; }
 
   // -- Candidate tier -------------------------------------------------------
 
@@ -119,14 +91,6 @@ class Session {
   }
 
   CacheStats stats() const { return cache_.stats(); }
-  CandidateCache& cache() { return cache_; }
-
-  /// Loads the on-disk tier now (also called by the constructor); returns
-  /// entries adopted, 0 on absent/discarded files.
-  std::size_t load();
-  /// Saves the candidate tier to `options().cache_path`; returns entries
-  /// written (0 when no path is configured or the write failed).
-  std::size_t save();
 
   // -- Simulation-result tier -----------------------------------------------
 
@@ -159,8 +123,8 @@ class Session {
 
   /// Shared immutable artifact for `key`, or null. Hits refresh recency.
   /// Callers static_pointer_cast to the type their keying convention
-  /// guarantees (see file comment). Thread-safe under kSharded (one mutex
-  /// guards the tier; artifacts themselves are immutable by contract).
+  /// guarantees (see file comment). Thread-safe (one mutex guards the tier;
+  /// artifacts themselves are immutable by contract).
   std::shared_ptr<const void> find_artifact(const Fingerprint& key);
   void store_artifact(const Fingerprint& key,
                       std::shared_ptr<const void> artifact);
@@ -174,8 +138,6 @@ class Session {
     std::uint64_t last_used = 0;
   };
 
-  std::unique_lock<std::mutex> artifact_guard() const;
-
   SessionOptions options_;
   CandidateCache cache_;
   SimResultCache sim_results_;
@@ -183,7 +145,7 @@ class Session {
   std::uint64_t artifact_tick_ = 0;
   std::uint64_t artifact_hits_ = 0;
   std::uint64_t artifact_misses_ = 0;
-  mutable std::mutex artifact_mutex_;  ///< armed under kSharded only
+  mutable std::mutex artifact_mutex_;
 };
 
 /// Per-call accounting of one screen_batch_cached invocation (unlike the

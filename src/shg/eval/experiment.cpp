@@ -447,8 +447,8 @@ ShardRunStats run_experiment_shard(const ExperimentSpec& spec,
   parallel_for(to_sim.size(), [&](std::size_t k) {
     results[k] = engine.simulate(to_sim[k]);
   });
-  // Ascending cell order keeps the tier's LRU (and shard-file) order a
-  // pure function of the spec and shard assignment.
+  // Ascending cell order keeps the tier's LRU order a pure function of the
+  // spec and shard assignment (shard files are sorted by fingerprint).
   for (std::size_t k = 0; k < to_sim.size(); ++k) {
     spec.session->store_sim(engine.cell_keys[to_sim[k]], results[k]);
   }

@@ -71,10 +71,9 @@ struct ExperimentSpec {
   /// exact SimResult bits the cold simulation produced (the warm-campaign
   /// bench gate and tests/experiment_test.cpp enforce it). Not owned; must
   /// outlive the call. The engine touches the session from the calling
-  /// thread only, so the session's own threading contract decides who
-  /// else may use it: a kSingleThread session belongs to one thread at a
-  /// time, and a kSharded one may be shared by concurrent calls (the serve
-  /// layer's pool workers run experiments on its one sharded session).
+  /// thread only; every session's tiers are locked, so one session may be
+  /// shared by concurrent calls (the serve layer's pool workers run
+  /// experiments on its one session).
   customize::Session* session = nullptr;
 
   /// Throws on an invalid spec; returns the parsed traffic cases, one per

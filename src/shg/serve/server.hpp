@@ -33,8 +33,9 @@ namespace shg::serve {
 struct ServerOptions {
   /// Worker pool size; 0 uses max_threads().
   int workers = 0;
-  /// The shared Service's session (sharded, so the pool may share it).
-  customize::SessionOptions session = service_session_defaults();
+  /// The shared Service's session (its tiers are locked, so the pool may
+  /// share it).
+  customize::SessionOptions session;
 };
 
 class Server {

@@ -253,12 +253,6 @@ const char* op_name(Op op) {
   return "?";
 }
 
-customize::SessionOptions service_session_defaults() {
-  customize::SessionOptions options;
-  options.concurrency = customize::ConcurrencyMode::kSharded;
-  return options;
-}
-
 Service::Service(customize::SessionOptions options)
     : session_(std::move(options)) {}
 

@@ -24,8 +24,8 @@
 //
 // Determinism contract (pinned by tests/concurrent_session_test.cpp and
 // the bench_serve gates): the "result" member is byte-identical whether
-// the request is served solo on a cold single-thread session or
-// interleaved with arbitrary other requests on a warm sharded one —
+// the request is served solo on a cold session or interleaved with
+// arbitrary other requests on a warm shared one —
 // results come from the session tiers, whose hits return the exact bits a
 // cold computation produced. Everything else ("elapsed_us", "counters",
 // "tiers") measures the serving process and legitimately varies with
@@ -115,18 +115,13 @@ struct Response {
   std::string to_line() const;
 };
 
-/// Session defaults for a service: the sharded concurrency mode, so the
-/// tiers are safe for the server's worker pool.
-customize::SessionOptions service_session_defaults();
-
 /// The op layer. Thread-safe: parse_request is const and touches no
 /// mutable state; execute/execute_screen_batch may run concurrently from
-/// any number of worker threads (the session tiers are sharded + locked
-/// under the default options).
+/// any number of worker threads (every session's tiers are sharded and
+/// locked).
 class Service {
  public:
-  explicit Service(
-      customize::SessionOptions options = service_session_defaults());
+  explicit Service(customize::SessionOptions options = {});
 
   /// Parses one request line; never throws (malformed lines come back with
   /// valid == false).

@@ -1,15 +1,14 @@
-// Concurrency contract of the sharded session tiers and the serving layer
-// (Session::ConcurrencyMode::kSharded): concurrent readers/writers are
-// safe (run this suite under ThreadSanitizer — the CI tsan job does),
-// no cache store is lost, and every concurrently-served response's
-// "result" is byte-identical to its solo twin. Also pins the canonical
-// on-disk serialization across shard counts.
+// Concurrency contract of the session tiers and the serving layer: every
+// Session's tiers are sharded and locked, so concurrent readers/writers are
+// safe (run this suite under ThreadSanitizer — the CI tsan job does), no
+// cache store is lost, and every concurrently-served response's "result"
+// is byte-identical to its solo twin. Also pins the canonical on-disk
+// serialization across shard counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +21,7 @@
 #include "shg/serve/service.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/topology.hpp"
+#include "cache_file.hpp"
 
 namespace shg {
 namespace {
@@ -29,15 +29,11 @@ namespace {
 using customize::CandidateCache;
 using customize::CandidateMetrics;
 using customize::Fingerprint;
+using customize::SimResultCache;
+using testing_cache::read_bytes;
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 /// Synthetic keys spread over all shard prefixes (the shard selector uses
@@ -53,6 +49,15 @@ CandidateMetrics metrics_of(std::uint64_t i) {
   m.diameter = static_cast<double>(3 + i % 5);
   m.throughput_bound = 1.0 / (1.0 + static_cast<double>(i));
   return m;
+}
+
+sim::SimResult result_of(std::uint64_t i) {
+  sim::SimResult r;
+  r.offered_rate = 0.01 * static_cast<double>(i % 40);
+  r.avg_packet_latency = 10.0 + 0.001 * static_cast<double>(i);
+  r.measured_packets = static_cast<long long>(i) + 1;
+  r.drained = i % 3 != 0;
+  return r;
 }
 
 // --- Sharded cache semantics ----------------------------------------------
@@ -80,11 +85,6 @@ TEST(ShardedCache, LookupsAgreeAcrossShardCounts) {
   }
 }
 
-TEST(ShardedCache, LockingForcedOnWhenSharded) {
-  EXPECT_FALSE(CandidateCache(16, 1).locking());
-  EXPECT_TRUE(CandidateCache(16, 4).locking());
-}
-
 TEST(ShardedCache, PerShardEvictionKeepsHotShardsIndependent) {
   // 4 shards x 4 entries each; flooding one shard must not evict others.
   CandidateCache cache(16, 4);
@@ -98,48 +98,72 @@ TEST(ShardedCache, PerShardEvictionKeepsHotShardsIndependent) {
 }
 
 TEST(ShardedCache, CanonicalFileBytesAcrossShardCountsAndOrders) {
-  // Same contents inserted in different orders at different shard counts
-  // must serialize to identical bytes (sharded saves sort by fingerprint).
-  CandidateCache two(1024, 2);
-  CandidateCache five(1024, 5);
+  // Same contents inserted in different orders at different shard counts —
+  // one shard included, and a Session's own tier saved through
+  // SessionOptions::sim_cache_path — must serialize to identical bytes
+  // (every save sorts by fingerprint).
+  SimResultCache one(1024, 1);
+  SimResultCache two(1024, 2);
+  SimResultCache five(1024, 5);
   for (std::uint64_t i = 0; i < 200; ++i) {
-    two.insert(key_of(i), metrics_of(i));
+    two.insert(key_of(i), result_of(i));
   }
   for (std::uint64_t i = 200; i-- > 0;) {  // reverse insertion order
-    five.insert(key_of(i), metrics_of(i));
+    one.insert(key_of(i), result_of(i));
+    five.insert(key_of(i), result_of(i));
   }
+  const std::string path_one = temp_path("canon_one.cache");
   const std::string path_two = temp_path("canon_two.cache");
   const std::string path_five = temp_path("canon_five.cache");
+  const std::string path_session = temp_path("canon_session.cache");
+  std::remove(path_session.c_str());
+  EXPECT_EQ(one.save_file(path_one), 200u);
   EXPECT_EQ(two.save_file(path_two), 200u);
   EXPECT_EQ(five.save_file(path_five), 200u);
-  EXPECT_EQ(read_file(path_two), read_file(path_five));
-  EXPECT_FALSE(read_file(path_two).empty());
+  {
+    customize::Session session(customize::SessionOptions{path_session});
+    for (std::uint64_t i = 0; i < 200; ++i) {  // a third insertion order
+      session.store_sim(key_of((i * 7) % 200), result_of((i * 7) % 200));
+    }
+    EXPECT_EQ(session.save_sim(), 200u);
+  }  // saved again on destruction, with the same bytes
+  const std::string canonical = read_bytes(path_two);
+  EXPECT_FALSE(canonical.empty());
+  EXPECT_EQ(read_bytes(path_one), canonical);
+  EXPECT_EQ(read_bytes(path_five), canonical);
+  EXPECT_EQ(read_bytes(path_session), canonical);
+  for (const std::string* path :
+       {&path_one, &path_two, &path_five, &path_session}) {
+    std::remove(path->c_str());
+  }
 }
 
 TEST(ShardedCache, FilesLoadAcrossShardCounts) {
-  // Legacy single-shard files load into sharded caches and vice versa.
-  CandidateCache legacy(1024, 1);
+  // Single-shard files load into sharded caches and vice versa.
+  SimResultCache single(1024, 1);
   for (std::uint64_t i = 0; i < 150; ++i) {
-    legacy.insert(key_of(i), metrics_of(i));
+    single.insert(key_of(i), result_of(i));
   }
-  const std::string legacy_path = temp_path("cross_legacy.cache");
-  EXPECT_EQ(legacy.save_file(legacy_path), 150u);
+  const std::string single_path = temp_path("cross_single.cache");
+  EXPECT_EQ(single.save_file(single_path), 150u);
 
-  CandidateCache sharded(1024, 8);
-  EXPECT_EQ(sharded.load_file(legacy_path), 150u);
+  SimResultCache sharded(1024, 8);
+  EXPECT_EQ(sharded.load_file(single_path), 150u);
   for (std::uint64_t i = 0; i < 150; ++i) {
     const auto hit = sharded.lookup(key_of(i));
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, metrics_of(i));
+    EXPECT_EQ(*hit, result_of(i));
   }
 
   const std::string sharded_path = temp_path("cross_sharded.cache");
   EXPECT_EQ(sharded.save_file(sharded_path), 150u);
-  CandidateCache back(1024, 1);
+  SimResultCache back(1024, 1);
   EXPECT_EQ(back.load_file(sharded_path), 150u);
   for (std::uint64_t i = 0; i < 150; ++i) {
     EXPECT_TRUE(back.lookup(key_of(i)).has_value());
   }
+  std::remove(single_path.c_str());
+  std::remove(sharded_path.c_str());
 }
 
 // --- Concurrent readers/writers -------------------------------------------
@@ -180,26 +204,8 @@ TEST(ShardedCache, ConcurrentStoresAreNeverLost) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
-TEST(ShardedSession, ShardCountFollowsConcurrencyMode) {
-  customize::Session single;  // kSingleThread defaults
-  EXPECT_EQ(single.cache().shard_count(), 1u);
-  EXPECT_FALSE(single.cache().locking());
-  EXPECT_EQ(single.sim_cache().shard_count(), 1u);
-  EXPECT_FALSE(single.sim_cache().locking());
-
-  customize::SessionOptions options;
-  options.concurrency = customize::ConcurrencyMode::kSharded;
-  customize::Session sharded(options);
-  EXPECT_EQ(sharded.cache().shard_count(), 8u);
-  EXPECT_TRUE(sharded.cache().locking());
-  EXPECT_EQ(sharded.sim_cache().shard_count(), 8u);
-  EXPECT_TRUE(sharded.sim_cache().locking());
-}
-
 TEST(ShardedSession, ConcurrentArtifactTierIsSafe) {
-  customize::SessionOptions options;
-  options.concurrency = customize::ConcurrencyMode::kSharded;
-  customize::Session session(options);
+  customize::Session session;
   constexpr int kThreads = 6;
   std::vector<std::thread> threads;
   std::atomic<int> mismatches{0};
@@ -223,34 +229,6 @@ TEST(ShardedSession, ConcurrentArtifactTierIsSafe) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(session.artifact_hits(), 0u);
-}
-
-TEST(ShardedSession, ScreenBatchMatchesSingleThreadSession) {
-  const tech::ArchParams arch = tech::knc_scenario(tech::KncScenario::kA);
-  std::vector<topo::ShgParams> batch;
-  for (int skip = 2; skip <= 7; ++skip) {
-    batch.push_back(topo::ShgParams{{skip}, {}});
-    batch.push_back(topo::ShgParams{{}, {skip}});
-  }
-  customize::Session single;  // kSingleThread defaults
-  customize::SessionOptions sharded_options;
-  sharded_options.concurrency = customize::ConcurrencyMode::kSharded;
-  customize::Session sharded(sharded_options);
-
-  customize::ScreenBatchStats single_stats;
-  customize::ScreenBatchStats sharded_stats;
-  const auto a =
-      customize::screen_batch_cached(arch, batch, single, &single_stats);
-  const auto b =
-      customize::screen_batch_cached(arch, batch, sharded, &sharded_stats);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "batch index " << i;
-  }
-  EXPECT_EQ(single_stats.misses, batch.size());
-  EXPECT_EQ(sharded_stats.misses, batch.size());
-  ASSERT_EQ(sharded_stats.hit.size(), batch.size());
-  EXPECT_FALSE(sharded_stats.hit[0]);
 }
 
 // --- Concurrent service: solo-twin byte-identity ---------------------------
@@ -281,12 +259,12 @@ TEST(ConcurrentService, MixedRequestsMatchSoloTwinsByteForByte) {
       "\"max_area_overhead\":0.3}");
   lines.push_back("{\"op\":\"customize\",\"id\":\"c2\",\"scenario\":\"a\"}");
 
-  // Solo twins: each request served alone on its own cold single-thread
-  // service — the reference bytes.
+  // Solo twins: each request served alone on its own cold service — the
+  // reference bytes.
   std::vector<serve::Request> requests;
   std::vector<std::string> solo_results;
   for (const std::string& line : lines) {
-    serve::Service solo(customize::SessionOptions{});  // kSingleThread
+    serve::Service solo;
     requests.push_back(solo.parse_request(line));
     ASSERT_TRUE(requests.back().valid) << requests.back().error;
     const serve::Response response = solo.execute(requests.back());
@@ -294,7 +272,7 @@ TEST(ConcurrentService, MixedRequestsMatchSoloTwinsByteForByte) {
     solo_results.push_back(response.result_json);
   }
 
-  // Concurrent pass: one sharded service, every thread issues the full
+  // Concurrent pass: one shared service, every thread issues the full
   // mix in a different rotation — maximal interleaving over one session.
   serve::Service shared;
   constexpr int kThreads = 4;

@@ -4,6 +4,7 @@
 #include "shg/customize/pareto.hpp"
 #include "shg/customize/search.hpp"
 #include "shg/tech/presets.hpp"
+#include "exhaustive_search.hpp"
 
 namespace shg::customize {
 namespace {

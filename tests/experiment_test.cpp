@@ -18,6 +18,7 @@
 #include "shg/eval/experiment.hpp"
 #include "shg/sim/trace.hpp"
 #include "shg/topo/generators.hpp"
+#include "cache_file.hpp"
 
 namespace shg::eval {
 namespace {
@@ -471,14 +472,12 @@ TEST_F(ShardCorruptionTest, WrongPayloadKindFallsBackCold) {
 }
 
 TEST_F(ShardCorruptionTest, CandidateFileFedToSimLoaderFallsBackCold) {
-  // A real, checksum-valid candidate-tier file is still the wrong payload
-  // kind for the result tier — it must be rejected, not reinterpreted.
-  customize::CandidateCache candidates(4);
-  customize::CandidateMetrics metrics;
-  metrics.area_overhead = 0.25;
-  candidates.insert(
-      customize::FingerprintBuilder().tag("test.key").u64(1).done(), metrics);
-  ASSERT_EQ(candidates.save_file(path_), 1u);
+  // A checksum-valid file of the retired candidate-metrics payload kind
+  // (0) is still the wrong kind for the result tier — it must be rejected,
+  // not reinterpreted.
+  testing_cache::write_bytes(
+      path_, testing_cache::cache_file_bytes(
+                 0, testing_cache::candidate_entry_bytes(), 1));
   expect_cold_fallback();
 }
 

@@ -16,6 +16,7 @@
 #include "shg/model/cost_model.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
+#include "exhaustive_search.hpp"
 #include "screening_oracle.hpp"
 
 namespace shg::customize {

@@ -1,21 +1,19 @@
-// Persistent DSE sessions (customize/session.hpp + customize/cache.hpp):
+// DSE sessions (customize/session.hpp + customize/cache.hpp):
 //
 //  * fingerprint semantics (stability, sensitivity to every key component);
-//  * LRU candidate cache behavior (hits refresh recency, eviction order);
-//  * the on-disk tier: round trip, and the corruption matrix — truncated
-//    file, flipped checksum/payload byte, future format version, wrong
-//    magic — each of which must fall back to cold screening with a
-//    warning, never crash, and never serve stale bits;
+//  * LRU cache behavior (hits refresh recency, eviction order);
+//  * the result tier's on-disk form: round trip, shard merges, a silent
+//    cold start on an absent file, and kind-0 (retired candidate-metrics)
+//    files discarded by the payload-kind check. The corruption matrix
+//    lives in tests/experiment_test.cpp (ShardCorruptionTest);
 //  * the end-to-end warm-session oracle: randomized greedy trajectories
 //    where cold (session-free), populating and warm re-invocation searches
-//    must be bit-identical in winners, metric bits and history notes —
-//    in-process and across an on-disk save/load boundary;
+//    must be bit-identical in winners, metric bits and history notes;
 //  * experiment-engine route-table reuse through the session artifact
 //    tier, with byte-identical reports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +24,8 @@
 #include "shg/eval/experiment.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
+#include "cache_file.hpp"
+#include "exhaustive_search.hpp"
 
 namespace shg::customize {
 namespace {
@@ -140,124 +140,6 @@ TEST(CandidateCache, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.lookup(key_of(3))->area_overhead, 30.0);
 }
 
-TEST(CandidateCache, DiskRoundTripPreservesEntries) {
-  const std::string path = temp_cache_path("roundtrip.cache");
-  CandidateCache cache(16);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    cache.insert(key_of(i), metrics_of(static_cast<double>(i)));
-  }
-  EXPECT_EQ(cache.save_file(path), 5u);
-
-  CandidateCache loaded(16);
-  EXPECT_EQ(loaded.load_file(path), 5u);
-  EXPECT_EQ(loaded.size(), 5u);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    const auto hit = loaded.lookup(key_of(i));
-    ASSERT_TRUE(hit.has_value()) << i;
-    EXPECT_EQ(hit->area_overhead, static_cast<double>(i));
-    EXPECT_EQ(hit->throughput_bound, static_cast<double>(i) + 3.0);
-  }
-  std::remove(path.c_str());
-}
-
-/// Rewrites one byte of a file in place.
-void flip_byte(const std::string& path, long offset) {
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good());
-  f.seekg(offset);
-  char c = 0;
-  f.read(&c, 1);
-  c = static_cast<char>(c ^ 0x5a);
-  f.seekp(offset);
-  f.write(&c, 1);
-}
-
-class CacheCorruptionTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = temp_cache_path("corrupt.cache");
-    CandidateCache cache(16);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      cache.insert(key_of(i), metrics_of(static_cast<double>(i)));
-    }
-    ASSERT_EQ(cache.save_file(path_), 4u);
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  /// The file must be discarded: load adopts nothing, the cache stays
-  /// empty, and a subsequent (cold) screen is unaffected.
-  void expect_discarded() {
-    CandidateCache cache(16);
-    EXPECT_EQ(cache.load_file(path_), 0u);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().disk_discarded, 1u);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      EXPECT_FALSE(cache.lookup(key_of(i)).has_value());
-    }
-  }
-
-  std::string path_;
-};
-
-TEST_F(CacheCorruptionTest, TruncatedHeaderIsDiscarded) {
-  std::ofstream(path_, std::ios::binary | std::ios::trunc) << "SHGCACH";
-  expect_discarded();
-}
-
-TEST_F(CacheCorruptionTest, TruncatedPayloadIsDiscarded) {
-  std::ifstream in(path_, std::ios::binary);
-  std::vector<char> data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  in.close();
-  data.resize(data.size() - 7);  // mid-entry truncation
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.close();
-  expect_discarded();
-}
-
-TEST_F(CacheCorruptionTest, FlippedChecksumByteIsDiscarded) {
-  flip_byte(path_, 24);  // inside the stored checksum
-  expect_discarded();
-}
-
-TEST_F(CacheCorruptionTest, FlippedPayloadByteIsDiscarded) {
-  flip_byte(path_, 32 + 20);  // inside the first entry's metrics
-  expect_discarded();
-}
-
-TEST_F(CacheCorruptionTest, FutureVersionIsDiscarded) {
-  flip_byte(path_, 8);  // version field
-  expect_discarded();
-}
-
-TEST_F(CacheCorruptionTest, WrongMagicIsDiscarded) {
-  flip_byte(path_, 0);
-  expect_discarded();
-}
-
-TEST_F(CacheCorruptionTest, SessionWithCorruptFileStillSearchesCorrectly) {
-  flip_byte(path_, 40);  // payload corruption
-  const tech::ArchParams arch = small_arch(6, 6);
-  const Goal goal{0.40};
-  const SearchResult reference = customize_greedy(arch, goal);
-
-  SessionOptions options;
-  options.cache_path = path_;
-  Session session(options);  // load discards the corrupt file
-  EXPECT_EQ(session.cache().size(), 0u);
-  SearchOptions search;
-  search.session = &session;
-  expect_same_search(customize_greedy(arch, goal, search), reference,
-                     "cold fallback after corrupt cache");
-}
-
-TEST(CandidateCache, AbsentFileIsASilentColdStart) {
-  CandidateCache cache(4);
-  EXPECT_EQ(cache.load_file(temp_cache_path("does-not-exist.cache")), 0u);
-  EXPECT_EQ(cache.stats().disk_discarded, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Simulation-result cache
 // ---------------------------------------------------------------------------
@@ -309,23 +191,38 @@ TEST(SimResultCache, DiskRoundTripPreservesEveryField) {
   std::remove(path.c_str());
 }
 
-TEST(SimResultCache, PayloadKindsNeverCrossLoad) {
-  // Both tiers share the shg.cache.v1 container; the payload-kind header
-  // field keeps their files apart. Feeding either kind to the other loader
-  // must discard, not reinterpret.
-  const std::string path = temp_cache_path("kind-cross.cache");
-  CandidateCache candidates(4);
-  candidates.insert(key_of(1), metrics_of(1.0));
-  ASSERT_EQ(candidates.save_file(path), 1u);
-  SimResultCache sims(4);
-  EXPECT_EQ(sims.load_file(path), 0u);
-  EXPECT_EQ(sims.stats().disk_discarded, 1u);
+TEST(SimResultCache, AbsentFileIsASilentColdStart) {
+  SimResultCache cache(4);
+  EXPECT_EQ(cache.load_file(temp_cache_path("does-not-exist.cache")), 0u);
+  EXPECT_EQ(cache.stats().disk_discarded, 0u);
+}
 
+TEST(SimResultCache, PayloadKindsNeverCrossLoad) {
+  // The payload-kind field keeps retired kind-0 (candidate-metrics) files
+  // out of the result tier: a checksum-valid kind-0 file must be
+  // discarded, not reinterpreted — even when its payload has the result
+  // tier's entry size. The same payload under kind 1 loads, so the kind
+  // field alone decides.
+  using testing_cache::cache_file_bytes;
+  const std::string path = temp_cache_path("kind-cross.cache");
+  SimResultCache sims(4);
   sims.insert(key_of(2), result_of(2.0));
   ASSERT_EQ(sims.save_file(path), 1u);
-  CandidateCache reloaded(4);
+  const std::string payload = testing_cache::read_bytes(path).substr(32);
+  ASSERT_EQ(cache_file_bytes(1, payload, 1), testing_cache::read_bytes(path));
+
+  SimResultCache reloaded(4);
+  testing_cache::write_bytes(
+      path, cache_file_bytes(0, testing_cache::candidate_entry_bytes(), 1));
   EXPECT_EQ(reloaded.load_file(path), 0u);
-  EXPECT_EQ(reloaded.stats().disk_discarded, 1u);
+  testing_cache::write_bytes(path, cache_file_bytes(0, payload, 1));
+  EXPECT_EQ(reloaded.load_file(path), 0u);
+  EXPECT_EQ(reloaded.stats().disk_discarded, 2u);
+  EXPECT_EQ(reloaded.size(), 0u);
+
+  testing_cache::write_bytes(path, cache_file_bytes(1, payload, 1));
+  EXPECT_EQ(reloaded.load_file(path), 1u);
+  EXPECT_EQ(reloaded.lookup(key_of(2)), result_of(2.0));
   std::remove(path.c_str());
 }
 
@@ -384,37 +281,6 @@ TEST(Session, GreedyWarmReinvocationBitIdenticalRandomized) {
     expect_same_search(warm, reference, "warm " + context);
     EXPECT_GT(session.stats().hits, hits_before) << context;
   }
-}
-
-TEST(Session, GreedyWarmAcrossDiskBoundary) {
-  const std::string path = temp_cache_path("disk-warm.cache");
-  std::remove(path.c_str());
-  const tech::ArchParams arch = small_arch(7, 6);
-  const Goal goal{0.40};
-  const SearchResult reference = customize_greedy(arch, goal);
-  {
-    SessionOptions options;
-    options.cache_path = path;
-    Session session(options);
-    SearchOptions search;
-    search.session = &session;
-    expect_same_search(customize_greedy(arch, goal, search), reference,
-                       "populating run");
-  }  // saved on destruction
-  {
-    SessionOptions options;
-    options.cache_path = path;
-    Session session(options);
-    EXPECT_GT(session.cache().size(), 0u);
-    SearchOptions search;
-    search.session = &session;
-    const SearchResult warm = customize_greedy(arch, goal, search);
-    expect_same_search(warm, reference, "warm run from disk");
-    // Candidate screening must be all hits; only the final cost report
-    // (artifact tier, memory-only) is recomputed.
-    EXPECT_EQ(session.stats().misses, 0u);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(Session, ExhaustiveAndExploreHitAcrossInvocations) {
