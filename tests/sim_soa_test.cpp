@@ -8,6 +8,7 @@
 // network goes fully idle between injections).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -324,6 +325,18 @@ TEST(SoaBitIdentity, ConcentratedMesh) {
   }
 }
 
+TEST(SoaBitIdentity, OnOffOnConcentratedMesh) {
+  // Bursty sources on a concentrated fabric: one on/off state per
+  // terminal, sources ordered tile * 4 + port.
+  const auto topo = topo::make_concentrated_mesh(4, 4, 4);
+  SimConfig config = fast_config();
+  config.injection_rate = 0.03;
+  expect_bit_identical(topo, unit_latencies(topo), config,
+                       "uniform/onoff:0.05,0.2", 1);
+  expect_bit_identical(topo, unit_latencies(topo), config,
+                       "transpose/onoff:0.1,0.3", 1);
+}
+
 TEST(SoaBitIdentity, ZeroTrafficRun) {
   // A rate so low the PRNG may never inject: the degenerate all-idle run
   // (cycles_run = generation end, drained) is pinned too.
@@ -341,8 +354,8 @@ TEST(SoaBitIdentity, ZeroTrafficRun) {
 
 /// Replays `trace` and requires exact SimResult equality with the golden
 /// corpus — trace injection must preserve the bit-identity contract
-/// exactly like the synthetic processes do.
-void expect_trace_bit_identical(const topo::Topology& topo,
+/// exactly like the synthetic processes do. Returns the run's result.
+SimResult expect_trace_bit_identical(const topo::Topology& topo,
                                 const SimConfig& config, const Trace& trace,
                                 const std::string& what) {
   const auto shared = std::make_shared<const Trace>(trace);
@@ -359,6 +372,7 @@ void expect_trace_bit_identical(const topo::Topology& topo,
   const SimResult s = simulator.run();
   golden::expect_golden(what, s);
   EXPECT_GT(s.measured_packets, 0) << what;
+  return s;
 }
 
 TEST(SoaBitIdentity, TraceReplayAcrossFamilies) {
@@ -457,6 +471,95 @@ TEST(SoaBitIdentity, TraceDrainsToQuiescenceMidRun) {
   }
   expect_trace_bit_identical(topo::make_mesh(4, 4), config, trace,
                              "quiescent gaps");
+}
+
+TEST(SoaBitIdentity, TraceReplayOnConcentratedMesh) {
+  // Destinations are terminal ids on the 8x8 terminal grid of a c=4
+  // 4x4-router mesh, and sources are tile * 4 + port.
+  const auto topo = topo::make_concentrated_mesh(4, 4, 4);
+  SimConfig config = fast_config();
+  config.injection_rate = 0.03;
+  TraceRecordOptions opt;
+  opt.rows = 4;
+  opt.cols = 4;
+  opt.concentration = 4;
+  opt.injection_rate = config.injection_rate;
+  opt.packet_size_flits = config.packet_size_flits;
+  opt.cycles = config.warmup_cycles + config.measure_cycles;
+  opt.seed = config.seed;
+  const Trace trace = trace_from_spec(
+      TrafficSpec::parse("hotspot:0,9:0.4/onoff:0.1,0.3"), opt);
+  expect_trace_bit_identical(topo, config, trace, "c4 hotspot onoff");
+}
+
+/// Counts the packets `trace` schedules inside the measurement window of
+/// `config` on a grid of `packet_size_flits`-flit packets, skipping
+/// records addressed to their own source tile (unconcentrated grids with
+/// one endpoint per tile, where source id == tile id).
+long long measured_trace_packets(const Trace& trace, const SimConfig& config) {
+  std::vector<std::uint64_t> last(trace.num_sources, 0);
+  std::vector<Cycle> next_free(trace.num_sources, 0);
+  long long count = 0;
+  for (const TraceRecord& rec : trace.records) {
+    last[rec.source] += rec.delta;
+    Cycle start = std::max(static_cast<Cycle>(last[rec.source]),
+                           next_free[rec.source]);
+    const Cycle packets = (rec.size_flits + config.packet_size_flits - 1) /
+                          config.packet_size_flits;
+    for (Cycle k = 0; k < packets; ++k, ++start) {
+      if (rec.dest != rec.source && start >= config.warmup_cycles &&
+          start < config.warmup_cycles + config.measure_cycles) {
+        ++count;
+      }
+    }
+    next_free[rec.source] = start;
+  }
+  return count;
+}
+
+TEST(SoaBitIdentity, TraceScheduledPastGenerationWindow) {
+  // Records run 400 cycles past warmup + measure (1200 cycles), and the
+  // 3-packet messages at cycle 1198 straddle its end: only packets whose
+  // cycle falls inside the window are injected.
+  SimConfig config = fast_config();
+  Trace trace;
+  trace.num_sources = 16;
+  trace.num_terminals = 16;
+  for (std::uint32_t k = 0; 38 + 40 * k <= 1600; ++k) {
+    for (std::uint32_t s = 0; s < 16; ++s) {
+      TraceRecord rec;
+      rec.source = s;
+      rec.delta = k == 0 ? 38 : 40;
+      rec.dest = (s + 1 + k % 15) % 16;
+      rec.size_flits = 4 * (1 + s % 3);
+      trace.records.push_back(rec);
+    }
+  }
+  const SimResult s = expect_trace_bit_identical(
+      topo::make_mesh(4, 4), config, trace, "past the window");
+  EXPECT_EQ(s.measured_packets, measured_trace_packets(trace, config));
+}
+
+TEST(SoaBitIdentity, TraceRecordToItsOwnSourceIsSkipped) {
+  // Every third record is addressed to its own source: like a fixed point
+  // of a permutation, it is scheduled but never injected.
+  SimConfig config = fast_config();
+  Trace trace;
+  trace.num_sources = 16;
+  trace.num_terminals = 16;
+  for (std::uint32_t k = 0; k < 40; ++k) {
+    for (std::uint32_t s = 0; s < 16; ++s) {
+      TraceRecord rec;
+      rec.source = s;
+      rec.delta = k == 0 ? 0 : 30;
+      rec.dest = (s + k) % 3 == 0 ? s : (s + 1 + (k * 7) % 15) % 16;
+      rec.size_flits = 4;
+      trace.records.push_back(rec);
+    }
+  }
+  const SimResult s = expect_trace_bit_identical(
+      topo::make_mesh(4, 4), config, trace, "self-addressed records");
+  EXPECT_EQ(s.measured_packets, measured_trace_packets(trace, config));
 }
 
 TEST(Concentration, TerminalMappingRoundTrips) {
