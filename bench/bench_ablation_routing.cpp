@@ -43,7 +43,7 @@ void BM_SimulationCycleRate(benchmark::State& state) {
   long long cycles = 0;
   for (auto _ : state) {
     sim::Simulator simulator(setup.topology, setup.latencies, config,
-                             *pattern, 1);
+                             pattern.get(), 1);
     const auto result = simulator.run();
     cycles += result.cycles_run;
   }
@@ -65,7 +65,7 @@ sim::SimResult run_once(const Setup& setup, const sim::TrafficPattern& pattern,
       table_routing ? sim::make_table_escape_routing(setup.topology, vcs)
                     : sim::make_xy_hamming_routing(setup.topology, vcs);
   sim::Simulator simulator(
-      setup.topology, setup.latencies, config, pattern, 1,
+      setup.topology, setup.latencies, config, &pattern, 1,
       std::make_shared<const sim::RouteTable>(setup.topology, *routing, vcs));
   return simulator.run();
 }

@@ -265,19 +265,18 @@ BenchResult bench_sim_cycle(bool smoke, bool* results_identical) {
   // simulated cycles) are what tracks the inner-loop trajectory over PRs.
   result.note = "10x10 SHG, uniform, rate 0.10; delta isolates route table";
 
-  // The live side drives the engine without a table, with the routing and
-  // Bernoulli process the simulator would build; the table side is the
-  // simulator, which builds its table (10x10 is within the row budget).
+  // The live side drives the engine without a table, with the routing the
+  // simulator would build and its default Bernoulli injection; the table
+  // side is the simulator, which builds its table (10x10 is within the row
+  // budget).
   const auto routing = sim::make_policy_routing(topo, config);
-  const auto process = sim::make_bernoulli(
-      config.injection_rate / static_cast<double>(config.packet_size_flits));
   auto t0 = Clock::now();
-  sim::SoaEngine live(topo, latencies, config, *pattern, 1, routing.get(),
-                      nullptr, process.get());
+  sim::SoaEngine live(topo, latencies, config, pattern.get(), 1,
+                      routing.get(), nullptr, sim::Injection());
   const sim::SimResult live_result = live.run();
   result.old_seconds = seconds_since(t0);
 
-  sim::Simulator tabled(topo, latencies, config, *pattern, 1);
+  sim::Simulator tabled(topo, latencies, config, pattern.get(), 1);
   t0 = Clock::now();
   const sim::SimResult table_result = tabled.run();
   result.new_seconds = seconds_since(t0);

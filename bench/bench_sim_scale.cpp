@@ -100,13 +100,6 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
   config.warmup_cycles = smoke ? 200 : 500;
   config.measure_cycles = smoke ? 600 : 2000;
 
-  const int ports = tier.topo.concentration() > 1
-                        ? tier.topo.concentration()
-                        : 1;
-  const double packet_prob =
-      config.injection_rate / static_cast<double>(config.packet_size_flits);
-  const int num_sources = tier.topo.num_tiles() * ports;
-
   Row row;
   row.fabric = tier.fabric;
   row.workload = workload;
@@ -117,8 +110,8 @@ Row run_tier(const Tier& tier, const std::string& workload, bool smoke) {
     // Construction (route-table build included) happens outside the timer:
     // the table is a per-topology artifact sweeps amortize, the run loop is
     // what this benchmark tracks.
-    sim::Simulator sim(tier.topo, latencies, config, *pattern, 1, nullptr,
-                       spec.make_process(packet_prob, num_sources));
+    sim::Simulator sim(tier.topo, latencies, config, pattern.get(), 1, nullptr,
+                       spec.injection());
     row.route_table = sim.route_table() != nullptr;
     const auto t0 = Clock::now();
     result = sim.run();
@@ -164,10 +157,8 @@ double run_saturated(const topo::Topology& topo, sim::RoutingPolicy policy,
                                              // cap the tail, it is not gated
   config.routing_policy = policy;
 
-  const double packet_prob =
-      config.injection_rate / static_cast<double>(config.packet_size_flits);
-  sim::Simulator s(topo, latencies, config, *pattern, 1, nullptr,
-                   spec.make_process(packet_prob, topo.num_tiles()));
+  sim::Simulator s(topo, latencies, config, pattern.get(), 1, nullptr,
+                   spec.injection());
   return s.run().accepted_rate;
 }
 

@@ -91,13 +91,10 @@ sim::SimResult replay_mempool_trace() {
   const auto latencies = eval::predict_cost(arch, topo).link_latencies();
   eval::PerfConfig config = mempool_perf(arch);
   config.sim.injection_rate = kZeroLoadRate;
-  const auto shared = std::make_shared<const sim::Trace>(mempool_trace());
-  sim::TraceWorkload workload = sim::make_trace_replay(
-      shared, topo.num_tiles() * arch.endpoints_per_tile, topo.num_tiles(),
-      config.sim.packet_size_flits);
-  sim::Simulator simulator(topo, latencies, config.sim, *workload.pattern,
-                           arch.endpoints_per_tile, nullptr,
-                           std::move(workload.process));
+  sim::Simulator simulator(
+      topo, latencies, config.sim, nullptr, arch.endpoints_per_tile, nullptr,
+      sim::Injection::trace(
+          std::make_shared<const sim::Trace>(mempool_trace())));
   return simulator.run();
 }
 

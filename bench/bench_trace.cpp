@@ -6,7 +6,7 @@
 // any violation so CI can gate on the smoke run:
 //
 //  1. differential replay — for each recorded family, the trace replayed
-//     through make_trace_replay is bit-identical to the live synthetic
+//     through sim::Injection::trace is bit-identical to the live synthetic
 //     run;
 //  2. worker counts — the trace campaign report is byte-identical with
 //     one worker and the default worker count;
@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
   const auto topology = topo::make_mesh(rows, cols);
   const std::vector<int> latencies(
       static_cast<std::size_t>(topology.graph().num_edges()), 1);
-  const int num_tiles = rows * cols;
   bool differential_ok = true;
   double live_seconds = 0.0;
   double replay_seconds = 0.0;
@@ -133,24 +132,19 @@ int main(int argc, char** argv) {
     trace_paths.push_back(path);
     const auto shared = std::make_shared<const sim::Trace>(trace);
 
-    // Live: the synthetic pattern/process pair the trace was recorded
+    // Live: the synthetic pattern and injection the trace was recorded
     // from, running its own RNG draws.
     const auto pattern = spec.make_pattern(rows, cols);
-    auto process = spec.make_process(
-        rec.injection_rate / static_cast<double>(config.sim.packet_size_flits),
-        num_tiles);
     auto t0 = Clock::now();
-    sim::Simulator live(topology, latencies, config.sim, *pattern, 1, nullptr,
-                        std::move(process));
+    sim::Simulator live(topology, latencies, config.sim, pattern.get(), 1,
+                        nullptr, spec.injection());
     const sim::SimResult live_result = live.run();
     live_seconds += seconds_since(t0);
 
     // Replay: pure function of the trace bytes, zero RNG draws.
-    sim::TraceWorkload workload = sim::make_trace_replay(
-        shared, num_tiles, num_tiles, config.sim.packet_size_flits);
     t0 = Clock::now();
-    sim::Simulator replay(topology, latencies, config.sim, *workload.pattern,
-                          1, nullptr, std::move(workload.process));
+    sim::Simulator replay(topology, latencies, config.sim, nullptr, 1,
+                          nullptr, sim::Injection::trace(shared));
     const sim::SimResult replay_result = replay.run();
     replay_seconds += seconds_since(t0);
 

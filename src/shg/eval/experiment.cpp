@@ -9,7 +9,6 @@
 #include "shg/common/strings.hpp"
 #include "shg/customize/session.hpp"
 #include "shg/eval/toolchain.hpp"
-#include "shg/sim/trace.hpp"
 
 namespace shg::eval {
 
@@ -153,7 +152,8 @@ namespace {
 /// run_experiment_shard both need before any cell can simulate — resolved
 /// seeds, materialized link latencies, shared route tables (artifact-tier
 /// reuse when a session is attached), per-(topology, traffic) patterns,
-/// and — with a session — the result-tier key of every cell.
+/// per-traffic injections and — with a session — the result-tier key of
+/// every cell.
 /// Tables are built for every topology even on a fully warm run: the
 /// report's route-table footprint section must be byte-identical between
 /// cold and warm invocations, and the artifact tier makes the warm build
@@ -170,6 +170,8 @@ struct CellEngine {
   std::vector<sim::TrafficSpec> parsed;
   /// Per (topology, traffic); null for trace workloads.
   std::vector<std::unique_ptr<sim::TrafficPattern>> patterns;
+  /// Per traffic; immutable, so every cell shares it.
+  std::vector<sim::Injection> injections;
   /// One key per cell, filled only when a session is attached.
   std::vector<customize::Fingerprint> cell_keys;
 
@@ -230,21 +232,18 @@ struct CellEngine {
       }
     }
 
-    // Per (topology, traffic) patterns. Patterns are stateless (all
-    // state lives in the per-run PRNG), so sharing one across runs is
-    // safe.
+    // Per (topology, traffic) patterns and per-traffic injections. Both
+    // are stateless (all state lives in the per-run PRNG and schedule),
+    // so sharing one across runs is safe.
     for (sim::TrafficSpec& traffic : parsed) {
       // Trace files are loaded (and fully validated) once per traffic
       // case; every cell on every topology shares the in-memory trace.
       traffic.resolve_trace();
+      injections.push_back(traffic.injection());
     }
     patterns.resize(num_topos * num_traffic);
     for (std::size_t t = 0; t < num_topos; ++t) {
       for (std::size_t w = 0; w < num_traffic; ++w) {
-        // Trace replay workloads carry a mutable cursor, so unlike the
-        // stateless synthetic patterns they cannot be shared across
-        // concurrently simulating cells; simulate() builds a private pair
-        // per cell instead.
         if (parsed[w].is_trace()) continue;
         patterns[t * num_traffic + w] = parsed[w].make_pattern(
             spec.topologies[t].topology.rows(),
@@ -298,31 +297,11 @@ struct CellEngine {
   sim::SimResult simulate(std::size_t i) const {
     std::size_t t, w, r, s;
     decompose(i, t, w, r, s);
-    const sim::SimConfig config = cell_config(r, s);
-    if (parsed[w].is_trace()) {
-      // A private replay pair per cell: the schedule build is cheap next
-      // to the simulation, and the shared_ptr'd trace bytes are not
-      // copied. The workload outlives run() in this frame.
-      const topo::Topology& topology = spec.topologies[t].topology;
-      sim::TraceWorkload workload = parsed[w].make_trace_workload(
-          topology.rows(), topology.cols(), topology.concentration(),
-          spec.endpoints_per_tile, config.packet_size_flits);
-      sim::Simulator simulator(topology, latencies[t], config,
-                               *workload.pattern, spec.endpoints_per_tile,
-                               tables[t], std::move(workload.process));
-      return simulator.run();
-    }
-    // With concentration, the concentration factor is the per-tile
-    // endpoint count (the Simulator enforces endpoints_per_tile == 1).
-    const int conc = spec.topologies[t].topology.concentration();
-    const int ports_per_tile = conc > 1 ? conc : spec.endpoints_per_tile;
-    std::unique_ptr<sim::InjectionProcess> process = parsed[w].make_process(
-        config.injection_rate / static_cast<double>(config.packet_size_flits),
-        spec.topologies[t].topology.num_tiles() * ports_per_tile);
     sim::Simulator simulator(spec.topologies[t].topology, latencies[t],
-                             config, *patterns[t * num_traffic + w],
+                             cell_config(r, s),
+                             patterns[t * num_traffic + w].get(),
                              spec.endpoints_per_tile, tables[t],
-                             std::move(process));
+                             injections[w]);
     return simulator.run();
   }
 };

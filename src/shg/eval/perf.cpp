@@ -9,7 +9,7 @@ sim::SimResult simulate_at_rate(
     std::shared_ptr<const sim::RouteTable> shared_table) {
   sim::SimConfig sim_config = config.sim;
   sim_config.injection_rate = rate;
-  sim::Simulator simulator(topo, link_latencies, sim_config, pattern,
+  sim::Simulator simulator(topo, link_latencies, sim_config, &pattern,
                            endpoints_per_tile, std::move(shared_table));
   return simulator.run();
 }

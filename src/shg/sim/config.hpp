@@ -77,8 +77,8 @@ struct SimConfig {
   /// non-minimal routing entirely.
   int ugal_bias_flits = 1;
 
-  /// Seed of the injection schedule (the traffic pattern's and injection
-  /// process's draws).
+  /// Seed of the injection schedule (the traffic pattern's and the
+  /// injection's draws).
   std::uint64_t seed = 0x5eed;
 
   void validate() const {

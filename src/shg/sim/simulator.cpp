@@ -51,16 +51,16 @@ std::size_t packet_reserve_hint(double packet_prob, Cycle generation_end,
 
 Simulator::Simulator(const topo::Topology& topo,
                      std::vector<int> link_latencies, SimConfig config,
-                     const TrafficPattern& pattern, int endpoints_per_tile,
+                     const TrafficPattern* pattern, int endpoints_per_tile,
                      std::shared_ptr<const RouteTable> shared_table,
-                     std::unique_ptr<InjectionProcess> process)
+                     Injection injection)
     : topo_(&topo),
       link_latencies_(std::move(link_latencies)),
       config_(config),
-      pattern_(&pattern),
+      pattern_(pattern),
       endpoints_per_tile_(endpoints_per_tile),
       route_table_(std::move(shared_table)),
-      process_(std::move(process)) {
+      injection_(std::move(injection)) {
   if (topo.concentration() > 1) {
     SHG_REQUIRE(endpoints_per_tile_ == 1,
                 "concentrated runs define the endpoint count through the "
@@ -82,10 +82,7 @@ Simulator::Simulator(const topo::Topology& topo,
                    "(dateline/escape classes) needs " +
                        std::to_string(min_vcs) + " VCs"));
   }
-  if (process_ == nullptr) {
-    process_ = make_bernoulli(config_.injection_rate /
-                              static_cast<double>(config_.packet_size_flits));
-  }
+  injection_.require_runnable(pattern_, config_);
   if (route_table_ != nullptr) {
     const bool ugal =
         effective_routing_policy(config_) == RoutingPolicy::kUgal;
@@ -110,9 +107,9 @@ Simulator::Simulator(const topo::Topology& topo,
 }
 
 SimResult Simulator::run() {
-  SoaEngine engine(*topo_, link_latencies_, config_, *pattern_,
+  SoaEngine engine(*topo_, link_latencies_, config_, pattern_,
                    endpoints_per_tile_, routing_.get(), route_table_.get(),
-                   process_.get());
+                   injection_);
   const SimResult result = engine.run();
   last_ugal_nonminimal_ = engine.ugal_nonminimal();
   return result;

@@ -3,7 +3,7 @@
 // toolchain, Fig. 3).
 //
 // Simulator validates the run and owns its route table (or, above the
-// table's row budget, its live routing function) and injection process;
+// table's row budget, its live routing function) and its injection;
 // each run() hands them to one SoaEngine
 // (sim/soa_network.hpp: flat slabs, an active-router worklist and
 // quiescence fast-forward). The golden corpus (tests/golden/) pins its
@@ -47,8 +47,9 @@ struct SimResult {
 };
 
 /// One simulation: a topology with per-link latencies, a router
-/// configuration and a traffic pattern. The routing is the one the
-/// config's policy selects for the topology family (make_policy_routing).
+/// configuration, a traffic pattern and an injection (sim/injection.hpp).
+/// The routing is the one the config's policy selects for the topology
+/// family (make_policy_routing).
 class Simulator {
  public:
   /// `link_latencies`: cycles per link, from the cost model (Section IV-B2d).
@@ -61,18 +62,18 @@ class Simulator {
   /// routing policy. Without one, the simulator builds its own table when
   /// RouteTable::rows_for stays within kMaxRouteTableRows and routes live
   /// above that budget.
-  /// If `process` is null, a Bernoulli injection process at
-  /// config.injection_rate / config.packet_size_flits packets per cycle
-  /// per source is used — the classic (and pre-refactor) behavior.
+  /// `pattern` is null exactly when `injection` is a trace replay; that,
+  /// and whether an on/off injection reaches the configured rate, is
+  /// checked here. The default injection is Bernoulli.
   Simulator(const topo::Topology& topo, std::vector<int> link_latencies,
-            SimConfig config, const TrafficPattern& pattern,
+            SimConfig config, const TrafficPattern* pattern,
             int endpoints_per_tile,
             std::shared_ptr<const RouteTable> shared_table = nullptr,
-            std::unique_ptr<InjectionProcess> process = nullptr);
+            Injection injection = {});
 
   /// Runs warmup + measurement + drain on a fresh SoaEngine and returns
-  /// the statistics. Repeated calls give identical results: the injection
-  /// process is reset and the PRNG reseeded from config.seed each time.
+  /// the statistics. Repeated calls give identical results: every run
+  /// generates its packets afresh from config.seed.
   SimResult run();
 
   /// The route table the runs use: the shared one, or the one built here;
@@ -93,7 +94,7 @@ class Simulator {
   int endpoints_per_tile_;
   std::unique_ptr<RoutingFunction> routing_;  ///< null with a route table
   std::shared_ptr<const RouteTable> route_table_;
-  std::unique_ptr<InjectionProcess> process_;
+  Injection injection_;
   long long last_ugal_nonminimal_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 
-#include "shg/common/prng.hpp"
 #include "shg/sim/concentration.hpp"
 #include "shg/sim/stats.hpp"
 
@@ -52,18 +51,13 @@ void SoaEngine::PktRing::push(std::int32_t id) {
 
 SoaEngine::SoaEngine(const topo::Topology& topo,
                      const std::vector<int>& link_latencies,
-                     const SimConfig& config, const TrafficPattern& pattern,
+                     const SimConfig& config, const TrafficPattern* pattern,
                      int endpoints_per_tile, const RoutingFunction* routing,
-                     const RouteTable* table, InjectionProcess* process)
-    : config_(config),
-      pattern_(&pattern),
-      routing_(routing),
-      table_(table),
-      process_(process) {
+                     const RouteTable* table, const Injection& injection)
+    : config_(config), routing_(routing), table_(table) {
   config_.validate();
   SHG_REQUIRE(routing != nullptr || table != nullptr,
               "SoA engine needs a routing function or a route table");
-  SHG_REQUIRE(process != nullptr, "SoA engine needs an injection process");
   ugal_mode_ = effective_routing_policy(config_) == RoutingPolicy::kUgal;
   if (ugal_mode_) {
     ugal_info_ =
@@ -80,7 +74,7 @@ SoaEngine::SoaEngine(const topo::Topology& topo,
   pkt_flits_ = config_.packet_size_flits;
   delay_ = config_.router_delay_cycles;
   build_fabric(topo, link_latencies);
-  pregenerate(topo);
+  pregenerate(topo, pattern, injection);
 }
 
 void SoaEngine::build_fabric(const topo::Topology& topo,
@@ -202,23 +196,20 @@ void SoaEngine::build_fabric(const topo::Topology& topo,
   queued_.assign(nr, 0);
 }
 
-void SoaEngine::pregenerate(const topo::Topology& topo) {
-  // The generation loop, pre-drawn: one PRNG, draw order cycle -> tile ->
-  // port (inject draw then destination draw), fixed points skipped, packet
-  // ids in draw order. No draw depends on network state and source queues
-  // are unbounded, so the schedule is a pure function of the seed — which
-  // is what makes quiescence fast-forward exact.
-  Prng rng(config_.seed);
-  process_->reset();
+void SoaEngine::pregenerate(const topo::Topology& topo,
+                            const TrafficPattern* pattern,
+                            const Injection& injection) {
+  // Packet ids follow generation order. No draw depends on network state
+  // and source queues are unbounded, so the schedule is a pure function of
+  // the run's inputs — which is what makes quiescence fast-forward exact.
   const Cycle generation_end = config_.warmup_cycles + config_.measure_cycles;
-  const double packet_prob =
-      config_.injection_rate / static_cast<double>(config_.packet_size_flits);
   const Concentration conc = Concentration::make(topo.rows(), topo.cols(),
                                                  topo.concentration());
   const bool concentrated = topo.concentration() > 1;
 
   const std::size_t hint = packet_reserve_hint(
-      packet_prob, generation_end, num_routers_, local_ports_);
+      config_.injection_rate / static_cast<double>(config_.packet_size_flits),
+      generation_end, num_routers_, local_ports_);
   pk_create_.reserve(hint);
   pk_src_.reserve(hint);
   pk_dest_.reserve(hint);
@@ -226,34 +217,18 @@ void SoaEngine::pregenerate(const topo::Topology& topo) {
   pk_eject_port_.reserve(hint);
   pk_measured_.reserve(hint);
 
-  for (Cycle t = 0; t < generation_end; ++t) {
-    for (int tile = 0; tile < num_routers_; ++tile) {
-      for (int port = 0; port < local_ports_; ++port) {
-        const int source = tile * local_ports_ + port;
-        if (!process_->inject(source, rng)) continue;
-        int dest_tile;
-        int eject_port = -1;
-        if (concentrated) {
-          const int src_terminal = conc.terminal(tile, port);
-          const int dest_terminal = pattern_->dest(src_terminal, rng);
-          if (dest_terminal == src_terminal) continue;
-          dest_tile = conc.tile_of(dest_terminal);
-          eject_port = conc.port_of(dest_terminal);
-        } else {
-          dest_tile = pattern_->dest(tile, rng);
-          if (dest_tile == tile) continue;  // fixed point of a permutation
-        }
+  generate_packets(
+      injection, pattern, conc, local_ports_, config_,
+      [&](Cycle t, int tile, int port, int dest) {
         const bool measured = t >= config_.warmup_cycles;
         pk_create_.push_back(t);
         pk_src_.push_back(tile);
-        pk_dest_.push_back(dest_tile);
+        pk_dest_.push_back(concentrated ? conc.tile_of(dest) : dest);
         pk_port_.push_back(port);
-        pk_eject_port_.push_back(eject_port);
+        pk_eject_port_.push_back(concentrated ? conc.port_of(dest) : -1);
         pk_measured_.push_back(measured ? 1 : 0);
         if (measured) ++measured_created_;
-      }
-    }
-  }
+      });
   pk_hops_.assign(pk_create_.size(), 0);
   pk_via_.assign(pk_create_.size(), -1);
   pk_done_.assign(pk_create_.size(), 0);

@@ -38,8 +38,9 @@
 //    in any order.
 //
 //  * Whole-network quiescence fast-forward. The injection schedule is a
-//    pure function of the seed (no draw depends on network state, source
-//    queues are unbounded), so it is pre-generated draw-for-draw. When
+//    pure function of the seed or the trace (no draw depends on network
+//    state, source queues are unbounded), so the constructor generates it
+//    whole (generate_packets, sim/injection.hpp). When
 //    nothing is in flight — no flit anywhere AND no credit on a channel —
 //    every cycle until the next scheduled injection is a provable no-op and
 //    `now` jumps there directly, preserving the exact cycle count a
@@ -65,15 +66,16 @@
 namespace shg::sim {
 
 /// One-shot engine: construct, run(), discard. The Simulator front end
-/// owns topology/routing/table/process and constructs one engine per run.
+/// owns topology/routing/table/injection and constructs one engine per run.
 class SoaEngine {
  public:
   /// `routing` may be null only when `table` is non-null (table mode);
-  /// `process` must be non-null and is reset() by run().
+  /// `pattern` is null exactly when `injection` is a trace replay. The
+  /// constructor generates the whole packet schedule.
   SoaEngine(const topo::Topology& topo, const std::vector<int>& link_latencies,
-            const SimConfig& config, const TrafficPattern& pattern,
+            const SimConfig& config, const TrafficPattern* pattern,
             int endpoints_per_tile, const RoutingFunction* routing,
-            const RouteTable* table, InjectionProcess* process);
+            const RouteTable* table, const Injection& injection);
 
   /// Runs warmup + measurement + drain and returns the statistics.
   SimResult run();
@@ -167,8 +169,10 @@ class SoaEngine {
 
   void build_fabric(const topo::Topology& topo,
                     const std::vector<int>& link_latencies);
-  /// Draws the whole injection schedule into the per-packet arrays.
-  void pregenerate(const topo::Topology& topo);
+  /// Generates the whole packet schedule (generate_packets) into the
+  /// per-packet arrays.
+  void pregenerate(const topo::Topology& topo, const TrafficPattern* pattern,
+                   const Injection& injection);
 
   void activate(int r) {
     if (!queued_[static_cast<std::size_t>(r)]) {
@@ -223,10 +227,8 @@ class SoaEngine {
 
   // --- Configuration (copied out of SimConfig for tight loop access) -----
   SimConfig config_;
-  const TrafficPattern* pattern_;
   const RoutingFunction* routing_;
   const RouteTable* table_;
-  InjectionProcess* process_;
   int num_routers_ = 0;
   int local_ports_ = 0;  ///< endpoint ports per tile
   int vcs_ = 0;

@@ -1,12 +1,13 @@
 #include "shg/sim/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "shg/common/error.hpp"
 #include "shg/common/log.hpp"
 #include "shg/sim/concentration.hpp"
+#include "shg/sim/injection.hpp"
 #include "shg/sim/traffic_spec.hpp"
 
 namespace shg::sim {
@@ -213,133 +214,6 @@ Trace load_trace(const std::string& path) {
   return trace;
 }
 
-namespace {
-
-/// The cursor shared by the replay pair. The engine calls inject() exactly
-/// once per (source, cycle) with sources ascending and, on a positive
-/// draw, queries the pattern immediately after and strictly sequentially
-/// (generation is single-threaded) — so one staged destination
-/// slot suffices and no source-to-terminal mapping is re-derived.
-struct ReplayState {
-  struct Entry {
-    Cycle cycle;
-    std::int32_t dest;
-  };
-  std::vector<std::vector<Entry>> schedule;  ///< per source, cycle-ascending
-  std::vector<std::size_t> cursor;           ///< per source
-  std::vector<Cycle> clock;  ///< per source: the cycle of its next inject()
-  std::int32_t staged_dest = -1;
-
-  void reset() {
-    std::fill(cursor.begin(), cursor.end(), 0);
-    std::fill(clock.begin(), clock.end(), Cycle{0});
-    staged_dest = -1;
-  }
-};
-
-class TraceInjectionProcess final : public InjectionProcess {
- public:
-  explicit TraceInjectionProcess(std::shared_ptr<ReplayState> state)
-      : state_(std::move(state)) {}
-
-  bool inject(int source, Prng& /*rng*/) override {
-    ReplayState& st = *state_;
-    const auto s = static_cast<std::size_t>(source);
-    const Cycle now = st.clock[s]++;  // call count == cycle, per contract
-    const std::vector<ReplayState::Entry>& sched = st.schedule[s];
-    std::size_t& cur = st.cursor[s];
-    if (cur >= sched.size() || sched[cur].cycle != now) return false;
-    st.staged_dest = sched[cur].dest;
-    ++cur;
-    return true;
-  }
-
-  std::string name() const override { return "trace"; }
-
-  void reset() override { state_->reset(); }
-
- private:
-  std::shared_ptr<ReplayState> state_;
-};
-
-class TracePattern final : public TrafficPattern {
- public:
-  explicit TracePattern(std::shared_ptr<ReplayState> state)
-      : state_(std::move(state)) {}
-
-  int dest(int /*src*/, Prng& /*rng*/) const override {
-    ReplayState& st = *state_;
-    SHG_ASSERT(st.staged_dest >= 0,
-               "trace pattern queried without a staged injection");
-    const int d = st.staged_dest;
-    st.staged_dest = -1;
-    return d;
-  }
-
-  std::string name() const override { return "trace"; }
-
- private:
-  std::shared_ptr<ReplayState> state_;
-};
-
-}  // namespace
-
-TraceWorkload make_trace_replay(std::shared_ptr<const Trace> trace,
-                                int num_sources, int num_terminals,
-                                int packet_size_flits, double scale) {
-  SHG_REQUIRE(trace != nullptr, "trace replay needs a loaded trace");
-  SHG_REQUIRE(packet_size_flits >= 1, "trace replay needs a packet size");
-  SHG_REQUIRE(scale > 0.0, "trace replay scale must be positive");
-  validate_trace(*trace, "trace replay");
-  SHG_REQUIRE(
-      static_cast<std::uint64_t>(num_sources) == trace->num_sources,
-      "trace was recorded for " + std::to_string(trace->num_sources) +
-          " sources but the grid provides " + std::to_string(num_sources));
-  SHG_REQUIRE(
-      static_cast<std::uint64_t>(num_terminals) == trace->num_terminals,
-      "trace was recorded for " + std::to_string(trace->num_terminals) +
-          " terminals but the grid provides " + std::to_string(num_terminals));
-
-  // Build the whole per-source schedule up front — replay is then a pure
-  // cursor walk. A message becomes ceil(size / packet_size) packets on
-  // consecutive cycles starting at max(scaled timestamp, the source's
-  // previous injection end, the dependency's injection end).
-  auto state = std::make_shared<ReplayState>();
-  state->schedule.resize(static_cast<std::size_t>(num_sources));
-  state->cursor.assign(static_cast<std::size_t>(num_sources), 0);
-  state->clock.assign(static_cast<std::size_t>(num_sources), 0);
-  std::vector<std::uint64_t> last_ts(static_cast<std::size_t>(num_sources), 0);
-  std::vector<Cycle> next_free(static_cast<std::size_t>(num_sources), 0);
-  std::vector<Cycle> record_end(trace->records.size(), 0);
-  for (std::size_t i = 0; i < trace->records.size(); ++i) {
-    const TraceRecord& rec = trace->records[i];
-    const auto s = static_cast<std::size_t>(rec.source);
-    const std::uint64_t abs = last_ts[s] + rec.delta;
-    last_ts[s] = abs;
-    Cycle start = scale == 1.0
-                      ? static_cast<Cycle>(abs)
-                      : static_cast<Cycle>(static_cast<double>(abs) / scale);
-    if (start < next_free[s]) start = next_free[s];
-    if (rec.dep != kTraceNoDep && start < record_end[rec.dep]) {
-      start = record_end[rec.dep];
-    }
-    const Cycle packets =
-        (static_cast<Cycle>(rec.size_flits) + packet_size_flits - 1) /
-        packet_size_flits;
-    for (Cycle k = 0; k < packets; ++k) {
-      state->schedule[s].push_back(
-          ReplayState::Entry{start + k, static_cast<std::int32_t>(rec.dest)});
-    }
-    next_free[s] = start + packets;
-    record_end[i] = start + packets;
-  }
-
-  TraceWorkload workload;
-  workload.pattern = std::make_unique<TracePattern>(state);
-  workload.process = std::make_unique<TraceInjectionProcess>(state);
-  return workload;
-}
-
 Trace trace_from_spec(const TrafficSpec& spec, const TraceRecordOptions& opt) {
   SHG_REQUIRE(spec.pattern != "trace",
               "trace_from_spec materializes synthetic specs; '" +
@@ -363,44 +237,25 @@ Trace trace_from_spec(const TrafficSpec& spec, const TraceRecordOptions& opt) {
 
   const std::unique_ptr<TrafficPattern> pattern =
       spec.make_pattern(opt.rows, opt.cols, opt.concentration);
-  const std::unique_ptr<InjectionProcess> process = spec.make_process(
-      opt.injection_rate / static_cast<double>(opt.packet_size_flits),
-      num_tiles * ports);
-
-  // The engine's generation loop, draw for draw (soa_network.cpp
-  // pregenerate): cycle -> tile -> port, inject draw then
-  // destination draw, fixed points skipped after the draw. Recording this
-  // order is what makes the replay differential oracle exact.
-  Prng rng(opt.seed);
-  process->reset();
+  SimConfig config;
+  config.injection_rate = opt.injection_rate;
+  config.packet_size_flits = opt.packet_size_flits;
+  config.warmup_cycles = 0;
+  config.measure_cycles = opt.cycles;
+  config.seed = opt.seed;
   std::vector<std::uint32_t> last_ts(trace.num_sources, 0);
-  for (Cycle t = 0; t < opt.cycles; ++t) {
-    for (int tile = 0; tile < num_tiles; ++tile) {
-      for (int port = 0; port < ports; ++port) {
-        const int source = tile * ports + port;
-        if (!process->inject(source, rng)) continue;
-        int dest;
-        if (concentrated) {
-          const int src_terminal = conc.terminal(tile, port);
-          const int dest_terminal = pattern->dest(src_terminal, rng);
-          if (dest_terminal == src_terminal) continue;
-          dest = dest_terminal;
-        } else {
-          dest = pattern->dest(tile, rng);
-          if (dest == tile) continue;  // fixed point of a permutation
-        }
+  generate_packets(
+      spec.injection(), pattern.get(), conc, ports, config,
+      [&](Cycle t, int tile, int port, int dest) {
+        const auto source = static_cast<std::uint32_t>(tile * ports + port);
         TraceRecord rec;
-        rec.source = static_cast<std::uint32_t>(source);
-        rec.delta = static_cast<std::uint32_t>(t) -
-                    last_ts[static_cast<std::size_t>(source)];
+        rec.source = source;
+        rec.delta = static_cast<std::uint32_t>(t) - last_ts[source];
         rec.dest = static_cast<std::uint32_t>(dest);
         rec.size_flits = static_cast<std::uint32_t>(opt.packet_size_flits);
-        last_ts[static_cast<std::size_t>(source)] =
-            static_cast<std::uint32_t>(t);
+        last_ts[source] = static_cast<std::uint32_t>(t);
         trace.records.push_back(rec);
-      }
-    }
-  }
+      });
   return trace;
 }
 

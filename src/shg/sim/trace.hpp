@@ -1,7 +1,7 @@
 // Trace-driven workloads: a compact checksummed on-disk trace format
-// (`shg.trace.v1`, in the `shg.cache.v1` idiom) and a replay engine that
-// drives the simulator through the existing InjectionProcess /
-// TrafficPattern seam.
+// (`shg.trace.v1`, in the `shg.cache.v1` idiom), replayed by the trace
+// kind of sim::Injection (sim/injection.hpp), and trace_from_spec, which
+// records a synthetic workload through the engine's own generation loop.
 //
 // A trace is an ordered list of message records — per-source timestamp
 // deltas, destination terminal ids, message sizes in flits, and optional
@@ -41,13 +41,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "shg/sim/config.hpp"
-#include "shg/sim/injection.hpp"
-#include "shg/sim/traffic.hpp"
 
 namespace shg::sim {
 
@@ -88,7 +85,7 @@ struct Trace {
   friend bool operator==(const Trace&, const Trace&) = default;
 };
 
-/// Semantic validation shared by the loader and the replay factory:
+/// Semantic validation shared by the loader and Injection::trace:
 /// nonempty id spaces, in-range sources/destinations, nonzero sizes,
 /// backward-only dependencies, globally nondecreasing reconstructed
 /// timestamps (and a 2^48 timestamp cap so cycle arithmetic cannot
@@ -106,28 +103,6 @@ void save_trace(const Trace& trace, const std::string& path);
 /// and the reason, then throws a clean shg::Error.
 Trace load_trace(const std::string& path);
 
-/// A trace replayed onto a grid: the pattern/process pair to hand to the
-/// Simulator. The two objects share the replay cursor (the process decides
-/// *when* and stages *where* for the pattern, which the engine queries
-/// immediately after a positive injection draw); hand both to ONE
-/// Simulator at a time.
-struct TraceWorkload {
-  std::unique_ptr<TrafficPattern> pattern;
-  std::unique_ptr<InjectionProcess> process;
-};
-
-/// Builds the replay workload for a grid with `num_sources` injection
-/// sources and `num_terminals` destination ids (both must match the trace
-/// header — replaying a trace on the wrong grid is a spec error, not a
-/// truncation). Messages larger than `packet_size_flits` are split into
-/// ceil(size / packet_size) packets injected on consecutive cycles;
-/// `scale` compresses time (replay cycle = floor(timestamp / scale), so
-/// scale 2 doubles the offered intensity). The schedule is built here,
-/// once; inject() afterwards is a cursor walk that draws no randomness.
-TraceWorkload make_trace_replay(std::shared_ptr<const Trace> trace,
-                                int num_sources, int num_terminals,
-                                int packet_size_flits, double scale = 1.0);
-
 /// Recording knobs for trace_from_spec: the grid and injection parameters
 /// of the live run being materialized.
 struct TraceRecordOptions {
@@ -141,10 +116,10 @@ struct TraceRecordOptions {
   std::uint64_t seed = 1;
 };
 
-/// Materializes a synthetic spec into a trace by replaying the engine's
-/// generation loop draw-for-draw (cycle -> tile -> port, inject draw then
-/// destination draw, same fixed-point skip). Replaying the result through
-/// make_trace_replay with the same grid, packet size and generation window
+/// Materializes a synthetic spec into a trace by running the engine's
+/// generation loop (generate_packets) and recording every packet it
+/// creates as a one-packet message. Replaying the result through
+/// Injection::trace with the same grid, packet size and generation window
 /// reproduces the live run's injection schedule exactly — the differential
 /// oracle the trace tests gate on.
 Trace trace_from_spec(const TrafficSpec& spec, const TraceRecordOptions& opt);

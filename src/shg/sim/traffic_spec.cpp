@@ -186,8 +186,7 @@ std::unique_ptr<TrafficPattern> TrafficSpec::make_pattern(
     int rows, int cols, int concentration) const {
   SHG_REQUIRE(!is_trace(),
               "traffic spec '" + canonical() +
-                  "' is a trace; instantiate it with make_trace_workload, "
-                  "not make_pattern");
+                  "' is a trace; its replay needs no pattern");
   SHG_REQUIRE(rows >= 1 && cols >= 1, "traffic spec: empty grid");
   // Patterns are instantiated over the terminal grid: with concentration 1
   // it IS the router grid, otherwise each router contributes a sub-grid of
@@ -222,21 +221,6 @@ std::unique_ptr<TrafficPattern> TrafficSpec::make_pattern(
   return nullptr;  // unreachable
 }
 
-std::unique_ptr<InjectionProcess> TrafficSpec::make_process(
-    double packet_prob, int num_sources) const {
-  SHG_REQUIRE(!is_trace(),
-              "traffic spec '" + canonical() +
-                  "' is a trace; its timing comes from the trace bytes, "
-                  "not an injection process");
-  if (process == "bernoulli") return make_bernoulli(packet_prob);
-  if (process == "onoff") {
-    return make_on_off(packet_prob, on_off_alpha, on_off_beta, num_sources);
-  }
-  SHG_REQUIRE(false, "traffic spec: unknown injection process '" + process +
-                         "'");
-  return nullptr;  // unreachable
-}
-
 void TrafficSpec::resolve_trace() {
   if (!is_trace() || trace != nullptr) return;
   trace = std::make_shared<const Trace>(load_trace(trace_path));
@@ -246,29 +230,15 @@ std::uint64_t TrafficSpec::trace_content_hash() const {
   return trace != nullptr ? trace->content_hash() : 0;
 }
 
-TraceWorkload TrafficSpec::make_trace_workload(int rows, int cols,
-                                               int concentration,
-                                               int endpoints_per_tile,
-                                               int packet_size_flits) const {
-  SHG_REQUIRE(is_trace(), "traffic spec '" + canonical() +
-                              "' is not a trace; use make_pattern");
-  SHG_REQUIRE(trace != nullptr,
-              "traffic spec '" + canonical() +
-                  "' has no loaded trace; call resolve_trace() first");
-  SHG_REQUIRE(rows >= 1 && cols >= 1, "traffic spec: empty grid");
-  const Concentration conc = Concentration::make(rows, cols, concentration);
-  const bool concentrated = concentration > 1;
-  const int ports = concentrated ? concentration : endpoints_per_tile;
-  const int num_sources = rows * cols * ports;
-  const int num_terminals = concentrated ? conc.terminals() : rows * cols;
-  try {
-    return make_trace_replay(trace, num_sources, num_terminals,
-                             packet_size_flits, trace_scale);
-  } catch (const Error& e) {
-    throw Error("traffic spec '" + canonical() +
-                "' is not applicable to the " + std::to_string(rows) + "x" +
-                std::to_string(cols) + " router grid: " + e.what());
+Injection TrafficSpec::injection() const {
+  if (is_trace()) {
+    SHG_REQUIRE(trace != nullptr,
+                "traffic spec '" + canonical() +
+                    "' has no loaded trace; call resolve_trace() first");
+    return Injection::trace(trace, trace_scale);
   }
+  if (process == "onoff") return Injection::onoff(on_off_alpha, on_off_beta);
+  return Injection();
 }
 
 }  // namespace shg::sim

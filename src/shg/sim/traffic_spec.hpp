@@ -1,5 +1,5 @@
 // Declarative workload addressing: a TrafficSpec names a traffic pattern
-// (where packets go) and an injection process (when they are injected) in
+// (where packets go) and an injection kind (when they are injected) in
 // one string, so workloads can be written in configs, CLI arguments and
 // report labels instead of being constructed by hand.
 //
@@ -19,9 +19,8 @@
 // "transpose/onoff:0.05,0.2", "trace:out/mempool.trace@2".
 //
 // A trace spec replaces BOTH halves: the trace bytes define where packets
-// go and when (sim/trace.hpp), so it takes no "/" process suffix and is
-// instantiated through make_trace_workload instead of the
-// make_pattern/make_process pair.
+// go and when (sim/trace.hpp), so it takes no "/" process suffix and has
+// no pattern; injection() returns its replay.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +34,10 @@
 namespace shg::sim {
 
 struct Trace;
-struct TraceWorkload;
 
 /// A parsed workload specification. Factories are split from parsing so
-/// one spec can be instantiated on many grids (patterns are grid-sized)
-/// and at many rates (processes are rate-sized).
+/// one spec can be instantiated on many grids (patterns are grid-sized);
+/// its injection is one value for every grid and rate.
 struct TrafficSpec {
   // Pattern half.
   std::string pattern = "uniform";
@@ -47,7 +45,7 @@ struct TrafficSpec {
   double hotspot_fraction = 0.0;        ///< "hotspot" only
   std::uint64_t randperm_seed = 0;      ///< "randperm" only
 
-  // Process half.
+  // Injection half.
   std::string process = "bernoulli";
   double on_off_alpha = 0.0;            ///< "onoff" only
   double on_off_beta = 0.0;             ///< "onoff" only
@@ -77,14 +75,7 @@ struct TrafficSpec {
   std::unique_ptr<TrafficPattern> make_pattern(int rows, int cols,
                                                int concentration = 1) const;
 
-  /// Instantiates the injection process for `num_sources` endpoint ports
-  /// at a mean packet probability of `packet_prob` per source per cycle.
-  /// Trace specs have no process half; this throws for them.
-  std::unique_ptr<InjectionProcess> make_process(double packet_prob,
-                                                 int num_sources) const;
-
-  /// True for "trace:" specs, which are instantiated through
-  /// make_trace_workload instead of make_pattern/make_process.
+  /// True for "trace:" specs, which have no pattern half.
   bool is_trace() const { return pattern == "trace"; }
 
   /// Loads trace_path (sim/trace.hpp load_trace: full validation, warn +
@@ -97,13 +88,10 @@ struct TrafficSpec {
   /// path string in canonical(). 0 when this is not a resolved trace spec.
   std::uint64_t trace_content_hash() const;
 
-  /// Instantiates the replay pattern/process pair on an R x C router grid
-  /// (resolve_trace() first). The trace header must match the grid's
-  /// source/terminal counts; mismatches throw naming the canonical spec
-  /// and the grid, like make_pattern does.
-  TraceWorkload make_trace_workload(int rows, int cols, int concentration,
-                                    int endpoints_per_tile,
-                                    int packet_size_flits) const;
+  /// The injection half: bernoulli, onoff{alpha, beta}, or the replay of
+  /// the resolved trace at trace_scale. Throws for a trace spec whose
+  /// trace is not resolved yet (call resolve_trace() first).
+  Injection injection() const;
 };
 
 /// The pattern names make_pattern understands (for error messages/docs).

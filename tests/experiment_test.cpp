@@ -157,11 +157,8 @@ TEST(Experiment, UniformSpecBitIdenticalToDirectLoop) {
     const ExperimentPoint& point = report.points[i];
     sim::SimConfig config = spec.config.sim;
     config.injection_rate = spec.rates[i];
-    sim::Simulator simulator(
-        topo, latencies, config, *pattern, 1, table,
-        traffic.make_process(
-            spec.rates[i] / static_cast<double>(config.packet_size_flits),
-            topo.num_tiles()));
+    sim::Simulator simulator(topo, latencies, config, pattern.get(), 1, table,
+                             traffic.injection());
     const sim::SimResult reference = simulator.run();
     ASSERT_EQ(point.runs.size(), 1u);
     EXPECT_EQ(point.runs.front().offered_rate, reference.offered_rate);

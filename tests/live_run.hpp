@@ -2,11 +2,10 @@
 // flit asks the routing function. Simulator builds a table whenever the
 // topology fits the row budget, so the tests that pin the live path (the
 // golden corpus's " live" cases, the table-vs-live checks) construct the
-// engine here, with the routing and injection process Simulator would
-// build for the same arguments.
+// engine here, with the routing Simulator would build for the same
+// arguments.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "shg/sim/routing.hpp"
@@ -21,22 +20,19 @@ struct RunOutcome {
   long long nonminimal = 0;
 };
 
-/// One run with live routing. `process` null means Simulator's default, a
-/// Bernoulli process at injection_rate / packet_size_flits.
-inline RunOutcome run_live(
-    const topo::Topology& topo, const std::vector<int>& link_latencies,
-    const SimConfig& config, const TrafficPattern& pattern,
-    int endpoints_per_tile,
-    std::unique_ptr<InjectionProcess> process = nullptr) {
-  if (process == nullptr) {
-    process = make_bernoulli(config.injection_rate /
-                             static_cast<double>(config.packet_size_flits));
-  }
+/// One run with live routing; the injection defaults to Simulator's,
+/// Bernoulli.
+inline RunOutcome run_live(const topo::Topology& topo,
+                           const std::vector<int>& link_latencies,
+                           const SimConfig& config,
+                           const TrafficPattern* pattern,
+                           int endpoints_per_tile,
+                           const Injection& injection = {}) {
   const auto routing = make_policy_routing(topo, config);
   SoaEngine engine(topo, link_latencies, config, pattern,
                    topo.concentration() > 1 ? topo.concentration()
                                             : endpoints_per_tile,
-                   routing.get(), nullptr, process.get());
+                   routing.get(), nullptr, injection);
   RunOutcome out;
   out.result = engine.run();
   out.nonminimal = engine.ugal_nonminimal();

@@ -233,7 +233,7 @@ TEST(RouteTable, RejectsVcMismatchInRouter) {
   const auto pattern = make_uniform(topo.num_tiles());
   const std::vector<int> latencies(
       static_cast<std::size_t>(topo.graph().num_edges()), 1);
-  EXPECT_THROW(Simulator(topo, latencies, config, *pattern, 1, table), Error);
+  EXPECT_THROW(Simulator(topo, latencies, config, pattern.get(), 1, table), Error);
 }
 
 TEST(RouteTable, SimulatorRejectsSharedTableForDifferentTopology) {
@@ -249,7 +249,7 @@ TEST(RouteTable, SimulatorRejectsSharedTableForDifferentTopology) {
   const auto pattern = make_uniform(other.num_tiles());
   const std::vector<int> latencies(
       static_cast<std::size_t>(other.graph().num_edges()), 1);
-  EXPECT_THROW(Simulator(other, latencies, config, *pattern, 1, table),
+  EXPECT_THROW(Simulator(other, latencies, config, pattern.get(), 1, table),
                Error);
 }
 
@@ -271,8 +271,8 @@ void expect_bit_identical_sim(const topo::Topology& topo) {
   const auto pattern = make_uniform(topo.num_tiles());
 
   const SimResult live =
-      run_live(topo, unit_latencies(topo), config, *pattern, 1).result;
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+      run_live(topo, unit_latencies(topo), config, pattern.get(), 1).result;
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   ASSERT_NE(simulator.route_table(), nullptr);
   EXPECT_EQ(table_mismatch(topo, *simulator.route_table(),
                            *make_policy_routing(topo, config)),
@@ -391,9 +391,9 @@ TEST(RouteTable, SharedTableMatchesPrivateTable) {
   config.measure_cycles = 600;
   const auto pattern = make_uniform(topo.num_tiles());
   const SimResult with_private =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
+      Simulator(topo, unit_latencies(topo), config, pattern.get(), 1).run();
   const SimResult with_shared = Simulator(topo, unit_latencies(topo), config,
-                                          *pattern, 1, shared)
+                                          pattern.get(), 1, shared)
                                     .run();
   EXPECT_EQ(with_private.avg_packet_latency, with_shared.avg_packet_latency);
   EXPECT_EQ(with_private.accepted_rate, with_shared.accepted_rate);

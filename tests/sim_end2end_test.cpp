@@ -30,7 +30,7 @@ TEST(Simulator, LowRateDrainsAndConservesFlits) {
   SimConfig config = fast_config();
   config.injection_rate = 0.05;
   const auto pattern = make_uniform(16);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult result = simulator.run();
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 0);
@@ -46,7 +46,7 @@ TEST(Simulator, ZeroLoadLatencyDecomposition) {
   SimConfig config = fast_config();
   config.injection_rate = 0.01;
   const auto pattern = make_neighbor(4, 4);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult result = simulator.run();
   EXPECT_TRUE(result.drained);
   EXPECT_GE(result.avg_packet_latency, 5.0);
@@ -60,10 +60,10 @@ TEST(Simulator, LinkLatencyRaisesPacketLatency) {
   SimConfig config = fast_config();
   config.injection_rate = 0.02;
   const auto pattern = make_uniform(16);
-  Simulator fast(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator fast(topo, unit_latencies(topo), config, pattern.get(), 1);
   std::vector<int> slow_links(
       static_cast<std::size_t>(topo.graph().num_edges()), 4);
-  Simulator slow(topo, slow_links, config, *pattern, 1);
+  Simulator slow(topo, slow_links, config, pattern.get(), 1);
   const SimResult fast_result = fast.run();
   const SimResult slow_result = slow.run();
   ASSERT_TRUE(fast_result.drained);
@@ -78,15 +78,15 @@ TEST(Simulator, RunRejectsMalformedFabric) {
   const auto topo = topo::make_mesh(3, 3);
   const SimConfig config = fast_config();
   const auto pattern = make_uniform(9);
-  EXPECT_THROW(Simulator(topo, std::vector<int>(5, 1), config, *pattern, 1)
+  EXPECT_THROW(Simulator(topo, std::vector<int>(5, 1), config, pattern.get(), 1)
                    .run(),
                Error);
-  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, *pattern, 0)
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, pattern.get(), 0)
                    .run(),
                Error);
   std::vector<int> zero_link = unit_latencies(topo);
   zero_link[3] = 0;
-  EXPECT_THROW(Simulator(topo, zero_link, config, *pattern, 1).run(), Error);
+  EXPECT_THROW(Simulator(topo, zero_link, config, pattern.get(), 1).run(), Error);
 }
 
 TEST(Simulator, MoreEndpointsInjectMoreTraffic) {
@@ -94,8 +94,8 @@ TEST(Simulator, MoreEndpointsInjectMoreTraffic) {
   SimConfig config = fast_config();
   config.injection_rate = 0.05;
   const auto pattern = make_uniform(16);
-  Simulator one(topo, unit_latencies(topo), config, *pattern, 1);
-  Simulator two(topo, unit_latencies(topo), config, *pattern, 2);
+  Simulator one(topo, unit_latencies(topo), config, pattern.get(), 1);
+  Simulator two(topo, unit_latencies(topo), config, pattern.get(), 2);
   const SimResult r1 = one.run();
   const SimResult r2 = two.run();
   ASSERT_TRUE(r1.drained);
@@ -111,9 +111,9 @@ TEST(Simulator, SaturationLatencyExplodes) {
   SimConfig config = fast_config();
   const auto pattern = make_uniform(16);
   config.injection_rate = 0.03;
-  Simulator low(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator low(topo, unit_latencies(topo), config, pattern.get(), 1);
   config.injection_rate = 0.9;
-  Simulator high(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator high(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult low_result = low.run();
   const SimResult high_result = high.run();
   ASSERT_TRUE(low_result.drained);
@@ -133,9 +133,9 @@ TEST(Simulator, FlattenedButterflyBeatsMeshUnderLoad) {
   const auto mesh = topo::make_mesh(4, 4);
   const auto fb = topo::make_flattened_butterfly(4, 4);
   const SimResult mesh_result =
-      Simulator(mesh, unit_latencies(mesh), config, *pattern, 1).run();
+      Simulator(mesh, unit_latencies(mesh), config, pattern.get(), 1).run();
   const SimResult fb_result =
-      Simulator(fb, unit_latencies(fb), config, *pattern, 1).run();
+      Simulator(fb, unit_latencies(fb), config, pattern.get(), 1).run();
   // The FB either still drains where the mesh cannot, or has lower latency.
   if (mesh_result.drained && fb_result.drained) {
     EXPECT_LT(fb_result.avg_packet_latency, mesh_result.avg_packet_latency);
@@ -151,9 +151,9 @@ TEST(Simulator, RingSaturatesFirst) {
   const auto ring = topo::make_ring(4, 4);
   const auto mesh = topo::make_mesh(4, 4);
   const SimResult ring_result =
-      Simulator(ring, unit_latencies(ring), config, *pattern, 1).run();
+      Simulator(ring, unit_latencies(ring), config, pattern.get(), 1).run();
   const SimResult mesh_result =
-      Simulator(mesh, unit_latencies(mesh), config, *pattern, 1).run();
+      Simulator(mesh, unit_latencies(mesh), config, pattern.get(), 1).run();
   ASSERT_TRUE(mesh_result.drained);
   EXPECT_TRUE(!ring_result.drained ||
               ring_result.avg_packet_latency >
@@ -168,7 +168,7 @@ TEST(Simulator, DeadlockStressTorusHighLoad) {
   config.injection_rate = 0.8;
   config.measure_cycles = 2500;
   const auto pattern = make_tornado(4, 4);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult result = simulator.run();
   EXPECT_GT(result.accepted_rate, 0.05);
 }
@@ -182,7 +182,7 @@ TEST(Simulator, DeadlockStressSlimNocHighLoad) {
   config.injection_rate = 0.8;
   config.measure_cycles = 2500;
   const auto pattern = make_uniform(50);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult result = simulator.run();
   EXPECT_GT(result.accepted_rate, 0.05);
 }
@@ -192,7 +192,7 @@ TEST(Simulator, DeadlockStressRing) {
   SimConfig config = fast_config();
   config.injection_rate = 0.7;
   const auto pattern = make_uniform(16);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult result = simulator.run();
   EXPECT_GT(result.accepted_rate, 0.02);
 }
@@ -203,9 +203,9 @@ TEST(Simulator, DeterministicForFixedSeed) {
   config.injection_rate = 0.2;
   const auto pattern = make_uniform(16);
   const SimResult a =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
+      Simulator(topo, unit_latencies(topo), config, pattern.get(), 1).run();
   const SimResult b =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
+      Simulator(topo, unit_latencies(topo), config, pattern.get(), 1).run();
   EXPECT_EQ(a.measured_packets, b.measured_packets);
   EXPECT_DOUBLE_EQ(a.avg_packet_latency, b.avg_packet_latency);
   EXPECT_DOUBLE_EQ(a.accepted_rate, b.accepted_rate);
@@ -219,9 +219,9 @@ TEST(Simulator, SeedChangesTraffic) {
   SimConfig other = config;
   other.seed = config.seed + 1;
   const SimResult a =
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1).run();
+      Simulator(topo, unit_latencies(topo), config, pattern.get(), 1).run();
   const SimResult b =
-      Simulator(topo, unit_latencies(topo), other, *pattern, 1).run();
+      Simulator(topo, unit_latencies(topo), other, pattern.get(), 1).run();
   EXPECT_NE(a.measured_packets, b.measured_packets);
 }
 

@@ -28,7 +28,7 @@ std::vector<int> unit_latencies(const topo::Topology& topo) {
 SimResult run(const topo::Topology& topo, const TrafficPattern& pattern,
               double rate, SimConfig config = fast_config()) {
   config.injection_rate = rate;
-  return Simulator(topo, unit_latencies(topo), config, pattern, 1).run();
+  return Simulator(topo, unit_latencies(topo), config, &pattern, 1).run();
 }
 
 TEST(Patterns, TransposeIsAdversarialForMesh) {

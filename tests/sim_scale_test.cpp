@@ -32,7 +32,7 @@ TEST(SimScale, Mesh32x32UniformCompletes) {
   // The route table at 32x32 and 2 VCs fits the row budget, so the
   // simulator builds one.
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   EXPECT_NE(simulator.route_table(), nullptr);
   const SimResult result = simulator.run();
   golden::expect_golden(golden::topo_label(topo) + " uniform", result);
@@ -55,7 +55,7 @@ TEST(SimScale, Mesh32x32LiveRoutingCompletes) {
   config.measure_cycles = 700;
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
   const SimResult result =
-      run_live(topo, unit_latencies(topo), config, *pattern, 1).result;
+      run_live(topo, unit_latencies(topo), config, pattern.get(), 1).result;
   golden::expect_golden(golden::topo_label(topo) + " uniform live", result);
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 0);
@@ -75,13 +75,13 @@ TEST(SimScale, SimulatorRoutesLiveAboveRowBudget) {
   config.measure_cycles = 200;
   ASSERT_GT(RouteTable::rows_for(topo, config.num_vcs), kMaxRouteTableRows);
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(32, 32);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   EXPECT_EQ(simulator.route_table(), nullptr);
   const SimResult result = simulator.run();
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.measured_packets, 0);
   EXPECT_EQ(result,
-            run_live(topo, unit_latencies(topo), config, *pattern, 1).result);
+            run_live(topo, unit_latencies(topo), config, pattern.get(), 1).result);
 }
 
 TEST(SimScale, ConcentratedMesh16x16x4Completes) {
@@ -95,7 +95,7 @@ TEST(SimScale, ConcentratedMesh16x16x4Completes) {
   config.warmup_cycles = 500;
   config.measure_cycles = 1500;
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(16, 16, 4);
-  Simulator simulator(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator simulator(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult result = simulator.run();
   golden::expect_golden(golden::topo_label(topo) + " uniform", result);
   EXPECT_TRUE(result.drained);

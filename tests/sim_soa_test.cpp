@@ -54,20 +54,16 @@ void expect_bit_identical(const topo::Topology& topo,
                           int endpoints_per_tile, bool live = false,
                           const std::string& tag = "") {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
-  const int conc = topo.concentration();
-  const auto pattern = spec.make_pattern(topo.rows(), topo.cols(), conc);
-  const int ports = conc > 1 ? conc : endpoints_per_tile;
-  const double packet_prob =
-      config.injection_rate / static_cast<double>(config.packet_size_flits);
-  auto process = spec.make_process(packet_prob, topo.num_tiles() * ports);
+  const auto pattern =
+      spec.make_pattern(topo.rows(), topo.cols(), topo.concentration());
 
   RunOutcome run;
   if (live) {
-    run = run_live(topo, latencies, config, *pattern, endpoints_per_tile,
-                   std::move(process));
+    run = run_live(topo, latencies, config, pattern.get(), endpoints_per_tile,
+                   spec.injection());
   } else {
-    Simulator sim(topo, latencies, config, *pattern, endpoints_per_tile,
-                  nullptr, std::move(process));
+    Simulator sim(topo, latencies, config, pattern.get(), endpoints_per_tile,
+                  nullptr, spec.injection());
     run.result = sim.run();
     run.nonminimal = sim.ugal_nonminimal_choices();
   }
@@ -186,7 +182,7 @@ TEST(SimConfigLimits, SixtyFiveVcsThrow) {
   config.num_vcs = 65;
   EXPECT_THROW(config.validate(), shg::Error);
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
-  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, *pattern, 1),
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, pattern.get(), 1),
                shg::Error);
 }
 
@@ -347,7 +343,7 @@ TEST(SoaBitIdentity, ZeroTrafficRun) {
   config.measure_cycles = 100;
   const TrafficSpec spec = TrafficSpec::parse("uniform");
   const auto pattern = spec.make_pattern(3, 3);
-  Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
+  Simulator sim(topo, unit_latencies(topo), config, pattern.get(), 1);
   const SimResult s = sim.run();
   golden::expect_golden(golden::topo_label(topo) + " uniform", s);
 }
@@ -358,17 +354,8 @@ TEST(SoaBitIdentity, ZeroTrafficRun) {
 SimResult expect_trace_bit_identical(const topo::Topology& topo,
                                 const SimConfig& config, const Trace& trace,
                                 const std::string& what) {
-  const auto shared = std::make_shared<const Trace>(trace);
-  const int conc = topo.concentration();
-  const int num_sources = conc > 1 ? topo.num_tiles() * conc
-                                   : topo.num_tiles();
-  const int num_terminals = num_sources;
-
-  TraceWorkload workload = make_trace_replay(shared, num_sources,
-                                             num_terminals,
-                                             config.packet_size_flits);
-  Simulator simulator(topo, unit_latencies(topo), config, *workload.pattern,
-                      1, nullptr, std::move(workload.process));
+  Simulator simulator(topo, unit_latencies(topo), config, nullptr, 1, nullptr,
+                      Injection::trace(std::make_shared<const Trace>(trace)));
   const SimResult s = simulator.run();
   golden::expect_golden(what, s);
   EXPECT_GT(s.measured_packets, 0) << what;
@@ -603,7 +590,7 @@ TEST(Concentration, SimulatorRejectsMultiEndpointConcentration) {
   SimConfig config = fast_config();
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4, 2);
   EXPECT_THROW(
-      Simulator(topo, unit_latencies(topo), config, *pattern, 2),
+      Simulator(topo, unit_latencies(topo), config, pattern.get(), 2),
       shg::Error);
 }
 

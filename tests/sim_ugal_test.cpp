@@ -49,8 +49,8 @@ RunOutcome run_once(const topo::Topology& topo, const SimConfig& config,
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const auto pattern =
       spec.make_pattern(topo.rows(), topo.cols(), topo.concentration());
-  if (live) return run_live(topo, unit_latencies(topo), config, *pattern, 1);
-  Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
+  if (live) return run_live(topo, unit_latencies(topo), config, pattern.get(), 1);
+  Simulator sim(topo, unit_latencies(topo), config, pattern.get(), 1);
   RunOutcome out;
   out.result = sim.run();
   out.nonminimal = sim.ugal_nonminimal_choices();
@@ -282,7 +282,7 @@ TEST(UgalValidation, SimulatorNamesTheOffendingKnob) {
   config.num_vcs = 2;  // ugal needs >= 3
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
   try {
-    Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
+    Simulator sim(topo, unit_latencies(topo), config, pattern.get(), 1);
     FAIL() << "expected the min-VC guard to throw";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -297,7 +297,7 @@ TEST(UgalValidation, DatelineFamiliesStillNeedTwoVcs) {
   config.num_vcs = 1;
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
   try {
-    Simulator sim(topo, unit_latencies(topo), config, *pattern, 1);
+    Simulator sim(topo, unit_latencies(topo), config, pattern.get(), 1);
     FAIL() << "expected the min-VC guard to throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("SimConfig::num_vcs"),
@@ -315,7 +315,7 @@ TEST(UgalValidation, SentinelBiasRelaxesTheVcFloor) {
   config.num_vcs = 1;
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
   EXPECT_NO_THROW(
-      Simulator(topo, unit_latencies(topo), config, *pattern, 1));
+      Simulator(topo, unit_latencies(topo), config, pattern.get(), 1));
 }
 
 // --- Route-table propagation ------------------------------------------------
@@ -339,7 +339,7 @@ TEST(UgalRouteTable, SimulatorRejectsPolicyMismatchedSharedTable) {
   // Minimal table handed to an ugal simulator:
   const auto minimal_table = std::make_shared<const RouteTable>(
       topo, *make_default_routing(topo, kVcs), kVcs);
-  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, *pattern, 1,
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, pattern.get(), 1,
                          minimal_table),
                Error);
   // Ugal table handed to a minimal simulator:
@@ -347,7 +347,7 @@ TEST(UgalRouteTable, SimulatorRejectsPolicyMismatchedSharedTable) {
   minimal_config.num_vcs = kVcs;
   const auto ugal_table = std::make_shared<const RouteTable>(
       topo, *make_ugal_routing(topo, kVcs, kUgalViaSeed), kVcs);
-  EXPECT_THROW(Simulator(topo, unit_latencies(topo), minimal_config, *pattern,
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), minimal_config, pattern.get(),
                          1, ugal_table),
                Error);
 }

@@ -5,9 +5,10 @@
 //    checksum flips, out-of-range ids, zero sizes, forward dependencies,
 //    timestamp-order violations — each rejected with a shg::log warning
 //    and a clean shg::Error, never UB;
-//  * the replay schedule semantics probed directly through the
-//    InjectionProcess/TrafficPattern seam (multi-packet messages,
-//    dependency stalls, same-source serialization, time scaling, reset);
+//  * the replay schedule semantics probed directly through the engine's
+//    generation loop (multi-packet messages, dependency stalls,
+//    same-source serialization, time scaling, creation order, one
+//    injection shared by many runs);
 //  * the differential replay oracle: a synthetic spec materialized by
 //    trace_from_spec and replayed must produce a SimResult bit-identical
 //    to the live run it was recorded from, across spec families;
@@ -243,110 +244,134 @@ TEST(TraceCorruption, GarbageBytesRejected) {
 
 // --- Replay schedule semantics ---------------------------------------------
 
-/// Drives the replay pair through the engines' seam contract (one inject
-/// per (source, cycle), sources ascending, dest queried immediately after
-/// a positive draw) and returns the injections as (cycle, source, dest).
-struct Injection {
+/// One packet of a replay schedule.
+struct Scheduled {
   Cycle cycle;
   int source;
   int dest;
-  friend bool operator==(const Injection&, const Injection&) = default;
+  friend bool operator==(const Scheduled&, const Scheduled&) = default;
 };
 
-std::vector<Injection> drive(const TraceWorkload& workload, int num_sources,
-                             Cycle cycles) {
-  Prng rng(1);
-  workload.process->reset();
-  std::vector<Injection> out;
-  for (Cycle t = 0; t < cycles; ++t) {
-    for (int s = 0; s < num_sources; ++s) {
-      if (!workload.process->inject(s, rng)) continue;
-      out.push_back(Injection{t, s, workload.pattern->dest(s, rng)});
-    }
-  }
+/// The packets the engine's generation loop creates for `injection` in
+/// `cycles` cycles on a 1 x `tiles` grid with one endpoint per tile (so a
+/// source id is its tile id), in creation order.
+std::vector<Scheduled> schedule(const Injection& injection, int tiles,
+                                int packet_size_flits, Cycle cycles,
+                                int ports = 1) {
+  SimConfig config;
+  config.packet_size_flits = packet_size_flits;
+  config.warmup_cycles = 0;
+  config.measure_cycles = cycles;
+  std::vector<Scheduled> out;
+  generate_packets(injection, nullptr, Concentration::make(1, tiles, 1), ports,
+                   config, [&](Cycle t, int tile, int port, int dest) {
+                     out.push_back(Scheduled{t, tile * ports + port, dest});
+                   });
   return out;
+}
+
+Injection replay(const Trace& trace, double scale = 1.0) {
+  return Injection::trace(std::make_shared<const Trace>(trace), scale);
 }
 
 TEST(TraceReplay, MultiPacketMessagesSplitAcrossConsecutiveCycles) {
   Trace trace;
-  trace.num_sources = 2;
+  trace.num_sources = 4;
   trace.num_terminals = 4;
   trace.records.push_back(TraceRecord{0, 0, 3, 5, kTraceNoDep});  // 3 packets
-  const auto workload =
-      make_trace_replay(std::make_shared<const Trace>(trace), 2, 4,
-                        /*packet_size_flits=*/2);
-  const std::vector<Injection> expected = {
-      {0, 0, 3}, {1, 0, 3}, {2, 0, 3}};
-  EXPECT_EQ(drive(workload, 2, 10), expected);
+  const std::vector<Scheduled> expected = {{0, 0, 3}, {1, 0, 3}, {2, 0, 3}};
+  EXPECT_EQ(schedule(replay(trace), 4, /*packet_size_flits=*/2, 10),
+            expected);
 }
 
 TEST(TraceReplay, DependencyStallsTheConsumer) {
   // Record 1 (source 1, timestamp 0) depends on record 0, which finishes
   // injecting at cycle 2 — so source 1 fires at cycle 2, not 0.
   Trace trace;
-  trace.num_sources = 2;
+  trace.num_sources = 4;
   trace.num_terminals = 4;
   trace.records.push_back(TraceRecord{0, 0, 1, 4, kTraceNoDep});
   trace.records.push_back(TraceRecord{1, 0, 2, 2, 0});
-  const auto workload =
-      make_trace_replay(std::make_shared<const Trace>(trace), 2, 4,
-                        /*packet_size_flits=*/2);
-  const std::vector<Injection> expected = {
-      {0, 0, 1}, {1, 0, 1}, {2, 1, 2}};
-  EXPECT_EQ(drive(workload, 2, 10), expected);
+  const std::vector<Scheduled> expected = {{0, 0, 1}, {1, 0, 1}, {2, 1, 2}};
+  EXPECT_EQ(schedule(replay(trace), 4, /*packet_size_flits=*/2, 10),
+            expected);
 }
 
 TEST(TraceReplay, SameSourceMessagesSerialize) {
   // The second message's timestamp (cycle 1) lands inside the first's
   // 2-cycle injection; it is pushed to the source's next free cycle.
   Trace trace;
-  trace.num_sources = 1;
+  trace.num_sources = 4;
   trace.num_terminals = 4;
   trace.records.push_back(TraceRecord{0, 0, 1, 4, kTraceNoDep});
   trace.records.push_back(TraceRecord{0, 1, 2, 2, kTraceNoDep});
-  const auto workload =
-      make_trace_replay(std::make_shared<const Trace>(trace), 1, 4,
-                        /*packet_size_flits=*/2);
-  const std::vector<Injection> expected = {
-      {0, 0, 1}, {1, 0, 1}, {2, 0, 2}};
-  EXPECT_EQ(drive(workload, 1, 10), expected);
+  const std::vector<Scheduled> expected = {{0, 0, 1}, {1, 0, 1}, {2, 0, 2}};
+  EXPECT_EQ(schedule(replay(trace), 4, /*packet_size_flits=*/2, 10),
+            expected);
 }
 
 TEST(TraceReplay, ScaleCompressesTime) {
   Trace trace;
-  trace.num_sources = 1;
+  trace.num_sources = 2;
   trace.num_terminals = 2;
   trace.records.push_back(TraceRecord{0, 10, 1, 1, kTraceNoDep});
-  const auto t = std::make_shared<const Trace>(trace);
-  const auto at_1 = make_trace_replay(t, 1, 2, 1, 1.0);
-  const auto at_2 = make_trace_replay(t, 1, 2, 1, 2.0);
-  const auto at_half = make_trace_replay(t, 1, 2, 1, 0.5);
-  EXPECT_EQ(drive(at_1, 1, 50), (std::vector<Injection>{{10, 0, 1}}));
-  EXPECT_EQ(drive(at_2, 1, 50), (std::vector<Injection>{{5, 0, 1}}));
-  EXPECT_EQ(drive(at_half, 1, 50), (std::vector<Injection>{{20, 0, 1}}));
+  EXPECT_EQ(schedule(replay(trace, 1.0), 2, 1, 50),
+            (std::vector<Scheduled>{{10, 0, 1}}));
+  EXPECT_EQ(schedule(replay(trace, 2.0), 2, 1, 50),
+            (std::vector<Scheduled>{{5, 0, 1}}));
+  EXPECT_EQ(schedule(replay(trace, 0.5), 2, 1, 50),
+            (std::vector<Scheduled>{{20, 0, 1}}));
 }
 
-TEST(TraceReplay, ResetRestartsTheSchedule) {
+TEST(TraceReplay, CreationOrderIsCycleThenSource) {
+  // Records in file order (source 3 first) are created in (cycle, source)
+  // order, the order the synthetic kinds draw in; packets at or past the
+  // window end are never created.
   Trace trace;
-  trace.num_sources = 2;
+  trace.num_sources = 4;
   trace.num_terminals = 4;
-  trace.records.push_back(TraceRecord{0, 1, 3, 1, kTraceNoDep});
-  trace.records.push_back(TraceRecord{1, 4, 2, 1, kTraceNoDep});
-  const auto workload =
-      make_trace_replay(std::make_shared<const Trace>(trace), 2, 4, 1);
-  const std::vector<Injection> first = drive(workload, 2, 10);
-  const std::vector<Injection> second = drive(workload, 2, 10);
+  trace.records.push_back(TraceRecord{3, 1, 0, 2, kTraceNoDep});
+  trace.records.push_back(TraceRecord{1, 1, 2, 4, kTraceNoDep});
+  trace.records.push_back(TraceRecord{2, 2, 1, 1, kTraceNoDep});
+  trace.records.push_back(TraceRecord{0, 4, 3, 1, kTraceNoDep});
+  const std::vector<Scheduled> expected = {
+      {1, 1, 2}, {1, 3, 0}, {2, 1, 2}, {2, 2, 1}, {2, 3, 0}, {3, 1, 2}};
+  EXPECT_EQ(schedule(replay(trace), 4, /*packet_size_flits=*/1, 4),
+            expected);
+}
+
+TEST(TraceReplay, OneInjectionServesManyRuns) {
+  // The injection holds no cursor: every generation from one value, and
+  // every simulator sharing it, sees the whole schedule.
+  const Injection injection = replay(small_trace());
+  const std::vector<Scheduled> first = schedule(injection, 4, 4, 10);
+  const std::vector<Scheduled> second = schedule(injection, 4, 4, 10);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(first.size(), 2u);
+  EXPECT_EQ(first.size(), 3u);
+
+  const auto topo = topo::make_ring(2, 2);
+  SimConfig config;
+  config.num_vcs = 2;
+  config.packet_size_flits = 4;
+  config.warmup_cycles = 0;
+  config.measure_cycles = 20;
+  const std::vector<int> latencies(
+      static_cast<std::size_t>(topo.graph().num_edges()), 1);
+  Simulator a(topo, latencies, config, nullptr, 1, nullptr, injection);
+  Simulator b(topo, latencies, config, nullptr, 1, nullptr, injection);
+  const SimResult ra = a.run();
+  EXPECT_EQ(b.run(), ra);
+  EXPECT_EQ(a.run(), ra);
+  EXPECT_EQ(ra.measured_packets, 3);
 }
 
 TEST(TraceReplay, GridMismatchThrows) {
-  const auto trace = std::make_shared<const Trace>(small_trace());
-  EXPECT_THROW(make_trace_replay(trace, 5, 4, 1), Error);
-  EXPECT_THROW(make_trace_replay(trace, 4, 3, 1), Error);
-  EXPECT_THROW(make_trace_replay(nullptr, 4, 4, 1), Error);
-  EXPECT_THROW(make_trace_replay(trace, 4, 4, 0), Error);
-  EXPECT_THROW(make_trace_replay(trace, 4, 4, 1, 0.0), Error);
+  const Injection injection = replay(small_trace());  // 4 sources, 4 ids
+  EXPECT_THROW(schedule(injection, 5, 1, 10), Error);  // 5 sources
+  EXPECT_THROW(schedule(injection, 2, 1, 10, 2), Error);  // 2 terminals
+  EXPECT_THROW(schedule(injection, 4, 0, 10), Error);  // no packet size
+  EXPECT_THROW(Injection::trace(nullptr), Error);
+  EXPECT_THROW(replay(small_trace(), 0.0), Error);
 }
 
 // --- Differential replay oracle --------------------------------------------
@@ -391,13 +416,10 @@ void expect_replay_matches_live(const topo::Topology& topo,
                                 const std::string& spec_text) {
   const TrafficSpec spec = TrafficSpec::parse(spec_text);
   const int conc = topo.concentration();
-  const int ports = conc > 1 ? conc : 1;
-  const double packet_prob =
-      config.injection_rate / static_cast<double>(config.packet_size_flits);
 
   const auto pattern = spec.make_pattern(topo.rows(), topo.cols(), conc);
-  Simulator live(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
-                 spec.make_process(packet_prob, topo.num_tiles() * ports));
+  Simulator live(topo, unit_latencies(topo), config, pattern.get(), 1, nullptr,
+                 spec.injection());
   const SimResult live_result = live.run();
 
   TraceRecordOptions opt;
@@ -409,15 +431,9 @@ void expect_replay_matches_live(const topo::Topology& topo,
   opt.packet_size_flits = config.packet_size_flits;
   opt.cycles = config.warmup_cycles + config.measure_cycles;
   opt.seed = config.seed;
-  const auto trace =
-      std::make_shared<const Trace>(trace_from_spec(spec, opt));
-
-  TraceWorkload workload = make_trace_replay(
-      trace, topo.num_tiles() * ports,
-      conc > 1 ? topo.num_tiles() * conc : topo.num_tiles(),
-      config.packet_size_flits);
-  Simulator replay(topo, unit_latencies(topo), config, *workload.pattern, 1,
-                   nullptr, std::move(workload.process));
+  Simulator replay(topo, unit_latencies(topo), config, nullptr, 1, nullptr,
+                   Injection::trace(std::make_shared<const Trace>(
+                       trace_from_spec(spec, opt))));
   const SimResult replay_result = replay.run();
 
   expect_same_result(live_result, replay_result, spec_text);
@@ -459,16 +475,12 @@ TEST(TraceDifferential, RoundTripThroughDiskPreservesTheOracle) {
   save_trace(trace_from_spec(spec, opt), path);
 
   const auto pattern = spec.make_pattern(4, 4);
-  Simulator live(topo, unit_latencies(topo), config, *pattern, 1, nullptr,
-                 spec.make_process(config.injection_rate /
-                                       config.packet_size_flits,
-                                   16));
+  Simulator live(topo, unit_latencies(topo), config, pattern.get(), 1, nullptr,
+                 spec.injection());
   TrafficSpec loaded = TrafficSpec::parse("trace:" + path);
   loaded.resolve_trace();
-  TraceWorkload workload =
-      loaded.make_trace_workload(4, 4, 1, 1, config.packet_size_flits);
-  Simulator replay(topo, unit_latencies(topo), config, *workload.pattern, 1,
-                   nullptr, std::move(workload.process));
+  Simulator replay(topo, unit_latencies(topo), config, nullptr, 1, nullptr,
+                   loaded.injection());
   expect_same_result(live.run(), replay.run(), "disk round trip");
 }
 
@@ -504,12 +516,21 @@ TEST(TraceSpec, MalformedSpecsRejected) {
 TEST(TraceSpec, SyntheticFactoriesRefuseTraceSpecs) {
   const TrafficSpec spec = TrafficSpec::parse("trace:x.trace");
   EXPECT_THROW(spec.make_pattern(4, 4), Error);
-  EXPECT_THROW(spec.make_process(0.1, 16), Error);
-  // And the trace factory refuses synthetic specs / unresolved traces.
-  EXPECT_THROW(TrafficSpec::parse("uniform").make_trace_workload(4, 4, 1, 1,
-                                                                 4),
+  // An unresolved trace has no injection.
+  EXPECT_THROW(spec.injection(), Error);
+  // The simulator refuses a pattern with a trace replay and a synthetic
+  // injection without one.
+  const auto topo = topo::make_mesh(2, 2);
+  const std::vector<int> latencies(
+      static_cast<std::size_t>(topo.graph().num_edges()), 1);
+  const auto pattern = TrafficSpec::parse("uniform").make_pattern(2, 2);
+  Trace trace;
+  trace.num_sources = 4;
+  trace.num_terminals = 4;
+  EXPECT_THROW(Simulator(topo, latencies, SimConfig{}, pattern.get(), 1,
+                         nullptr, replay(trace)),
                Error);
-  EXPECT_THROW(spec.make_trace_workload(4, 4, 1, 1, 4), Error);
+  EXPECT_THROW(Simulator(topo, latencies, SimConfig{}, nullptr, 1), Error);
 }
 
 TEST(TraceSpec, ResolveTraceLoadsAndHashes) {

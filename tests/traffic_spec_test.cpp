@@ -1,11 +1,13 @@
 // Tests for the declarative workload subsystem: TrafficSpec parsing and
-// round-trips, pattern destination histograms, injection processes, and
-// the Bernoulli process's bit-identity with the pre-refactor simulator
-// (golden SimResults captured from the build before InjectionProcess was
-// split out of the injection loop).
+// round-trips, pattern destination histograms, injection kinds, and
+// Bernoulli injection's bit-identity with the pre-refactor simulator
+// (golden SimResults captured from the build before injection was split
+// out of the simulator loop).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/traffic_spec.hpp"
@@ -40,12 +42,12 @@ TEST(TrafficSpec, PatternNameMatchesSpecKey) {
 }
 
 TEST(TrafficSpec, ProcessSelection) {
-  EXPECT_EQ(TrafficSpec::parse("uniform").make_process(0.1, 16)->name(),
-            "bernoulli");
+  EXPECT_STREQ(TrafficSpec::parse("uniform").injection().name(),
+               "bernoulli");
   const TrafficSpec bursty = TrafficSpec::parse("uniform/onoff:0.05,0.2");
   EXPECT_EQ(bursty.on_off_alpha, 0.05);
   EXPECT_EQ(bursty.on_off_beta, 0.2);
-  EXPECT_EQ(bursty.make_process(0.1, 16)->name(), "onoff");
+  EXPECT_STREQ(bursty.injection().name(), "onoff");
 }
 
 TEST(TrafficSpec, UnknownOrMalformedSpecsThrow) {
@@ -209,50 +211,62 @@ TEST(TrafficSpec, ShuffleRotatesIndexBits) {
   }
 }
 
-// --- Injection processes ---------------------------------------------------
+// --- Injection kinds --------------------------------------------------------
 
-TEST(InjectionProcess, BernoulliMatchesRawChanceDraws) {
-  // The Bernoulli process must consume exactly one chance(prob) draw per
-  // call — the pre-refactor injection loop's stream.
-  const auto process = make_bernoulli(0.3);
-  Prng a(99);
-  Prng b(99);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(process->inject(i % 16, a), b.chance(0.3));
-  }
+/// The (cycle, tile) of every packet `injection` creates at `packet_prob`
+/// on a 1x2 grid under the neighbor pattern, which draws nothing and never
+/// maps a tile to itself: every injection draw that hits shows up.
+std::vector<std::pair<Cycle, int>> created(const Injection& injection,
+                                           double packet_prob, Cycle cycles,
+                                           std::uint64_t seed) {
+  SimConfig config;
+  config.packet_size_flits = 1;
+  config.injection_rate = packet_prob;
+  config.warmup_cycles = 0;
+  config.measure_cycles = cycles;
+  config.seed = seed;
+  const auto pattern = make_neighbor(1, 2);
+  std::vector<std::pair<Cycle, int>> out;
+  generate_packets(injection, pattern.get(), Concentration::make(1, 2, 1), 1,
+                   config, [&](Cycle t, int tile, int, int) {
+                     out.emplace_back(t, tile);
+                   });
+  return out;
 }
 
-TEST(InjectionProcess, OnOffPreservesMeanRate) {
-  const double packet_prob = 0.02;
-  const auto process = make_on_off(packet_prob, 0.05, 0.15, 1);
-  Prng rng(7);
-  long long injected = 0;
-  const int cycles = 400000;
-  for (int i = 0; i < cycles; ++i) {
-    if (process->inject(0, rng)) ++injected;
+TEST(Injection, BernoulliMatchesRawChanceDraws) {
+  // Bernoulli consumes exactly one chance(p) draw per (cycle, endpoint),
+  // in (cycle, tile) order — the pre-refactor injection loop's stream.
+  std::vector<std::pair<Cycle, int>> expected;
+  Prng raw(99);
+  for (Cycle t = 0; t < 500; ++t) {
+    for (int tile = 0; tile < 2; ++tile) {
+      if (raw.chance(0.3)) expected.emplace_back(t, tile);
+    }
   }
-  EXPECT_NEAR(static_cast<double>(injected) / cycles, packet_prob,
-              0.1 * packet_prob);
+  EXPECT_EQ(created(Injection(), 0.3, 500, 99), expected);
 }
 
-TEST(InjectionProcess, OnOffIsBurstier) {
-  // Same mean rate, but the on-off process clusters injections: the
-  // variance of per-window injection counts must exceed Bernoulli's.
+TEST(Injection, OnOffPreservesMeanRate) {
   const double packet_prob = 0.02;
-  const auto bernoulli = make_bernoulli(packet_prob);
-  const auto onoff = make_on_off(packet_prob, 0.02, 0.08, 1);
+  const Cycle cycles = 200000;  // x 2 endpoints
+  const auto packets =
+      created(Injection::onoff(0.05, 0.15), packet_prob, cycles, 7);
+  EXPECT_NEAR(static_cast<double>(packets.size()) / (2.0 * cycles),
+              packet_prob, 0.1 * packet_prob);
+}
+
+TEST(Injection, OnOffIsBurstier) {
+  // Same mean rate, but the on-off kind clusters injections: the variance
+  // of tile 0's per-window injection counts must exceed Bernoulli's.
+  const double packet_prob = 0.02;
   const int windows = 2000;
-  const int window = 100;
-  auto window_variance = [&](InjectionProcess& process) {
-    Prng rng(11);
-    process.reset();
-    std::vector<double> counts;
-    for (int w = 0; w < windows; ++w) {
-      int n = 0;
-      for (int i = 0; i < window; ++i) {
-        if (process.inject(0, rng)) ++n;
-      }
-      counts.push_back(static_cast<double>(n));
+  const Cycle window = 100;
+  auto window_variance = [&](const Injection& injection) {
+    std::vector<double> counts(windows, 0.0);
+    for (const auto& [t, tile] :
+         created(injection, packet_prob, windows * window, 11)) {
+      if (tile == 0) counts[static_cast<std::size_t>(t / window)] += 1.0;
     }
     double mean = 0.0;
     for (double c : counts) mean += c;
@@ -261,21 +275,39 @@ TEST(InjectionProcess, OnOffIsBurstier) {
     for (double c : counts) var += (c - mean) * (c - mean);
     return var / windows;
   };
-  EXPECT_GT(window_variance(*onoff), 2.0 * window_variance(*bernoulli));
+  EXPECT_GT(window_variance(Injection::onoff(0.02, 0.08)),
+            2.0 * window_variance(Injection()));
 }
 
-TEST(InjectionProcess, OnOffRejectsUnreachableRates) {
-  // duty cycle alpha/(alpha+beta) = 1/4 -> burst prob would be 4 * 0.5 > 1.
-  EXPECT_THROW(make_on_off(0.5, 0.1, 0.3, 4), Error);
-  EXPECT_THROW(make_on_off(0.1, 0.0, 0.3, 4), Error);
+TEST(Injection, OnOffRejectsUnreachableRates) {
+  // Rate-independent ranges are checked when the injection is built.
+  EXPECT_THROW(Injection::onoff(0.0, 0.3), Error);
+  EXPECT_THROW(Injection::onoff(0.1, 1.0), Error);
+  // duty cycle alpha/(alpha+beta) = 1/4 -> burst prob would be 4 * 0.5 > 1,
+  // which a run rejects when it is built.
+  const Injection quarter = Injection::onoff(0.1, 0.3);
+  EXPECT_THROW(created(quarter, 0.5, 10, 1), Error);
+  const auto mesh = topo::make_mesh(2, 2);
+  const std::vector<int> latencies(
+      static_cast<std::size_t>(mesh.graph().num_edges()), 1);
+  const auto pattern = make_uniform(4);
+  SimConfig config;
+  config.packet_size_flits = 1;
+  config.injection_rate = 0.5;
+  EXPECT_THROW(
+      Simulator(mesh, latencies, config, pattern.get(), 1, nullptr, quarter),
+      Error);
+  config.injection_rate = 0.2;  // burst prob 0.8
+  EXPECT_NO_THROW(
+      Simulator(mesh, latencies, config, pattern.get(), 1, nullptr, quarter));
 }
 
 // --- Bit-identity with the pre-refactor simulator --------------------------
 //
-// Golden values captured from the seed build (before InjectionProcess
-// existed): same configs, same seeds. The default Bernoulli path must
-// reproduce them exactly, and supplying the process explicitly must
-// change nothing.
+// Golden values captured from the seed build (before injection was split
+// out of the simulator loop): same configs, same seeds. The default
+// Bernoulli path must reproduce them exactly, and supplying the injection
+// explicitly must change nothing.
 
 std::vector<int> unit_latencies(const topo::Topology& topo) {
   return std::vector<int>(static_cast<std::size_t>(topo.graph().num_edges()),
@@ -309,16 +341,16 @@ TEST(BernoulliBitIdentity, MeshUniform) {
   config.measure_cycles = 1500;
   config.injection_rate = 0.10;
   const SimResult implicit =
-      Simulator(mesh, unit_latencies(mesh), config, *pattern, 1).run();
+      Simulator(mesh, unit_latencies(mesh), config, pattern.get(), 1).run();
   expect_result(implicit, 0.093666666666666662, 10.968028419182948, 26.0,
                 11.0, 17.0, 21.0, 3.6554174067495557, 1.1499646176130172,
                 563, 2008);
-  // Explicitly supplying the equivalent Bernoulli process is a no-op.
-  const SimResult explicit_process =
-      Simulator(mesh, unit_latencies(mesh), config, *pattern, 1, nullptr,
-                make_bernoulli(0.10 / 4.0))
+  // Explicitly supplying the Bernoulli injection is a no-op.
+  const SimResult explicit_injection =
+      Simulator(mesh, unit_latencies(mesh), config, pattern.get(), 1, nullptr,
+                Injection())
           .run();
-  expect_result(explicit_process, 0.093666666666666662, 10.968028419182948,
+  expect_result(explicit_injection, 0.093666666666666662, 10.968028419182948,
                 26.0, 11.0, 17.0, 21.0, 3.6554174067495557,
                 1.1499646176130172, 563, 2008);
 }
@@ -334,7 +366,7 @@ TEST(BernoulliBitIdentity, ShgTranspose) {
   config.injection_rate = 0.25;
   config.seed = 0xabcdef;
   const SimResult result =
-      Simulator(shg, unit_latencies(shg), config, *pattern, 1).run();
+      Simulator(shg, unit_latencies(shg), config, pattern.get(), 1).run();
   expect_result(result, 0.21824074074074074, 14.731520815632965, 59.0, 13.0,
                 26.0, 35.0, 4.0458793542905696, 1.7594658928937081, 2354,
                 1612);
@@ -351,7 +383,7 @@ TEST(BernoulliBitIdentity, TorusHotspotTwoEndpoints) {
   config.injection_rate = 0.15;
   config.seed = 42;
   const SimResult result =
-      Simulator(torus, unit_latencies(torus), config, *pattern, 2).run();
+      Simulator(torus, unit_latencies(torus), config, pattern.get(), 2).run();
   expect_result(result, 0.1476736111111111, 11.470149253731343, 38.0, 11.0,
                 20.0, 29.0, 3.125, 1.1082813966092768, 1072, 1224);
 }
