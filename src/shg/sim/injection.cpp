@@ -119,11 +119,6 @@ Injection Injection::trace(std::shared_ptr<const Trace> trace, double scale) {
   return Injection(Replay{std::move(trace), scale});
 }
 
-const char* Injection::name() const {
-  static constexpr const char* kNames[] = {"bernoulli", "onoff", "trace"};
-  return kNames[kind_.index()];
-}
-
 void Injection::require_runnable(const TrafficPattern* pattern,
                                  const SimConfig& config) const {
   SHG_REQUIRE((pattern == nullptr) == is_trace(),

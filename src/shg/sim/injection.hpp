@@ -59,8 +59,6 @@ class Injection {
 
   const Kind& kind() const { return kind_; }
   bool is_trace() const { return std::holds_alternative<Replay>(kind_); }
-  /// "bernoulli", "onoff" or "trace".
-  const char* name() const;
 
   /// Throws unless this injection can drive a run of `config` with
   /// `pattern`: the pattern must be null exactly for a trace replay, and

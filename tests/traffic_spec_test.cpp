@@ -7,6 +7,7 @@
 
 #include <map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "shg/sim/simulator.hpp"
@@ -42,12 +43,15 @@ TEST(TrafficSpec, PatternNameMatchesSpecKey) {
 }
 
 TEST(TrafficSpec, ProcessSelection) {
-  EXPECT_STREQ(TrafficSpec::parse("uniform").injection().name(),
-               "bernoulli");
+  EXPECT_TRUE(std::holds_alternative<Injection::Bernoulli>(
+      TrafficSpec::parse("uniform").injection().kind()));
   const TrafficSpec bursty = TrafficSpec::parse("uniform/onoff:0.05,0.2");
   EXPECT_EQ(bursty.on_off_alpha, 0.05);
   EXPECT_EQ(bursty.on_off_beta, 0.2);
-  EXPECT_STREQ(bursty.injection().name(), "onoff");
+  const auto* onoff = std::get_if<Injection::OnOff>(&bursty.injection().kind());
+  ASSERT_NE(onoff, nullptr);
+  EXPECT_EQ(onoff->alpha, 0.05);
+  EXPECT_EQ(onoff->beta, 0.2);
 }
 
 TEST(TrafficSpec, UnknownOrMalformedSpecsThrow) {
