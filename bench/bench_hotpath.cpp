@@ -41,7 +41,10 @@
 //     artifact tier). Asserts the cold-with-session, warm and
 //     session-free searches are bit-identical (winners, metric bits,
 //     history notes, final report areas) and that the warm run actually
-//     hit the cache. Acceptance bar: >= 3x.
+//     hit the cache. Gate: the warm reps add zero candidate-tier misses
+//     (Session::stats().misses) and zero artifact misses, so nothing is
+//     screened or re-evaluated; both counts are in the JSON. The cold/warm
+//     ratio is printed and kept in the JSON as a trend, not gated.
 //
 // Output: a human-readable table on stdout and machine-readable JSON
 // (default BENCH_hotpath.json; see --out). `--smoke` shrinks repetition
@@ -50,6 +53,7 @@
 // JSON entries carry "new_seconds" without "old_seconds" / "speedup".
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -520,11 +524,15 @@ bool screening_gates(bool* hop_totals_match) {
 
 // 8. Session warm re-invocation: the full greedy search against
 // a fresh (cold, populating) session vs against the already-populated one.
-BenchResult bench_dse_session_warm(bool* equivalent) {
+// `warm_misses` and `warm_artifact_misses` receive the candidate-tier and
+// artifact-tier misses the warm reps added.
+BenchResult bench_dse_session_warm(bool* equivalent,
+                                   std::uint64_t* warm_misses,
+                                   std::uint64_t* warm_artifact_misses) {
   const tech::ArchParams arch = fabric_10x10();
   const customize::Goal goal{0.40};
-  // Min-of-5 like the other gated greedy sections: both sides are short
-  // and the 3x bar must not be lost to co-tenant noise on CI runners.
+  // Min-of-5 like the other timed greedy sections: both sides are short
+  // and the printed ratio should not follow co-tenant noise.
   const int reps = 5;
 
   // Session-free reference: the warm result must be bit-identical not just
@@ -558,15 +566,18 @@ BenchResult bench_dse_session_warm(bool* equivalent) {
   opts.session = &session;
   customize::SearchResult warm_result =
       customize::customize_greedy(arch, goal, opts);  // populate
-  const std::uint64_t hits_before = session.stats().hits;
+  const customize::CacheStats before = session.stats();
+  const std::uint64_t artifact_misses_before = session.artifact_misses();
   result.new_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     warm_result = customize::customize_greedy(arch, goal, opts);
     result.new_seconds = std::min(result.new_seconds, seconds_since(t0));
   }
+  *warm_misses = session.stats().misses - before.misses;
+  *warm_artifact_misses = session.artifact_misses() - artifact_misses_before;
 
-  const bool warm_hit_cache = session.stats().hits > hits_before;
+  const bool warm_hit_cache = session.stats().hits > before.hits;
   // same_search_result covers params/metrics/history; the final report is
   // served from the artifact tier on warm runs, so pin its area fields
   // against the session-free evaluation too.
@@ -656,6 +667,8 @@ int main(int argc, char** argv) {
   bool incremental_identical = false;
   bool hop_totals_match = false;
   bool session_identical = false;
+  std::uint64_t warm_misses = 0;
+  std::uint64_t warm_artifact_misses = 0;
   std::vector<BenchResult> results;
   results.push_back(bench_route_lookup(smoke));
   print_result(results.back());
@@ -669,7 +682,8 @@ int main(int argc, char** argv) {
   print_result(results.back());
   const bool routing_incremental_identical =
       screening_gates(&hop_totals_match);
-  results.push_back(bench_dse_session_warm(&session_identical));
+  results.push_back(bench_dse_session_warm(&session_identical, &warm_misses,
+                                           &warm_artifact_misses));
   print_result(results.back());
   const DedupStats dedup = bench_route_table_dedup();
 
@@ -686,6 +700,10 @@ int main(int argc, char** argv) {
   std::printf(
       "session warm re-invocation identical (history + final report): %s\n",
       session_identical ? "yes" : "NO — BUG");
+  std::printf("session warm reps: %llu candidate misses, %llu artifact "
+              "misses (want 0 and 0)\n",
+              static_cast<unsigned long long>(warm_misses),
+              static_cast<unsigned long long>(warm_artifact_misses));
   std::printf(
       "route_table_dedup  states %zu, stored rows %zu, unique %zu, "
       "bytes %zu -> %zu (%.2fx smaller)\n",
@@ -701,7 +719,7 @@ int main(int argc, char** argv) {
     if (r.name == "dse_session_warm") session_speedup = r.speedup();
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_hotpath.v7\",\n"
+  out << "{\n  \"schema\": \"shg.bench_hotpath.v8\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"fabric\": \"knc-like-10x10\",\n"
       << "  \"sim_results_identical\": "
@@ -714,6 +732,9 @@ int main(int argc, char** argv) {
       << "  \"shg_hop_totals_identical\": "
       << (hop_totals_match ? "true" : "false") << ",\n"
       << "  \"dse_session_warm_speedup\": " << session_speedup << ",\n"
+      << "  \"session_warm_misses\": " << warm_misses << ",\n"
+      << "  \"session_warm_artifact_misses\": " << warm_artifact_misses
+      << ",\n"
       << "  \"session_identical\": "
       << (session_identical ? "true" : "false") << ",\n"
       << "  \"route_table_dedup\": {\"rows\": " << dedup.rows
@@ -764,11 +785,12 @@ int main(int argc, char** argv) {
                  "search (history, final report, or no cache hits)\n");
     return 1;
   }
-  if (session_speedup < 3.0) {
+  if (warm_misses != 0 || warm_artifact_misses != 0) {
     std::fprintf(stderr,
-                 "FAIL: dse_session_warm speedup %.2fx below the 3x "
-                 "acceptance bar\n",
-                 session_speedup);
+                 "FAIL: the warm session reps missed the cache (%llu "
+                 "candidate misses, %llu artifact misses)\n",
+                 static_cast<unsigned long long>(warm_misses),
+                 static_cast<unsigned long long>(warm_artifact_misses));
     return 1;
   }
   if (dedup.bytes_deduped >= dedup.bytes_undeduped) {
