@@ -48,7 +48,8 @@ TEST(TrafficSpec, ProcessSelection) {
   const TrafficSpec bursty = TrafficSpec::parse("uniform/onoff:0.05,0.2");
   EXPECT_EQ(bursty.on_off_alpha, 0.05);
   EXPECT_EQ(bursty.on_off_beta, 0.2);
-  const auto* onoff = std::get_if<Injection::OnOff>(&bursty.injection().kind());
+  const Injection injection = bursty.injection();
+  const auto* onoff = std::get_if<Injection::OnOff>(&injection.kind());
   ASSERT_NE(onoff, nullptr);
   EXPECT_EQ(onoff->alpha, 0.05);
   EXPECT_EQ(onoff->beta, 0.2);
