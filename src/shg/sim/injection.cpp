@@ -74,10 +74,12 @@ void replay_loop(const Injection::Replay& replay, const Concentration& grid,
     const TraceRecord& rec = trace.records[i];
     const std::uint64_t abs = last_ts[rec.source] + rec.delta;
     last_ts[rec.source] = abs;
+    // A scaled timestamp at or past the window end is clamped to it: the
+    // packet is never created either way, and a Cycle cannot hold every
+    // double a tiny scale produces.
+    const double scaled = static_cast<double>(abs) / replay.scale;
     Cycle start =
-        replay.scale == 1.0
-            ? static_cast<Cycle>(abs)
-            : static_cast<Cycle>(static_cast<double>(abs) / replay.scale);
+        scaled < static_cast<double>(end) ? static_cast<Cycle>(scaled) : end;
     start = std::max(start, next_free[rec.source]);
     if (rec.dep != kTraceNoDep) start = std::max(start, record_end[rec.dep]);
     const Cycle packets =

@@ -321,6 +321,10 @@ TEST(TraceReplay, ScaleCompressesTime) {
             (std::vector<Scheduled>{{5, 0, 1}}));
   EXPECT_EQ(schedule(replay(trace, 0.5), 2, 1, 50),
             (std::vector<Scheduled>{{20, 0, 1}}));
+  // Replay cycle 10 / 1e-30 lies far past the window (and past what a
+  // Cycle holds): no packet is created.
+  EXPECT_EQ(schedule(replay(trace, 1e-30), 2, 1, 50),
+            std::vector<Scheduled>{});
 }
 
 TEST(TraceReplay, CreationOrderIsCycleThenSource) {
