@@ -73,7 +73,7 @@ class Simulator {
 
   /// Runs warmup + measurement + drain on a fresh SoaEngine and returns
   /// the statistics. Repeated calls give identical results: every run
-  /// generates its packets afresh from config.seed.
+  /// generates its packets afresh, from config.seed or the trace.
   SimResult run();
 
   /// The route table the runs use: the shared one, or the one built here;
