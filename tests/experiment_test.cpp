@@ -136,7 +136,7 @@ TEST(Experiment, MultiSeedSameSeedCollapses) {
 TEST(Experiment, UniformSpecBitIdenticalToDirectLoop) {
   // A single-seed run over the "uniform" spec must be bit-identical to the
   // engine-free loop: one shared route table, one Simulator per rate
-  // driven by the spec's own pattern and injection process. With one
+  // driven by the spec's own pattern and injection. With one
   // replica every aggregate mean IS the replica's value.
   const auto topo = topo::make_mesh(4, 4);
   const std::vector<int> latencies(

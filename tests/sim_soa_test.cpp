@@ -2,7 +2,7 @@
 // equal its golden corpus line EXACTLY (tests/golden/sim_results.txt,
 // recorded with a second, object-per-router engine agreeing on every case,
 // plus later cases recorded on this engine before a rework of its phases)
-// across topology families, traffic patterns, injection processes, endpoint
+// across topology families, traffic patterns, injection kinds, endpoint
 // counts, link latencies, routing modes (table and live) and concentration
 // — plus the quiescence fast-forward regime (rates low enough that the
 // network goes fully idle between injections).
@@ -350,7 +350,7 @@ TEST(SoaBitIdentity, ZeroTrafficRun) {
 
 /// Replays `trace` and requires exact SimResult equality with the golden
 /// corpus — trace injection must preserve the bit-identity contract
-/// exactly like the synthetic processes do. Returns the run's result.
+/// exactly like the synthetic kinds do. Returns the run's result.
 SimResult expect_trace_bit_identical(const topo::Topology& topo,
                                 const SimConfig& config, const Trace& trace,
                                 const std::string& what) {
