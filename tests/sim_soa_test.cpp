@@ -142,6 +142,45 @@ TEST(SoaBitIdentity, NonUnitLinkLatenciesAndDeeperBuffers) {
   expect_bit_identical(topo, latencies, config, "uniform", 1);
 }
 
+TEST(SoaBitIdentity, PipelineDelayZeroAndThreeAtSaturation) {
+  // A buffered flit's ready cycle at both ends of the pipeline delay: 0 (a
+  // landing flit is switchable in its arrival cycle) and 3 (past saturation
+  // flits queue behind a head that is not ready yet), over links of 1..3
+  // cycles.
+  const topo::Topology topos[] = {topo::make_mesh(4, 4),
+                                  topo::make_flattened_butterfly(4, 4)};
+  SimConfig config = fast_config();
+  config.injection_rate = 0.8;
+  config.num_vcs = 4;
+  config.buffer_depth_flits = 8;
+  config.drain_cycles = 3000;
+  for (const auto& topo : topos) {
+    std::vector<int> latencies(
+        static_cast<std::size_t>(topo.graph().num_edges()));
+    for (std::size_t e = 0; e < latencies.size(); ++e) {
+      latencies[e] = 1 + static_cast<int>(e % 3);
+    }
+    for (const int delay : {0, 3}) {
+      config.router_delay_cycles = delay;
+      expect_bit_identical(topo, latencies, config, "uniform", 1, false,
+                           "delay" + std::to_string(delay));
+    }
+  }
+}
+
+TEST(SoaBitIdentity, DeepBuffersWrapAtSaturatedHotspot) {
+  // The paper's 8 VCs of 32 flits past saturation: every busy buffer ring
+  // wraps around its slab range many times.
+  const auto topo = topo::make_mesh(4, 4);
+  SimConfig config = fast_config();
+  config.num_vcs = 8;
+  config.buffer_depth_flits = 32;
+  config.injection_rate = 0.6;
+  config.drain_cycles = 4000;
+  expect_bit_identical(topo, unit_latencies(topo), config, "hotspot:5:0.8",
+                       1, false, "vc8x32");
+}
+
 TEST(SoaBitIdentity, Figure6aConfigOnScenarioA) {
   // The paper's evaluation config: 8 VCs, 32-flit buffers and cost-model
   // link latencies on every scenario-a topology, at a low and a high rate.
