@@ -1,6 +1,7 @@
 // Simulation configuration: router microarchitecture and measurement setup.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -10,6 +11,10 @@ namespace shg::sim {
 
 /// Simulated time, in router clock cycles.
 using Cycle = long long;
+
+/// The longest run SimConfig::validate() accepts: the engine stores ready
+/// and creation cycles in 32 bits.
+inline constexpr Cycle kMaxCycleHorizon = 0xffffffffLL;
 
 /// How the router picks the path of a packet.
 ///
@@ -92,6 +97,13 @@ struct SimConfig {
                 "injection rate must be in (0, 1] flits/cycle/port");
     SHG_REQUIRE(warmup_cycles >= 0 && measure_cycles > 0 && drain_cycles >= 0,
                 "invalid measurement phases");
+    // Each term is bounded first, so the sum cannot overflow.
+    SHG_REQUIRE(std::max({warmup_cycles, measure_cycles, drain_cycles}) <=
+                        kMaxCycleHorizon &&
+                    warmup_cycles + measure_cycles + drain_cycles +
+                            router_delay_cycles <= kMaxCycleHorizon,
+                "warmup + measure + drain + router delay exceeds "
+                "kMaxCycleHorizon (2^32 - 1 cycles)");
     SHG_REQUIRE(routing_policy == RoutingPolicy::kMinimal ||
                     routing_policy == RoutingPolicy::kUgal,
                 "unknown routing policy");

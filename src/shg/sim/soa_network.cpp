@@ -214,23 +214,27 @@ void SoaEngine::pregenerate(const topo::Topology& topo,
   pk_src_.reserve(hint);
   pk_dest_.reserve(hint);
   pk_port_.reserve(hint);
-  pk_eject_port_.reserve(hint);
+  if (concentrated) pk_eject_port_.reserve(hint);
   pk_measured_.reserve(hint);
 
   generate_packets(
       injection, pattern, conc, local_ports_, config_,
       [&](Cycle t, int tile, int port, int dest) {
         const bool measured = t >= config_.warmup_cycles;
-        pk_create_.push_back(t);
+        // validate() bounds t by kMaxCycleHorizon.
+        pk_create_.push_back(static_cast<std::uint32_t>(t));
         pk_src_.push_back(tile);
         pk_dest_.push_back(concentrated ? conc.tile_of(dest) : dest);
         pk_port_.push_back(port);
-        pk_eject_port_.push_back(concentrated ? conc.port_of(dest) : -1);
+        if (concentrated) pk_eject_port_.push_back(conc.port_of(dest));
         pk_measured_.push_back(measured ? 1 : 0);
         if (measured) ++measured_created_;
       });
+  SHG_REQUIRE(pk_create_.size() <= kMaxPackets,
+              "the schedule holds more packets than a buffered flit's "
+              "30-bit packet id can name");
   pk_hops_.assign(pk_create_.size(), 0);
-  pk_via_.assign(pk_create_.size(), -1);
+  if (ugal_mode_) pk_via_.assign(pk_create_.size(), -1);
   pk_done_.assign(pk_create_.size(), 0);
 }
 
@@ -257,7 +261,9 @@ inline void SoaEngine::buffer_flit(int r, std::size_t port, int vc,
   if (idx >= static_cast<std::size_t>(depth_)) {
     idx -= static_cast<std::size_t>(depth_);
   }
-  buf_[s * static_cast<std::size_t>(depth_) + idx] = {ready, pkt, flags};
+  buf_[s * static_cast<std::size_t>(depth_) + idx] = {
+      static_cast<std::uint32_t>(ready),
+      static_cast<std::uint32_t>(pkt) << kFlagBits | flags};
   ++in.count;
   ++buffered_[static_cast<std::size_t>(r)];
 }
@@ -402,16 +408,19 @@ std::span<const RouteCandidate> SoaEngine::candidates(int r, int in_port,
 void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
   const BufFlit& head = buf_[s * static_cast<std::size_t>(depth_) +
                              static_cast<std::size_t>(ivc_[s].head)];
-  SHG_ASSERT((head.flags & kHead) != 0,
+  SHG_ASSERT((head.flags() & kHead) != 0,
              "route computation requires a head flit");
+  const std::int32_t pkt = head.pkt();
   const int net = net_ports_[static_cast<std::size_t>(r)];
-  const int dest = pk_dest_[static_cast<std::size_t>(head.pkt)];
+  const int dest = pk_dest_[static_cast<std::size_t>(pkt)];
   if (dest == r) {
     // Ejection: the destination terminal's port when the packet carries one
     // (concentrated fabrics), otherwise pick the endpoint port by packet id.
-    const int ep = pk_eject_port_[static_cast<std::size_t>(head.pkt)];
-    SHG_ASSERT(ep < local_ports_, "eject port beyond the tile's endpoints");
-    const int endpoint = ep >= 0 ? ep : head.pkt % local_ports_;
+    const int endpoint = pk_eject_port_.empty()
+                             ? pkt % local_ports_
+                             : pk_eject_port_[static_cast<std::size_t>(pkt)];
+    SHG_ASSERT(endpoint < local_ports_,
+               "eject port beyond the tile's endpoints");
     const std::size_t e =
         static_cast<std::size_t>(r * local_ports_ + endpoint);
     set_routes(s, {&eject_[e], 1});
@@ -427,7 +436,7 @@ void SoaEngine::compute_route(int r, int port, int vc, std::size_t s) {
     const int in_port = from_network ? port : -1;
     const int in_vc = from_network ? vc : -1;
     if (ugal_mode_) {
-      compute_route_ugal(r, s, in_port, in_vc, head.pkt, dest);
+      compute_route_ugal(r, s, in_port, in_vc, pkt, dest);
     } else {
       set_routes(s, candidates(r, in_port, in_vc, dest, s));
     }
@@ -669,6 +678,8 @@ void SoaEngine::allocate(int r, Cycle now) {
       InVc& in = ivc_[s];
       const std::uint64_t bit = std::uint64_t{1} << iv;
       const BufFlit flit = buf_[s * static_cast<std::size_t>(depth_) + in.head];
+      const std::int32_t pkt = flit.pkt();
+      const std::uint8_t flags = flit.flags();
       in.head = static_cast<std::uint16_t>(in.head + 1 == depth_ ? 0
                                                                  : in.head + 1);
       --in.count;
@@ -679,14 +690,14 @@ void SoaEngine::allocate(int r, Cycle now) {
       // Hop counting: in wormhole switching the tail crosses exactly the
       // routers the head crossed, so counting head traversals into the
       // per-packet array gives the packet's hop count.
-      if (flit.flags & kHead) ++pk_hops_[static_cast<std::size_t>(flit.pkt)];
+      if (flags & kHead) ++pk_hops_[static_cast<std::size_t>(pkt)];
       if (op >= net) {
         // Ejection; the endpoint sink consumes immediately (credit net zero).
-        eject_buf_.push_back(EjectRec{r, flit.pkt, flit.flags});
+        eject_buf_.push_back(EjectRec{r, pkt, flags});
         --total_flits_;
       } else {
         if (--out.credits == 0) stays = false;
-        send(out_chan_[of], flit.pkt, in.out_vc, flit.flags, /*credit=*/false);
+        send(out_chan_[of], pkt, in.out_vc, flags, /*credit=*/false);
       }
       // Return the freed buffer slot upstream (network inputs only; the NI
       // observes local buffer occupancy directly).
@@ -694,7 +705,7 @@ void SoaEngine::allocate(int r, Cycle now) {
         send(in_chan_[wf], 0, iv, 0, /*credit=*/true);
         ++total_credits_;
       }
-      if (flit.flags & kTail) {
+      if (flags & kTail) {
         out.owner = -1;
         in.state = kIdle;
         stays = false;

@@ -8,7 +8,9 @@
 //
 //  * Flat slabs instead of per-object deques. Input-VC buffers live in
 //    fixed-capacity ring buffers inside a network-owned arena indexed by
-//    (router, port, vc); a flit is a 16-byte {cycle, packet, flags} entry.
+//    (router, port, vc); a flit is an 8-byte {32-bit ready cycle, packet
+//    id << 2 | flags} entry, both widths checked limits (kMaxCycleHorizon,
+//    kMaxPackets).
 //    Each (router, port, vc) slot keeps its input-VC state in one record
 //    and its output-VC state in another, and per-packet metadata (src,
 //    dest, eject port, hop count) lives in packet-indexed arrays filled
@@ -88,17 +90,27 @@ class SoaEngine {
   // Flags on buffered/in-flight flit entries.
   static constexpr std::uint8_t kHead = 1;
   static constexpr std::uint8_t kTail = 2;
+  static constexpr int kFlagBits = 2;  ///< below a buffered packet id
+  /// Packets a schedule may hold: ids below 2^30 fit beside the flags.
+  static constexpr std::size_t kMaxPackets = std::size_t{1} << 30;
   // Input-VC allocation states.
   static constexpr std::uint8_t kIdle = 0;
   static constexpr std::uint8_t kVcAlloc = 1;
   static constexpr std::uint8_t kActive = 2;
 
-  /// A flit waiting in an input-VC buffer slab.
+  /// A flit waiting in an input-VC buffer slab, the largest structure a run
+  /// allocates: its earliest switchable cycle (router pipeline delay) and
+  /// packet id << kFlagBits | kHead | kTail.
   struct BufFlit {
-    Cycle ready = 0;  ///< earliest switchable cycle (router pipeline delay)
-    std::int32_t pkt = 0;
-    std::uint8_t flags = 0;
+    std::uint32_t ready = 0;
+    std::uint32_t pkt_flags = 0;
+
+    std::int32_t pkt() const {
+      return static_cast<std::int32_t>(pkt_flags >> kFlagBits);
+    }
+    std::uint8_t flags() const { return pkt_flags & (kHead | kTail); }
   };
+  static_assert(sizeof(BufFlit) == 8 && kMaxCycleHorizon == UINT32_MAX);
   /// A flit or credit in flight on a channel, filed in the arrival-wheel
   /// bucket of the cycle it lands in.
   struct Arrival {
@@ -170,7 +182,7 @@ class SoaEngine {
   void build_fabric(const topo::Topology& topo,
                     const std::vector<int>& link_latencies);
   /// Generates the whole packet schedule (generate_packets) into the
-  /// per-packet arrays.
+  /// per-packet arrays; throws past kMaxPackets packets.
   void pregenerate(const topo::Topology& topo, const TrafficPattern* pattern,
                    const Injection& injection);
 
@@ -299,13 +311,15 @@ class SoaEngine {
   long long total_credits_ = 0;  ///< credits on channels
 
   // Per-packet metadata (filled by pregenerate; index = packet id).
-  std::vector<Cycle> pk_create_;
+  std::vector<std::uint32_t> pk_create_;  ///< creation cycle
   std::vector<std::int32_t> pk_src_;
   std::vector<std::int32_t> pk_dest_;
-  std::vector<std::int32_t> pk_port_;        ///< source endpoint port
-  std::vector<std::int32_t> pk_eject_port_;  ///< -1 = spread by packet id
+  std::vector<std::int32_t> pk_port_;  ///< source endpoint port
+  /// Concentrated fabrics only (else the packet id picks the port).
+  std::vector<std::int32_t> pk_eject_port_;
   std::vector<std::int32_t> pk_hops_;
-  /// UGAL Valiant intermediate per packet; -1 = minimal / already reached.
+  /// UGAL Valiant intermediate per packet, in UGAL mode only; -1 = minimal /
+  /// already reached.
   /// Only the head flit reads it, and the head exists in exactly one buffer
   /// at a time, so one per-packet slot holds the whole state (the golden
   /// corpus pins the UGAL cases, non-minimal counts included).

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,25 @@ TEST(SimConfigLimits, SixtyFiveVcsThrow) {
   const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
   EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, pattern.get(), 1),
                shg::Error);
+}
+
+TEST(SimConfigLimits, CycleHorizonBeyondPackedFieldThrows) {
+  // The engine stores ready and creation cycles in 32 bits: the last cycle
+  // a run can reach, warmup + measure + drain + router delay, must fit.
+  const auto topo = topo::make_mesh(4, 4);
+  SimConfig config = fast_config();
+  const Cycle rest = config.warmup_cycles + config.measure_cycles +
+                     config.router_delay_cycles;
+  config.drain_cycles = kMaxCycleHorizon - rest;
+  EXPECT_NO_THROW(config.validate());
+  config.drain_cycles = kMaxCycleHorizon - rest + 1;
+  EXPECT_THROW(config.validate(), shg::Error);
+  const auto pattern = TrafficSpec::parse("uniform").make_pattern(4, 4);
+  EXPECT_THROW(Simulator(topo, unit_latencies(topo), config, pattern.get(), 1),
+               shg::Error);
+  // A phase far past the limit is rejected without overflowing the sum.
+  config.drain_cycles = std::numeric_limits<long long>::max();
+  EXPECT_THROW(config.validate(), shg::Error);
 }
 
 TEST(SoaBitIdentity, LinkLatenciesOneToNine) {
