@@ -18,7 +18,6 @@ void Distribution::add(double sample) {
   SHG_REQUIRE(sample >= 0.0,
               "binned distribution mode requires non-negative samples");
   sum_ += sample;
-  min_ = count_ == 0 ? sample : std::min(min_, sample);
   max_ = count_ == 0 ? sample : std::max(max_, sample);
   ++count_;
   bin_sample(sample);
@@ -36,7 +35,6 @@ void Distribution::fold_into_bins() {
     bin_sample(s);
   }
   if (!samples_.empty()) {
-    min_ = *std::min_element(samples_.begin(), samples_.end());
     max_ = *std::max_element(samples_.begin(), samples_.end());
   }
   samples_.clear();
@@ -47,10 +45,9 @@ void Distribution::fold_into_bins() {
 
 void Distribution::bin_sample(double sample) {
   const long long key = std::llround(sample);
-  if (key >= kMaxTrackedValue) {
-    ++over_count_;
-    return;
-  }
+  // Larger samples get no bucket: their ranks lie above every bin, where
+  // percentile() reports max().
+  if (key >= kMaxTrackedValue) return;
   const auto index = static_cast<std::size_t>(key < 0 ? 0 : key);
   if (index >= bins_.size()) bins_.resize(index + 1, 0);
   ++bins_[index];
@@ -61,12 +58,6 @@ double Distribution::mean() const {
   if (binned_) return sum_ / static_cast<double>(count_);
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
          static_cast<double>(count_);
-}
-
-double Distribution::min() const {
-  SHG_REQUIRE(count_ > 0, "no samples");
-  if (binned_) return min_;
-  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double Distribution::max() const {
@@ -101,28 +92,6 @@ double Distribution::percentile(double q) const {
     if (cumulative > index) return static_cast<double>(v);
   }
   return max_;
-}
-
-double Distribution::stddev() const {
-  SHG_REQUIRE(count_ > 0, "no samples");
-  const double m = mean();
-  double sq = 0.0;
-  if (!binned_) {
-    for (double s : samples_) sq += (s - m) * (s - m);
-  } else {
-    for (std::size_t v = 0; v < bins_.size(); ++v) {
-      if (bins_[v] == 0) continue;
-      const double d = static_cast<double>(v) - m;
-      sq += static_cast<double>(bins_[v]) * d * d;
-    }
-    // Overflow samples are only known to exceed kMaxTrackedValue; attribute
-    // them the running max (the best bounded estimate).
-    if (over_count_ > 0) {
-      const double d = max_ - m;
-      sq += static_cast<double>(over_count_) * d * d;
-    }
-  }
-  return std::sqrt(sq / static_cast<double>(count_));
 }
 
 double fairness_ratio(const std::vector<double>& per_source_mean) {

@@ -12,27 +12,25 @@ namespace shg::sim {
 /// Sample-based distribution summary with a bounded memory footprint.
 ///
 /// Up to `sample_cap` samples the distribution stores every sample and all
-/// summaries (mean, min, max, stddev, percentiles) are the exact values the
-/// unbounded implementation produced — bit-identical, including floating
+/// summaries (mean, max, percentiles) are the exact values the unbounded
+/// implementation produced — bit-identical, including floating
 /// point accumulation order. Past the cap the stored samples fold into an
-/// integer-keyed counting histogram (one bucket per llround(sample), capped
-/// at kMaxTrackedValue with an overflow bucket) so million-packet runs hold
+/// integer-keyed counting histogram (one bucket per llround(sample) below
+/// kMaxTrackedValue) so million-packet runs hold
 /// a few hundred KB instead of a per-packet vector. In binned mode:
-///  * mean/min/max stay exact (running accumulators in insertion order, so
+///  * mean/max stay exact (running accumulators in insertion order, so
 ///    mean is still bit-identical to the unbounded sum);
 ///  * percentiles are exact for non-negative integer-valued samples below
 ///    kMaxTrackedValue (packet latencies in cycles always are) and rounded
-///    to the nearest integer otherwise;
-///  * stddev is computed from the histogram (exact values for integer
-///    samples, but accumulated in value order rather than insertion order).
+///    to the nearest integer otherwise.
 class Distribution {
  public:
   /// Default cap: 1M samples (~8 MB) — far above any seed-scale run, so
   /// the binned mode only engages on the large-fabric workloads it exists
   /// for. A cap of 0 bins from the first sample.
   static constexpr std::size_t kDefaultSampleCap = std::size_t{1} << 20;
-  /// Largest integer value with its own histogram bucket; larger samples
-  /// share one overflow bucket whose percentiles report max().
+  /// Bound of the histogram buckets; larger samples are counted without a
+  /// bucket, and percentiles whose rank falls among them report max().
   static constexpr long long kMaxTrackedValue = 1 << 21;
 
   explicit Distribution(std::size_t sample_cap = kDefaultSampleCap)
@@ -46,12 +44,10 @@ class Distribution {
   bool binned() const { return binned_; }
 
   double mean() const;
-  double min() const;
   double max() const;
   /// q-quantile (0 <= q <= 1) by nearest-rank; exact below the sample cap
   /// (sorts lazily), histogram-resolved above it.
   double percentile(double q) const;
-  double stddev() const;
 
  private:
   void ensure_sorted() const;
@@ -68,10 +64,8 @@ class Distribution {
   // Binned mode. Running accumulators are maintained in insertion order
   // from the fold onward, reproducing the unbounded accumulate().
   std::vector<std::uint64_t> bins_;  ///< count per integer value
-  std::uint64_t over_count_ = 0;     ///< samples above kMaxTrackedValue
   std::size_t count_ = 0;
   double sum_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 
