@@ -30,7 +30,9 @@
 //
 // Output: a human-readable table on stdout and machine-readable JSON
 // (default BENCH_sim.json; see --out). `--smoke` shrinks the simulated
-// cycle counts for CI — absolute flits/sec get noisier.
+// cycle counts for CI — absolute flits/sec get noisier. Both end with the
+// process's peak resident set (getrusage ru_maxrss), a trend field no gate
+// reads.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -40,6 +42,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "shg/sim/simulator.hpp"
 #include "shg/sim/traffic_spec.hpp"
@@ -52,6 +56,12 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 std::vector<int> unit_latencies(const topo::Topology& topo) {
@@ -263,6 +273,8 @@ int main(int argc, char** argv) {
   }
   std::printf("best ugal-over-minimal accepted load: %.2fx (gate: 1.5x)\n",
               best_ratio);
+  const double rss_mb = peak_rss_mb();
+  std::printf("peak resident set: %.1f MB (trend, not gated)\n", rss_mb);
 
   std::string entries;
   for (const Row& r : rows) append_json(entries, r);
@@ -279,11 +291,12 @@ int main(int argc, char** argv) {
     sat_entries += buf;
   }
   std::ofstream out(out_path);
-  out << "{\n  \"schema\": \"shg.bench_sim_scale.v5\",\n"
+  out << "{\n  \"schema\": \"shg.bench_sim_scale.v6\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"scale_64x64_drained\": " << (scale_drained ? "true" : "false")
       << ",\n"
       << "  \"ugal_best_ratio\": " << best_ratio << ",\n"
+      << "  \"peak_rss_mb\": " << rss_mb << ",\n"
       << "  \"rows\": [\n"
       << entries << "\n  ],\n"
       << "  \"routing_saturation\": [\n"
