@@ -215,20 +215,17 @@ void SoaEngine::pregenerate(const topo::Topology& topo,
   pk_dest_.reserve(hint);
   pk_port_.reserve(hint);
   if (concentrated) pk_eject_port_.reserve(hint);
-  pk_measured_.reserve(hint);
 
   generate_packets(
       injection, pattern, conc, local_ports_, config_,
       [&](Cycle t, int tile, int port, int dest) {
-        const bool measured = t >= config_.warmup_cycles;
         // validate() bounds t by kMaxCycleHorizon.
         pk_create_.push_back(static_cast<std::uint32_t>(t));
         pk_src_.push_back(tile);
         pk_dest_.push_back(concentrated ? conc.tile_of(dest) : dest);
         pk_port_.push_back(port);
         if (concentrated) pk_eject_port_.push_back(conc.port_of(dest));
-        pk_measured_.push_back(measured ? 1 : 0);
-        if (measured) ++measured_created_;
+        if (t >= config_.warmup_cycles) ++measured_created_;
       });
   SHG_REQUIRE(pk_create_.size() <= kMaxPackets,
               "the schedule holds more packets than a buffered flit's "
@@ -799,7 +796,7 @@ SimResult SoaEngine::run() {
         const std::size_t pkt = static_cast<std::size_t>(e.pkt);
         SHG_ASSERT(!pk_done_[pkt], "packet ejected twice");
         pk_done_[pkt] = 1;
-        if (pk_measured_[pkt]) {
+        if (pk_create_[pkt] >= config_.warmup_cycles) {  // measured
           ++measured_ejected;
           const double latency =
               static_cast<double>(now - pk_create_[pkt] + 1);

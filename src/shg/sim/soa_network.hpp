@@ -324,7 +324,6 @@ class SoaEngine {
   /// at a time, so one per-packet slot holds the whole state (the golden
   /// corpus pins the UGAL cases, non-minimal counts included).
   std::vector<std::int32_t> pk_via_;
-  std::vector<std::uint8_t> pk_measured_;
   std::vector<std::uint8_t> pk_done_;
   long long measured_created_ = 0;
   std::size_t sched_ptr_ = 0;

@@ -13,11 +13,11 @@ namespace shg::sim {
 ///
 /// Up to `sample_cap` samples the distribution stores every sample and all
 /// summaries (mean, max, percentiles) are the exact values the unbounded
-/// implementation produced — bit-identical, including floating
-/// point accumulation order. Past the cap the stored samples fold into an
+/// implementation produced — bit-identical, including floating point
+/// accumulation order. Past the cap the stored samples fold into an
 /// integer-keyed counting histogram (one bucket per llround(sample) below
-/// kMaxTrackedValue) so million-packet runs hold
-/// a few hundred KB instead of a per-packet vector. In binned mode:
+/// kMaxTrackedValue) so million-packet runs hold a few hundred KB instead
+/// of a per-packet vector. In binned mode:
 ///  * mean/max stay exact (running accumulators in insertion order, so
 ///    mean is still bit-identical to the unbounded sum);
 ///  * percentiles are exact for non-negative integer-valued samples below
