@@ -12,12 +12,13 @@ namespace shg::customize {
 
 namespace {
 
-/// Enumerates subsets of {2..limit-1} with at most `max_size` elements.
-void for_each_skip_subset(int limit, int max_size,
-                          const std::function<void(const std::set<int>&)>& fn) {
+/// Subsets of {2..limit-1} with at most `max_size` elements, each set
+/// before its extensions and in ascending element order.
+std::vector<std::set<int>> skip_subsets(int limit, int max_size) {
+  std::vector<std::set<int>> subsets;
   std::set<int> current;
   std::function<void(int, int)> rec = [&](int next, int remaining) {
-    fn(current);
+    subsets.push_back(current);
     if (remaining == 0) return;
     for (int x = next; x < limit; ++x) {
       current.insert(x);
@@ -26,31 +27,38 @@ void for_each_skip_subset(int limit, int max_size,
     }
   };
   rec(2, max_size);
+  return subsets;
 }
 
-std::string label_for(const topo::ShgParams& params, const char* family) {
-  return std::string(family) + " SR=" + fmt_int_set(params.row_skips) +
-         " SC=" + fmt_int_set(params.col_skips);
-}
-
-/// Screens every enumerated parameterization in product form (through the
-/// session's cache when one is attached), then labels in
-/// enumeration order — each point's metrics are bit-identical to
-/// `screen_candidate` on its parameterization.
-std::vector<ExploredPoint> screen_all(const tech::ArchParams& arch,
-                                      std::vector<topo::ShgParams> batch,
-                                      const ExploreOptions& options,
-                                      const char* family) {
+/// Screens the row-major product of `row_sets` and `col_sets` in product
+/// form (through the session's cache when one is attached), then labels in
+/// enumeration order from per-set strings; each point's metrics are
+/// bit-identical to `screen_candidate` on its parameterization.
+std::vector<ExploredPoint> screen_all(
+    const tech::ArchParams& arch, const std::vector<std::set<int>>& row_sets,
+    const std::vector<std::set<int>>& col_sets, const ExploreOptions& options,
+    const char* family) {
+  std::vector<topo::ShgParams> batch;
+  batch.reserve(row_sets.size() * col_sets.size());
+  for (const std::set<int>& row : row_sets) {
+    for (const std::set<int>& col : col_sets) batch.push_back({row, col});
+  }
   const std::vector<CandidateMetrics> metrics =
       options.session != nullptr
           ? screen_batch_cached(arch, batch, *options.session)
-          : screen_batch_incremental(arch, batch);
+          : screen_grid_incremental(arch, row_sets, col_sets);
+  std::vector<std::string> col_labels;
+  for (const std::set<int>& col : col_sets) {
+    col_labels.push_back(" SC=" + fmt_int_set(col));
+  }
   std::vector<ExploredPoint> points;
   points.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::string label = label_for(batch[i], family);
-    points.push_back(
-        ExploredPoint{std::move(batch[i]), metrics[i], std::move(label)});
+  std::string row_label;
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    const std::size_t c = k % col_sets.size();
+    if (c == 0) row_label = family + (" SR=" + fmt_int_set(batch[k].row_skips));
+    points.push_back(ExploredPoint{std::move(batch[k]), metrics[k],
+                                   row_label + col_labels[c]});
   }
   return points;
 }
@@ -59,32 +67,16 @@ std::vector<ExploredPoint> screen_all(const tech::ArchParams& arch,
 
 std::vector<ExploredPoint> explore_shg(const tech::ArchParams& arch,
                                        const ExploreOptions& options) {
-  std::vector<topo::ShgParams> batch;
-  for_each_skip_subset(arch.cols, options.max_row_skips,
-                       [&](const std::set<int>& row_skips) {
-    for_each_skip_subset(arch.rows, options.max_col_skips,
-                         [&](const std::set<int>& col_skips) {
-      batch.push_back(topo::ShgParams{row_skips, col_skips});
-    });
-  });
-  return screen_all(arch, std::move(batch), options, "shg");
+  return screen_all(arch, skip_subsets(arch.cols, options.max_row_skips),
+                    skip_subsets(arch.rows, options.max_col_skips), options,
+                    "shg");
 }
 
 std::vector<ExploredPoint> explore_ruche(const tech::ArchParams& arch,
                                          const ExploreOptions& options) {
   // Ruche networks: exactly one skip distance (or none) per dimension.
-  std::vector<topo::ShgParams> batch;
-  for (int rx = 0; rx < arch.cols; ++rx) {
-    if (rx == 1) continue;  // 0 = no skip; skips start at 2
-    for (int ry = 0; ry < arch.rows; ++ry) {
-      if (ry == 1) continue;
-      topo::ShgParams params;
-      if (rx >= 2) params.row_skips.insert(rx);
-      if (ry >= 2) params.col_skips.insert(ry);
-      batch.push_back(std::move(params));
-    }
-  }
-  return screen_all(arch, std::move(batch), options, "ruche");
+  return screen_all(arch, skip_subsets(arch.cols, 1),
+                    skip_subsets(arch.rows, 1), options, "ruche");
 }
 
 std::vector<ExploredPoint> trade_off_front(std::vector<ExploredPoint> points) {

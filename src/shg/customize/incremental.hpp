@@ -23,16 +23,19 @@
 //    `phys::axis_route_loads` routes one axis bit-identically to that axis
 //    of `phys::global_route_loads` on the whole graph.
 //  * Area. Cost-model steps 1, 3 and 4 read the radix and the per-channel
-//    peaks only (`model::evaluate_screening_cost`'s peaks overload).
+//    peaks only, and step 3 prices each axis on its own
+//    (`model::AxisSpacing`): the horizontal channel spacings are a function
+//    of SR alone and the vertical ones of SC alone.
 //
 // So a batch is screened in three steps: collect its distinct row-skip and
 // column-skip sets, build one axis summary per set (line hop totals, max
-// line degree, line link count, per-channel peaks; fanned out with
+// line degree, line link count, channel spacings; fanned out with
 // parallel_for), then combine each candidate from its two summaries in
-// O(R + C). No candidate materializes a Topology or routes a link. The
-// combine step runs on the calling thread: at about a microsecond per
-// candidate, a second fan-out would cost the greedy search's small batches
-// more in thread start-up than it saves.
+// constant time (`model::evaluate_screening_cost`'s axis overload, with
+// the chip extents memoized per axis and tile length). No candidate
+// materializes a Topology, routes a link or allocates. The combine step
+// runs on the calling thread: at tens of nanoseconds per candidate, a
+// second fan-out would cost far more in thread start-up than it saves.
 //
 // == Exactness & concurrency ==============================================
 //
@@ -45,6 +48,7 @@
 //    fills its own summary slot, and the candidates are combined serially.
 #pragma once
 
+#include <set>
 #include <vector>
 
 #include "shg/customize/search.hpp"
@@ -58,5 +62,13 @@ namespace shg::customize {
 /// between calls. Invalid skip sets throw shg::Error.
 std::vector<CandidateMetrics> screen_batch_incremental(
     const tech::ArchParams& arch, const std::vector<topo::ShgParams>& batch);
+
+/// The row-major product of `row_sets` and `col_sets`: entry r * C + c is
+/// screen_batch_incremental's for ShgParams{row_sets[r], col_sets[c]}, bit
+/// for bit. Each set is summarized once and looked up nowhere, for
+/// enumerations that know their distinct sets (explore_shg, explore_ruche).
+std::vector<CandidateMetrics> screen_grid_incremental(
+    const tech::ArchParams& arch, const std::vector<std::set<int>>& row_sets,
+    const std::vector<std::set<int>>& col_sets);
 
 }  // namespace shg::customize

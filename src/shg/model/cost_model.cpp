@@ -16,154 +16,146 @@ std::vector<int> CostReport::link_latencies() const {
 
 namespace {
 
-/// Steps 1, 3 and 4 of the model given the step-2 channel peaks, shared by
-/// every entry point (full evaluation, topology screening, and the
-/// product-form screening that supplies per-axis peaks). One body means one
-/// set of arithmetic expressions — which is what makes the area figures
-/// bit-identical across entry points when the peaks are.
-phys::Floorplan steps_1_3_4(const tech::ArchParams& arch, int radix,
-                            const std::vector<int>& h_peaks,
-                            const std::vector<int>& v_peaks,
-                            CostReport& report,
-                            TileGeometryCache* tile_cache) {
-  const tech::TechnologyModel& tech = arch.tech;
-
-  // ---- Step 1: tile area estimate and placement -------------------------
-  // Router ports: one manager + one subordinate port per topology link plus
-  // the local endpoint ports. Identical tiles => worst-case radix, so the
-  // whole step is a pure function of the radix and can be memoized across
-  // screening candidates whose radix did not change.
-  const int ports = radix + arch.endpoints_per_tile;
+/// Step 1: tile area estimate and placement. Router ports: one manager +
+/// one subordinate port per topology link plus the local endpoint ports.
+/// Identical tiles => worst-case radix, so the step is a pure function of
+/// the port count and can be memoized.
+TileGeometryCache::Entry tile_geometry(const tech::ArchParams& arch, int ports,
+                                       TileGeometryCache* tile_cache) {
   if (const TileGeometryCache::Entry* hit =
           tile_cache != nullptr ? tile_cache->find(ports) : nullptr) {
-    report.router_area_ge = hit->router_area_ge;
-    report.tile_area_ge = hit->tile_area_ge;
-    report.tile_w_mm = hit->tile_w_mm;
-    report.tile_h_mm = hit->tile_h_mm;
-  } else {
-    report.router_area_ge = arch.router_area.area_ge(
-        ports, ports, arch.link_bandwidth_bits, arch.router_arch);
-    report.tile_area_ge = arch.endpoint_area_ge + report.router_area_ge;
-    const double tile_area_mm2 = tech.ge_to_mm2(report.tile_area_ge);
-    report.tile_h_mm = std::sqrt(arch.tile_aspect_ratio * tile_area_mm2);
-    report.tile_w_mm = std::sqrt(tile_area_mm2 / arch.tile_aspect_ratio);
-    if (tile_cache != nullptr) {
-      tile_cache->insert(ports,
-                         TileGeometryCache::Entry{report.router_area_ge,
-                                                  report.tile_area_ge,
-                                                  report.tile_w_mm,
-                                                  report.tile_h_mm});
-    }
+    return *hit;
   }
-
-  // ---- Step 3: spacing between rows and columns of tiles -----------------
-  const double wires = arch.wires_per_link();
-  std::vector<double> h_spacing(static_cast<std::size_t>(arch.rows) + 1);
-  std::vector<double> v_spacing(static_cast<std::size_t>(arch.cols) + 1);
-  for (int i = 0; i <= arch.rows; ++i) {
-    const int nl = h_peaks[static_cast<std::size_t>(i)];
-    report.peak_h_channel_load = std::max(report.peak_h_channel_load, nl);
-    h_spacing[static_cast<std::size_t>(i)] =
-        tech.wires.h_wires_to_mm(nl * wires);
-  }
-  for (int j = 0; j <= arch.cols; ++j) {
-    const int nl = v_peaks[static_cast<std::size_t>(j)];
-    report.peak_v_channel_load = std::max(report.peak_v_channel_load, nl);
-    v_spacing[static_cast<std::size_t>(j)] =
-        tech.wires.v_wires_to_mm(nl * wires);
-  }
-
-  // ---- Step 4: discretization into unit cells ----------------------------
-  report.cell_h_mm = tech.wires.h_wires_to_mm(wires);
-  report.cell_w_mm = tech.wires.v_wires_to_mm(wires);
-  phys::Floorplan plan(arch.rows, arch.cols, report.tile_w_mm,
-                       report.tile_h_mm, std::move(h_spacing),
-                       std::move(v_spacing), report.cell_w_mm,
-                       report.cell_h_mm);
-  report.chip_width_mm = plan.chip_width();
-  report.chip_height_mm = plan.chip_height();
-
-  // ---- Area estimate (IV-B2b) --------------------------------------------
-  report.total_area_mm2 = plan.chip_area_mm2();
-  report.base_area_mm2 =
-      tech.ge_to_mm2(static_cast<double>(arch.num_tiles()) *
-                     arch.endpoint_area_ge);
-  report.noc_area_mm2 = report.total_area_mm2 - report.base_area_mm2;
-  report.area_overhead = report.noc_area_mm2 / report.total_area_mm2;
-  return plan;
+  TileGeometryCache::Entry tile;
+  tile.router_area_ge = arch.router_area.area_ge(
+      ports, ports, arch.link_bandwidth_bits, arch.router_arch);
+  tile.tile_area_ge = arch.endpoint_area_ge + tile.router_area_ge;
+  const double tile_area_mm2 = arch.tech.ge_to_mm2(tile.tile_area_ge);
+  tile.tile_h_mm = std::sqrt(arch.tile_aspect_ratio * tile_area_mm2);
+  tile.tile_w_mm = std::sqrt(tile_area_mm2 / arch.tile_aspect_ratio);
+  if (tile_cache != nullptr) tile_cache->insert(ports, tile);
+  return tile;
 }
 
-/// Steps 1-4 of the model, shared by the full evaluation and the area-only
-/// screening path. Fills the step 1-4 fields of `report` and returns the
-/// floorplan (plus the global routing via `global_out` when the caller needs
-/// step 5).
-phys::Floorplan floorplan_steps_1_to_4(const tech::ArchParams& arch,
-                                       const topo::Topology& topo,
-                                       CostReport& report,
-                                       phys::GlobalRoutingResult* global_out,
-                                       TileGeometryCache* tile_cache = nullptr) {
-  SHG_REQUIRE(topo.rows() == arch.rows && topo.cols() == arch.cols,
-              "topology grid does not match the architecture parameters");
-
-  // ---- Step 2: global routing in the grid of tiles -----------------------
-  // Screening callers never read the per-link routes (step 5 is skipped),
-  // so take the loads-only fast path — bit-identical channel loads without
-  // materializing a GlobalRoute per link.
-  phys::GlobalRoutingResult global = global_out != nullptr
-                                         ? phys::global_route(topo)
-                                         : phys::global_route_loads(topo);
-  std::vector<int> h_peaks(static_cast<std::size_t>(arch.rows) + 1);
-  std::vector<int> v_peaks(static_cast<std::size_t>(arch.cols) + 1);
-  for (int i = 0; i <= arch.rows; ++i) {
-    h_peaks[static_cast<std::size_t>(i)] = global.max_h_load(i);
-  }
-  for (int j = 0; j <= arch.cols; ++j) {
-    v_peaks[static_cast<std::size_t>(j)] = global.max_v_load(j);
-  }
-  phys::Floorplan plan =
-      steps_1_3_4(arch, topo.radix(), h_peaks, v_peaks, report, tile_cache);
-  if (global_out != nullptr) *global_out = std::move(global);
-  return plan;
-}
-
-ScreeningCost screening_cost_from_report(const CostReport& report) {
+/// Area estimate (IV-B2b) of a chip `width` x `height` mm. Every entry
+/// point ends here, with extents from phys::stacked_extent.
+ScreeningCost area_estimate(const tech::ArchParams& arch, double width,
+                            double height) {
   ScreeningCost cost;
-  cost.total_area_mm2 = report.total_area_mm2;
-  cost.base_area_mm2 = report.base_area_mm2;
-  cost.noc_area_mm2 = report.noc_area_mm2;
-  cost.area_overhead = report.area_overhead;
+  cost.total_area_mm2 = width * height;
+  cost.base_area_mm2 = arch.tech.ge_to_mm2(
+      static_cast<double>(arch.num_tiles()) * arch.endpoint_area_ge);
+  cost.noc_area_mm2 = cost.total_area_mm2 - cost.base_area_mm2;
+  cost.area_overhead = cost.noc_area_mm2 / cost.total_area_mm2;
   return cost;
+}
+
+/// Step 3 for one orientation of a whole-topology global routing.
+AxisSpacing routed_spacing(const tech::ArchParams& arch,
+                           const phys::GlobalRoutingResult& global,
+                           bool horizontal) {
+  std::vector<int> peaks;
+  for (int i = 0; i <= (horizontal ? arch.rows : arch.cols); ++i) {
+    peaks.push_back(horizontal ? global.max_h_load(i) : global.max_v_load(i));
+  }
+  return AxisSpacing(arch, horizontal, peaks);
 }
 
 }  // namespace
 
+AxisSpacing::AxisSpacing(const tech::ArchParams& arch, bool horizontal,
+                         const std::vector<int>& peaks)
+    : horizontal_(horizontal) {
+  SHG_REQUIRE(static_cast<int>(peaks.size()) ==
+                  (horizontal ? arch.rows : arch.cols) + 1,
+              "channel peaks do not match the architecture grid");
+  const double wires = arch.wires_per_link();
+  spacing_.reserve(peaks.size());
+  for (const int nl : peaks) {
+    peak_load_ = std::max(peak_load_, nl);
+    spacing_.push_back(horizontal ? arch.tech.wires.h_wires_to_mm(nl * wires)
+                                  : arch.tech.wires.v_wires_to_mm(nl * wires));
+  }
+}
+
+double AxisSpacing::extent(double tile_mm) const {
+  for (const auto& [tile, extent] : extents_) {
+    if (tile == tile_mm) return extent;
+  }
+  const double extent = phys::stacked_extent(spacing_, tile_mm);
+  extents_.emplace_back(tile_mm, extent);
+  return extent;
+}
+
 ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch,
                                       const topo::Topology& topo,
                                       TileGeometryCache* tile_cache) {
-  CostReport report;
-  floorplan_steps_1_to_4(arch, topo, report, nullptr, tile_cache);
-  return screening_cost_from_report(report);
+  SHG_REQUIRE(topo.rows() == arch.rows && topo.cols() == arch.cols,
+              "topology grid does not match the architecture parameters");
+  // Screening never reads the per-link routes (step 5 is skipped), so take
+  // the loads-only fast path: bit-identical channel loads without
+  // materializing a GlobalRoute per link.
+  const phys::GlobalRoutingResult global = phys::global_route_loads(topo);
+  return evaluate_screening_cost(arch, topo.radix(),
+                                 routed_spacing(arch, global, true),
+                                 routed_spacing(arch, global, false),
+                                 tile_cache);
 }
 
 ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch, int radix,
-                                      const std::vector<int>& h_peaks,
-                                      const std::vector<int>& v_peaks,
+                                      const AxisSpacing& h,
+                                      const AxisSpacing& v,
                                       TileGeometryCache* tile_cache) {
-  SHG_REQUIRE(static_cast<int>(h_peaks.size()) == arch.rows + 1 &&
-                  static_cast<int>(v_peaks.size()) == arch.cols + 1,
-              "channel peaks do not match the architecture grid");
-  CostReport report;
-  steps_1_3_4(arch, radix, h_peaks, v_peaks, report, tile_cache);
-  return screening_cost_from_report(report);
+  SHG_REQUIRE(h.horizontal() && !v.horizontal() &&
+                  static_cast<int>(h.spacing().size()) == arch.rows + 1 &&
+                  static_cast<int>(v.spacing().size()) == arch.cols + 1,
+              "channel spacings do not match the architecture grid");
+  const TileGeometryCache::Entry tile =
+      tile_geometry(arch, radix + arch.endpoints_per_tile, tile_cache);
+  // Step 4 places the tiles between the channels; the chip's extents are
+  // all the area reads of it.
+  return area_estimate(arch, v.extent(tile.tile_w_mm),
+                       h.extent(tile.tile_h_mm));
 }
 
 CostReport evaluate_cost(const tech::ArchParams& arch,
                          const topo::Topology& topo) {
+  SHG_REQUIRE(topo.rows() == arch.rows && topo.cols() == arch.cols,
+              "topology grid does not match the architecture parameters");
   const tech::TechnologyModel& tech = arch.tech;
   CostReport report;
-  phys::GlobalRoutingResult global;
-  const phys::Floorplan plan =
-      floorplan_steps_1_to_4(arch, topo, report, &global);
+
+  // ---- Step 1: tile area estimate and placement --------------------------
+  const TileGeometryCache::Entry tile =
+      tile_geometry(arch, topo.radix() + arch.endpoints_per_tile, nullptr);
+  report.router_area_ge = tile.router_area_ge;
+  report.tile_area_ge = tile.tile_area_ge;
+  report.tile_w_mm = tile.tile_w_mm;
+  report.tile_h_mm = tile.tile_h_mm;
+
+  // ---- Steps 2 and 3: global routing, channel spacing --------------------
+  const phys::GlobalRoutingResult global = phys::global_route(topo);
+  const AxisSpacing h = routed_spacing(arch, global, true);
+  const AxisSpacing v = routed_spacing(arch, global, false);
+  report.peak_h_channel_load = h.peak_load();
+  report.peak_v_channel_load = v.peak_load();
+
+  // ---- Step 4: discretization into unit cells ----------------------------
+  const double wires = arch.wires_per_link();
+  report.cell_h_mm = tech.wires.h_wires_to_mm(wires);
+  report.cell_w_mm = tech.wires.v_wires_to_mm(wires);
+  const phys::Floorplan plan(arch.rows, arch.cols, report.tile_w_mm,
+                             report.tile_h_mm, h.spacing(), v.spacing(),
+                             report.cell_w_mm, report.cell_h_mm);
+  report.chip_width_mm = plan.chip_width();
+  report.chip_height_mm = plan.chip_height();
+  const ScreeningCost area =
+      area_estimate(arch, plan.chip_width(), plan.chip_height());
+  report.total_area_mm2 = area.total_area_mm2;
+  report.base_area_mm2 = area.base_area_mm2;
+  report.noc_area_mm2 = area.noc_area_mm2;
+  report.area_overhead = area.area_overhead;
+
   const double tile_area_mm2 = tech.ge_to_mm2(report.tile_area_ge);
 
   // ---- Step 5: detailed routing in the grid of unit cells ----------------

@@ -15,12 +15,14 @@
 // the peak load of each channel. For a sparse Hamming graph those inputs
 // come in product form: the radix is the row line's degree plus the column
 // line's, the horizontal channel peaks depend on the row skips alone and
-// the vertical ones on the column skips alone. The peaks overload of
-// evaluate_screening_cost takes exactly those inputs, so a screening sweep
-// routes each distinct skip set once and prices every candidate from two
-// per-axis summaries.
+// the vertical ones on the column skips alone. So step 3 prices each axis
+// on its own (`AxisSpacing`, once per distinct skip set), and the axis
+// overload of evaluate_screening_cost combines two of them with the radix
+// in constant time: a screening sweep routes and prices each distinct skip
+// set once, and every candidate costs a few multiplications.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "shg/phys/detailed_route.hpp"
@@ -137,20 +139,43 @@ ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch,
                                       const topo::Topology& topo,
                                       TileGeometryCache* tile_cache = nullptr);
 
-/// Screening cost from a step-2 summary: `radix` is the topology's router
-/// radix (Table I), and `h_peaks` / `v_peaks` are the peak loads of the
-/// horizontal channels [0, rows] and vertical channels [0, cols], i.e.
-/// `max_h_load(i)` / `max_v_load(j)` of a global routing. Step 3 reads
-/// nothing else of the routing. Runs the same step 1/3/4 arithmetic as the
-/// overload above — same operands in the same order — so the returned
-/// areas are bit-identical when the peaks are. This is the cost-model entry
-/// of the product-form screening (customize/incremental.hpp), whose peaks
-/// come from one routed profile per row-skip set and per column-skip set
-/// (`phys::axis_route_loads`) and whose candidates never materialize a
-/// Topology.
+/// Step 3 for the channels of one orientation (`horizontal`: the rows + 1
+/// between tile rows, else the cols + 1 between tile columns) from their
+/// peak loads. Product-form screening (customize/incremental.hpp) builds
+/// one per row-skip or column-skip set, from `phys::axis_route_loads`.
+class AxisSpacing {
+ public:
+  AxisSpacing() = default;
+  /// Throws shg::Error unless `peaks` has one entry per channel.
+  AxisSpacing(const tech::ArchParams& arch, bool horizontal,
+              const std::vector<int>& peaks);
+
+  bool horizontal() const { return horizontal_; }
+  int peak_load() const { return peak_load_; }
+  /// Width of every channel, in mm: `wires_to_mm` of its peak's wires.
+  const std::vector<double>& spacing() const { return spacing_; }
+
+  /// The chip's extent across these channels with tiles of `tile_mm`
+  /// (`phys::stacked_extent`), memoized per tile length since a sweep meets
+  /// few radices. Not thread-safe, like TileGeometryCache.
+  double extent(double tile_mm) const;
+
+ private:
+  bool horizontal_ = true;
+  int peak_load_ = 0;
+  std::vector<double> spacing_;
+  mutable std::vector<std::pair<double, double>> extents_;  ///< tiny
+};
+
+/// Screening cost from the step-2 summary in product form: the router
+/// `radix` (Table I) and the spacings of the horizontal (`h`) and vertical
+/// (`v`) channels. The topology overload runs through this one, so the
+/// areas are bit-identical when the peaks are. Constant time, with no
+/// allocation once the extents are memoized. Throws shg::Error unless `h`
+/// is horizontal, `v` vertical, and both fit `arch`'s grid.
 ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch, int radix,
-                                      const std::vector<int>& h_peaks,
-                                      const std::vector<int>& v_peaks,
+                                      const AxisSpacing& h,
+                                      const AxisSpacing& v,
                                       TileGeometryCache* tile_cache = nullptr);
 
 }  // namespace shg::model

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <compare>
 #include <cstdint>
 #include <queue>
 
@@ -158,38 +157,32 @@ std::int64_t cell_index(double coord, double cell) {
   return static_cast<std::int64_t>(std::floor(coord / cell));
 }
 
-/// The cells [lo, hi] one link occupies on one cell line: row `line` of a
-/// horizontal run (axis 0), column `line` of a vertical one (axis 1).
-struct CellRun {
-  int axis;
-  std::int64_t line, lo, hi;
-  auto operator<=>(const CellRun&) const = default;
-};
+/// A coverage change on a cell line, packed so that sorting the keys
+/// orders events by axis (0 = horizontal runs on cell rows, 1 = vertical
+/// runs on cell columns), then line, then cell, with a run's end (-1, bit
+/// 0 clear) before a run's start (+1, bit 0 set) at one cell.
+constexpr int kCellBits = 31;
+constexpr std::int64_t kCellLimit = std::int64_t{1} << kCellBits;
 
-/// Coverage change on a cell line: +1 at a run's first cell, -1 at the
-/// first cell past it.
-struct CellEvent {
-  int axis;
-  std::int64_t line, cell;
-  int delta;
-  auto operator<=>(const CellEvent&) const = default;
-};
+std::uint64_t cell_event(int axis, std::int64_t line, std::int64_t cell,
+                         bool start) {
+  return static_cast<std::uint64_t>(axis) << 63 |
+         static_cast<std::uint64_t>(line) << (kCellBits + 1) |
+         static_cast<std::uint64_t>(cell) << 1 | (start ? 1u : 0u);
+}
 
-/// Merges one link's runs line by line (a link that revisits a cell, as at
-/// a jog corner, occupies it once) and appends the merged runs' events.
-void add_link_runs(std::vector<CellRun>& runs, std::vector<CellEvent>& events) {
-  std::sort(runs.begin(), runs.end());
-  for (std::size_t i = 0; i < runs.size();) {
-    CellRun merged = runs[i];
-    for (++i; i < runs.size() && runs[i].axis == merged.axis &&
-              runs[i].line == merged.line && runs[i].lo <= merged.hi + 1;
-         ++i) {
-      merged.hi = std::max(merged.hi, runs[i].hi);
-    }
-    events.push_back({merged.axis, merged.line, merged.lo, +1});
-    events.push_back({merged.axis, merged.line, merged.hi + 1, -1});
+/// Merges one link's run events line by line (a link that revisits a cell,
+/// as at a jog corner, occupies it once): the union of its runs starts
+/// where its own depth leaves 0 and ends where it returns there, and only
+/// those events go to `events`.
+void add_link_runs(std::vector<std::uint64_t>& link,
+                   std::vector<std::uint64_t>& events) {
+  std::sort(link.begin(), link.end());
+  int depth = 0;
+  for (const std::uint64_t key : link) {
+    if ((key & 1) != 0 ? depth++ == 0 : --depth == 0) events.push_back(key);
   }
-  runs.clear();
+  link.clear();
 }
 
 double manhattan_to_center(const Floorplan& plan, const topo::TileCoord& tile,
@@ -288,34 +281,35 @@ DetailedRoutingResult detailed_route(const topo::Topology& topo,
 void count_unit_cells(const Floorplan& plan, DetailedRoutingResult& result) {
   const double cw = plan.cell_w();
   const double ch = plan.cell_h();
+  const double limit = static_cast<double>(kCellLimit - 2);
+  SHG_REQUIRE(plan.chip_width() / cw < limit && plan.chip_height() / ch < limit,
+              "unit-cell grid exceeds 2^31 cells per line");
   const std::int64_t nx = cell_index(plan.chip_width(), cw) + 2;
   const std::int64_t ny = cell_index(plan.chip_height(), ch) + 2;
   std::size_t segments = 0;
   for (const DetailedRoute& route : result.routes) {
     segments += route.segments.size();
   }
-  std::vector<CellRun> runs;
-  std::vector<CellEvent> events;
+  std::vector<std::uint64_t> link;
+  std::vector<std::uint64_t> events;
   events.reserve(2 * segments);
   for (const DetailedRoute& route : result.routes) {
     for (const Segment& seg : route.segments) {
       if (seg.length() <= 0.0) continue;
-      const CellRun run =
-          seg.horizontal
-              ? CellRun{0, cell_index(seg.a.y, ch),
-                        cell_index(std::min(seg.a.x, seg.b.x), cw),
-                        cell_index(std::max(seg.a.x, seg.b.x), cw)}
-              : CellRun{1, cell_index(seg.a.x, cw),
-                        cell_index(std::min(seg.a.y, seg.b.y), ch),
-                        cell_index(std::max(seg.a.y, seg.b.y), ch)};
-      const std::int64_t lines = seg.horizontal ? ny : nx;
-      const std::int64_t cells = seg.horizontal ? nx : ny;
-      SHG_ASSERT(run.line >= 0 && run.line < lines && run.lo >= 0 &&
-                     run.hi < cells,
+      const bool h = seg.horizontal;
+      const std::int64_t line = h ? cell_index(seg.a.y, ch)
+                                  : cell_index(seg.a.x, cw);
+      const auto [a, b] = h ? std::minmax(seg.a.x, seg.b.x)
+                            : std::minmax(seg.a.y, seg.b.y);
+      const std::int64_t lo = cell_index(a, h ? cw : ch);
+      const std::int64_t hi = cell_index(b, h ? cw : ch);
+      SHG_ASSERT(line >= 0 && line < (h ? ny : nx) && lo >= 0 &&
+                     hi < (h ? nx : ny),
                  "detailed-route segment leaves the chip cell grid");
-      runs.push_back(run);
+      link.push_back(cell_event(h ? 0 : 1, line, lo, true));
+      link.push_back(cell_event(h ? 0 : 1, line, hi + 1, false));
     }
-    add_link_runs(runs, events);
+    add_link_runs(link, events);
   }
   // One sweep over all cell lines: every line's events balance, so a
   // positive depth always spans two events of the same line.
@@ -324,11 +318,12 @@ void count_unit_cells(const Floorplan& plan, DetailedRoutingResult& result) {
   long long collisions = 0;
   int depth = 0;
   std::int64_t prev = 0;
-  for (const CellEvent& event : events) {
-    if (depth >= 1) cells[event.axis] += event.cell - prev;
-    if (depth >= 2) collisions += event.cell - prev;
-    depth += event.delta;
-    prev = event.cell;
+  for (const std::uint64_t key : events) {
+    const auto cell = static_cast<std::int64_t>((key >> 1) & (kCellLimit - 1));
+    if (depth >= 1) cells[key >> 63] += cell - prev;
+    if (depth >= 2) collisions += cell - prev;
+    depth += (key & 1) != 0 ? 1 : -1;
+    prev = cell;
   }
   result.h_cells = cells[0];
   result.v_cells = cells[1];

@@ -62,7 +62,8 @@ DetailedRoutingResult detailed_route(const topo::Topology& topo,
 /// to floor(end / cell) along its cell line; each link occupies a cell at
 /// most once per direction, and a cell two or more links occupy in one
 /// direction is one collision of that direction. Throws if a segment
-/// leaves the chip's cell grid.
+/// leaves the chip's cell grid, or if that grid has 2^31 or more cells
+/// along a line (the width of a packed sweep key's fields).
 void count_unit_cells(const Floorplan& plan, DetailedRoutingResult& result);
 
 }  // namespace shg::phys

@@ -2,6 +2,17 @@
 
 namespace shg::phys {
 
+double stacked_extent(const std::vector<double>& spacing, double tile,
+                      double* starts) {
+  double y = 0.0;
+  for (std::size_t i = 0; i < spacing.size(); ++i) {
+    if (starts != nullptr) starts[i] = y;
+    y += spacing[i];
+    if (i + 1 < spacing.size()) y += tile;
+  }
+  return y;
+}
+
 Floorplan::Floorplan(int rows, int cols, double tile_w, double tile_h,
                      std::vector<double> h_spacing,
                      std::vector<double> v_spacing, double cell_w,
@@ -25,22 +36,9 @@ Floorplan::Floorplan(int rows, int cols, double tile_w, double tile_h,
   for (double s : v_spacing_) SHG_REQUIRE(s >= 0.0, "spacing must be >= 0");
 
   chan_h_top_.resize(h_spacing_.size());
-  double y = 0.0;
-  for (int i = 0; i <= rows_; ++i) {
-    chan_h_top_[static_cast<std::size_t>(i)] = y;
-    y += h_spacing_[static_cast<std::size_t>(i)];
-    if (i < rows_) y += tile_h_;
-  }
-  chip_height_ = y;
-
+  chip_height_ = stacked_extent(h_spacing_, tile_h_, chan_h_top_.data());
   chan_v_left_.resize(v_spacing_.size());
-  double x = 0.0;
-  for (int j = 0; j <= cols_; ++j) {
-    chan_v_left_[static_cast<std::size_t>(j)] = x;
-    x += v_spacing_[static_cast<std::size_t>(j)];
-    if (j < cols_) x += tile_w_;
-  }
-  chip_width_ = x;
+  chip_width_ = stacked_extent(v_spacing_, tile_w_, chan_v_left_.data());
 }
 
 double Floorplan::chan_h_top(int i) const {

@@ -17,6 +17,15 @@
 
 namespace shg::phys {
 
+/// Extent of the chip across one axis: the channel spacings interleaved
+/// with spacing.size() - 1 tiles of `tile` mm, added in stacking order
+/// (channel 0, tile 0, channel 1, ..., the last channel). When `starts` is
+/// given, starts[i] receives the offset of channel i. The Floorplan and
+/// product-form screening both take their chip extents from this one sum,
+/// so they agree bit for bit.
+double stacked_extent(const std::vector<double>& spacing, double tile,
+                      double* starts = nullptr);
+
 class Floorplan {
  public:
   /// Builds a floorplan from tile dimensions, channel spacings
@@ -48,7 +57,6 @@ class Floorplan {
 
   double chip_width() const { return chip_width_; }
   double chip_height() const { return chip_height_; }
-  double chip_area_mm2() const { return chip_width_ * chip_height_; }
 
   /// Unit-cell area A_C = H_C * W_C (step 4).
   double cell_area_mm2() const { return cell_w_ * cell_h_; }

@@ -151,8 +151,7 @@ TEST(CostModel, LinkLatenciesVectorMatches) {
   }
 }
 
-/// Per-channel peaks of a routing, the step-2 summary the peaks overload
-/// takes.
+/// Per-channel peaks of a routing, the step-2 summary AxisSpacing prices.
 void channel_peaks(const phys::GlobalRoutingResult& loads,
                    std::vector<int>* h_peaks, std::vector<int>* v_peaks) {
   h_peaks->clear();
@@ -165,9 +164,9 @@ void channel_peaks(const phys::GlobalRoutingResult& loads,
   }
 }
 
-TEST(ScreeningCost, PeaksOverloadMatchesTopologyOverload) {
-  // The radix + channel-peaks entry must reproduce the topology entry bit
-  // for bit — it runs the same step 1/3/4 arithmetic on the same peaks.
+TEST(ScreeningCost, AxisOverloadMatchesTopologyOverload) {
+  // The radix + per-axis spacing entry must reproduce the topology entry
+  // bit for bit: the topology entry runs through it on the same peaks.
   // kA is the 8x8 grid; kC (8x16 = 128 tiles = 2 * 8^2) admits a SlimNoC,
   // whose diagonal links load both orientations at once.
   struct Case {
@@ -188,39 +187,53 @@ TEST(ScreeningCost, PeaksOverloadMatchesTopologyOverload) {
     const ScreeningCost from_topo = evaluate_screening_cost(arch, topo);
     std::vector<int> h_peaks, v_peaks;
     channel_peaks(phys::global_route_loads(topo), &h_peaks, &v_peaks);
-    const ScreeningCost from_peaks =
-        evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks);
-    EXPECT_EQ(from_topo.total_area_mm2, from_peaks.total_area_mm2);
-    EXPECT_EQ(from_topo.base_area_mm2, from_peaks.base_area_mm2);
-    EXPECT_EQ(from_topo.noc_area_mm2, from_peaks.noc_area_mm2);
-    EXPECT_EQ(from_topo.area_overhead, from_peaks.area_overhead);
+    const AxisSpacing h(arch, true, h_peaks);
+    const AxisSpacing v(arch, false, v_peaks);
+    const ScreeningCost from_axes =
+        evaluate_screening_cost(arch, topo.radix(), h, v);
+    EXPECT_EQ(from_topo.total_area_mm2, from_axes.total_area_mm2);
+    EXPECT_EQ(from_topo.base_area_mm2, from_axes.base_area_mm2);
+    EXPECT_EQ(from_topo.noc_area_mm2, from_axes.noc_area_mm2);
+    EXPECT_EQ(from_topo.area_overhead, from_axes.area_overhead);
+    // The extents are the full model's chip dimensions.
+    const CostReport report = evaluate_cost(arch, topo);
+    EXPECT_EQ(h.extent(report.tile_h_mm), report.chip_height_mm);
+    EXPECT_EQ(v.extent(report.tile_w_mm), report.chip_width_mm);
+    EXPECT_EQ(h.peak_load(), report.peak_h_channel_load);
+    EXPECT_EQ(v.peak_load(), report.peak_v_channel_load);
 
-    // A tile-geometry cache warmed by one entry must not change the bits
-    // of the other.
+    // A tile-geometry cache (and the spacings' extents) warmed by one call
+    // must not change the bits of the next.
     TileGeometryCache cache;
     const ScreeningCost cached1 =
-        evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks, &cache);
+        evaluate_screening_cost(arch, topo.radix(), h, v, &cache);
     const ScreeningCost cached2 =
-        evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks, &cache);
+        evaluate_screening_cost(arch, topo.radix(), h, v, &cache);
     EXPECT_EQ(cached1.area_overhead, from_topo.area_overhead);
     EXPECT_EQ(cached2.area_overhead, from_topo.area_overhead);
   }
 }
 
-TEST(ScreeningCost, PeaksOverloadRejectsMismatchedProfiles) {
+TEST(ScreeningCost, AxisOverloadRejectsMismatchedProfiles) {
   tech::ArchParams arch = tech::knc_scenario(tech::KncScenario::kA);
   const auto topo = topo::make_mesh(arch.rows - 1, arch.cols);
   std::vector<int> h_peaks, v_peaks;
   channel_peaks(phys::global_route_loads(topo), &h_peaks, &v_peaks);
-  EXPECT_THROW(evaluate_screening_cost(arch, topo.radix(), h_peaks, v_peaks),
+  EXPECT_THROW(AxisSpacing(arch, true, h_peaks), Error);
+  EXPECT_THROW(evaluate_screening_cost(arch, topo.radix(), AxisSpacing(),
+                                       AxisSpacing(arch, false, v_peaks)),
                Error);
   // Swapped axes on a non-square grid do not fit either.
   arch.rows = 4;
   arch.cols = 6;
   channel_peaks(phys::global_route_loads(topo::make_mesh(4, 6)), &h_peaks,
                 &v_peaks);
-  EXPECT_NO_THROW(evaluate_screening_cost(arch, 4, h_peaks, v_peaks));
-  EXPECT_THROW(evaluate_screening_cost(arch, 4, v_peaks, h_peaks), Error);
+  const AxisSpacing h(arch, true, h_peaks);
+  const AxisSpacing v(arch, false, v_peaks);
+  EXPECT_NO_THROW(evaluate_screening_cost(arch, 4, h, v));
+  EXPECT_THROW(AxisSpacing(arch, true, v_peaks), Error);
+  EXPECT_THROW(AxisSpacing(arch, false, h_peaks), Error);
+  EXPECT_THROW(evaluate_screening_cost(arch, 4, v, h), Error);
 }
 
 // ---- Golden cost reports ---------------------------------------------------

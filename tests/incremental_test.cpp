@@ -13,6 +13,7 @@
 #include "shg/customize/explore.hpp"
 #include "shg/customize/incremental.hpp"
 #include "shg/customize/search.hpp"
+#include "shg/customize/session.hpp"
 #include "shg/model/cost_model.hpp"
 #include "shg/tech/presets.hpp"
 #include "shg/topo/generators.hpp"
@@ -228,6 +229,52 @@ TEST(ScreeningBatch, RandomBatchesMatchFullScreening) {
   }
 }
 
+/// `count` seeded skip sets of {2..limit-1} with up to three elements, the
+/// empty set first.
+std::vector<std::set<int>> random_skip_sets(int limit, std::size_t count,
+                                            Prng& prng) {
+  std::vector<std::set<int>> sets = {{}};
+  while (sets.size() < count) {
+    std::set<int> skips;
+    for (int k = prng.range(1, 3); k > 0; --k) {
+      skips.insert(prng.range(2, limit - 1));
+    }
+    sets.push_back(std::move(skips));
+  }
+  return sets;
+}
+
+TEST(ScreeningGrid, MatchesBatchEntryAndOracle) {
+  // 8x16 and unequal set counts: a swapped row/column axis or a transposed
+  // product index changes the spacings, the radix or the entry order.
+  const ArchParams arch = grid_arch(8, 16);
+  Prng prng(20261020);
+  const std::vector<std::set<int>> row_sets =
+      random_skip_sets(arch.cols, 11, prng);
+  const std::vector<std::set<int>> col_sets =
+      random_skip_sets(arch.rows, 7, prng);
+  std::vector<topo::ShgParams> batch;
+  for (const std::set<int>& row : row_sets) {
+    for (const std::set<int>& col : col_sets) batch.push_back({row, col});
+  }
+  const std::vector<CandidateMetrics> grid =
+      screen_grid_incremental(arch, row_sets, col_sets);
+  const std::vector<CandidateMetrics> explicit_batch =
+      screen_batch_incremental(arch, batch);
+  ASSERT_EQ(grid.size(), batch.size());
+  ASSERT_EQ(explicit_batch.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(grid[i], explicit_batch[i]) << fmt_skip_sets(batch[i]);
+  }
+  EXPECT_NO_THROW(verify_grid_equivalence(arch, row_sets, col_sets));
+
+  EXPECT_TRUE(screen_grid_incremental(arch, {}, col_sets).empty());
+  EXPECT_TRUE(screen_grid_incremental(arch, row_sets, {}).empty());
+  // Skips must lie in {2..C-1} for rows and {2..R-1} for columns.
+  EXPECT_THROW(screen_grid_incremental(arch, {{arch.cols}}, {{}}), Error);
+  EXPECT_THROW(screen_grid_incremental(arch, {{}}, {{arch.rows}}), Error);
+}
+
 TEST(Greedy, MatchesReferenceLoop) {
   const ArchParams arch = knc_scenario(KncScenario::kA);
   for (double budget : {0.15, 0.40}) {
@@ -297,6 +344,29 @@ TEST(Explore, PointsMatchScreenCandidate) {
   expect_explore_matches(knc_scenario(KncScenario::kA));
   // Non-square, so an h/v axis swap in the product form cannot go unseen.
   expect_explore_matches(grid_arch(7, 13));
+}
+
+TEST(Explore, RucheWithSessionMatchesWithout) {
+  // explore_ruche screens through the session's batch when one is attached
+  // and through the grid entry otherwise; cold and warm sessions must give
+  // the points of the sessionless run.
+  const ArchParams arch = grid_arch(8, 16);
+  const std::vector<ExploredPoint> reference = explore_ruche(arch, {});
+  Session session;
+  ExploreOptions options;
+  options.session = &session;
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    const std::vector<ExploredPoint> points = explore_ruche(arch, options);
+    ASSERT_EQ(points.size(), reference.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(points[i].params, reference[i].params) << i;
+      EXPECT_EQ(points[i].metrics, reference[i].metrics) << i;
+      EXPECT_EQ(points[i].label, reference[i].label) << i;
+    }
+  }
+  EXPECT_EQ(session.stats().misses, reference.size());
+  EXPECT_EQ(session.stats().hits, reference.size());
 }
 
 }  // namespace

@@ -682,5 +682,29 @@ TEST(UnitCellCount, SegmentLeavingTheChipThrows) {
   EXPECT_THROW(count_unit_cells(plan, result), Error);
 }
 
+TEST(UnitCellCount, GridBeyondPackedKeyThrows) {
+  // A cell line or a cell index must fit its 31-bit field of the packed
+  // sweep key. A 1 mm tile in 2^-30 mm cells fits: one run of cells
+  // [2^28, 3 * 2^28] exercises the high bits of the cell field.
+  const double small = std::ldexp(1.0, -30);
+  DetailedRoutingResult result;
+  result.routes = {link({h_seg(0.25, 0.75, 0.5)})};
+  count_unit_cells(Floorplan(1, 1, 1.0, 1.0, {0.0, 0.0}, {0.0, 0.0}, small,
+                             small),
+                   result);
+  EXPECT_EQ(result.h_cells, (std::int64_t{1} << 29) + 1);
+  EXPECT_EQ(result.v_cells, 0);
+  EXPECT_EQ(result.collision_cells, 0);
+  // 10^10 cells per line do not fit, across either axis.
+  EXPECT_THROW(count_unit_cells(Floorplan(1, 1, 1.0, 1.0, {0.0, 0.0},
+                                          {0.0, 0.0}, 1e-10, 0.1),
+                                result),
+               Error);
+  EXPECT_THROW(count_unit_cells(Floorplan(1, 1, 1.0, 1.0, {0.0, 0.0},
+                                          {0.0, 0.0}, 0.1, 1e-10),
+                                result),
+               Error);
+}
+
 }  // namespace
 }  // namespace shg::phys
