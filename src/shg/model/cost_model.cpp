@@ -78,15 +78,6 @@ AxisSpacing::AxisSpacing(const tech::ArchParams& arch, bool horizontal,
   }
 }
 
-double AxisSpacing::extent(double tile_mm) const {
-  for (const auto& [tile, extent] : extents_) {
-    if (tile == tile_mm) return extent;
-  }
-  const double extent = phys::stacked_extent(spacing_, tile_mm);
-  extents_.emplace_back(tile_mm, extent);
-  return extent;
-}
-
 ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch,
                                       const topo::Topology& topo,
                                       TileGeometryCache* tile_cache) {
@@ -114,8 +105,9 @@ ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch, int radix,
       tile_geometry(arch, radix + arch.endpoints_per_tile, tile_cache);
   // Step 4 places the tiles between the channels; the chip's extents are
   // all the area reads of it.
-  return area_estimate(arch, v.extent(tile.tile_w_mm),
-                       h.extent(tile.tile_h_mm));
+  return area_estimate(arch,
+                       phys::stacked_extent(v.spacing(), tile.tile_w_mm),
+                       phys::stacked_extent(h.spacing(), tile.tile_h_mm));
 }
 
 CostReport evaluate_cost(const tech::ArchParams& arch,

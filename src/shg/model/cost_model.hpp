@@ -155,23 +155,17 @@ class AxisSpacing {
   /// Width of every channel, in mm: `wires_to_mm` of its peak's wires.
   const std::vector<double>& spacing() const { return spacing_; }
 
-  /// The chip's extent across these channels with tiles of `tile_mm`
-  /// (`phys::stacked_extent`), memoized per tile length since a sweep meets
-  /// few radices. Not thread-safe, like TileGeometryCache.
-  double extent(double tile_mm) const;
-
  private:
   bool horizontal_ = true;
   int peak_load_ = 0;
   std::vector<double> spacing_;
-  mutable std::vector<std::pair<double, double>> extents_;  ///< tiny
 };
 
 /// Screening cost from the step-2 summary in product form: the router
 /// `radix` (Table I) and the spacings of the horizontal (`h`) and vertical
 /// (`v`) channels. The topology overload runs through this one, so the
-/// areas are bit-identical when the peaks are. Constant time, with no
-/// allocation once the extents are memoized. Throws shg::Error unless `h`
+/// areas are bit-identical when the peaks are. One `phys::stacked_extent`
+/// sum per axis and no allocation. Throws shg::Error unless `h`
 /// is horizontal, `v` vertical, and both fit `arch`'s grid.
 ScreeningCost evaluate_screening_cost(const tech::ArchParams& arch, int radix,
                                       const AxisSpacing& h,

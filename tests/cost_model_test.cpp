@@ -197,12 +197,14 @@ TEST(ScreeningCost, AxisOverloadMatchesTopologyOverload) {
     EXPECT_EQ(from_topo.area_overhead, from_axes.area_overhead);
     // The extents are the full model's chip dimensions.
     const CostReport report = evaluate_cost(arch, topo);
-    EXPECT_EQ(h.extent(report.tile_h_mm), report.chip_height_mm);
-    EXPECT_EQ(v.extent(report.tile_w_mm), report.chip_width_mm);
+    EXPECT_EQ(phys::stacked_extent(h.spacing(), report.tile_h_mm),
+              report.chip_height_mm);
+    EXPECT_EQ(phys::stacked_extent(v.spacing(), report.tile_w_mm),
+              report.chip_width_mm);
     EXPECT_EQ(h.peak_load(), report.peak_h_channel_load);
     EXPECT_EQ(v.peak_load(), report.peak_v_channel_load);
 
-    // A tile-geometry cache (and the spacings' extents) warmed by one call
+    // A tile-geometry cache warmed by one call
     // must not change the bits of the next.
     TileGeometryCache cache;
     const ScreeningCost cached1 =

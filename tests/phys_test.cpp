@@ -695,7 +695,25 @@ TEST(UnitCellCount, GridBeyondPackedKeyThrows) {
   EXPECT_EQ(result.h_cells, (std::int64_t{1} << 29) + 1);
   EXPECT_EQ(result.v_cells, 0);
   EXPECT_EQ(result.collision_cells, 0);
-  // 10^10 cells per line do not fit, across either axis.
+  // A line's cells run to index floor(extent / cell) + 2, so 2^31 - 3
+  // cells per line are the most that fit: in 2^-31 mm cells a tile of
+  // 1 - 3 * 2^-31 mm fits, reaching cell 2^31 - 1, and one of
+  // 1 - 2 * 2^-31 mm throws across either axis, as do 10^10 cells.
+  const double cell = std::ldexp(1.0, -31);
+  const double fits = 1.0 - 3 * cell;
+  const double over = 1.0 - 2 * cell;
+  count_unit_cells(Floorplan(1, 1, fits, fits, {0.0, 0.0}, {0.0, 0.0}, cell,
+                             cell),
+                   result);
+  EXPECT_EQ(result.h_cells, (std::int64_t{1} << 30) + 1);
+  EXPECT_THROW(count_unit_cells(Floorplan(1, 1, over, fits, {0.0, 0.0},
+                                          {0.0, 0.0}, cell, cell),
+                                result),
+               Error);
+  EXPECT_THROW(count_unit_cells(Floorplan(1, 1, fits, over, {0.0, 0.0},
+                                          {0.0, 0.0}, cell, cell),
+                                result),
+               Error);
   EXPECT_THROW(count_unit_cells(Floorplan(1, 1, 1.0, 1.0, {0.0, 0.0},
                                           {0.0, 0.0}, 1e-10, 0.1),
                                 result),
