@@ -31,8 +31,8 @@
 // column-skip sets, build one axis summary per set (line hop totals, max
 // line degree, line link count, channel spacings; fanned out with
 // parallel_for), then combine each candidate from its two summaries in
-// constant time (`model::evaluate_screening_cost`'s axis overload, with
-// the chip extents memoized per axis and tile length). No candidate
+// O(R + C) (`model::evaluate_screening_cost`'s axis overload: one
+// `phys::stacked_extent` sum per axis). No candidate
 // materializes a Topology, routes a link or allocates. The combine step
 // runs on the calling thread: at tens of nanoseconds per candidate, a
 // second fan-out would cost far more in thread start-up than it saves.

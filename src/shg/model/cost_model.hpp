@@ -18,8 +18,8 @@
 // the vertical ones on the column skips alone. So step 3 prices each axis
 // on its own (`AxisSpacing`, once per distinct skip set), and the axis
 // overload of evaluate_screening_cost combines two of them with the radix
-// in constant time: a screening sweep routes and prices each distinct skip
-// set once, and every candidate costs a few multiplications.
+// in O(R + C) additions: a screening sweep routes and prices each distinct
+// skip set once, and every candidate costs one sum along each axis.
 #pragma once
 
 #include <utility>
